@@ -20,7 +20,7 @@ measure is enumerable and by suite-sampling otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,8 @@ from ..versions import Version
 __all__ = ["SuiteMoments", "TestedPopulationView", "cross_suite_moments"]
 
 _DEFAULT_SUITE_SAMPLES = 512
+# suites per tested_difficulty_matrix call in the moment reductions
+_SUITE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -149,23 +151,12 @@ class TestedPopulationView(object):
         Exact when the suite measure is enumerable, else a suite-sampling
         estimate with ``n_suites`` draws.
         """
-        try:
-            pairs = list(self._generator.enumerate())
-        except NotEnumerableError:
-            pairs = None
+        suites, weights, _ = _suite_measure(self._generator, n_suites, rng)
         accumulator = np.zeros(self._population.space.size, dtype=np.float64)
-        if pairs is not None:
-            for suite, probability in pairs:
-                outcome = apply_testing(version, suite)
-                accumulator += probability * outcome.after.failure_mask
-            return accumulator
-        if n_suites < 1:
-            raise ModelError(f"n_suites must be >= 1, got {n_suites}")
-        generator = as_generator(rng)
-        for suite in self._generator.sample_many(n_suites, generator):
+        for suite, weight in zip(suites, weights):
             outcome = apply_testing(version, suite)
-            accumulator += outcome.after.failure_mask
-        return accumulator / n_suites
+            accumulator += weight * outcome.after.failure_mask
+        return accumulator
 
     def eta(self, version: Version, suite: TestSuite, profile: UsageProfile) -> float:
         """``η(π, t)`` — post-test unreliability of one version, one suite."""
@@ -178,29 +169,9 @@ class TestedPopulationView(object):
         rng: SeedLike = None,
     ) -> SuiteMoments:
         """``ζ(x)`` and ``E_T[ξ(x,T)²]`` in one pass over the suite measure."""
-        try:
-            pairs = list(self._generator.enumerate())
-        except NotEnumerableError:
-            pairs = None
-        size = self._population.space.size
-        first = np.zeros(size, dtype=np.float64)
-        second = np.zeros(size, dtype=np.float64)
-        if pairs is not None:
-            for suite, probability in pairs:
-                xi = self.xi(suite)
-                first += probability * xi
-                second += probability * xi**2
-            return SuiteMoments(first, second, len(pairs), exact=True)
-        if n_suites < 1:
-            raise ModelError(f"n_suites must be >= 1, got {n_suites}")
-        generator = as_generator(rng)
-        for suite in self._generator.sample_many(n_suites, generator):
-            xi = self.xi(suite)
-            first += xi
-            second += xi**2
-        return SuiteMoments(
-            first / n_suites, second / n_suites, n_suites, exact=False
-        )
+        suites, weights, exact = _suite_measure(self._generator, n_suites, rng)
+        (first,), second = _xi_moments((self._population,), suites, weights)
+        return SuiteMoments(first, second, len(suites), exact=exact)
 
     def zeta(
         self,
@@ -250,35 +221,58 @@ def cross_suite_moments(
     """
     population_a.space.require_same(generator.space)
     population_b.space.require_same(generator.space)
+    suites, weights, exact = _suite_measure(generator, n_suites, rng)
+    (first_a, first_b), cross = _xi_moments(
+        (population_a, population_b), suites, weights
+    )
+    return CrossSuiteMoments(first_a, first_b, cross, len(suites), exact)
+
+
+def _suite_measure(
+    generator: SuiteGenerator, n_suites: int, rng: SeedLike
+) -> Tuple[List[TestSuite], np.ndarray, bool]:
+    """The suite measure as ``(suites, weights, exact)``.
+
+    The support with its probabilities when ``generator`` is enumerable,
+    else ``n_suites`` equally weighted draws from
+    :meth:`SuiteGenerator.sample_many` (one spawned stream per suite).
+    """
     try:
         pairs = list(generator.enumerate())
     except NotEnumerableError:
         pairs = None
-    size = generator.space.size
-    first_a = np.zeros(size, dtype=np.float64)
-    first_b = np.zeros(size, dtype=np.float64)
-    cross = np.zeros(size, dtype=np.float64)
     if pairs is not None:
-        for suite, probability in pairs:
-            xi_a = population_a.tested_difficulty(suite.unique_demands)
-            xi_b = population_b.tested_difficulty(suite.unique_demands)
-            first_a += probability * xi_a
-            first_b += probability * xi_b
-            cross += probability * xi_a * xi_b
-        return CrossSuiteMoments(first_a, first_b, cross, len(pairs), exact=True)
+        suites = [suite for suite, _ in pairs]
+        weights = np.array([probability for _, probability in pairs])
+        return suites, weights, True
     if n_suites < 1:
         raise ModelError(f"n_suites must be >= 1, got {n_suites}")
-    rng = as_generator(rng)
-    for suite in generator.sample_many(n_suites, rng):
-        xi_a = population_a.tested_difficulty(suite.unique_demands)
-        xi_b = population_b.tested_difficulty(suite.unique_demands)
-        first_a += xi_a
-        first_b += xi_b
-        cross += xi_a * xi_b
-    return CrossSuiteMoments(
-        first_a / n_suites,
-        first_b / n_suites,
-        cross / n_suites,
-        n_suites,
-        exact=False,
-    )
+    suites = generator.sample_many(n_suites, as_generator(rng))
+    return suites, np.full(n_suites, 1.0 / n_suites), False
+
+
+def _xi_moments(
+    populations: Sequence[VersionPopulation],
+    suites: Sequence[TestSuite],
+    weights: np.ndarray,
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Each population's ``E_T[ξ(x,T)]`` and ``E_T[ξ_first ξ_last]``.
+
+    The cross moment is ``E_T[ξ(x,T)²]`` for one population.  Suites go
+    through :meth:`VersionPopulation.tested_difficulty_matrix`
+    ``_SUITE_BLOCK`` at a time.
+    """
+    size = populations[0].space.size
+    firsts = [np.zeros(size, dtype=np.float64) for _ in populations]
+    cross = np.zeros(size, dtype=np.float64)
+    for start in range(0, len(suites), _SUITE_BLOCK):
+        block = suites[start : start + _SUITE_BLOCK]
+        block_weights = weights[start : start + _SUITE_BLOCK]
+        masks = np.stack([suite.mask() for suite in block])
+        xis = [
+            population.tested_difficulty_matrix(masks) for population in populations
+        ]
+        for first, xi in zip(firsts, xis):
+            first += block_weights @ xi
+        cross += block_weights @ (xis[0] * xis[-1])
+    return firsts, cross

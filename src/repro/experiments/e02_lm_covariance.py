@@ -9,23 +9,13 @@ independence prediction — the LM headline.
 
 from __future__ import annotations
 
-from ..core import LMModel
-from ..mc.estimator import MeanEstimator
-from ..rng import as_generator, spawn_many
-from .base import Claim, ExperimentResult
+from ..core import IndependentSuites, LMModel
+from ..mc import simulate_marginal_system_pfd
+from ..rng import as_generator
+from ..testing import OperationalSuiteGenerator
+from .base import Claim, ExperimentResult, engine_kwargs
 from .models import forced_design_scenario
 from .registry import register
-
-
-def _marginal_joint_mc(scenario, n_replications, rng) -> MeanEstimator:
-    estimator = MeanEstimator()
-    for replication in spawn_many(as_generator(rng), n_replications):
-        stream_a, stream_b = spawn_many(replication, 2)
-        version_a = scenario.population_a.sample(stream_a)
-        version_b = scenario.population_b.sample(stream_b)
-        joint = version_a.failure_mask & version_b.failure_mask
-        estimator.add(float(scenario.profile.probabilities[joint].sum()))
-    return estimator
 
 
 @register("e02")
@@ -56,7 +46,16 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
         analytic = model.prob_both_fail()
         covariance = model.covariance()
         covariances[label] = covariance
-        estimator = _marginal_joint_mc(scenario, n_replications, rng)
+        # empty suites leave the pair untested: E[Q(joint)] = E[Theta_A Theta_B]
+        estimator = simulate_marginal_system_pfd(
+            IndependentSuites(OperationalSuiteGenerator(scenario.profile, 0)),
+            scenario.population_a,
+            scenario.profile,
+            scenario.population_b,
+            n_replications=n_replications,
+            rng=rng,
+            **engine_kwargs(),
+        )
         rows.append(
             [
                 label,

@@ -20,51 +20,9 @@ from ..growth import (
     version_growth_curve,
 )
 from ..populations import BernoulliFaultPopulation
-from ..rng import as_generator, spawn_many
-from ..testing import (
-    BackToBackComparator,
-    OperationalSuiteGenerator,
-    apply_testing,
-    back_to_back_testing,
-)
 from ..versions import shared_fault_outputs
 from .base import Claim, ExperimentResult
 from .registry import register
-
-
-def _paired_b2b_vs_perfect(population, profile, sizes, n_replications, rng):
-    """Mean system pfd per effort level for back-to-back vs perfect oracle.
-
-    Both processes consume identical version pairs and suite prefixes, so
-    the per-level comparison is paired: back-to-back detection is a subset
-    of perfect-oracle detection on every replication, hence its mean curve
-    must dominate (lie above) the perfect one with *zero* noise in the
-    comparison direction.
-    """
-    rng = as_generator(rng)
-    comparator = BackToBackComparator(shared_fault_outputs())
-    generator = OperationalSuiteGenerator(profile, int(max(sizes)))
-    b2b_totals = np.zeros(len(sizes))
-    perfect_totals = np.zeros(len(sizes))
-    for replication in spawn_many(rng, n_replications):
-        streams = spawn_many(replication, 3)
-        version_a = population.sample(streams[0])
-        version_b = population.sample(streams[1])
-        suite = generator.sample(streams[2])
-        for index, n in enumerate(sizes):
-            prefix = suite.prefix(int(n))
-            outcome_a, outcome_b = back_to_back_testing(
-                version_a, version_b, prefix, comparator
-            )
-            joint = outcome_a.after.failure_mask & outcome_b.after.failure_mask
-            b2b_totals[index] += float(profile.probabilities[joint].sum())
-            perfect_a = apply_testing(version_a, prefix).after
-            perfect_b = apply_testing(version_b, prefix).after
-            perfect_joint = perfect_a.failure_mask & perfect_b.failure_mask
-            perfect_totals[index] += float(
-                profile.probabilities[perfect_joint].sum()
-            )
-    return b2b_totals / n_replications, perfect_totals / n_replications
 
 
 @register("e14")
@@ -89,9 +47,17 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
         n_replications=n_replications,
         rng=seed + 1400,
     )
-    b2b_means, perfect_means = _paired_b2b_vs_perfect(
-        population, profile, sizes, n_replications, rng=seed + 1401
+    # paired draws: back-to-back detection is a subset of perfect detection
+    # on every replication, so its curve lies above with zero noise
+    paired = back_to_back_growth_curves(
+        population,
+        profile,
+        sizes,
+        shared_fault_outputs(),
+        n_replications=n_replications,
+        rng=seed + 1401,
     )
+    b2b_means, perfect_means = paired["system"].values, paired["perfect"].values
     independent = system_curves["independent suites"]
     same = system_curves["same suite"]
 

@@ -24,6 +24,7 @@ from .generators import (
 from .difficulty import (
     difficulty_from_bernoulli,
     tested_difficulty_given_suite,
+    tested_difficulty_matrix,
 )
 
 __all__ = [
@@ -37,4 +38,5 @@ __all__ = [
     "overlapping_pair",
     "difficulty_from_bernoulli",
     "tested_difficulty_given_suite",
+    "tested_difficulty_matrix",
 ]

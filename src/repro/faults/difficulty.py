@@ -27,7 +27,11 @@ import numpy as np
 from ..errors import ModelError, ProbabilityError
 from .universe import FaultUniverse
 
-__all__ = ["difficulty_from_bernoulli", "tested_difficulty_given_suite"]
+__all__ = [
+    "difficulty_from_bernoulli",
+    "tested_difficulty_given_suite",
+    "tested_difficulty_matrix",
+]
 
 
 def _validate_presence_probs(
@@ -44,41 +48,43 @@ def _validate_presence_probs(
     return probs
 
 
-def difficulty_from_bernoulli(
-    universe: FaultUniverse, presence_probs: Sequence[float] | np.ndarray
+def tested_difficulty_matrix(
+    universe: FaultUniverse,
+    presence_probs: Sequence[float] | np.ndarray,
+    suite_masks: np.ndarray,
 ) -> np.ndarray:
-    """Exact ``theta(x)`` for a Bernoulli fault population.
+    """Exact ``xi(x, t)`` for a block of suites — the one ξ kernel.
 
-    Parameters
-    ----------
-    universe:
-        The fault universe.
-    presence_probs:
-        Per-fault inclusion probability ``p_f``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Length-``n_demands`` vector of ``theta(x)``.
-
-    Notes
-    -----
-    Computed in log-space as ``1 - exp(sum log(1-p_f))`` over covering
-    faults, which is vectorised as a matrix product of the coverage matrix
-    with ``log1p(-p)``.  Faults with ``p_f = 1`` force ``theta(x) = 1`` on
+    ``suite_masks`` is a boolean ``[n_suites, n_demands]`` block (row ``s``
+    is suite ``t_s`` as a demand-membership mask); row ``s`` of the result
+    is ``xi(·, t_s)``.  Faults the suite misses survive
+    (:meth:`FaultUniverse.triggered_matrix`), and the survivors' product is
+    one log-space matrix product, ``1 - exp((survive * log1p(-p)) @
+    coverage)``.  Surviving faults with ``p_f = 1`` force ``xi = 1`` on
     their region; handled exactly.
     """
     probs = _validate_presence_probs(universe, presence_probs)
-    coverage = universe.coverage.astype(np.float64)
+    survive = ~universe.triggered_matrix(suite_masks)
     certain = probs >= 1.0
-    with np.errstate(divide="ignore"):
-        log_miss = np.where(certain, 0.0, np.log1p(-np.where(certain, 0.0, probs)))
-    log_prod = coverage.T @ log_miss
-    theta = 1.0 - np.exp(log_prod)
+    log_miss = np.log1p(-np.where(certain, 0.0, probs))
+    coverage = universe._coverage_float()
+    xi = 1.0 - np.exp((survive * log_miss) @ coverage)
     if certain.any():
-        forced = universe.coverage[certain].any(axis=0)
-        theta = np.where(forced, 1.0, theta)
-    return np.clip(theta, 0.0, 1.0)
+        forced = (survive[:, certain] @ coverage[certain]) > 0.5
+        xi = np.where(forced, 1.0, xi)
+    return np.clip(xi, 0.0, 1.0)
+
+
+def difficulty_from_bernoulli(
+    universe: FaultUniverse, presence_probs: Sequence[float] | np.ndarray
+) -> np.ndarray:
+    """Exact ``theta(x)`` for a Bernoulli fault population, per demand.
+
+    The empty-suite case of :func:`tested_difficulty_matrix`:
+    ``xi(x, ∅) = theta(x)``.
+    """
+    untested = np.zeros((1, universe.space.size), dtype=bool)
+    return tested_difficulty_matrix(universe, presence_probs, untested)[0]
 
 
 def tested_difficulty_given_suite(
@@ -88,13 +94,10 @@ def tested_difficulty_given_suite(
 ) -> np.ndarray:
     """Exact ``xi(x, t)`` — difficulty after perfect testing with suite ``t``.
 
-    Only faults whose failure regions the suite misses survive testing;
-    the difficulty restricted to those survivors is again a Bernoulli
-    product.  Demand-wise, ``xi(x, t) <= theta(x)`` always holds, which is
-    the paper's score-monotonicity property lifted to the population level.
+    The one-row case of :func:`tested_difficulty_matrix`.  Demand-wise,
+    ``xi(x, t) <= theta(x)`` always holds, which is the paper's
+    score-monotonicity property lifted to the population level.
     """
-    probs = _validate_presence_probs(universe, presence_probs)
-    survivors = universe.surviving(suite_demands)
-    restricted = np.zeros_like(probs)
-    restricted[survivors] = probs[survivors]
-    return difficulty_from_bernoulli(universe, restricted)
+    mask = np.zeros((1, universe.space.size), dtype=bool)
+    mask[0, universe.space.validate_demands(suite_demands)] = True
+    return tested_difficulty_matrix(universe, presence_probs, mask)[0]

@@ -17,13 +17,10 @@ import numpy as np
 from ..analytic.bernoulli_exact import BernoulliExactEngine
 from ..demand import UsageProfile
 from ..errors import ModelError
+from ..mc.batch import apply_testing_batch, back_to_back_batch
 from ..populations import BernoulliFaultPopulation, VersionPopulation
 from ..rng import as_generator, spawn_many
-from ..testing import (
-    BackToBackComparator,
-    OperationalSuiteGenerator,
-    back_to_back_testing,
-)
+from ..testing import BackToBackComparator, OperationalSuiteGenerator
 from ..types import SeedLike
 from ..versions import FailureOutputModel
 
@@ -177,45 +174,66 @@ def back_to_back_growth_curves(
     operational suite, then replays prefixes of it for each effort level —
     a nested design that makes the curve internally consistent (the
     ``n+m``-test run extends the ``n``-test run instead of resampling).
+
+    Curves ``"system"`` and ``"version"`` are back-to-back; ``"perfect"`` is
+    the system pfd of a perfect oracle on the *same* pairs and prefixes.
+
+    Draws use one spawned stream per replication and are then stacked; the
+    §4.2 block kernel replays the prefixes segment by segment (the state
+    after ``n`` demands feeds demands ``n..n'``), which equals replaying
+    each prefix from scratch because perfect fixing draws no randomness.
     """
     grid = _effort_grid(sizes)
     if n_replications < 1:
         raise ModelError(f"n_replications must be >= 1, got {n_replications}")
     population_b = population_b if population_b is not None else population_a
     population_a.space.require_same(profile.space)
-    rng = as_generator(rng)
-    comparator = BackToBackComparator(output_model)
+    population_b.space.require_same(profile.space)
+    universe_a = population_a.universe
+    universe_b = population_b.universe
     generator = OperationalSuiteGenerator(profile, int(grid[-1]))
 
-    system_totals = np.zeros(grid.size)
-    version_totals = np.zeros(grid.size)
-    for replication in spawn_many(rng, n_replications):
+    untested_a = np.zeros((n_replications, len(universe_a)), dtype=bool)
+    untested_b = np.zeros((n_replications, len(universe_b)), dtype=bool)
+    sequences = np.empty((n_replications, generator.size), dtype=np.int64)
+    replications = spawn_many(as_generator(rng), n_replications)
+    for row, replication in enumerate(replications):
         streams = spawn_many(replication, 3)
-        version_a = population_a.sample(streams[0])
-        version_b = population_b.sample(streams[1])
-        full_suite = generator.sample(streams[2])
-        for index, n in enumerate(grid):
-            prefix = full_suite.prefix(int(n))
-            outcome_a, outcome_b = back_to_back_testing(
-                version_a, version_b, prefix, comparator
-            )
-            joint = outcome_a.after.failure_mask & outcome_b.after.failure_mask
-            system_totals[index] += float(profile.probabilities[joint].sum())
-            version_totals[index] += 0.5 * (
-                outcome_a.after.pfd(profile) + outcome_b.after.pfd(profile)
-            )
+        untested_a[row, population_a.sample(streams[0]).fault_ids] = True
+        untested_b[row, population_b.sample(streams[1]).fault_ids] = True
+        sequences[row] = generator.sample(streams[2]).demands
+
+    comparator = BackToBackComparator(output_model)
+    probabilities = profile.probabilities
+
+    def mean_pfds(block_a: np.ndarray, block_b: np.ndarray) -> tuple:
+        """Replication-mean (system, version) pfd of a tested pair block."""
+        fails_a = universe_a.failure_matrix(block_a)
+        fails_b = universe_b.failure_matrix(block_b)
+        version_pfd = 0.5 * (fails_a @ probabilities + fails_b @ probabilities)
+        return ((fails_a & fails_b) @ probabilities).mean(), version_pfd.mean()
+
+    faults_a, faults_b = untested_a, untested_b
+    masks = np.zeros((n_replications, profile.space.size), dtype=bool)
+    system, version, perfect = (np.empty(grid.size) for _ in range(3))
+    start = 0
+    for index, n in enumerate(grid):
+        segment = sequences[:, start:n]
+        faults_a, faults_b = back_to_back_batch(
+            faults_a, faults_b, segment, universe_a, universe_b, comparator
+        )
+        system[index], version[index] = mean_pfds(faults_a, faults_b)
+        np.put_along_axis(masks, segment, True, axis=1)
+        perfect[index], _ = mean_pfds(
+            apply_testing_batch(untested_a, masks, universe_a),
+            apply_testing_batch(untested_b, masks, universe_b),
+        )
+        start = n
     label = f"back-to-back ({output_model.mode})"
     return {
-        "system": GrowthCurve(
-            f"system pfd, {label}",
-            grid,
-            system_totals / n_replications,
-            exact=False,
-        ),
-        "version": GrowthCurve(
-            f"version pfd, {label}",
-            grid,
-            version_totals / n_replications,
-            exact=False,
+        "system": GrowthCurve(f"system pfd, {label}", grid, system, exact=False),
+        "version": GrowthCurve(f"version pfd, {label}", grid, version, exact=False),
+        "perfect": GrowthCurve(
+            "system pfd, perfect oracle", grid, perfect, exact=False
         ),
     }

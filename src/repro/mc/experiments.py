@@ -361,6 +361,9 @@ def simulate_marginal_system_pfd(
     conditioning argument).  Set it to ``False`` to simulate the raw 0/1
     outcome on a drawn demand instead.
     """
+    population_a.space.require_same(profile.space)
+    if population_b is not None:
+        population_b.space.require_same(profile.space)
     oracle, fixing = _regime_policies(regime, oracle, fixing)
     target = _coerce_precision(precision, engine)
     if target is not None:
@@ -420,7 +423,6 @@ def simulate_marginal_system_pfd(
         )
     _check_replications(n_replications)
     population_b = population_b if population_b is not None else population_a
-    population_a.space.require_same(profile.space)
     rng = as_generator(rng)
     estimator = MeanEstimator()
     for replication in spawn_many(rng, n_replications):

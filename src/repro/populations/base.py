@@ -15,7 +15,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from ..demand import DemandSpace
-from ..errors import ModelError, NotEnumerableError
+from ..errors import IncompatibleSpaceError, ModelError, NotEnumerableError
 from ..faults import FaultUniverse
 from ..rng import as_generator, spawn_many
 from ..types import SeedLike
@@ -101,6 +101,23 @@ class VersionPopulation(abc.ABC):
         NotEnumerableError
             If the population cannot compute this exactly.
         """
+
+    def tested_difficulty_matrix(self, suite_masks: np.ndarray) -> np.ndarray:
+        """``xi(·, t_s)`` per row of a boolean ``[n_suites, n_demands]`` block.
+
+        The default loops :meth:`tested_difficulty` over the rows;
+        populations with a closed form override it with one block product.
+        """
+        masks = np.asarray(suite_masks, dtype=bool)
+        if masks.ndim != 2 or masks.shape[1] != self.space.size:
+            raise IncompatibleSpaceError(
+                f"suite masks of shape {masks.shape} do not match demand "
+                f"space size {self.space.size}"
+            )
+        xi = np.zeros(masks.shape, dtype=np.float64)
+        for row, mask in enumerate(masks):
+            xi[row] = self.tested_difficulty(np.flatnonzero(mask))
+        return xi
 
     def enumerate(self) -> Iterable[Tuple[Version, float]]:
         """Yield ``(version, probability)`` pairs when finitely enumerable.

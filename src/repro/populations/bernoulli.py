@@ -19,12 +19,14 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ModelError, NotEnumerableError, ProbabilityError
+from ..errors import ModelError, NotEnumerableError
 from ..faults import (
     FaultUniverse,
     difficulty_from_bernoulli,
     tested_difficulty_given_suite,
+    tested_difficulty_matrix,
 )
+from ..faults.difficulty import _validate_presence_probs
 from ..rng import as_generator
 from ..types import SeedLike
 from ..versions import Version
@@ -67,15 +69,7 @@ class BernoulliFaultPopulation(VersionPopulation):
         presence_probs: Sequence[float] | np.ndarray,
     ) -> None:
         super().__init__(universe)
-        probs = np.asarray(presence_probs, dtype=np.float64)
-        if probs.shape != (len(universe),):
-            raise ModelError(
-                f"presence_probs length {probs.shape} does not match "
-                f"universe size {len(universe)}"
-            )
-        if np.any(probs < 0.0) or np.any(probs > 1.0) or np.any(~np.isfinite(probs)):
-            raise ProbabilityError("presence probabilities must lie in [0, 1]")
-        self._probs = probs
+        self._probs = _validate_presence_probs(universe, presence_probs)
 
     @property
     def presence_probs(self) -> np.ndarray:
@@ -137,6 +131,10 @@ class BernoulliFaultPopulation(VersionPopulation):
         return tested_difficulty_given_suite(
             self._universe, self._probs, suite_demands
         )
+
+    def tested_difficulty_matrix(self, suite_masks: np.ndarray) -> np.ndarray:
+        """Closed-form block ``xi`` (:func:`repro.faults.tested_difficulty_matrix`)."""
+        return tested_difficulty_matrix(self._universe, self._probs, suite_masks)
 
     def enumerate(self) -> Iterable[Tuple[Version, float]]:
         """Yield every positive-probability version with its probability.

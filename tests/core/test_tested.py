@@ -189,3 +189,159 @@ class TestCrossSuiteMoments:
             cross.cross_moment - cross.zeta_a * cross.zeta_b,
             atol=1e-15,
         )
+
+
+def _reference_moments(population_a, population_b, generator, n_suites, rng):
+    """The per-suite loop the block kernel replaced: ``tested_difficulty``
+    once per suite, accumulated suite by suite."""
+    from repro.errors import NotEnumerableError
+    from repro.rng import as_generator
+
+    try:
+        pairs = list(generator.enumerate())
+    except NotEnumerableError:
+        suites = generator.sample_many(n_suites, as_generator(rng))
+        pairs = [(suite, 1.0) for suite in suites]
+        scale = 1.0 / n_suites
+    else:
+        scale = 1.0
+    size = generator.space.size
+    first_a = np.zeros(size)
+    first_b = np.zeros(size)
+    cross = np.zeros(size)
+    for suite, probability in pairs:
+        xi_a = population_a.tested_difficulty(suite.unique_demands)
+        xi_b = population_b.tested_difficulty(suite.unique_demands)
+        first_a += probability * xi_a
+        first_b += probability * xi_b
+        cross += probability * xi_a * xi_b
+    return first_a * scale, first_b * scale, cross * scale
+
+
+def _generators(space, profile):
+    from repro.testing import EnumerableSuiteGenerator, OperationalSuiteGenerator
+
+    enumerable = EnumerableSuiteGenerator(
+        space,
+        [
+            TestSuite.empty(space),
+            TestSuite.of(space, [0]),
+            TestSuite.of(space, [2, 4, 4]),
+            TestSuite.of(space, [5, 7, 9]),
+        ],
+        [0.1, 0.4, 0.3, 0.2],
+    )
+    return {
+        "enumerable": enumerable,
+        "sampled": OperationalSuiteGenerator(profile, 3),
+        "sampled-empty": OperationalSuiteGenerator(profile, 0),
+        # more suites than one kernel block, so blocks are merged
+        "sampled-large": OperationalSuiteGenerator(profile, 2),
+    }
+
+
+def _populations(universe, finite_population):
+    return {
+        "bernoulli": BernoulliFaultPopulation(universe, [0.5, 0.25, 0.4]),
+        "bernoulli-p0": BernoulliFaultPopulation(universe, [0.0, 0.6, 0.0]),
+        "bernoulli-p1": BernoulliFaultPopulation(universe, [1.0, 0.3, 1.0]),
+        "finite": finite_population,
+    }
+
+
+_GENERATORS = ["enumerable", "sampled", "sampled-empty", "sampled-large"]
+_POPULATIONS = ["bernoulli", "bernoulli-p0", "bernoulli-p1", "finite"]
+
+
+class TestBlockKernelEquivalence:
+    """Batched suite moments equal the per-suite ``tested_difficulty`` loop."""
+
+    @pytest.mark.parametrize("generator_name", _GENERATORS)
+    @pytest.mark.parametrize("population_name", _POPULATIONS)
+    def test_suite_moments_match_loop(
+        self,
+        generator_name,
+        population_name,
+        universe,
+        finite_population,
+        space,
+        profile,
+    ):
+        generator = _generators(space, profile)[generator_name]
+        population = _populations(universe, finite_population)[population_name]
+        n_suites = 700 if generator_name == "sampled-large" else 90
+        moments = TestedPopulationView(population, generator).suite_moments(
+            n_suites=n_suites, rng=11
+        )
+        first, _, second = _reference_moments(
+            population, population, generator, n_suites, rng=11
+        )
+        np.testing.assert_allclose(moments.zeta, first, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            moments.second_moment, second, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("generator_name", _GENERATORS)
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ("bernoulli", "bernoulli-p0"),
+            ("bernoulli-p1", "bernoulli"),
+            ("finite", "bernoulli-p1"),
+            ("bernoulli", "bernoulli"),
+        ],
+    )
+    def test_cross_suite_moments_match_loop(
+        self, generator_name, pair, universe, finite_population, space, profile
+    ):
+        generator = _generators(space, profile)[generator_name]
+        populations = _populations(universe, finite_population)
+        population_a, population_b = (populations[name] for name in pair)
+        n_suites = 700 if generator_name == "sampled-large" else 90
+        cross = cross_suite_moments(
+            population_a, population_b, generator, n_suites=n_suites, rng=5
+        )
+        first_a, first_b, cross_moment = _reference_moments(
+            population_a, population_b, generator, n_suites, rng=5
+        )
+        np.testing.assert_allclose(cross.zeta_a, first_a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cross.zeta_b, first_b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            cross.cross_moment, cross_moment, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.25, 0.4], [0.0, 1.0, 0.3], [1.0] * 3])
+    def test_bernoulli_matrix_matches_enumerated_population(
+        self, universe, space, probs
+    ):
+        """The closed-form block equals direct summation over the Bernoulli
+        measure's enumerated support (an independent reference)."""
+        from repro.populations import FinitePopulation
+
+        bernoulli = BernoulliFaultPopulation(universe, probs)
+        versions, weights = zip(*bernoulli.enumerate())
+        finite = FinitePopulation(universe, versions, weights)
+        masks = np.zeros((5, space.size), dtype=bool)
+        masks[1, [0]] = True
+        masks[2, [4]] = True
+        masks[3, [2, 5, 9]] = True
+        masks[4, :] = True
+        np.testing.assert_allclose(
+            bernoulli.tested_difficulty_matrix(masks),
+            finite.tested_difficulty_matrix(masks),
+            rtol=0,
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            bernoulli.tested_difficulty_matrix(masks[:1])[0],
+            bernoulli.difficulty(),
+            rtol=0,
+            atol=1e-15,
+        )
+
+    def test_matrix_rejects_wrong_width(self, bernoulli_population, finite_population):
+        from repro.errors import IncompatibleSpaceError
+
+        for population in (bernoulli_population, finite_population):
+            with pytest.raises(IncompatibleSpaceError):
+                population.tested_difficulty_matrix(np.zeros((2, 7), dtype=bool))

@@ -66,3 +66,21 @@ def test_different_seed_still_passes():
     for experiment_id in ("e01", "e13", "a5"):
         result = run_experiment(experiment_id, seed=7, fast=True)
         assert result.passed, format_result(result)
+
+
+# e02's Monte-Carlo check runs on the engine's own stream, so its claims are
+# pinned across the vetted seed range rather than at the golden seed alone
+E02_SEEDS = range(12)
+
+
+@pytest.mark.parametrize("seed", E02_SEEDS)
+def test_e02_claims_hold_across_seeds(seed):
+    result = run_experiment("e02", seed=seed, fast=True)
+    assert result.passed, format_result(result)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", E02_SEEDS)
+def test_e02_claims_hold_across_seeds_full(seed):
+    result = run_experiment("e02", seed=seed, fast=False)
+    assert result.passed, format_result(result)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.demand import DemandSpace, uniform_profile
-from repro.errors import ModelError
+from repro.errors import IncompatibleSpaceError, ModelError
 from repro.faults import zipf_sized_universe
 from repro.growth import (
     GrowthCurve,
@@ -13,7 +13,11 @@ from repro.growth import (
     version_growth_curve,
 )
 from repro.populations import BernoulliFaultPopulation
-from repro.versions import pessimistic_outputs, shared_fault_outputs
+from repro.versions import (
+    optimistic_outputs,
+    pessimistic_outputs,
+    shared_fault_outputs,
+)
 
 
 @pytest.fixture
@@ -145,4 +149,122 @@ class TestBackToBackGrowthCurves:
                 [0, 5],
                 shared_fault_outputs(),
                 n_replications=0,
+            )
+
+
+def _reference_back_to_back(
+    population_a, profile, sizes, output_model, population_b, n_replications, rng
+):
+    """The per-replication scalar loop the block kernel replaced: every
+    prefix replayed from scratch with ``back_to_back_testing`` and, on the
+    same draws, ``apply_testing`` for the perfect-oracle arm."""
+    from repro.rng import as_generator, spawn_many
+    from repro.testing import (
+        BackToBackComparator,
+        OperationalSuiteGenerator,
+        apply_testing,
+        back_to_back_testing,
+    )
+
+    population_b = population_b if population_b is not None else population_a
+    comparator = BackToBackComparator(output_model)
+    generator = OperationalSuiteGenerator(profile, int(sizes[-1]))
+    system = np.zeros(len(sizes))
+    version = np.zeros(len(sizes))
+    perfect = np.zeros(len(sizes))
+    for replication in spawn_many(as_generator(rng), n_replications):
+        streams = spawn_many(replication, 3)
+        version_a = population_a.sample(streams[0])
+        version_b = population_b.sample(streams[1])
+        suite = generator.sample(streams[2])
+        for index, n in enumerate(sizes):
+            prefix = suite.prefix(int(n))
+            outcome_a, outcome_b = back_to_back_testing(
+                version_a, version_b, prefix, comparator
+            )
+            joint = outcome_a.after.failure_mask & outcome_b.after.failure_mask
+            system[index] += profile.probabilities[joint].sum()
+            version[index] += 0.5 * (
+                outcome_a.after.pfd(profile) + outcome_b.after.pfd(profile)
+            )
+            tested_a = apply_testing(version_a, prefix).after
+            tested_b = apply_testing(version_b, prefix).after
+            perfect_joint = tested_a.failure_mask & tested_b.failure_mask
+            perfect[index] += profile.probabilities[perfect_joint].sum()
+    return (
+        system / n_replications,
+        version / n_replications,
+        perfect / n_replications,
+    )
+
+
+class TestBackToBackBlockEquivalence:
+    @pytest.mark.parametrize(
+        "output_model",
+        [optimistic_outputs(), pessimistic_outputs(), shared_fault_outputs()],
+        ids=lambda model: model.mode,
+    )
+    @pytest.mark.parametrize("distinct_b", [False, True], ids=["same", "forced"])
+    def test_matches_per_replication_loop(
+        self, growth_population, output_model, distinct_b
+    ):
+        population, profile = growth_population
+        population_b = (
+            BernoulliFaultPopulation(
+                population.universe, np.linspace(0.1, 0.7, len(population.universe))
+            )
+            if distinct_b
+            else None
+        )
+        sizes = [0, 3, 10, 25, 60]
+        curves = back_to_back_growth_curves(
+            population,
+            profile,
+            sizes,
+            output_model,
+            population_b=population_b,
+            n_replications=60,
+            rng=9,
+        )
+        system, version, perfect = _reference_back_to_back(
+            population, profile, sizes, output_model, population_b, 60, rng=9
+        )
+        for key, expected in (
+            ("system", system),
+            ("version", version),
+            ("perfect", perfect),
+        ):
+            np.testing.assert_allclose(
+                curves[key].values, expected, rtol=0, atol=1e-12
+            )
+
+    def test_perfect_curve_never_above_back_to_back(self, growth_population):
+        population, profile = growth_population
+        curves = back_to_back_growth_curves(
+            population,
+            profile,
+            [0, 5, 20],
+            pessimistic_outputs(),
+            n_replications=40,
+            rng=3,
+        )
+        assert curves["perfect"].dominates(curves["system"], tolerance=1e-12)
+
+    def test_population_b_space_validated(self, growth_population):
+        population, profile = growth_population
+        other_space = DemandSpace(profile.space.size + 10)
+        other = BernoulliFaultPopulation(
+            zipf_sized_universe(
+                other_space, n_faults=4, max_region_size=5, exponent=1.0, rng=0
+            ),
+            [0.3] * 4,
+        )
+        with pytest.raises(IncompatibleSpaceError, match="demand spaces differ"):
+            back_to_back_growth_curves(
+                population,
+                profile,
+                [0, 5],
+                shared_fault_outputs(),
+                population_b=other,
+                n_replications=5,
             )

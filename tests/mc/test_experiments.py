@@ -143,3 +143,34 @@ class TestVersionPfd:
             rng=8,
         )
         assert estimator.contains(expected, confidence=0.999)
+
+
+class TestPopulationSpaceValidation:
+    @pytest.mark.parametrize(
+        "engine", ["auto", "batch", "compiled", "fastest", "scalar"]
+    )
+    def test_population_b_on_another_space_rejected(
+        self, bernoulli_population, enumerable_generator, profile, engine
+    ):
+        """A channel-B population over a different demand space fails up
+        front with IncompatibleSpaceError on every engine (not a numpy
+        broadcast error or a suite-mask shape complaint mid-run)."""
+        from repro.demand import DemandSpace
+        from repro.errors import IncompatibleSpaceError
+        from repro.faults import FaultUniverse
+        from repro.populations import BernoulliFaultPopulation
+
+        wider = DemandSpace(profile.space.size + 5)
+        other = BernoulliFaultPopulation(
+            FaultUniverse.from_regions(wider, [[0, 1], [12, 13]]), [0.5, 0.5]
+        )
+        with pytest.raises(IncompatibleSpaceError, match="demand spaces differ"):
+            simulate_marginal_system_pfd(
+                IndependentSuites(enumerable_generator),
+                bernoulli_population,
+                profile,
+                population_b=other,
+                n_replications=50,
+                rng=0,
+                engine=engine,
+            )
