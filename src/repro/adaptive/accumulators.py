@@ -60,10 +60,8 @@ __all__ = [
 def estimator_half_width(estimator, confidence: float) -> float:
     """Confidence-interval half-width of a streaming estimator.
 
-    The single definition shared by the adaptive controller and the legacy
-    :func:`repro.mc.estimate_until` wrapper: Wilson for proportions, normal
-    for means (via their ``half_width`` methods), ``inf`` when the
-    estimator holds no observations.
+    Wilson for proportions, normal for means (via their ``half_width``
+    methods), ``inf`` when the estimator holds no observations.
     """
     if estimator.count == 0:
         return math.inf

@@ -364,15 +364,9 @@ def back_to_back_envelope(
     ``[compiled]`` extra; never chosen by ``"auto"``).
     """
     from ..mc.batch import back_to_back_envelope_batch, back_to_back_supported
+    from ..mc.experiments import check_engine, resolve_fastest
 
-    if engine not in ("auto", "batch", "compiled", "fastest", "scalar"):
-        raise ModelError(
-            "engine must be one of ('auto', 'batch', 'compiled', 'fastest', "
-            f"'scalar'), got {engine!r}"
-        )
-    if engine == "fastest":
-        from ..mc.experiments import resolve_fastest
-
+    if check_engine(engine) == "fastest":
         engine = resolve_fastest()
     if engine == "compiled":
         from ..mc.kernels import back_to_back_envelope_compiled, require_compiled

@@ -49,6 +49,7 @@ import sys
 from typing import List
 
 from ..errors import ModelError
+from ..mc.experiments import ENGINES
 from .base import set_engine_config
 from .registry import all_experiment_ids, run_experiment
 from .report import format_result, format_summary
@@ -88,7 +89,7 @@ def validate_ids(ids: List[str]) -> None:
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
-        choices=("auto", "batch", "compiled", "fastest", "scalar"),
+        choices=ENGINES,
         default="auto",
         help="Monte-Carlo engine for simulation-driven experiments: "
         "'auto' (default) vectorizes whenever the testing process "

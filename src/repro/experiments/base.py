@@ -9,6 +9,7 @@ from typing import Dict, List, Mapping, Sequence
 import numpy as np
 
 from ..errors import ModelError
+from ..mc.experiments import check_engine
 
 __all__ = [
     "Claim",
@@ -50,11 +51,7 @@ class EngineConfig:
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.engine not in ("auto", "batch", "compiled", "fastest", "scalar"):
-            raise ModelError(
-                "engine must be one of ('auto', 'batch', 'compiled', "
-                f"'fastest', 'scalar'), got {self.engine!r}"
-            )
+        check_engine(self.engine)
         if self.n_jobs < 1:
             raise ModelError(f"n_jobs must be >= 1, got {self.n_jobs}")
 

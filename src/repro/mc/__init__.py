@@ -29,7 +29,6 @@ from .batch import (
     simulate_untested_joint_on_demand_batch,
     simulate_version_pfd_batch,
 )
-from .convergence import SequentialResult, estimate_until
 from .kernels import (
     back_to_back_envelope_compiled,
     compiled_available,
@@ -67,6 +66,4 @@ __all__ = [
     "simulate_untested_joint_on_demand_compiled",
     "simulate_marginal_system_pfd_compiled",
     "simulate_version_pfd_compiled",
-    "estimate_until",
-    "SequentialResult",
 ]

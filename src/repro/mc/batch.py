@@ -826,10 +826,6 @@ def run_tasks(
             return _execute()
 
 
-# chunk-sharding alias kept for the simulate_* drivers below
-_run_chunks = run_tasks
-
-
 def _accumulate_proportion(results: List[Tuple[int, int]]) -> ProportionEstimator:
     from ..obs.timing import current_timer
 
@@ -884,7 +880,7 @@ def simulate_untested_joint_on_demand_batch(
     root = as_generator(rng)
     tasks = _plan_chunks(n_replications, chunk_size, root)
     kernel = partial(_chunk_untested_joint, population_a, population_b, demand)
-    return _accumulate_proportion(_run_chunks(kernel, tasks, n_jobs))
+    return _accumulate_proportion(run_tasks(kernel, tasks, n_jobs))
 
 
 def simulate_joint_on_demand_batch(
@@ -920,7 +916,7 @@ def simulate_joint_on_demand_batch(
     kernel = partial(
         _chunk_tested_joint, regime, population_a, population_b, demand, plan
     )
-    return _accumulate_proportion(_run_chunks(kernel, tasks, n_jobs))
+    return _accumulate_proportion(run_tasks(kernel, tasks, n_jobs))
 
 
 def simulate_marginal_system_pfd_batch(
@@ -964,7 +960,7 @@ def simulate_marginal_system_pfd_batch(
         rao_blackwell,
         plan,
     )
-    return _accumulate_mean(_run_chunks(kernel, tasks, n_jobs))
+    return _accumulate_mean(run_tasks(kernel, tasks, n_jobs))
 
 
 def simulate_version_pfd_batch(
@@ -993,7 +989,7 @@ def simulate_version_pfd_batch(
     root = as_generator(rng)
     tasks = _plan_chunks(n_replications, chunk_size, root)
     kernel = partial(_chunk_version_pfd, population, generator, profile, plan)
-    return _accumulate_mean(_run_chunks(kernel, tasks, n_jobs))
+    return _accumulate_mean(run_tasks(kernel, tasks, n_jobs))
 
 
 def back_to_back_envelope_batch(
@@ -1040,7 +1036,7 @@ def back_to_back_envelope_batch(
         profile,
         fixing,
     )
-    results = _run_chunks(kernel, tasks, n_jobs)
+    results = run_tasks(kernel, tasks, n_jobs)
     total = sum(count for count, _sums in results)
     merged = [0.0] * 9
     for count, sums in results:

@@ -59,6 +59,8 @@ from ..core.regimes import TestingRegime
 from .estimator import MeanEstimator, ProportionEstimator
 
 __all__ = [
+    "ENGINES",
+    "check_engine",
     "simulate_untested_joint_on_demand",
     "simulate_joint_on_demand",
     "simulate_marginal_system_pfd",
@@ -66,7 +68,17 @@ __all__ = [
 ]
 
 _DEFAULT_REPLICATIONS = 2000
-_ENGINES = ("auto", "batch", "compiled", "fastest", "scalar")
+
+#: every ``engine=`` value the simulation entry points, the experiment
+#: CLI, sweeps and the service accept
+ENGINES = ("auto", "batch", "compiled", "fastest", "scalar")
+
+
+def check_engine(engine: str) -> str:
+    """``engine`` unchanged if it names an engine; ModelError otherwise."""
+    if engine not in ENGINES:
+        raise ModelError(f"engine must be one of {ENGINES}, got {engine!r}")
+    return engine
 
 
 def resolve_fastest(
@@ -117,9 +129,7 @@ def _engine_choice(
     compiled backend existed, so default results never depend on what is
     installed.
     """
-    if engine not in _ENGINES:
-        raise ModelError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    if engine == "fastest":
+    if check_engine(engine) == "fastest":
         engine = resolve_fastest(oracle, fixing)
     if engine == "compiled":
         from .kernels import require_compiled
@@ -134,13 +144,7 @@ def _use_batch(
     oracle: Oracle | None = None,
     fixing: FixingPolicy | None = None,
 ) -> bool:
-    """Resolve the engine choice for one call."""
-    if engine not in _ENGINES:
-        raise ModelError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    if engine == "fastest":
-        # never resolves to scalar: the alias fails as loudly as "batch"
-        # on pairs the vectorized engines cannot model
-        engine = "batch"
+    """Batch or scalar for an ``"auto"``/``"batch"``/``"scalar"`` choice."""
     if engine == "scalar":
         return False
     from .batch import batch_supported

@@ -36,6 +36,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "default_registry",
+    "histogram_summary",
     "merge_snapshots",
     "parse_prometheus_text",
     "render_prometheus",
@@ -132,6 +133,12 @@ class _BoundCounter:
         with instrument._lock:
             samples = instrument._samples
             samples[self._key] = samples.get(self._key, 0.0) + amount
+
+    def value(self) -> float:
+        """Current count of this child (0.0 if never hit)."""
+        instrument = self._instrument
+        with instrument._lock:
+            return float(instrument._samples.get(self._key, 0.0))
 
 
 class _BoundGauge(_BoundCounter):
@@ -250,6 +257,43 @@ class Histogram(_Instrument):
             state["buckets"][index] += 1
             state["sum"] += value
             state["count"] += 1
+
+
+def histogram_summary(histogram) -> Dict[str, object]:
+    """Count, mean and p50/p99/max of an unlabelled histogram.
+
+    Each quantile is the ``le`` bound of the bucket holding its nearest
+    rank, so it bounds the true value from above; it is None when that
+    rank falls in the ``+Inf`` bucket.  An empty histogram, or one of a
+    :class:`NullRegistry`, reads as count 0 with None elsewhere.
+    """
+    count = 0
+    if isinstance(histogram, Histogram):
+        with histogram._lock:
+            state = histogram._samples.get(())
+            if state is not None:
+                buckets = list(state["buckets"])
+                total = state["sum"]
+                count = state["count"]
+    if not count:
+        return {"count": 0, "mean": None, "p50": None, "p99": None, "max": None}
+
+    def bound_at(q: float) -> Optional[float]:
+        rank = min(int(q * count), count - 1) + 1
+        cumulative = 0
+        for bound, n in zip(histogram.bounds, buckets):
+            cumulative += n
+            if cumulative >= rank:
+                return bound
+        return None
+
+    return {
+        "count": count,
+        "mean": total / count,
+        "p50": bound_at(0.50),
+        "p99": bound_at(0.99),
+        "max": bound_at(1.0),
+    }
 
 
 class MetricsRegistry:

@@ -37,7 +37,7 @@ from .client import ServiceClient
 from .errors import QueueFullError, ServiceError
 from .http import BaseHttpServer, ServiceServer, ThreadedServer
 from .instances import LocalCluster, ShardProcess
-from .jobs import Job, JobScheduler, JobSpec, ServiceMetrics
+from .jobs import Job, JobScheduler, JobSpec
 from .router import Router, RouterServer, ThreadedRouter
 from .shard import HashRing
 
@@ -53,7 +53,6 @@ __all__ = [
     "RouterServer",
     "ServiceClient",
     "ServiceError",
-    "ServiceMetrics",
     "ServiceServer",
     "ShardProcess",
     "ThreadedRouter",

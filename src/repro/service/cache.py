@@ -14,7 +14,9 @@ distinction :meth:`repro.sweeps.Sweep.partition` draws), and serving one
 would hand a client a result-less answer.
 
 The cache is deliberately not thread-safe: the scheduler drives it from
-the event loop only.  Hit/miss/eviction counters feed ``GET /metrics``.
+the event loop only.  Its hit/miss/eviction counters live in its metrics
+registry, which the scheduler over it shares; both ``GET /metrics``
+views read them there.
 """
 
 from __future__ import annotations
@@ -43,30 +45,21 @@ class TwoTierCache:
         self.store = store
         self.capacity = capacity
         self._memory: "OrderedDict[str, dict]" = OrderedDict()
-        self.memory_hits = 0
-        self.store_hits = 0
-        self.misses = 0
-        self.evictions = 0
-        # registry twins of the plain counters above: the legacy JSON
-        # shape keeps reading the attributes, the Prometheus exposition
-        # reads these (same increments, so the views always agree)
-        if registry is None:
-            from ..obs.metrics import default_registry
-
-            registry = default_registry()
-        self._hits_metric = registry.counter(
+        #: where the counters live: a private registry unless one is given
+        self.registry = registry if registry is not None else MetricsRegistry()
+        hits = self.registry.counter(
             "repro_cache_hits_total",
             "Cache hits by tier (memory or store).",
             ("tier",),
         )
         # lookup() is on the warm request path — bind the tier children
         # once so a hit pays one lock, not label resolution
-        self._memory_hits_metric = self._hits_metric.labels(tier="memory")
-        self._store_hits_metric = self._hits_metric.labels(tier="store")
-        self._misses_metric = registry.counter(
+        self._memory_hits = hits.labels(tier="memory")
+        self._store_hits = hits.labels(tier="store")
+        self._misses = self.registry.counter(
             "repro_cache_misses_total", "Cache lookups that missed both tiers."
         )
-        self._evictions_metric = registry.counter(
+        self._evictions = self.registry.counter(
             "repro_cache_evictions_total",
             "Memory-tier LRU evictions.",
         )
@@ -88,18 +81,15 @@ class TwoTierCache:
         record = self._memory.get(key)
         if record is not None:
             self._memory.move_to_end(key)
-            self.memory_hits += 1
-            self._memory_hits_metric.inc()
+            self._memory_hits.inc()
             return record, "memory"
         if self.store is not None:
             record = self.store.get(key)
             if record is not None and "result" in record:
-                self.store_hits += 1
-                self._store_hits_metric.inc()
+                self._store_hits.inc()
                 self._remember(key, record)
                 return record, "store"
-        self.misses += 1
-        self._misses_metric.inc()
+        self._misses.inc()
         return None, None
 
     def __contains__(self, key: str) -> bool:
@@ -140,25 +130,24 @@ class TwoTierCache:
         self._memory.move_to_end(key)
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)
-            self.evictions += 1
-            self._evictions_metric.inc()
+            self._evictions.inc()
 
     # -- reporting -------------------------------------------------------
 
-    @property
-    def hits(self) -> int:
-        """Total hits across both tiers."""
-        return self.memory_hits + self.store_hits
-
     def stats(self) -> Dict[str, object]:
-        """Counter snapshot for ``GET /metrics``."""
-        lookups = self.hits + self.misses
+        """Counter snapshot for ``GET /metrics``, read from the registry
+        (all zero under a :class:`~repro.obs.metrics.NullRegistry`)."""
+        memory_hits = int(self._memory_hits.value())
+        store_hits = int(self._store_hits.value())
+        misses = int(self._misses.value())
+        hits = memory_hits + store_hits
+        lookups = hits + misses
         return {
-            "memory_hits": self.memory_hits,
-            "store_hits": self.store_hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_ratio": (self.hits / lookups) if lookups else 0.0,
+            "memory_hits": memory_hits,
+            "store_hits": store_hits,
+            "misses": misses,
+            "evictions": int(self._evictions.value()),
+            "hit_ratio": (hits / lookups) if lookups else 0.0,
             "memory_size": len(self._memory),
             "memory_capacity": self.capacity,
             "store_records": len(self.store) if self.store is not None else 0,

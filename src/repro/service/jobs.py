@@ -41,7 +41,7 @@ import itertools
 import signal
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .._version import __version__
@@ -52,6 +52,7 @@ from ..errors import ModelError
 from ..experiments import run_experiment, validate_params
 from ..experiments.__main__ import validate_ids
 from ..experiments.base import canonical_cell, set_engine_config
+from ..mc.experiments import check_engine
 from ..obs import (
     TraceContext,
     capture_spans,
@@ -63,7 +64,11 @@ from ..obs import (
     set_trace_context,
     span,
 )
-from ..obs.metrics import MetricsRegistry, set_default_registry
+from ..obs.metrics import (
+    MetricsRegistry,
+    histogram_summary,
+    set_default_registry,
+)
 from ..store.records import cache_key, canonical_params, make_record
 from .cache import TwoTierCache
 from .errors import QueueFullError, ServiceError
@@ -74,7 +79,6 @@ __all__ = [
     "Job",
     "JobScheduler",
     "JobSpec",
-    "ServiceMetrics",
     "QUEUED",
     "RUNNING",
     "DONE",
@@ -87,8 +91,6 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
-
-_ENGINES = ("auto", "batch", "compiled", "fastest", "scalar")
 
 #: finished jobs kept in the history index for ``GET /jobs/<id>``
 _MAX_FINISHED = 4096
@@ -248,10 +250,7 @@ class JobSpec:
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.engine not in _ENGINES:
-            raise ModelError(
-                f"engine must be one of {_ENGINES}, got {self.engine!r}"
-            )
+        check_engine(self.engine)
         if self.n_jobs < 1:
             raise ModelError(f"n_jobs must be >= 1, got {self.n_jobs}")
 
@@ -440,50 +439,6 @@ class Job:
 
 
 # ---------------------------------------------------------------------------
-# metrics
-# ---------------------------------------------------------------------------
-
-
-def _quantile(values: List[float], q: float) -> float:
-    """Nearest-rank quantile of a non-empty sorted list."""
-    index = min(int(q * len(values)), len(values) - 1)
-    return values[index]
-
-
-@dataclass
-class ServiceMetrics:
-    """Scheduler-side counters behind ``GET /metrics``."""
-
-    submitted: int = 0
-    cache_served: int = 0
-    coalesced: int = 0
-    completed: int = 0
-    failed: int = 0
-    cancelled: int = 0
-    rejected: int = 0
-    started_at: float = field(default_factory=time.time)
-    #: compute durations of completed jobs, seconds, bounded
-    _durations: List[float] = field(default_factory=list)
-
-    def record_duration(self, seconds: float) -> None:
-        self._durations.append(float(seconds))
-        if len(self._durations) > 1024:
-            del self._durations[: len(self._durations) - 1024]
-
-    def latency_snapshot(self) -> Dict[str, object]:
-        durations = sorted(self._durations)
-        if not durations:
-            return {"count": 0, "mean": None, "p50": None, "p99": None, "max": None}
-        return {
-            "count": len(durations),
-            "mean": sum(durations) / len(durations),
-            "p50": _quantile(durations, 0.50),
-            "p99": _quantile(durations, 0.99),
-            "max": durations[-1],
-        }
-
-
-# ---------------------------------------------------------------------------
 # scheduler
 # ---------------------------------------------------------------------------
 
@@ -495,6 +450,11 @@ class JobScheduler:
     must be called from the loop :meth:`start` ran on.  ``procs >= 1``
     executes jobs in a process pool; ``procs = 0`` in a single in-process
     worker thread (no subprocesses — the mode tests and notebooks use).
+
+    Every counter lives in one metrics registry, shared with the cache:
+    the cache's own when no ``registry`` is given, and a scheduler handed
+    a cache with a different registry is refused (the two ``GET
+    /metrics`` views would split).
     """
 
     def __init__(
@@ -515,23 +475,24 @@ class JobScheduler:
                 f"scheduler name must be a non-empty token without '/' or "
                 f"spaces, got {name!r}"
             )
+        if cache is None:
+            cache = TwoTierCache(registry=registry)
         if registry is None:
-            from ..obs.metrics import default_registry
-
-            registry = default_registry()
+            registry = cache.registry
+        elif registry is not cache.registry:
+            raise ModelError(
+                "scheduler and cache must share one metrics registry: "
+                "build the cache with registry=, or pass none here"
+            )
         self.registry = registry
-        self.cache = (
-            cache
-            if cache is not None
-            else TwoTierCache(registry=registry)
-        )
+        self.cache = cache
         #: instance name; job ids become ``<name>-job-NNNNNN`` so a router
         #: can route ``GET /jobs/<id>`` back to the shard that minted it
         self.name = name
         self.procs = procs
         self.queue_limit = queue_limit
         self.slots = max(procs, 1)
-        self.metrics = ServiceMetrics()
+        self.started_at = time.time()
         #: completed jobs slower than this log a ``job.slow`` warning
         self.slow_job_seconds = slow_job_seconds
         self._jobs_events = registry.counter(
@@ -676,7 +637,6 @@ class JobScheduler:
             raise ServiceError("scheduler is shutting down", status=503)
         if self._loop is None:
             raise ServiceError("scheduler not started", status=500)
-        self.metrics.submitted += 1
         self._event_children["submitted"].inc()
         key = spec.cache_key()
         record, source = self.cache.lookup(key)
@@ -690,13 +650,11 @@ class JobScheduler:
             job.started = job.finished = now
             job._done.set()
             self._remember(job)
-            self.metrics.cache_served += 1
             self._event_children["cache_served"].inc()
             return job
         active = self._by_key.get(key)
         if active is not None and not active.done:
             active.coalesced += 1
-            self.metrics.coalesced += 1
             self._event_children["coalesced"].inc()
             if active.state == QUEUED and priority > active.priority:
                 # honor the priority contract for coalesced callers: the
@@ -710,7 +668,6 @@ class JobScheduler:
                 self._wakeup.set()
             return active
         if self._queued >= self.queue_limit:
-            self.metrics.rejected += 1
             self._event_children["rejected"].inc()
             raise QueueFullError(
                 f"job queue is full ({self._queued}/{self.queue_limit} "
@@ -761,27 +718,25 @@ class JobScheduler:
         return self._running
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """The ``GET /metrics`` payload."""
-        metrics = self.metrics
+        """The ``GET /metrics`` payload, read from the registry (counters
+        read 0 under a :class:`~repro.obs.metrics.NullRegistry`)."""
+        jobs: Dict[str, object] = {
+            event: int(child.value())
+            for event, child in self._event_children.items()
+        }
+        jobs.update(
+            queue_depth=self.queue_depth,
+            queue_limit=self.queue_limit,
+            running=self.running,
+            slots=self.slots,
+            procs=self.procs,
+        )
         return {
             "name": self.name,
-            "uptime_seconds": time.time() - metrics.started_at,
-            "jobs": {
-                "submitted": metrics.submitted,
-                "cache_served": metrics.cache_served,
-                "coalesced": metrics.coalesced,
-                "completed": metrics.completed,
-                "failed": metrics.failed,
-                "cancelled": metrics.cancelled,
-                "rejected": metrics.rejected,
-                "queue_depth": self.queue_depth,
-                "queue_limit": self.queue_limit,
-                "running": self.running,
-                "slots": self.slots,
-                "procs": self.procs,
-            },
+            "uptime_seconds": time.time() - self.started_at,
+            "jobs": jobs,
             "cache": self.cache.stats(),
-            "compute_seconds": metrics.latency_snapshot(),
+            "compute_seconds": histogram_summary(self._compute_seconds),
         }
 
     def prometheus_text(self) -> str:
@@ -799,7 +754,7 @@ class JobScheduler:
         ).set(self.slots)
         registry.gauge(
             "repro_uptime_seconds", "Seconds since scheduler start."
-        ).set(time.time() - self.metrics.started_at)
+        ).set(time.time() - self.started_at)
         stats = self.cache.stats()
         registry.gauge(
             "repro_cache_memory_items", "Records in the memory tier."
@@ -828,7 +783,6 @@ class JobScheduler:
         job.state = CANCELLED
         job.finished = time.time()
         self._queued -= 1
-        self.metrics.cancelled += 1
         self._event_children["cancelled"].inc()
         if self._by_key.get(job.key) is job:
             del self._by_key[job.key]
@@ -890,13 +844,11 @@ class JobScheduler:
         except Exception as error:
             job.error = f"{type(error).__name__}: {error}"
             job.state = FAILED
-            self.metrics.failed += 1
             self._event_children["failed"].inc()
         else:
             job.record = record
             job.source = "computed"
             job.state = DONE
-            self.metrics.completed += 1
             self._event_children["completed"].inc()
             self._absorb_worker_obs(job, obs_payload, persist_seconds)
             if job.trace is not None:
@@ -912,7 +864,6 @@ class JobScheduler:
             job.finished = time.time()
             if job.started is not None:
                 duration = job.finished - job.started
-                self.metrics.record_duration(duration)
                 self._compute_seconds.observe(duration)
                 if duration > self.slow_job_seconds:
                     _log.warning(

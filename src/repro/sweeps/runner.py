@@ -43,6 +43,7 @@ from ..errors import ModelError
 from ..experiments import run_experiment
 from ..experiments.base import set_engine_config
 from ..mc.batch import run_tasks
+from ..mc.experiments import check_engine
 from ..obs import get_logger
 from ..store import ResultStore, make_record
 from .spec import SweepPoint, SweepSpec
@@ -226,11 +227,7 @@ class Sweep:
         engine: str = "auto",
         n_jobs: int = 1,
     ) -> None:
-        if engine not in ("auto", "batch", "compiled", "fastest", "scalar"):
-            raise ModelError(
-                "engine must be one of ('auto', 'batch', 'compiled', "
-                f"'fastest', 'scalar'), got {engine!r}"
-            )
+        check_engine(engine)
         if n_jobs < 1:
             raise ModelError(f"n_jobs must be >= 1, got {n_jobs}")
         if engine in ("scalar", "compiled") and spec.precision is not None:

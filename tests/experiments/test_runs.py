@@ -43,6 +43,50 @@ def test_simulation_experiments_pass(experiment_id):
     assert result.passed, format_result(result)
 
 
+def _a2_excess_peak_is_positive(result):
+    # the claims place the peak at an intermediate effort, not above zero
+    assert max(row[3] for row in result.rows) > 0
+
+
+def _e09_excess_term_needs_a_shared_suite(result):
+    # E_Q[Var_T xi] is positive under a shared suite and zero without one
+    by_regime = {row[0]: row for row in result.rows}
+    assert by_regime["same suite"][5] > 0
+    assert abs(by_regime["independent suites"][5]) <= 1e-12
+
+
+def _e11_measured_pfds_within_fixed_slack(result):
+    # the claims widen their slack to the achieved CI half-width; the
+    # table must also sit within a fixed 0.015 of the envelope
+    slack = 0.015
+    for _, v_low, v_measured, v_high, s_low, s_measured, s_high in result.rows:
+        assert v_low - slack <= v_measured <= v_high + slack
+        assert s_low - slack <= s_measured <= s_high + slack
+
+
+#: table-shape checks no claim makes
+TABLE_SHAPES = [
+    pytest.param("a2", _a2_excess_peak_is_positive, id="a2"),
+    pytest.param(
+        "e09",
+        _e09_excess_term_needs_a_shared_suite,
+        id="e09",
+        marks=pytest.mark.slow,
+    ),
+    pytest.param(
+        "e11",
+        _e11_measured_pfds_within_fixed_slack,
+        id="e11",
+        marks=pytest.mark.slow,
+    ),
+]
+
+
+@pytest.mark.parametrize("experiment_id, check", TABLE_SHAPES)
+def test_table_shape(experiment_id, check):
+    check(run_experiment(experiment_id, seed=0, fast=True))
+
+
 def test_registry_covers_design_md_index():
     """DESIGN.md promises E1-E14 and A1-A5; the registry must provide them."""
     ids = set(all_experiment_ids())

@@ -8,6 +8,7 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
     NULL_REGISTRY,
+    histogram_summary,
 )
 
 
@@ -97,6 +98,14 @@ class TestBoundChildren:
         counter.inc(kind="a")
         assert counter.value(kind="a") == 4.0
 
+    def test_bound_counter_reads_its_own_value(self, registry):
+        counter = registry.counter("c_total", "", ("kind",))
+        child = counter.labels(kind="a")
+        assert child.value() == 0.0
+        counter.inc(3, kind="a")
+        counter.inc(kind="b")
+        assert child.value() == 3.0
+
     def test_bound_counter_rejects_negative(self, registry):
         child = registry.counter("c_total").labels()
         with pytest.raises(ValueError):
@@ -125,6 +134,43 @@ class TestBoundChildren:
         counter = registry.counter("c_total", "", ("kind",))
         with pytest.raises(ValueError):
             counter.labels(wrong="a")
+
+
+class TestHistogramSummary:
+    def test_empty_series(self, registry):
+        histogram = registry.histogram("h_seconds", buckets=(0.1, 1.0))
+        assert histogram_summary(histogram) == {
+            "count": 0,
+            "mean": None,
+            "p50": None,
+            "p99": None,
+            "max": None,
+        }
+
+    def test_quantiles_are_bucket_bounds(self, registry):
+        histogram = registry.histogram("h_seconds", buckets=(0.1, 1.0, 10.0))
+        for value in (0.05, 0.06, 0.5, 5.0):
+            histogram.observe(value)
+        summary = histogram_summary(histogram)
+        assert summary["count"] == 4
+        assert summary["mean"] == pytest.approx(5.61 / 4)
+        # nearest ranks 3 (p50), 4 (p99) and 4 (max) of 4
+        assert summary["p50"] == 1.0
+        assert summary["p99"] == 10.0
+        assert summary["max"] == 10.0
+
+    def test_rank_in_the_inf_bucket_is_none(self, registry):
+        histogram = registry.histogram("h_seconds", buckets=(0.1,))
+        for value in (0.05, 0.06, 7.0):
+            histogram.observe(value)
+        summary = histogram_summary(histogram)
+        assert summary["p50"] == 0.1
+        assert summary["max"] is None
+
+    def test_null_instrument_reads_empty(self):
+        histogram = NULL_REGISTRY.histogram("h_seconds")
+        histogram.observe(1.0)
+        assert histogram_summary(histogram)["count"] == 0
 
 
 class TestRegistry:
@@ -165,4 +211,5 @@ class TestNullRegistry:
         histogram.labels().observe(1.0)
         gauge = NULL_REGISTRY.gauge("g")
         gauge.set(1)
+        assert counter.labels(k="x").value() == 0.0
         assert NULL_REGISTRY.snapshot() == {}

@@ -58,7 +58,7 @@ class TestTwoTierCache:
         cache.put(records[2])
         assert cache.get(records[1]["key"]) is None
         assert cache.get(records[0]["key"]) is not None
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
 
     def test_identity_only_records_are_not_cacheable(self, tmp_path):
         cache = TwoTierCache(ResultStore(tmp_path))

@@ -105,8 +105,8 @@ class TestScheduler:
             assert len({job.id for job in jobs}) == 1
             await jobs[0].wait(timeout=60)
             assert jobs[0].coalesced == 7
-            assert scheduler.metrics.completed == 1
-            assert scheduler.metrics.coalesced == 7
+            assert scheduler.metrics_snapshot()["jobs"]["completed"] == 1
+            assert scheduler.metrics_snapshot()["jobs"]["coalesced"] == 7
             await scheduler.close()
 
         run(main())
@@ -186,7 +186,7 @@ class TestScheduler:
             with pytest.raises(QueueFullError) as excinfo:
                 scheduler.submit(JobSpec("a4", seed=7))
             assert excinfo.value.status == 429
-            assert scheduler.metrics.rejected == 1
+            assert scheduler.metrics_snapshot()["jobs"]["rejected"] == 1
             await scheduler.close()
 
         run(main())
@@ -200,7 +200,7 @@ class TestScheduler:
             await job.wait(timeout=60)
             assert job.state == "failed"
             assert "suite size must be >= 0" in job.error
-            assert scheduler.metrics.failed == 1
+            assert scheduler.metrics_snapshot()["jobs"]["failed"] == 1
             # a failed key is not cached; resubmitting retries
             retry = scheduler.submit(
                 JobSpec("x3", seed=0, params=(("suite_size", -5),))

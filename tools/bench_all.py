@@ -29,18 +29,15 @@ Five suites, selectable with ``--suites`` (default: all):
 ::
 
     PYTHONPATH=src python tools/bench_all.py                 # all suites
-    PYTHONPATH=src python tools/bench_all.py --suites adaptive --full
+    PYTHONPATH=src python tools/bench_all.py --suites adaptive
     PYTHONPATH=src python tools/bench_all.py --suites service --service-smoke
     PYTHONPATH=src python tools/bench_all.py --suites mutation
     PYTHONPATH=src python tools/bench_all.py --suites kernels
     PYTHONPATH=src python tools/bench_all.py --suites localization
 
-``--full`` additionally runs the whole pytest-benchmark suite
-(``benchmarks/``) with ``--benchmark-json`` and folds each benchmark's
-mean wall-time into the adaptive record — slower, but gives the complete
-trajectory point.  Exit status is non-zero when any gate fails (VR
-speedup < 1, warm speedup < 50x, or broken coalescing — the same gates
-CI enforces), so the files are only written from healthy runs.
+Exit status is non-zero when any gate fails (VR speedup < 1, warm
+speedup < 50x, or broken coalescing — the same gates CI enforces), so
+the files are only written from healthy runs.
 """
 
 from __future__ import annotations
@@ -49,9 +46,7 @@ import argparse
 import importlib.util
 import json
 import pathlib
-import subprocess
 import sys
-import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = ROOT / "BENCH_adaptive.json"
@@ -94,33 +89,6 @@ def run_adaptive_suite(rel_hw: float, budget: int) -> dict:
     return estimands
 
 
-def run_full_benchmarks() -> dict:
-    """The pytest-benchmark suite's mean wall-times, keyed by test name."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out = pathlib.Path(tmp) / "bench.json"
-        completed = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "pytest",
-                str(ROOT / "benchmarks"),
-                "-q",
-                f"--benchmark-json={out}",
-            ],
-            cwd=ROOT,
-        )
-        if completed.returncode != 0:
-            raise SystemExit("pytest-benchmark suite failed")
-        data = json.loads(out.read_text())
-    return {
-        bench["name"]: {
-            "mean_seconds": bench["stats"]["mean"],
-            "extra_info": bench.get("extra_info", {}),
-        }
-        for bench in data.get("benchmarks", [])
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Consolidate the benchmark suite into BENCH_adaptive.json"
@@ -143,11 +111,6 @@ def main(argv=None) -> int:
         type=int,
         default=120_000,
         help="replication budget per measurement (default 120000)",
-    )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="also run the pytest-benchmark suite and record wall-times",
     )
     parser.add_argument(
         "--suites",
@@ -219,8 +182,6 @@ def main(argv=None) -> int:
         ]
         record["min_vr_speedup"] = min(speedups)
         record["gate_vr_speedup_ge_1"] = all(s >= 1.0 for s in speedups)
-        if args.full:
-            record["wall_times"] = run_full_benchmarks()
 
         out = pathlib.Path(args.out)
         out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -85,14 +85,14 @@ def check_kernels_doc() -> list:
     compiled entry point.
     """
     import repro.mc
-    from repro.mc.experiments import _ENGINES
+    from repro.mc.experiments import ENGINES
 
     problems = []
     if not KERNELS_DOC.exists():
         return [f"missing kernel-backend page: {KERNELS_DOC}"]
     text = KERNELS_DOC.read_text()
     documented = re.findall(r"^\|\s*`([a-z]+)`", text, re.MULTILINE)
-    engines = list(_ENGINES)
+    engines = list(ENGINES)
     missing = [name for name in engines if name not in documented]
     extra = [name for name in documented if name not in engines]
     if missing:
