@@ -40,11 +40,16 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ModelError
+from ..mc.batch import (
+    _DEFAULT_CHUNK,
+    _chunk_tested_joint,
+    _chunk_untested_joint,
+    _require_plan,
+)
 from ..rng import as_generator, spawn_many
 from ..types import SeedLike
 from .accumulators import (
     Estimate,
-    MeanAccumulator,
     ProportionAccumulator,
     StratifiedAccumulator,
 )
@@ -53,11 +58,10 @@ from .variance import (
     POOLED,
     campaign_pfd_chunk,
     fault_count_pmf,
-    joint_on_demand_chunk,
     marginal_system_pfd_chunk,
     pair_fault_count_pmf,
+    proportion_chunk,
     resolve_vr,
-    untested_joint_on_demand_chunk,
     untested_joint_pfd_chunk,
     version_pfd_chunk,
 )
@@ -77,8 +81,6 @@ __all__ = [
     "adaptive_campaign_pfd",
     "adaptive_joint_on_demand",
 ]
-
-_DEFAULT_CHUNK = 8192
 
 #: smallest round worth dispatching — avoids long tails of tiny top-up
 #: rounds when the projection lands just short
@@ -577,8 +579,6 @@ def adaptive_version_pfd(
     exact untested mean ``E_Q[θ]``, post-stratified on the version's fault
     count when the population's pmf is exact.
     """
-    from ..mc.batch import _require_plan
-
     plan = _require_plan(oracle, fixing)
     population.space.require_same(profile.space)
     target = target.with_defaults(budget=default_budget)
@@ -668,8 +668,6 @@ def adaptive_marginal_system_pfd(
     Control variate: the *untested* joint pfd of the same drawn pair,
     whose exact mean is ``E_Q[θ_A θ_B]``; strata: pair fault count.
     """
-    from ..mc.batch import _require_plan
-
     plan = _require_plan(oracle, fixing)
     population_b = population_b if population_b is not None else population_a
     population_a.space.require_same(profile.space)
@@ -794,7 +792,8 @@ def adaptive_untested_joint_on_demand(
     spec = MetricSpec(
         name=name,
         kernel=partial(
-            untested_joint_on_demand_chunk, population_a, population_b, demand
+            proportion_chunk,
+            partial(_chunk_untested_joint, population_a, population_b, demand),
         ),
         kind="proportion",
         vr="none",
@@ -823,8 +822,6 @@ def adaptive_joint_on_demand(
     A proportion metric: chunks accumulate exact integer counts and the
     stopping half-width is the Wilson interval's.
     """
-    from ..mc.batch import _require_plan
-
     _require_proportion_vr(target)
     plan = _require_plan(oracle, fixing)
     population_b = population_b if population_b is not None else population_a
@@ -833,12 +830,15 @@ def adaptive_joint_on_demand(
     spec = MetricSpec(
         name=name,
         kernel=partial(
-            joint_on_demand_chunk,
-            regime,
-            population_a,
-            population_b,
-            demand,
-            plan,
+            proportion_chunk,
+            partial(
+                _chunk_tested_joint,
+                regime,
+                population_a,
+                population_b,
+                demand,
+                plan,
+            ),
         ),
         kind="proportion",
         vr="none",

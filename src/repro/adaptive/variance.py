@@ -39,6 +39,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import ModelError, NotEnumerableError
+from ..mc.batch import (
+    _apply_plan_batch,
+    _joint_failures,
+    _plan_needs_counts,
+    _tested_pair_block,
+    _tested_version_block,
+)
 from ..populations import BernoulliFaultPopulation, VersionPopulation
 from ..rng import as_generator, inverse_cdf_indices, spawn_many
 from ..testing import OperationalSuiteGenerator
@@ -215,8 +222,6 @@ def version_pfd_chunk(
     version's *untested* pfd (exact mean ``E_Q[θ]``), the stratum its
     initial fault count.
     """
-    from ..mc.batch import _apply_plan_batch, _plan_needs_counts
-
     index, count, seed = task
     universe = population.universe
     if vr == "antithetic":
@@ -241,13 +246,9 @@ def version_pfd_chunk(
         y_b = universe.failure_matrix(tested_b) @ profile.probabilities
         values = 0.5 * (y_a + y_b)
         return index, 2 * n_pairs, _stratify(values, None, None)
-    streams = spawn_many(as_generator(seed), 3)
-    faults = population.sample_fault_matrix(count, streams[0])
-    if _plan_needs_counts(plan):
-        suite_block = generator.sample_demand_counts(count, streams[1])
-    else:
-        suite_block = generator.sample_demand_masks(count, streams[1])
-    tested = _apply_plan_batch(plan, faults, suite_block, universe, streams[2])
+    faults, tested = _tested_version_block(
+        population, generator, plan, count, as_generator(seed)
+    )
     values = universe.failure_matrix(tested) @ profile.probabilities
     controls = (
         universe.failure_matrix(faults) @ profile.probabilities
@@ -309,41 +310,15 @@ def marginal_system_pfd_chunk(
     ``c`` the *untested* joint failure mass of the same drawn pair (exact
     mean ``E_Q[θ_A θ_B]``), the stratum the pair's total fault count.
     """
-    from ..mc.batch import _apply_plan_batch, _plan_needs_counts
-
     index, count, seed = task
-    universe_a = population_a.universe
-    universe_b = population_b.universe
-    if _plan_needs_counts(plan):
-        streams = spawn_many(as_generator(seed), 5)
-        faults_a = population_a.sample_fault_matrix(count, streams[0])
-        faults_b = population_b.sample_fault_matrix(count, streams[1])
-        counts_a, counts_b = regime.draw_suite_counts(count, streams[2])
-        tested_a = _apply_plan_batch(plan, faults_a, counts_a, universe_a, streams[3])
-        tested_b = _apply_plan_batch(plan, faults_b, counts_b, universe_b, streams[4])
-    else:
-        streams = spawn_many(as_generator(seed), 3)
-        faults_a = population_a.sample_fault_matrix(count, streams[0])
-        faults_b = population_b.sample_fault_matrix(count, streams[1])
-        masks_a, masks_b = regime.draw_suite_masks(count, streams[2])
-        tested_a = _apply_plan_batch(plan, faults_a, masks_a, universe_a)
-        tested_b = _apply_plan_batch(plan, faults_b, masks_b, universe_b)
-    joint = universe_a.failure_matrix(tested_a) & universe_b.failure_matrix(
-        tested_b
+    faults_a, faults_b, tested_a, tested_b = _tested_pair_block(
+        regime, population_a, population_b, plan, count, as_generator(seed)
     )
+    joint = _joint_failures(population_a, population_b, tested_a, tested_b)
     values = joint @ profile.probabilities
-    controls = None
-    if _wants_control(vr):
-        untested = universe_a.failure_matrix(
-            faults_a
-        ) & universe_b.failure_matrix(faults_b)
-        controls = untested @ profile.probabilities
-    strata = (
-        faults_a.sum(axis=1) + faults_b.sum(axis=1)
-        if _wants_strata(vr)
-        else None
+    return index, count, _pair_moments(
+        population_a, population_b, profile, vr, values, faults_a, faults_b
     )
-    return index, count, _stratify(values, controls, strata)
 
 
 def campaign_pfd_chunk(
@@ -357,76 +332,55 @@ def campaign_pfd_chunk(
     """One chunk of whole-campaign final-system-pfd replications.
 
     ``y`` is the delivered system's pfd after every campaign activity ran
-    on the fault-matrix blocks (mirroring
-    :meth:`repro.extensions.DevelopmentCampaign.mean_final_system_pfd`'s
-    randomness structure); ``c`` the *untested* joint pfd of the same
-    drawn pair (exact mean ``E_Q[θ_A θ_B]``); the stratum the pair's total
-    fault count.
+    on the fault-matrix blocks (the block
+    :meth:`repro.extensions.DevelopmentCampaign.mean_final_system_pfd`
+    draws); ``c`` the *untested* joint pfd of the same drawn pair (exact
+    mean ``E_Q[θ_A θ_B]``); the stratum the pair's total fault count.
     """
+    from ..extensions.campaign import _campaign_block
+
     index, count, seed = task
-    streams = spawn_many(as_generator(seed), 3)
-    faults_a = population_a.sample_fault_matrix(count, streams[0])
-    faults_b = population_b.sample_fault_matrix(count, streams[1])
-    universe_a = population_a.universe
-    universe_b = population_b.universe
-    controls = None
-    if _wants_control(vr):
-        untested = universe_a.failure_matrix(
-            faults_a
-        ) & universe_b.failure_matrix(faults_b)
-        controls = untested @ profile.probabilities
+    faults_a, faults_b, evolved_a, evolved_b = _campaign_block(
+        campaign, population_a, population_b, count, as_generator(seed)
+    )
+    joint = _joint_failures(population_a, population_b, evolved_a, evolved_b)
+    values = joint @ profile.probabilities
+    return index, count, _pair_moments(
+        population_a, population_b, profile, vr, values, faults_a, faults_b
+    )
+
+
+def _pair_moments(
+    population_a, population_b, profile, vr, values, faults_a, faults_b
+) -> Dict[int, BivariateMoments]:
+    """Reduce a two-channel chunk, with controls and strata from the
+    *untested* pair: its joint pfd (exact mean ``E_Q[θ_A θ_B]``) and its
+    total fault count."""
+    controls = (
+        _joint_failures(population_a, population_b, faults_a, faults_b)
+        @ profile.probabilities
+        if _wants_control(vr)
+        else None
+    )
     strata = (
         faults_a.sum(axis=1) + faults_b.sum(axis=1)
         if _wants_strata(vr)
         else None
     )
-    evolved_a, evolved_b = faults_a, faults_b
-    activity_streams = spawn_many(streams[2], len(campaign.activities))
-    for activity, stream in zip(campaign.activities, activity_streams):
-        evolved_a, evolved_b = activity.apply_batch(
-            evolved_a, evolved_b, universe_a, universe_b, stream
-        )
-    joint = universe_a.failure_matrix(evolved_a) & universe_b.failure_matrix(
-        evolved_b
-    )
-    values = joint @ profile.probabilities
-    return index, count, _stratify(values, controls, strata)
+    return _stratify(values, controls, strata)
 
 
-def untested_joint_on_demand_chunk(
-    population_a: VersionPopulation,
-    population_b: VersionPopulation,
-    demand: int,
-    task: Tuple[int, int, int],
+def proportion_chunk(
+    kernel, task: Tuple[int, int, int]
 ) -> Tuple[int, int, Tuple[int, int]]:
-    """One chunk of *untested* joint-on-demand Bernoulli replications."""
-    from ..mc.batch import _chunk_untested_joint
+    """Run a batch-engine proportion chunk on one controller task.
 
-    index, count, seed = task
-    successes, total = _chunk_untested_joint(
-        population_a, population_b, demand, (count, seed)
-    )
-    return index, total, (successes, total)
-
-
-def joint_on_demand_chunk(
-    regime,
-    population_a: VersionPopulation,
-    population_b: VersionPopulation,
-    demand: int,
-    plan: tuple,
-    task: Tuple[int, int, int],
-) -> Tuple[int, int, Tuple[int, int]]:
-    """One chunk of tested joint-on-demand Bernoulli replications.
-
-    Proportion metrics accumulate exact integer ``(successes, count)``
-    pairs; no variance-reduction transform applies (the Wilson interval
-    is already the robust choice near zero).
+    ``kernel`` maps ``(count, seed)`` to ``(successes, count)`` — the
+    fixed-n joint-on-demand chunks of :mod:`repro.mc.batch`, bound to
+    their model.  Proportion metrics accumulate those exact integer pairs;
+    no variance-reduction transform applies (the Wilson interval is
+    already the robust choice near zero).
     """
-    from ..mc.batch import _chunk_tested_joint
-
     index, count, seed = task
-    successes, total = _chunk_tested_joint(
-        regime, population_a, population_b, demand, plan, (count, seed)
-    )
+    successes, total = kernel((count, seed))
     return index, total, (successes, total)

@@ -16,9 +16,11 @@ These bounds are verified by simulation: the measured quantity must lie in
 the analytic envelope.  :class:`BoundsReport` packages one such check.
 
 The measured quantities route through the Monte-Carlo layer's engine
-dispatch (``engine="auto" | "batch" | "scalar"``): imperfect oracles and
-fixing run on the vectorized §4.1 kernel of :mod:`repro.mc.batch`, and
-back-to-back testing on its demand-ordered block kernel, with the scalar
+seam (:func:`repro.mc.experiments.resolve_engine`, which takes any of
+``engine="auto" | "batch" | "compiled" | "fastest" | "scalar"``):
+imperfect oracles and fixing run on the vectorized §4.1 kernel of
+:mod:`repro.mc.batch`, and back-to-back testing on its demand-ordered
+block kernel or the compiled counter-RNG kernel, with the scalar
 per-replication loop kept as an explicit escape hatch and reference.
 """
 
@@ -26,10 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..demand import UsageProfile
-from ..errors import ModelError
 from ..populations import VersionPopulation
 from ..rng import as_generator, spawn_many
 from ..testing import (
@@ -174,10 +173,9 @@ def imperfect_testing_bounds(
     the requested engine (the vectorized §4.1 kernel under ``"auto"`` /
     ``"batch"``).  The envelope is ``[E_Q[ζ(X)], E_Q[θ(X)]]``.
     """
-    from ..mc.experiments import simulate_version_pfd
+    from ..mc.experiments import _check_replications, simulate_version_pfd
 
-    if n_replications < 1:
-        raise ModelError(f"n_replications must be >= 1, got {n_replications}")
+    _check_replications(n_replications)
     population.space.require_same(profile.space)
     rng = as_generator(rng)
     bound_stream, sim_stream = spawn_many(rng, 2)
@@ -229,10 +227,10 @@ def imperfect_system_bounds(
     :func:`repro.mc.simulate_marginal_system_pfd` (Rao–Blackwellised) on
     the requested engine.
     """
+    from ..mc.experiments import _check_replications
     from ..mc.experiments import simulate_marginal_system_pfd as simulate_marginal
 
-    if n_replications < 1:
-        raise ModelError(f"n_replications must be >= 1, got {n_replications}")
+    _check_replications(n_replications)
     population_b = population_b if population_b is not None else population_a
     population_a.space.require_same(profile.space)
     rng = as_generator(rng)
@@ -305,6 +303,12 @@ class BackToBackEnvelope:
     shared_fault_version_pfd: float
     n_replications: int
 
+    @classmethod
+    def from_sums(cls, sums, n_replications: int) -> "BackToBackEnvelope":
+        """The envelope from its nine per-replication sums, in field order."""
+        scale = 1.0 / n_replications
+        return cls(*(value * scale for value in sums), n_replications=n_replications)
+
     @property
     def optimistic_matches_perfect(self) -> bool:
         """§4.2: the optimistic model must reproduce perfect-oracle results.
@@ -361,18 +365,22 @@ def back_to_back_envelope(
     for custom fixing policies.  ``"compiled"`` runs the native
     counter-RNG kernel of
     :func:`repro.mc.kernels.back_to_back_envelope_compiled` (requires the
-    ``[compiled]`` extra; never chosen by ``"auto"``).
+    ``[compiled]`` extra; never chosen by ``"auto"``).  The name resolves
+    through :func:`repro.mc.experiments.resolve_engine`.
     """
-    from ..mc.batch import back_to_back_envelope_batch, back_to_back_supported
-    from ..mc.experiments import check_engine, resolve_fastest
+    from ..mc.batch import back_to_back_supported
+    from ..mc.experiments import _check_replications, _twin, resolve_engine
 
-    if check_engine(engine) == "fastest":
-        engine = resolve_fastest()
-    if engine == "compiled":
-        from ..mc.kernels import back_to_back_envelope_compiled, require_compiled
-
-        require_compiled()
-        return back_to_back_envelope_compiled(
+    supported = back_to_back_supported(fixing)
+    choice = resolve_engine(
+        engine,
+        supported,
+        supported,
+        model=f"back-to-back testing with {type(fixing).__name__} fixing",
+    )
+    twin = _twin("back_to_back_envelope", choice)
+    if twin is not None:
+        return twin(
             population_a,
             generator,
             profile,
@@ -383,25 +391,7 @@ def back_to_back_envelope(
             chunk_size=chunk_size,
             n_jobs=n_jobs,
         )
-    if engine == "batch" and not back_to_back_supported(fixing):
-        raise ModelError(
-            "engine='batch' cannot model custom fixing policy "
-            f"{type(fixing).__name__}; use engine='auto' or engine='scalar'"
-        )
-    if engine != "scalar" and back_to_back_supported(fixing):
-        return back_to_back_envelope_batch(
-            population_a,
-            generator,
-            profile,
-            population_b,
-            fixing=fixing,
-            n_replications=n_replications,
-            rng=rng,
-            chunk_size=chunk_size,
-            n_jobs=n_jobs,
-        )
-    if n_replications < 1:
-        raise ModelError(f"n_replications must be >= 1, got {n_replications}")
+    _check_replications(n_replications)
     population_b = population_b if population_b is not None else population_a
     population_a.space.require_same(profile.space)
     rng = as_generator(rng)
@@ -451,16 +441,4 @@ def back_to_back_envelope(
                 outcome_a.after.pfd(profile) + outcome_b.after.pfd(profile)
             )
 
-    scale = 1.0 / n_replications
-    return BackToBackEnvelope(
-        untested_system_pfd=sums["untested_system"] * scale,
-        perfect_system_pfd=sums["perfect_system"] * scale,
-        optimistic_system_pfd=sums["optimistic_system"] * scale,
-        pessimistic_system_pfd=sums["pessimistic_system"] * scale,
-        shared_fault_system_pfd=sums["shared_system"] * scale,
-        untested_version_pfd=sums["untested_version"] * scale,
-        optimistic_version_pfd=sums["optimistic_version"] * scale,
-        pessimistic_version_pfd=sums["pessimistic_version"] * scale,
-        shared_fault_version_pfd=sums["shared_version"] * scale,
-        n_replications=n_replications,
-    )
+    return BackToBackEnvelope.from_sums(sums.values(), n_replications)

@@ -27,12 +27,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..demand import UsageProfile
 from ..errors import ModelError
+from ..mc import batch as _batch
+from ..mc.estimator import MeanEstimator
+from ..mc.experiments import _check_replications, resolve_engine
 from ..rng import as_generator, spawn_many
 from ..testing import (
     BackToBackComparator,
@@ -111,25 +115,14 @@ class Activity(abc.ABC):
         )
 
 
-def _testing_plan_of(oracle, fixing):
-    from ..mc.batch import _testing_plan
+class _TestingActivity(Activity):
+    """A testing stage: suites drawn from ``M``, one oracle/fixing pair.
 
-    return _testing_plan(oracle, fixing)
+    Both channels run one shared suite when ``_shares_suite``, else one
+    suite each.
+    """
 
-
-def _apply_plan_block(plan, faults, generator, universe, suite_rng, test_rng):
-    """Test one channel's block: draw the plan's suite representation, close."""
-    from ..mc.batch import _apply_plan_batch, _plan_needs_counts
-
-    if _plan_needs_counts(plan):
-        block = generator.sample_demand_counts(faults.shape[0], suite_rng)
-    else:
-        block = generator.sample_demand_masks(faults.shape[0], suite_rng)
-    return _apply_plan_batch(plan, faults, block, universe, test_rng)
-
-
-class SharedTestingActivity(Activity):
-    """One suite drawn from ``M`` and run against both channels."""
+    _shares_suite: bool
 
     def __init__(
         self,
@@ -140,91 +133,61 @@ class SharedTestingActivity(Activity):
         self._generator = generator
         self._oracle = oracle
         self._fixing = fixing
+
+    def _streams(self, rng):
+        """``(suite_streams, test_a, test_b)``: one or two suite streams,
+        then one testing stream per channel."""
+        streams = spawn_many(rng, 3 if self._shares_suite else 4)
+        return streams[:-2], streams[-2], streams[-1]
+
+    def apply(self, version_a, version_b, rng):
+        suite_streams, test_a, test_b = self._streams(rng)
+        suites = [self._generator.sample(stream) for stream in suite_streams]
+        after_a = apply_testing(
+            version_a, suites[0], self._oracle, self._fixing, rng=test_a
+        ).after
+        after_b = apply_testing(
+            version_b, suites[-1], self._oracle, self._fixing, rng=test_b
+        ).after
+        return after_a, after_b
+
+    @property
+    def supports_batch(self) -> bool:
+        return _batch._testing_plan(self._oracle, self._fixing) is not None
+
+    def apply_batch(self, faults_a, faults_b, universe_a, universe_b, rng):
+        plan = _batch._testing_plan(self._oracle, self._fixing)
+        if plan is None:
+            return super().apply_batch(faults_a, faults_b, universe_a, universe_b, rng)
+        suite_streams, test_a, test_b = self._streams(rng)
+        suites = [
+            _batch._draw_plan_suites(plan, self._generator, faults_a.shape[0], stream)
+            for stream in suite_streams
+        ]
+        return (
+            _batch._apply_plan_batch(plan, faults_a, suites[0], universe_a, test_a),
+            _batch._apply_plan_batch(plan, faults_b, suites[-1], universe_b, test_b),
+        )
+
+
+class SharedTestingActivity(_TestingActivity):
+    """One suite drawn from ``M`` and run against both channels."""
+
+    _shares_suite = True
 
     @property
     def kind(self) -> str:
         return "shared testing"
 
-    def apply(self, version_a, version_b, rng):
-        streams = spawn_many(rng, 3)
-        suite = self._generator.sample(streams[0])
-        after_a = apply_testing(
-            version_a, suite, self._oracle, self._fixing, rng=streams[1]
-        ).after
-        after_b = apply_testing(
-            version_b, suite, self._oracle, self._fixing, rng=streams[2]
-        ).after
-        return after_a, after_b
 
-    @property
-    def supports_batch(self) -> bool:
-        return _testing_plan_of(self._oracle, self._fixing) is not None
-
-    def apply_batch(self, faults_a, faults_b, universe_a, universe_b, rng):
-        from ..mc.batch import _apply_plan_batch, _plan_needs_counts
-
-        plan = _testing_plan_of(self._oracle, self._fixing)
-        if plan is None:
-            return super().apply_batch(faults_a, faults_b, universe_a, universe_b, rng)
-        streams = spawn_many(rng, 3)
-        if _plan_needs_counts(plan):
-            block = self._generator.sample_demand_counts(
-                faults_a.shape[0], streams[0]
-            )
-        else:
-            block = self._generator.sample_demand_masks(
-                faults_a.shape[0], streams[0]
-            )
-        after_a = _apply_plan_batch(plan, faults_a, block, universe_a, streams[1])
-        after_b = _apply_plan_batch(plan, faults_b, block, universe_b, streams[2])
-        return after_a, after_b
-
-
-class IndependentTestingActivity(Activity):
+class IndependentTestingActivity(_TestingActivity):
     """Each channel tested on its own draw from ``M``."""
 
-    def __init__(
-        self,
-        generator: SuiteGenerator,
-        oracle: Oracle | None = None,
-        fixing: FixingPolicy | None = None,
-    ) -> None:
-        self._generator = generator
-        self._oracle = oracle
-        self._fixing = fixing
+    _shares_suite = False
 
     @property
     def kind(self) -> str:
         return "independent testing"
-
-    def apply(self, version_a, version_b, rng):
-        streams = spawn_many(rng, 4)
-        suite_a = self._generator.sample(streams[0])
-        suite_b = self._generator.sample(streams[1])
-        after_a = apply_testing(
-            version_a, suite_a, self._oracle, self._fixing, rng=streams[2]
-        ).after
-        after_b = apply_testing(
-            version_b, suite_b, self._oracle, self._fixing, rng=streams[3]
-        ).after
-        return after_a, after_b
-
-    @property
-    def supports_batch(self) -> bool:
-        return _testing_plan_of(self._oracle, self._fixing) is not None
-
-    def apply_batch(self, faults_a, faults_b, universe_a, universe_b, rng):
-        plan = _testing_plan_of(self._oracle, self._fixing)
-        if plan is None:
-            return super().apply_batch(faults_a, faults_b, universe_a, universe_b, rng)
-        streams = spawn_many(rng, 4)
-        after_a = _apply_plan_block(
-            plan, faults_a, self._generator, universe_a, streams[0], streams[2]
-        )
-        after_b = _apply_plan_block(
-            plan, faults_b, self._generator, universe_b, streams[1], streams[3]
-        )
-        return after_a, after_b
 
 
 class BackToBackActivity(Activity):
@@ -259,18 +222,14 @@ class BackToBackActivity(Activity):
 
     @property
     def supports_batch(self) -> bool:
-        from ..mc.batch import back_to_back_supported
-
-        return back_to_back_supported(self._fixing)
+        return _batch.back_to_back_supported(self._fixing)
 
     def apply_batch(self, faults_a, faults_b, universe_a, universe_b, rng):
-        from ..mc.batch import back_to_back_batch
-
         streams = spawn_many(rng, 2)
         sequences = self._generator.sample_demand_sequences(
             faults_a.shape[0], streams[0]
         )
-        return back_to_back_batch(
+        return _batch.back_to_back_batch(
             faults_a,
             faults_b,
             sequences,
@@ -303,14 +262,12 @@ class ClarificationActivity(Activity):
         return True
 
     def apply_batch(self, faults_a, faults_b, universe_a, universe_b, rng):
-        from ..mc.batch import apply_testing_batch
-
         masks = self._process.generator.sample_demand_masks(
             faults_a.shape[0], rng
         )
         return (
-            apply_testing_batch(faults_a, masks, universe_a),
-            apply_testing_batch(faults_b, masks, universe_b),
+            _batch.apply_testing_batch(faults_a, masks, universe_a),
+            _batch.apply_testing_batch(faults_b, masks, universe_b),
         )
 
 
@@ -342,8 +299,6 @@ class PerTeamClarificationActivity(Activity):
         return True
 
     def apply_batch(self, faults_a, faults_b, universe_a, universe_b, rng):
-        from ..mc.batch import apply_testing_batch
-
         streams = spawn_many(rng, 2)
         masks_a = self._process.generator.sample_demand_masks(
             faults_a.shape[0], streams[0]
@@ -352,8 +307,8 @@ class PerTeamClarificationActivity(Activity):
             faults_b.shape[0], streams[1]
         )
         return (
-            apply_testing_batch(faults_a, masks_a, universe_a),
-            apply_testing_batch(faults_b, masks_b, universe_b),
+            _batch.apply_testing_batch(faults_a, masks_a, universe_a),
+            _batch.apply_testing_batch(faults_b, masks_b, universe_b),
         )
 
 
@@ -506,44 +461,36 @@ class DevelopmentCampaign(object):
         batch-capable plan (:attr:`supports_batch`), the whole average is
         computed on fault-matrix blocks — each activity transforms the
         entire replication block at once.  ``"scalar"`` (or any custom
-        activity in the plan) keeps the per-pair trajectory loop.
+        activity in the plan, under ``"auto"``) keeps the per-pair
+        trajectory loop.  Campaigns have no compiled kernels:
+        ``"fastest"`` runs the batch path (and, like ``"batch"``, rejects
+        a plan without one), and ``"compiled"`` is rejected.
         """
-        if engine not in ("auto", "batch", "fastest", "scalar"):
-            raise ModelError(
-                "engine must be one of ('auto', 'batch', 'fastest', "
-                f"'scalar'), got {engine!r}"
-            )
-        if engine == "fastest":
-            # the campaign layer has no compiled kernels; the alias means
-            # "the fastest path this plan supports", which is exactly auto
-            engine = "auto"
-        if engine == "batch" and not self.supports_batch:
-            unsupported = [
-                activity.kind
-                for activity in self._activities
-                if not activity.supports_batch
-            ]
-            raise ModelError(
-                "engine='batch' requires every activity to support the "
-                f"batch path; unsupported: {unsupported}"
-            )
-        if n_replications < 1:
-            raise ModelError(
-                f"n_replications must be >= 1, got {n_replications}"
-            )
+        unsupported = [
+            activity.kind
+            for activity in self._activities
+            if not activity.supports_batch
+        ]
+        choice = resolve_engine(
+            engine,
+            batch_ok=not unsupported,
+            compiled_ok=False,
+            model=(
+                f"campaigns with activities {unsupported}"
+                if unsupported
+                else "campaigns"
+            ),
+        )
+        _check_replications(n_replications)
         population_b = population_b if population_b is not None else population_a
         rng = as_generator(rng)
-        if engine != "scalar" and self.supports_batch:
-            from ..mc.batch import _accumulate_mean, _plan_chunks, run_tasks
-            from functools import partial
-
-            tasks = _plan_chunks(n_replications, chunk_size, rng)
+        if choice == "batch":
             kernel = partial(
                 _campaign_chunk, self, population_a, population_b, profile
             )
-            return _accumulate_mean(run_tasks(kernel, tasks, n_jobs))
-        from ..mc.estimator import MeanEstimator
-
+            return _batch._accumulate_mean(
+                _batch._run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
+            )
         estimator = MeanEstimator()
         for replication in spawn_many(rng, n_replications):
             streams = spawn_many(replication, 3)
@@ -581,6 +528,36 @@ class DevelopmentCampaign(object):
         ).mean
 
 
+def _campaign_block(
+    campaign: DevelopmentCampaign,
+    population_a: VersionPopulation,
+    population_b: VersionPopulation,
+    count: int,
+    root: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``count`` version pairs and run the whole campaign on them.
+
+    Returns ``(faults_a, faults_b, evolved_a, evolved_b)``: the drawn and
+    the delivered fault blocks.  Mirrors the scalar randomness structure:
+    one child of ``root`` per channel's version block, then one child
+    stream per activity in plan order.
+    """
+    streams = spawn_many(root, 3)
+    faults_a = population_a.sample_fault_matrix(count, streams[0])
+    faults_b = population_b.sample_fault_matrix(count, streams[1])
+    evolved_a, evolved_b = faults_a, faults_b
+    activities = campaign.activities
+    for activity, stream in zip(activities, spawn_many(streams[2], len(activities))):
+        evolved_a, evolved_b = activity.apply_batch(
+            evolved_a,
+            evolved_b,
+            population_a.universe,
+            population_b.universe,
+            stream,
+        )
+    return faults_a, faults_b, evolved_a, evolved_b
+
+
 def _campaign_chunk(
     campaign: DevelopmentCampaign,
     population_a: VersionPopulation,
@@ -590,25 +567,11 @@ def _campaign_chunk(
 ) -> Tuple[int, float, float]:
     """One chunk of whole-campaign replications → Welford ``(n, mean, m2)``.
 
-    Module level so process pools can pickle it.  Mirrors the scalar
-    randomness structure: one stream per channel's version block, then one
-    child stream per activity in plan order.
+    Module level so process pools can pickle it.
     """
-    from ..mc.batch import _reduce_values
-
     count, seed = task
-    streams = spawn_many(as_generator(seed), 3)
-    faults_a = population_a.sample_fault_matrix(count, streams[0])
-    faults_b = population_b.sample_fault_matrix(count, streams[1])
-    universe_a = population_a.universe
-    universe_b = population_b.universe
-    activity_streams = spawn_many(streams[2], len(campaign.activities))
-    for activity, stream in zip(campaign.activities, activity_streams):
-        faults_a, faults_b = activity.apply_batch(
-            faults_a, faults_b, universe_a, universe_b, stream
-        )
-    joint = universe_a.failure_matrix(faults_a) & universe_b.failure_matrix(
-        faults_b
+    _faults_a, _faults_b, evolved_a, evolved_b = _campaign_block(
+        campaign, population_a, population_b, count, as_generator(seed)
     )
-    values = joint @ profile.probabilities
-    return _reduce_values(values)
+    joint = _batch._joint_failures(population_a, population_b, evolved_a, evolved_b)
+    return _batch._reduce_values(joint @ profile.probabilities)

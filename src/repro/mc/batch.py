@@ -65,7 +65,7 @@ import numpy as np
 from ..demand import UsageProfile
 from ..errors import ModelError
 from ..populations import VersionPopulation
-from ..rng import as_generator, spawn_many
+from ..rng import as_generator, spawn, spawn_many
 from ..testing import (
     BackToBackComparator,
     FixingPolicy,
@@ -132,24 +132,20 @@ def _testing_plan(
     vectorizable *together*: a half-supplied or mismatched pair falls back
     to the scalar path.
     """
-    blind_oracle = getattr(oracle, "blind_fault_ids", None)
-    blind_fixing = getattr(fixing, "blind_fault_ids", None)
-    if blind_oracle is not None or blind_fixing is not None:
-        if blind_oracle is None or blind_fixing is None:
+    for attribute, kind, cast in (
+        ("blind_fault_ids", _BLIND, int),
+        ("fault_detection_probs", _COVERAGE, float),
+    ):
+        of_oracle = getattr(oracle, attribute, None)
+        of_fixing = getattr(fixing, attribute, None)
+        if of_oracle is None and of_fixing is None:
+            continue
+        if of_oracle is None or of_fixing is None:
             return None
-        ids = tuple(int(i) for i in blind_oracle)
-        if ids != tuple(int(i) for i in blind_fixing):
+        extra = tuple(cast(value) for value in of_oracle)
+        if extra != tuple(cast(value) for value in of_fixing):
             return None
-        return (_BLIND, 1.0, 1.0, ids)
-    coverage_oracle = getattr(oracle, "fault_detection_probs", None)
-    coverage_fixing = getattr(fixing, "fault_detection_probs", None)
-    if coverage_oracle is not None or coverage_fixing is not None:
-        if coverage_oracle is None or coverage_fixing is None:
-            return None
-        probs = tuple(float(p) for p in coverage_oracle)
-        if probs != tuple(float(p) for p in coverage_fixing):
-            return None
-        return (_COVERAGE, 1.0, 1.0, probs)
+        return (kind, 1.0, 1.0, extra)
     # exact type matches only: a *subclass* may override the per-demand
     # behaviour arbitrarily, so it must take the scalar path
     if oracle is None or type(oracle) is PerfectOracle:
@@ -230,6 +226,12 @@ def apply_testing_batch(
     the batched form of :func:`repro.testing.apply_testing` under perfect
     detection and fixing (the paper's §3 process).
     """
+    fault_matrix, triggered = _triggered_block(fault_matrix, suite_masks, universe)
+    return fault_matrix & ~triggered
+
+
+def _triggered_block(fault_matrix, suite_masks, universe):
+    """``(faults, triggered)`` for a mask-block closure, shapes checked."""
     fault_matrix = np.asarray(fault_matrix, dtype=bool)
     triggered = universe.triggered_matrix(suite_masks)
     if fault_matrix.shape != triggered.shape:
@@ -238,7 +240,24 @@ def apply_testing_batch(
             f"{np.asarray(suite_masks).shape} have mismatched replication "
             "counts or universes"
         )
-    return fault_matrix & ~triggered
+    return fault_matrix, triggered
+
+
+def _count_block(fault_matrix, suite_counts, universe):
+    """``(faults, counts)`` for a count-block closure, shapes checked."""
+    fault_matrix = np.asarray(fault_matrix, dtype=bool)
+    counts = np.asarray(suite_counts)
+    if counts.ndim != 2 or counts.shape[1] != universe.space.size:
+        raise ModelError(
+            f"suite count block of shape {counts.shape} does not match "
+            f"demand space size {universe.space.size}"
+        )
+    if fault_matrix.shape != (counts.shape[0], len(universe)):
+        raise ModelError(
+            f"fault matrix {fault_matrix.shape} and suite count block "
+            f"{counts.shape} have mismatched replication counts or universes"
+        )
+    return fault_matrix, counts
 
 
 def apply_imperfect_testing_batch(
@@ -267,18 +286,7 @@ def apply_imperfect_testing_batch(
     bit-identical to it because the scalar engine consumes randomness
     conditionally.
     """
-    fault_matrix = np.asarray(fault_matrix, dtype=bool)
-    counts = np.asarray(suite_counts)
-    if counts.ndim != 2 or counts.shape[1] != universe.space.size:
-        raise ModelError(
-            f"suite count block of shape {counts.shape} does not match "
-            f"demand space size {universe.space.size}"
-        )
-    if fault_matrix.shape != (counts.shape[0], len(universe)):
-        raise ModelError(
-            f"fault matrix {fault_matrix.shape} and suite count block "
-            f"{counts.shape} have mismatched replication counts or universes"
-        )
+    fault_matrix, counts = _count_block(fault_matrix, suite_counts, universe)
     if not len(universe):
         return fault_matrix.copy()
     generator = as_generator(rng)
@@ -316,18 +324,7 @@ def apply_coverage_testing_batch(
     the same memoryless-geometric argument as §4.1 — each fault's removal
     depends only on its own independent per-execution draws.
     """
-    fault_matrix = np.asarray(fault_matrix, dtype=bool)
-    counts = np.asarray(suite_counts)
-    if counts.ndim != 2 or counts.shape[1] != universe.space.size:
-        raise ModelError(
-            f"suite count block of shape {counts.shape} does not match "
-            f"demand space size {universe.space.size}"
-        )
-    if fault_matrix.shape != (counts.shape[0], len(universe)):
-        raise ModelError(
-            f"fault matrix {fault_matrix.shape} and suite count block "
-            f"{counts.shape} have mismatched replication counts or universes"
-        )
+    fault_matrix, counts = _count_block(fault_matrix, suite_counts, universe)
     probs = np.asarray(fault_detection_probs, dtype=np.float64)
     if probs.shape != (len(universe),):
         raise ModelError(
@@ -360,14 +357,7 @@ def apply_blind_testing_batch(
     perfect one restricted to visible columns, and needs only membership
     masks.
     """
-    fault_matrix = np.asarray(fault_matrix, dtype=bool)
-    triggered = universe.triggered_matrix(suite_masks)
-    if fault_matrix.shape != triggered.shape:
-        raise ModelError(
-            f"fault matrix {fault_matrix.shape} and suite block "
-            f"{np.asarray(suite_masks).shape} have mismatched replication "
-            "counts or universes"
-        )
+    fault_matrix, triggered = _triggered_block(fault_matrix, suite_masks, universe)
     visible = ~universe.presence_mask(
         np.asarray(blind_fault_ids, dtype=np.int64)
     )
@@ -509,6 +499,98 @@ def _plan_needs_counts(plan: tuple) -> bool:
     return plan[0] in (_BERNOULLI, _COVERAGE)
 
 
+def _draw_plan_suites(
+    plan: tuple, generator: SuiteGenerator, count: int, rng
+) -> np.ndarray:
+    """``count`` suites from ``generator`` in the representation ``plan`` tests.
+
+    Occurrence counts for the bernoulli/coverage kinds, membership masks
+    for the perfect/blind kinds (see :func:`_apply_plan_batch`).
+    """
+    if _plan_needs_counts(plan):
+        return generator.sample_demand_counts(count, rng)
+    return generator.sample_demand_masks(count, rng)
+
+
+# ---------------------------------------------------------------------------
+# draw-and-test blocks — one per estimand, shared by the fixed-n chunks
+# below and the adaptive chunks of repro.adaptive.variance
+# ---------------------------------------------------------------------------
+
+
+def _tested_version_block(
+    population: VersionPopulation,
+    generator: SuiteGenerator,
+    plan: tuple,
+    count: int,
+    root: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` versions and suites, test them: ``(faults, tested)``.
+
+    Spawns children of ``root`` for the fault block and the suite block,
+    plus a testing stream for the plans whose closure draws randomness.
+    """
+    needs_counts = _plan_needs_counts(plan)
+    streams = spawn_many(root, 3 if needs_counts else 2)
+    faults = population.sample_fault_matrix(count, streams[0])
+    suites = _draw_plan_suites(plan, generator, count, streams[1])
+    tested = _apply_plan_batch(
+        plan,
+        faults,
+        suites,
+        population.universe,
+        streams[2] if needs_counts else None,
+    )
+    return faults, tested
+
+
+def _tested_pair_block(
+    regime: TestingRegime,
+    population_a: VersionPopulation,
+    population_b: VersionPopulation,
+    plan: tuple,
+    count: int,
+    root: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``count`` version pairs and coupled suites, test both channels.
+
+    Returns ``(faults_a, faults_b, tested_a, tested_b)``.  Children of
+    ``root``: faults A, faults B and the regime's suite pair, then one
+    testing stream per channel for the plans whose closure draws
+    randomness.  The perfect/blind layout is the original three-stream
+    one, so perfect-path results are bit-identical to earlier releases.
+    """
+    needs_counts = _plan_needs_counts(plan)
+    streams = spawn_many(root, 5 if needs_counts else 3)
+    faults_a = population_a.sample_fault_matrix(count, streams[0])
+    faults_b = population_b.sample_fault_matrix(count, streams[1])
+    if needs_counts:
+        suites_a, suites_b = regime.draw_suite_counts(count, streams[2])
+        test_a, test_b = streams[3], streams[4]
+    else:
+        suites_a, suites_b = regime.draw_suite_masks(count, streams[2])
+        test_a = test_b = None
+    tested_a = _apply_plan_batch(
+        plan, faults_a, suites_a, population_a.universe, test_a
+    )
+    tested_b = _apply_plan_batch(
+        plan, faults_b, suites_b, population_b.universe, test_b
+    )
+    return faults_a, faults_b, tested_a, tested_b
+
+
+def _joint_failures(
+    population_a: VersionPopulation,
+    population_b: VersionPopulation,
+    block_a: np.ndarray,
+    block_b: np.ndarray,
+) -> np.ndarray:
+    """``(R, D)`` mask of demands on which both channels' versions fail."""
+    return population_a.universe.failure_matrix(
+        block_a
+    ) & population_b.universe.failure_matrix(block_b)
+
+
 # ---------------------------------------------------------------------------
 # chunk kernels — module level so process pools can pickle them
 # ---------------------------------------------------------------------------
@@ -540,31 +622,11 @@ def _chunk_tested_joint(
     plan: tuple,
     task: Tuple[int, int],
 ) -> Tuple[int, int]:
-    """One chunk of eqs. (16)–(21) replications → ``(successes, count)``.
-
-    The perfect/blind plans keep the original three-stream layout (faults A,
-    faults B, suites), so perfect-path results are bit-identical to earlier
-    releases; the bernoulli plan appends one testing stream per channel.
-    """
+    """One chunk of eqs. (16)–(21) replications → ``(successes, count)``."""
     count, seed = task
-    if _plan_needs_counts(plan):
-        streams = spawn_many(as_generator(seed), 5)
-        faults_a = population_a.sample_fault_matrix(count, streams[0])
-        faults_b = population_b.sample_fault_matrix(count, streams[1])
-        counts_a, counts_b = regime.draw_suite_counts(count, streams[2])
-        tested_a = _apply_plan_batch(
-            plan, faults_a, counts_a, population_a.universe, streams[3]
-        )
-        tested_b = _apply_plan_batch(
-            plan, faults_b, counts_b, population_b.universe, streams[4]
-        )
-    else:
-        streams = spawn_many(as_generator(seed), 3)
-        faults_a = population_a.sample_fault_matrix(count, streams[0])
-        faults_b = population_b.sample_fault_matrix(count, streams[1])
-        masks_a, masks_b = regime.draw_suite_masks(count, streams[2])
-        tested_a = _apply_plan_batch(plan, faults_a, masks_a, population_a.universe)
-        tested_b = _apply_plan_batch(plan, faults_b, masks_b, population_b.universe)
+    _faults_a, _faults_b, tested_a, tested_b = _tested_pair_block(
+        regime, population_a, population_b, plan, count, as_generator(seed)
+    )
     fails_a = tested_a[:, population_a.universe.coverage[:, demand]].any(axis=1)
     fails_b = tested_b[:, population_b.universe.coverage[:, demand]].any(axis=1)
     return int(np.count_nonzero(fails_a & fails_b)), count
@@ -581,33 +643,17 @@ def _chunk_marginal(
 ) -> Tuple[int, float, float]:
     """One chunk of eqs. (22)–(25) replications → ``(n, mean, m2)``."""
     count, seed = task
-    if _plan_needs_counts(plan):
-        streams = spawn_many(as_generator(seed), 6)
-        faults_a = population_a.sample_fault_matrix(count, streams[0])
-        faults_b = population_b.sample_fault_matrix(count, streams[1])
-        counts_a, counts_b = regime.draw_suite_counts(count, streams[2])
-        tested_a = _apply_plan_batch(
-            plan, faults_a, counts_a, population_a.universe, streams[3]
-        )
-        tested_b = _apply_plan_batch(
-            plan, faults_b, counts_b, population_b.universe, streams[4]
-        )
-        demand_stream = streams[5]
-    else:
-        streams = spawn_many(as_generator(seed), 4)
-        faults_a = population_a.sample_fault_matrix(count, streams[0])
-        faults_b = population_b.sample_fault_matrix(count, streams[1])
-        masks_a, masks_b = regime.draw_suite_masks(count, streams[2])
-        tested_a = _apply_plan_batch(plan, faults_a, masks_a, population_a.universe)
-        tested_b = _apply_plan_batch(plan, faults_b, masks_b, population_b.universe)
-        demand_stream = streams[3]
-    joint = population_a.universe.failure_matrix(
-        tested_a
-    ) & population_b.universe.failure_matrix(tested_b)
+    root = as_generator(seed)
+    _faults_a, _faults_b, tested_a, tested_b = _tested_pair_block(
+        regime, population_a, population_b, plan, count, root
+    )
+    joint = _joint_failures(population_a, population_b, tested_a, tested_b)
     if rao_blackwell:
         values = joint @ profile.probabilities
     else:
-        demands = profile.sample(demand_stream, size=count)
+        # spawn continues root's child index, so the raw demands draw
+        # from child 3 (masks) or 5 (counts), as they always have
+        demands = profile.sample(spawn(root), size=count)
         values = joint[np.arange(count), demands].astype(np.float64)
     return _reduce_values(values)
 
@@ -621,18 +667,9 @@ def _chunk_version_pfd(
 ) -> Tuple[int, float, float]:
     """One chunk of post-test version-pfd replications → ``(n, mean, m2)``."""
     count, seed = task
-    if _plan_needs_counts(plan):
-        streams = spawn_many(as_generator(seed), 3)
-        faults = population.sample_fault_matrix(count, streams[0])
-        counts = generator.sample_demand_counts(count, streams[1])
-        tested = _apply_plan_batch(
-            plan, faults, counts, population.universe, streams[2]
-        )
-    else:
-        streams = spawn_many(as_generator(seed), 2)
-        faults = population.sample_fault_matrix(count, streams[0])
-        masks = generator.sample_demand_masks(count, streams[1])
-        tested = _apply_plan_batch(plan, faults, masks, population.universe)
+    _faults, tested = _tested_version_block(
+        population, generator, plan, count, as_generator(seed)
+    )
     values = population.universe.failure_matrix(tested) @ profile.probabilities
     return _reduce_values(values)
 
@@ -665,9 +702,7 @@ def _chunk_back_to_back_envelope(
     probabilities = profile.probabilities
 
     def system_sum(block_a: np.ndarray, block_b: np.ndarray) -> float:
-        joint = universe_a.failure_matrix(block_a) & universe_b.failure_matrix(
-            block_b
-        )
+        joint = _joint_failures(population_a, population_b, block_a, block_b)
         return float((joint @ probabilities).sum())
 
     def version_sum(block_a: np.ndarray, block_b: np.ndarray) -> float:
@@ -745,6 +780,18 @@ def _plan_chunks(
     ]
     seeds = rng.integers(0, 2**63 - 1, size=len(counts), dtype=np.int64)
     return [(count, int(seed)) for count, seed in zip(counts, seeds)]
+
+
+def _run_budget(
+    kernel: Callable[[Tuple[int, int]], object],
+    n_replications: int,
+    rng: SeedLike,
+    chunk_size: int | None,
+    n_jobs: int,
+) -> List[object]:
+    """Plan the budget's chunks off ``rng`` and run ``kernel`` on each."""
+    tasks = _plan_chunks(n_replications, chunk_size, as_generator(rng))
+    return run_tasks(kernel, tasks, n_jobs)
 
 
 def run_tasks(
@@ -826,30 +873,26 @@ def run_tasks(
             return _execute()
 
 
-def _accumulate_proportion(results: List[Tuple[int, int]]) -> ProportionEstimator:
+def _accumulate(estimator, merge: str, results: List[tuple]):
+    """Merge chunk results in chunk order through ``estimator.<merge>``."""
     from ..obs.timing import current_timer
 
     timer = current_timer()
-    estimator = ProportionEstimator()
+    add = getattr(estimator, merge)
     start = time.perf_counter()
-    for successes, count in results:
-        estimator.add_many(successes, count)
+    for result in results:
+        add(*result)
     if timer is not None:
         timer.add_phase("scoring", time.perf_counter() - start)
     return estimator
+
+
+def _accumulate_proportion(results: List[Tuple[int, int]]) -> ProportionEstimator:
+    return _accumulate(ProportionEstimator(), "add_many", results)
 
 
 def _accumulate_mean(results: List[Tuple[int, float, float]]) -> MeanEstimator:
-    from ..obs.timing import current_timer
-
-    timer = current_timer()
-    estimator = MeanEstimator()
-    start = time.perf_counter()
-    for count, mean, m2 in results:
-        estimator.add_moments(count, mean, m2)
-    if timer is not None:
-        timer.add_phase("scoring", time.perf_counter() - start)
-    return estimator
+    return _accumulate(MeanEstimator(), "add_moments", results)
 
 
 # ---------------------------------------------------------------------------
@@ -877,10 +920,10 @@ def simulate_untested_joint_on_demand_batch(
     _scalar._check_replications(n_replications)
     population_b = population_b if population_b is not None else population_a
     demand = population_a.space.validate_demand(demand)
-    root = as_generator(rng)
-    tasks = _plan_chunks(n_replications, chunk_size, root)
     kernel = partial(_chunk_untested_joint, population_a, population_b, demand)
-    return _accumulate_proportion(run_tasks(kernel, tasks, n_jobs))
+    return _accumulate_proportion(
+        _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
+    )
 
 
 def simulate_joint_on_demand_batch(
@@ -911,12 +954,12 @@ def simulate_joint_on_demand_batch(
     _scalar._check_replications(n_replications)
     population_b = population_b if population_b is not None else population_a
     demand = population_a.space.validate_demand(demand)
-    root = as_generator(rng)
-    tasks = _plan_chunks(n_replications, chunk_size, root)
     kernel = partial(
         _chunk_tested_joint, regime, population_a, population_b, demand, plan
     )
-    return _accumulate_proportion(run_tasks(kernel, tasks, n_jobs))
+    return _accumulate_proportion(
+        _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
+    )
 
 
 def simulate_marginal_system_pfd_batch(
@@ -949,8 +992,6 @@ def simulate_marginal_system_pfd_batch(
     _scalar._check_replications(n_replications)
     population_b = population_b if population_b is not None else population_a
     population_a.space.require_same(profile.space)
-    root = as_generator(rng)
-    tasks = _plan_chunks(n_replications, chunk_size, root)
     kernel = partial(
         _chunk_marginal,
         regime,
@@ -960,7 +1001,9 @@ def simulate_marginal_system_pfd_batch(
         rao_blackwell,
         plan,
     )
-    return _accumulate_mean(run_tasks(kernel, tasks, n_jobs))
+    return _accumulate_mean(
+        _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
+    )
 
 
 def simulate_version_pfd_batch(
@@ -986,10 +1029,10 @@ def simulate_version_pfd_batch(
     plan = _require_plan(oracle, fixing)
     _scalar._check_replications(n_replications)
     population.space.require_same(profile.space)
-    root = as_generator(rng)
-    tasks = _plan_chunks(n_replications, chunk_size, root)
     kernel = partial(_chunk_version_pfd, population, generator, profile, plan)
-    return _accumulate_mean(run_tasks(kernel, tasks, n_jobs))
+    return _accumulate_mean(
+        _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
+    )
 
 
 def back_to_back_envelope_batch(
@@ -1017,8 +1060,7 @@ def back_to_back_envelope_batch(
     """
     from ..core.bounds import BackToBackEnvelope
 
-    if n_replications < 1:
-        raise ModelError(f"n_replications must be >= 1, got {n_replications}")
+    _scalar._check_replications(n_replications)
     if not back_to_back_supported(fixing):
         raise ModelError(
             "back-to-back batch kernel cannot model custom fixing policy "
@@ -1026,8 +1068,6 @@ def back_to_back_envelope_batch(
         )
     population_b = population_b if population_b is not None else population_a
     population_a.space.require_same(profile.space)
-    root = as_generator(rng)
-    tasks = _plan_chunks(n_replications, chunk_size, root)
     kernel = partial(
         _chunk_back_to_back_envelope,
         population_a,
@@ -1036,22 +1076,10 @@ def back_to_back_envelope_batch(
         profile,
         fixing,
     )
-    results = run_tasks(kernel, tasks, n_jobs)
+    results = _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
     total = sum(count for count, _sums in results)
     merged = [0.0] * 9
     for count, sums in results:
         for index, value in enumerate(sums):
             merged[index] += value
-    scale = 1.0 / total
-    return BackToBackEnvelope(
-        untested_system_pfd=merged[0] * scale,
-        perfect_system_pfd=merged[1] * scale,
-        optimistic_system_pfd=merged[2] * scale,
-        pessimistic_system_pfd=merged[3] * scale,
-        shared_fault_system_pfd=merged[4] * scale,
-        untested_version_pfd=merged[5] * scale,
-        optimistic_version_pfd=merged[6] * scale,
-        pessimistic_version_pfd=merged[7] * scale,
-        shared_fault_version_pfd=merged[8] * scale,
-        n_replications=total,
-    )
+    return BackToBackEnvelope.from_sums(merged, total)

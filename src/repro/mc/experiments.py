@@ -8,14 +8,15 @@ shortcuts: versions are actually drawn, actually tested, and actually
 scored, so agreement with :mod:`repro.core` / :mod:`repro.analytic` is a
 genuine end-to-end validation.
 
-Each estimator can run on one of three **engines**:
+Each estimator runs on one of three backends:
 
 * ``"batch"`` — the vectorized replication engine of
   :mod:`repro.mc.batch`: whole blocks of versions, suites and scores as
   matrix kernels.  Covers the §3 perfect process, the §4.1
   :class:`~repro.testing.ImperfectOracle` /
   :class:`~repro.testing.ImperfectFixing` relaxations (binomial detection
-  counts + Bernoulli survival masks) and matched blind-spot pairs.
+  counts + Bernoulli survival masks) and matched blind-spot and coverage
+  pairs.
 * ``"compiled"`` — the native-code kernels of :mod:`repro.mc.kernels`
   (numba ``@njit``) on counter-based RNG, so results are bit-identical
   for every ``chunk_size`` / ``n_jobs``.  Requires the ``[compiled]``
@@ -27,14 +28,19 @@ Each estimator can run on one of three **engines**:
   for *custom* oracle/fixing policies, whose per-demand dynamics the batch
   kernels cannot introspect.
 
-The default ``engine="auto"`` picks the batch path whenever
-:func:`repro.mc.batch.batch_supported` accepts the testing process and
-falls back to the scalar loop otherwise, so existing callers transparently
-get the fast path.  ``auto`` deliberately never resolves to ``compiled``:
-the compiled backend draws from a different (counter-based) random stream,
-and a default that silently depends on whether numba is installed would
-make results machine-dependent.  Opt in explicitly with
-``engine="compiled"``.
+The ``engine=`` argument takes one of the five names in :data:`ENGINES`,
+and one seam, :func:`resolve_engine`, maps a name to a backend for every
+driver here and for :func:`repro.core.bounds.back_to_back_envelope` and
+:meth:`repro.extensions.DevelopmentCampaign.mean_final_system_pfd_estimator`.
+The three backend names select themselves (failing loudly when the call's
+model has no such kernel).  The default ``"auto"`` picks the batch path
+whenever :func:`repro.mc.batch.batch_supported` accepts the testing
+process and the scalar loop otherwise.  ``auto`` deliberately never
+resolves to ``compiled``: the compiled backend draws from a different
+(counter-based) random stream, and a default that silently depends on
+whether numba is installed would make results machine-dependent.
+``"fastest"`` is the opposite trade: ``compiled`` when numba is importable
+and the call has compiled kernels, else ``batch`` — never ``scalar``.
 
 Every estimator also accepts ``precision=`` — a
 :class:`repro.adaptive.PrecisionTarget` (or a mapping of its fields).
@@ -81,6 +87,44 @@ def check_engine(engine: str) -> str:
     return engine
 
 
+def resolve_engine(
+    engine: str, batch_ok: bool, compiled_ok: bool, model: str = "this model"
+) -> str:
+    """Resolve ``engine=`` to the backend one call runs on.
+
+    Returns ``"compiled"``, ``"batch"`` or ``"scalar"``.  ``batch_ok`` and
+    ``compiled_ok`` say whether the batch and compiled backends have
+    kernels for the call; ``model`` names what the call models in the
+    errors raised when the requested backend has none.  An unknown name
+    raises before anything else.
+    """
+    check_engine(engine)
+    requested = engine
+    if engine == "fastest":
+        from . import kernels
+
+        engine = "compiled" if compiled_ok and kernels.HAVE_NUMBA else "batch"
+    if engine == "compiled":
+        if not compiled_ok:
+            raise ModelError(
+                f"engine='compiled' has no compiled kernels for {model}; "
+                "use engine='auto', 'batch' or 'fastest'"
+            )
+        from .kernels import require_compiled
+
+        require_compiled()
+        return "compiled"
+    if engine == "batch" and not batch_ok:
+        raise ModelError(
+            f"engine={requested!r} runs on the batch kernels, which cannot "
+            f"model {model}; use engine='auto' for the automatic scalar "
+            "fallback, or engine='scalar'"
+        )
+    if engine == "scalar" or not batch_ok:
+        return "scalar"
+    return "batch"
+
+
 def resolve_fastest(
     oracle: Oracle | None = None, fixing: FixingPolicy | None = None
 ) -> str:
@@ -91,11 +135,9 @@ def resolve_fastest(
     alias trades bit-stability across machines for speed: the same call
     can run different backends depending on what is installed.
     """
-    from .kernels import HAVE_NUMBA, compiled_supported
+    from .kernels import compiled_supported
 
-    if HAVE_NUMBA and compiled_supported(oracle, fixing):
-        return "compiled"
-    return "batch"
+    return resolve_engine("fastest", True, compiled_supported(oracle, fixing))
 
 
 def _check_replications(n_replications: int) -> None:
@@ -104,9 +146,14 @@ def _check_replications(n_replications: int) -> None:
 
 
 def _coerce_precision(precision, engine: str):
-    """Normalise a ``precision=`` argument, rejecting non-batch engines."""
+    """Normalise a ``precision=`` argument, rejecting non-batch engines.
+
+    Validates the engine name first, so an unknown name fails even when
+    ``precision=`` routes the call to the adaptive engine.
+    """
     from ..adaptive.targets import PrecisionTarget
 
+    check_engine(engine)
     target = PrecisionTarget.coerce(precision)
     if target is not None and engine in ("scalar", "compiled"):
         raise ModelError(
@@ -116,51 +163,33 @@ def _coerce_precision(precision, engine: str):
     return target
 
 
-def _engine_choice(
-    engine: str,
-    oracle: Oracle | None = None,
-    fixing: FixingPolicy | None = None,
-) -> str:
-    """Resolve ``engine=`` to the concrete backend for one call.
+def _twin(driver: str, choice: str):
+    """The vectorized twin of ``driver`` for a resolved backend ``choice``.
 
-    ``"compiled"`` is only ever an explicit choice (and requires numba or
-    the fallback env var — :func:`repro.mc.kernels.require_compiled`);
-    ``"auto"`` resolves between batch and scalar exactly as before the
-    compiled backend existed, so default results never depend on what is
-    installed.
+    ``<driver>_batch`` or ``<driver>_compiled``; both take the driver's
+    arguments minus ``engine=`` and ``precision=``, so one lookup serves
+    either backend.  ``None`` for ``"scalar"``: the driver's own loop.
     """
-    if check_engine(engine) == "fastest":
-        engine = resolve_fastest(oracle, fixing)
-    if engine == "compiled":
-        from .kernels import require_compiled
+    if choice == "scalar":
+        return None
+    from . import batch, kernels
 
-        require_compiled()
-        return "compiled"
-    return "batch" if _use_batch(engine, oracle, fixing) else "scalar"
+    module = batch if choice == "batch" else kernels
+    return getattr(module, f"{driver}_{choice}")
 
 
-def _use_batch(
-    engine: str,
-    oracle: Oracle | None = None,
-    fixing: FixingPolicy | None = None,
-) -> bool:
-    """Batch or scalar for an ``"auto"``/``"batch"``/``"scalar"`` choice."""
-    if engine == "scalar":
-        return False
+def _backend(driver: str, engine: str, oracle=None, fixing=None):
+    """:func:`_twin` of a ``simulate_*`` driver for its testing pair."""
     from .batch import batch_supported
+    from .kernels import compiled_supported
 
-    supported = batch_supported(oracle, fixing)
-    if engine == "batch":
-        if not supported:
-            raise ModelError(
-                "engine='batch' cannot model custom oracle/fixing policies "
-                f"({type(oracle).__name__}/{type(fixing).__name__}); "
-                "supported: Perfect/Imperfect oracles and fixing, and "
-                "matched blind-spot or coverage pairs.  Use engine='auto' "
-                "for automatic scalar fallback or engine='scalar'"
-            )
-        return True
-    return supported
+    choice = resolve_engine(
+        engine,
+        batch_supported(oracle, fixing),
+        compiled_supported(oracle, fixing),
+        model=f"{type(oracle).__name__}/{type(fixing).__name__} testing",
+    )
+    return _twin(driver, choice)
 
 
 def _regime_policies(
@@ -214,23 +243,9 @@ def simulate_untested_joint_on_demand(
             default_budget=n_replications,
         )
         return report.only.as_estimator(report)
-    choice = _engine_choice(engine)
-    if choice == "compiled":
-        from .kernels import simulate_untested_joint_on_demand_compiled
-
-        return simulate_untested_joint_on_demand_compiled(
-            population_a,
-            demand,
-            population_b,
-            n_replications=n_replications,
-            rng=rng,
-            chunk_size=chunk_size,
-            n_jobs=n_jobs,
-        )
-    if choice == "batch":
-        from .batch import simulate_untested_joint_on_demand_batch
-
-        return simulate_untested_joint_on_demand_batch(
+    backend = _backend("simulate_untested_joint_on_demand", engine)
+    if backend is not None:
+        return backend(
             population_a,
             demand,
             population_b,
@@ -291,26 +306,9 @@ def simulate_joint_on_demand(
             default_budget=n_replications,
         )
         return report.only.as_estimator(report)
-    choice = _engine_choice(engine, oracle, fixing)
-    if choice == "compiled":
-        from .kernels import simulate_joint_on_demand_compiled
-
-        return simulate_joint_on_demand_compiled(
-            regime,
-            population_a,
-            demand,
-            population_b,
-            n_replications=n_replications,
-            rng=rng,
-            oracle=oracle,
-            fixing=fixing,
-            chunk_size=chunk_size,
-            n_jobs=n_jobs,
-        )
-    if choice == "batch":
-        from .batch import simulate_joint_on_demand_batch
-
-        return simulate_joint_on_demand_batch(
+    backend = _backend("simulate_joint_on_demand", engine, oracle, fixing)
+    if backend is not None:
+        return backend(
             regime,
             population_a,
             demand,
@@ -392,27 +390,9 @@ def simulate_marginal_system_pfd(
             default_budget=n_replications,
         )
         return report.only.as_estimator(report)
-    choice = _engine_choice(engine, oracle, fixing)
-    if choice == "compiled":
-        from .kernels import simulate_marginal_system_pfd_compiled
-
-        return simulate_marginal_system_pfd_compiled(
-            regime,
-            population_a,
-            profile,
-            population_b,
-            n_replications=n_replications,
-            rng=rng,
-            oracle=oracle,
-            fixing=fixing,
-            rao_blackwell=rao_blackwell,
-            chunk_size=chunk_size,
-            n_jobs=n_jobs,
-        )
-    if choice == "batch":
-        from .batch import simulate_marginal_system_pfd_batch
-
-        return simulate_marginal_system_pfd_batch(
+    backend = _backend("simulate_marginal_system_pfd", engine, oracle, fixing)
+    if backend is not None:
+        return backend(
             regime,
             population_a,
             profile,
@@ -484,25 +464,9 @@ def simulate_version_pfd(
             default_budget=n_replications,
         )
         return report.only.as_estimator(report)
-    choice = _engine_choice(engine, oracle, fixing)
-    if choice == "compiled":
-        from .kernels import simulate_version_pfd_compiled
-
-        return simulate_version_pfd_compiled(
-            population,
-            generator,
-            profile,
-            n_replications=n_replications,
-            rng=rng,
-            oracle=oracle,
-            fixing=fixing,
-            chunk_size=chunk_size,
-            n_jobs=n_jobs,
-        )
-    if choice == "batch":
-        from .batch import simulate_version_pfd_batch
-
-        return simulate_version_pfd_batch(
+    backend = _backend("simulate_version_pfd", engine, oracle, fixing)
+    if backend is not None:
+        return backend(
             population,
             generator,
             profile,

@@ -57,7 +57,7 @@ from ..core.regimes import ForcedTestingDiversity, IndependentSuites, SameSuite
 from ..errors import ModelError
 from ..populations.bernoulli import BernoulliFaultPopulation
 from ..rng import counter_key, counter_uniforms, inverse_cdf_indices, philox_uniform
-from ..testing.fixing import ImperfectFixing, PerfectFixing
+from ..testing.fixing import PerfectFixing
 from ..testing.generators import (
     EnumerableSuiteGenerator,
     ExhaustiveSuiteGenerator,
@@ -77,6 +77,7 @@ from .batch import (
     run_tasks,
 )
 from .estimator import MeanEstimator, ProportionEstimator
+from .experiments import _check_replications
 
 __all__ = [
     "HAVE_NUMBA",
@@ -736,11 +737,6 @@ def _visible_mask(universe, plan) -> np.ndarray:
     return np.ones(len(universe), dtype=bool)
 
 
-def _check_replications(n_replications: int) -> None:
-    if n_replications < 1:
-        raise ModelError(f"n_replications must be >= 1, got {n_replications}")
-
-
 # ---------------------------------------------------------------------------
 # pair specs and chunk kernels (module level for process-pool pickling)
 # ---------------------------------------------------------------------------
@@ -1151,17 +1147,6 @@ def back_to_back_envelope_compiled(
     spec["b2b_base"] = spec["suite_base"] + law.lanes
     spans = _chunk_spans(n_replications, chunk_size)
     values = _gather(_chunk_back_to_back, spec, spans, n_jobs)
-    sums = values.sum(axis=0)
-    scale = 1.0 / values.shape[0]
-    return BackToBackEnvelope(
-        untested_system_pfd=sums[0] * scale,
-        perfect_system_pfd=sums[1] * scale,
-        optimistic_system_pfd=sums[2] * scale,
-        pessimistic_system_pfd=sums[3] * scale,
-        shared_fault_system_pfd=sums[4] * scale,
-        untested_version_pfd=sums[5] * scale,
-        optimistic_version_pfd=sums[6] * scale,
-        pessimistic_version_pfd=sums[7] * scale,
-        shared_fault_version_pfd=sums[8] * scale,
-        n_replications=int(values.shape[0]),
+    return BackToBackEnvelope.from_sums(
+        values.sum(axis=0), int(values.shape[0])
     )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.mc.kernels as kernels
 from repro.errors import ModelError
 from repro.extensions import (
     BackToBackActivity,
@@ -191,4 +192,43 @@ class TestBatchPath:
         with pytest.raises(ModelError, match="engine='batch'"):
             campaign.mean_final_system_pfd(
                 bernoulli_population, profile, n_replications=20, engine="batch"
+            )
+
+    def test_fastest_runs_batch_and_never_scalar(
+        self, full_campaign, generator, bernoulli_population, profile, monkeypatch
+    ):
+        """Campaigns have no compiled kernels: even on a numba host the
+        alias is exactly the batch path, and on a plan without one it
+        fails as loudly as "batch" instead of falling back to scalar."""
+        monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
+        kwargs = dict(n_replications=200, rng=5)
+        fastest = full_campaign.mean_final_system_pfd(
+            bernoulli_population, profile, engine="fastest", **kwargs
+        )
+        batch = full_campaign.mean_final_system_pfd(
+            bernoulli_population, profile, engine="batch", **kwargs
+        )
+        assert fastest == batch
+
+        class NoOpActivity(SharedTestingActivity):
+            @property
+            def supports_batch(self):
+                return False
+
+        campaign = DevelopmentCampaign([NoOpActivity(generator)])
+        with pytest.raises(ModelError, match="engine='fastest'"):
+            campaign.mean_final_system_pfd(
+                bernoulli_population, profile, engine="fastest", **kwargs
+            )
+
+    def test_compiled_engine_rejected(
+        self, full_campaign, bernoulli_population, profile
+    ):
+        with pytest.raises(ModelError, match="no compiled kernels for campaigns"):
+            full_campaign.mean_final_system_pfd(
+                bernoulli_population, profile, n_replications=20, engine="compiled"
+            )
+        with pytest.raises(ModelError, match="engine must be one of .*'compiled'"):
+            full_campaign.mean_final_system_pfd(
+                bernoulli_population, profile, n_replications=20, engine="gpu"
             )

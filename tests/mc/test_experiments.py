@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.mc.kernels as kernels
 from repro.core import IndependentSuites, SameSuite, joint_failure_probability
 from repro.errors import ModelError
+from repro.mc.experiments import ENGINES, resolve_engine
 from repro.mc import (
     simulate_joint_on_demand,
     simulate_marginal_system_pfd,
@@ -174,3 +176,84 @@ class TestPopulationSpaceValidation:
                 rng=0,
                 engine=engine,
             )
+
+
+class TestResolveEngine:
+    """The one engine seam: every name × backend-support combination,
+    with and without numba."""
+
+    @pytest.mark.parametrize("have_numba", [False, True])
+    @pytest.mark.parametrize("compiled_ok", [False, True])
+    @pytest.mark.parametrize("batch_ok", [False, True])
+    @pytest.mark.parametrize("engine", ENGINES + ("gpu",))
+    def test_table(self, engine, batch_ok, compiled_ok, have_numba, monkeypatch):
+        monkeypatch.setattr(kernels, "HAVE_NUMBA", have_numba)
+        monkeypatch.delenv("REPRO_COMPILED_FALLBACK", raising=False)
+        if engine == "fastest":
+            engine_used = "compiled" if compiled_ok and have_numba else "batch"
+        else:
+            engine_used = engine
+        if engine not in ENGINES:
+            expected = "engine must be one of"
+        elif engine_used == "compiled":
+            if not compiled_ok:
+                expected = "no compiled kernels"
+            elif not have_numba:
+                expected = "needs numba"
+            else:
+                expected = "compiled"
+        elif engine_used == "batch":
+            expected = "batch" if batch_ok else f"engine='{engine}' runs on the batch"
+        elif engine_used == "auto":
+            expected = "batch" if batch_ok else "scalar"
+        else:
+            expected = "scalar"
+        if expected in ("batch", "compiled", "scalar"):
+            assert resolve_engine(engine, batch_ok, compiled_ok) == expected
+        else:
+            with pytest.raises(ModelError, match=expected):
+                resolve_engine(engine, batch_ok, compiled_ok)
+
+    def test_fastest_never_resolves_to_scalar(self, monkeypatch):
+        for have_numba in (False, True):
+            monkeypatch.setattr(kernels, "HAVE_NUMBA", have_numba)
+            for compiled_ok in (False, True):
+                assert resolve_engine("fastest", True, compiled_ok) != "scalar"
+
+
+def _driver_calls(bernoulli_population, enumerable_generator, profile):
+    regime = SameSuite(enumerable_generator)
+    return {
+        "untested_joint": lambda **kw: simulate_untested_joint_on_demand(
+            bernoulli_population, 4, **kw
+        ),
+        "joint": lambda **kw: simulate_joint_on_demand(
+            regime, bernoulli_population, 4, **kw
+        ),
+        "marginal": lambda **kw: simulate_marginal_system_pfd(
+            regime, bernoulli_population, profile, **kw
+        ),
+        "version_pfd": lambda **kw: simulate_version_pfd(
+            bernoulli_population, enumerable_generator, profile, **kw
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "driver", ["untested_joint", "joint", "marginal", "version_pfd"]
+)
+def test_unknown_engine_rejected_with_precision(
+    driver, bernoulli_population, enumerable_generator, profile
+):
+    """The engine name is checked before ``precision=`` routes the call to
+    the adaptive engine, so a typo cannot run silently."""
+    call = _driver_calls(bernoulli_population, enumerable_generator, profile)[
+        driver
+    ]
+    with pytest.raises(ModelError, match=r"engine must be one of \('auto'"):
+        call(
+            n_replications=200,
+            rng=0,
+            engine="bogus",
+            precision={"rel_hw": 0.2},
+        )
