@@ -51,9 +51,7 @@ def main() -> None:
 
     print("\n--- after testing (100 operational tests per channel) ---")
     for regime in (independent, same_suite):
-        result = repro.marginal_system_pfd(
-            regime, population, profile, n_suites=2000, rng=1
-        )
+        result = repro.marginal_system_pfd(regime, population, profile)
         print(
             f"{regime.label:<20} system pfd = {result.system_pfd:.6f} "
             f"(channel pfd {result.pfd_a:.4f}, "

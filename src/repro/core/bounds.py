@@ -112,7 +112,7 @@ def imperfect_version_envelope(
 
     The analytic bracket every imperfect-testing measurement must respect:
     lower bound ``E_Q[ζ(X)]`` (perfect testing, via the tested-population
-    view's suite sample), upper bound ``E_Q[θ(X)]`` (no testing, exact).
+    view), upper bound ``E_Q[θ(X)]`` (no testing, exact).
     Shared by :func:`imperfect_testing_bounds` and the adaptive
     measurement path, so the two can never disagree on the envelope.
     """
@@ -418,7 +418,9 @@ def back_to_back_envelope(
         return float(profile.probabilities[mask].sum())
 
     for replication_stream in spawn_many(rng, n_replications):
-        streams = spawn_many(replication_stream, 3)
+        # children 0-2 draw the versions and the suite; 3-5 drive the three
+        # comparators' fixing (spawning six keeps children 0-2 unchanged)
+        streams = spawn_many(replication_stream, 6)
         version_a = population_a.sample(streams[0])
         version_b = population_b.sample(streams[1])
         suite = generator.sample(streams[2])
@@ -432,9 +434,9 @@ def back_to_back_envelope(
         perfect_b = apply_testing(version_b, suite).after
         sums["perfect_system"] += system_pfd(perfect_a, perfect_b)
 
-        for mode, comparator in comparators.items():
+        for (mode, comparator), stream in zip(comparators.items(), streams[3:]):
             outcome_a, outcome_b = back_to_back_testing(
-                version_a, version_b, suite, comparator, fixing
+                version_a, version_b, suite, comparator, fixing, rng=stream
             )
             sums[f"{mode}_system"] += system_pfd(outcome_a.after, outcome_b.after)
             sums[f"{mode}_version"] += 0.5 * (

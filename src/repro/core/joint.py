@@ -50,7 +50,8 @@ class JointFailureDecomposition:
     regime_label:
         Human-readable regime name.
     exact:
-        True when suite-measure integration was exact (enumerable ``M``).
+        True when suite-measure integration was exact (enumeration or the
+        Bernoulli closed form; see :mod:`repro.core.tested`).
     """
 
     joint: np.ndarray
@@ -95,7 +96,8 @@ def joint_failure_probability(
         Channel B's development measure; omit (or pass the same object) for
         the single-methodology setting.
     n_suites:
-        Suite draws when the measure is not enumerable.
+        Suite draws when the moments have neither an enumerable measure
+        nor a closed form.
     rng:
         Randomness for the sampling path.
 

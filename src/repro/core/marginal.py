@@ -157,7 +157,8 @@ def marginal_system_pfd(
     profile:
         The usage measure ``Q`` defining the random demand.
     n_suites, rng:
-        Sampling controls for non-enumerable suite measures.
+        Sampling controls for suite moments with neither an enumerable
+        measure nor a closed form.
     """
     population_a.space.require_same(profile.space)
     decomposition = joint_failure_probability(

@@ -10,11 +10,12 @@ are related:
 * :class:`SameSuite` — both channels tested on one shared draw (§3.3), the
   acceptance-testing / back-to-back situation that induces dependence.
 
-A regime knows how to (a) draw the pair of suites for one replication of the
-generative process — used by the Monte-Carlo layer — and (b) compute the
-per-demand joint failure probability of eqs. (16)–(21) from population
-moments — used by the analytic layer.  Keeping both on one object guarantees
-the two layers describe the same experiment.
+A regime knows how to draw the pair of suites for one replication of the
+generative process — singly or as mask/count blocks — for the Monte-Carlo
+layer.  The analytic layer reads the same regime's generators in
+:func:`repro.core.joint.joint_failure_probability`, the one place the
+per-demand joint failure probability of eqs. (16)–(21) is assembled, so
+both layers describe the same experiment.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import ModelError
-from ..populations import VersionPopulation
 from ..rng import as_generator, spawn_many
 from ..testing import SuiteGenerator, TestSuite
 from ..types import SeedLike
-from .tested import TestedPopulationView, cross_suite_moments
 
 __all__ = [
     "TestingRegime",
@@ -38,8 +37,6 @@ __all__ = [
     "ForcedTestingDiversity",
     "CoverageAwareRegime",
 ]
-
-_DEFAULT_SUITE_SAMPLES = 512
 
 
 class TestingRegime(abc.ABC):
@@ -114,21 +111,6 @@ class TestingRegime(abc.ABC):
             np.add.at(second[row], suite_b.demands, 1)
         return first, second
 
-    @abc.abstractmethod
-    def joint_per_demand(
-        self,
-        population_a: VersionPopulation,
-        population_b: VersionPopulation,
-        n_suites: int = _DEFAULT_SUITE_SAMPLES,
-        rng: SeedLike = None,
-    ) -> np.ndarray:
-        """Per-demand ``P(both tested versions fail on x)`` under this regime.
-
-        Implements the matching equation of the paper — (16)–(19) for the
-        independent-draw regimes, (20)/(21) for the shared-suite regime.
-        Pass the same population twice for the single-methodology setting.
-        """
-
     @property
     @abc.abstractmethod
     def shares_suite(self) -> bool:
@@ -143,9 +125,8 @@ class TestingRegime(abc.ABC):
 class CoverageAwareRegime(TestingRegime):
     """A regime whose testing is limited by structural coverage.
 
-    Decorates any base regime: suite drawing and the analytic
-    ``joint_per_demand`` are delegated unchanged, but the regime carries a
-    matched coverage (oracle, fixing) pair — e.g. from
+    Decorates any base regime: suite drawing is delegated unchanged, but
+    the regime carries a matched coverage (oracle, fixing) pair — e.g. from
     :func:`repro.coverage.coverage_testing_pair` — as the *default testing
     policies* of the experiment.  The Monte-Carlo entry points pick the
     pair up whenever the caller supplies no explicit oracle/fixing, so
@@ -207,17 +188,6 @@ class CoverageAwareRegime(TestingRegime):
     ) -> Tuple[np.ndarray, np.ndarray]:
         return self._base.draw_suite_counts(count, rng)
 
-    def joint_per_demand(
-        self,
-        population_a: VersionPopulation,
-        population_b: VersionPopulation,
-        n_suites: int = _DEFAULT_SUITE_SAMPLES,
-        rng: SeedLike = None,
-    ) -> np.ndarray:
-        return self._base.joint_per_demand(
-            population_a, population_b, n_suites=n_suites, rng=rng
-        )
-
 
 class IndependentSuites(TestingRegime):
     """Both channels tested on independent draws from one measure ``M``.
@@ -268,26 +238,6 @@ class IndependentSuites(TestingRegime):
             self._generator.sample_demand_counts(count, stream_b),
         )
 
-    def joint_per_demand(
-        self,
-        population_a: VersionPopulation,
-        population_b: VersionPopulation,
-        n_suites: int = _DEFAULT_SUITE_SAMPLES,
-        rng: SeedLike = None,
-    ) -> np.ndarray:
-        generator = as_generator(rng)
-        stream_a, stream_b = spawn_many(generator, 2)
-        zeta_a = TestedPopulationView(population_a, self._generator).zeta(
-            n_suites=n_suites, rng=stream_a
-        )
-        if population_b is population_a:
-            zeta_b = zeta_a
-        else:
-            zeta_b = TestedPopulationView(population_b, self._generator).zeta(
-                n_suites=n_suites, rng=stream_b
-            )
-        return zeta_a * zeta_b
-
 
 class SameSuite(TestingRegime):
     """Both channels tested on one shared suite draw.
@@ -329,27 +279,6 @@ class SameSuite(TestingRegime):
     ) -> Tuple[np.ndarray, np.ndarray]:
         counts = self._generator.sample_demand_counts(count, as_generator(rng))
         return counts, counts
-
-    def joint_per_demand(
-        self,
-        population_a: VersionPopulation,
-        population_b: VersionPopulation,
-        n_suites: int = _DEFAULT_SUITE_SAMPLES,
-        rng: SeedLike = None,
-    ) -> np.ndarray:
-        if population_b is population_a:
-            moments = TestedPopulationView(
-                population_a, self._generator
-            ).suite_moments(n_suites=n_suites, rng=rng)
-            return moments.second_moment
-        cross = cross_suite_moments(
-            population_a,
-            population_b,
-            self._generator,
-            n_suites=n_suites,
-            rng=rng,
-        )
-        return cross.cross_moment
 
 
 class ForcedTestingDiversity(TestingRegime):
@@ -411,20 +340,3 @@ class ForcedTestingDiversity(TestingRegime):
             self._generator_a.sample_demand_counts(count, stream_a),
             self._generator_b.sample_demand_counts(count, stream_b),
         )
-
-    def joint_per_demand(
-        self,
-        population_a: VersionPopulation,
-        population_b: VersionPopulation,
-        n_suites: int = _DEFAULT_SUITE_SAMPLES,
-        rng: SeedLike = None,
-    ) -> np.ndarray:
-        generator = as_generator(rng)
-        stream_a, stream_b = spawn_many(generator, 2)
-        zeta_a = TestedPopulationView(population_a, self._generator_a).zeta(
-            n_suites=n_suites, rng=stream_a
-        )
-        zeta_b = TestedPopulationView(population_b, self._generator_b).zeta(
-            n_suites=n_suites, rng=stream_b
-        )
-        return zeta_a * zeta_b

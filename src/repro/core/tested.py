@@ -13,8 +13,15 @@ perfect detection/fixing:
 
 The same machinery yields the suite-moment vectors the joint-failure results
 need: ``E_T[ξ(x,T)²]`` (eq. (20)) and ``E_T[ξ_A(x,T) ξ_B(x,T)]`` (eq. (21)).
-:class:`TestedPopulationView` evaluates all of these exactly when the suite
-measure is enumerable and by suite-sampling otherwise.
+
+Exactness policy for ``ζ`` and these moments, in order: *enumerable*
+measures (``generator.enumerate()``) are finite sums; else Bernoulli
+populations on one universe under an i.i.d. profile-drawn suite (exactly an
+:class:`~repro.testing.OperationalSuiteGenerator` or
+:class:`~repro.testing.WeightedDebugGenerator`) use the *closed form* of
+:class:`~repro.analytic.BernoulliExactEngine` when it accepts their fault
+cover; else ``n_suites`` *sampled* suites (seed ``rng`` to reproduce).  The
+first two report ``exact=True``.
 """
 
 from __future__ import annotations
@@ -24,11 +31,18 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..analytic.bernoulli_exact import BernoulliExactEngine
 from ..demand import UsageProfile
 from ..errors import ModelError, NotEnumerableError
-from ..populations import VersionPopulation
+from ..populations import BernoulliFaultPopulation, VersionPopulation
 from ..rng import as_generator
-from ..testing import SuiteGenerator, TestSuite, apply_testing
+from ..testing import (
+    OperationalSuiteGenerator,
+    SuiteGenerator,
+    TestSuite,
+    WeightedDebugGenerator,
+    apply_testing,
+)
 from ..types import SeedLike
 from ..versions import Version
 
@@ -50,16 +64,13 @@ class SuiteMoments:
     second_moment:
         ``E_T[ξ(x,T)²]`` per demand — the same-suite joint probability of
         eq. (20).
-    n_suites:
-        Number of suites integrated (support size when exact, sample count
-        when estimated).
     exact:
-        True when computed by enumeration of the suite measure.
+        True when integrated exactly (enumeration or closed form), False
+        when estimated from sampled suites.
     """
 
     zeta: np.ndarray
     second_moment: np.ndarray
-    n_suites: int
     exact: bool
 
     @property
@@ -78,14 +89,13 @@ class CrossSuiteMoments:
         Per-methodology tested difficulty functions.
     cross_moment:
         ``E_T[ξ_A(x,T) ξ_B(x,T)]`` per demand — eq. (21) joint probability.
-    n_suites, exact:
+    exact:
         As in :class:`SuiteMoments`.
     """
 
     zeta_a: np.ndarray
     zeta_b: np.ndarray
     cross_moment: np.ndarray
-    n_suites: int
     exact: bool
 
     @property
@@ -107,11 +117,9 @@ class TestedPopulationView(object):
 
     Notes
     -----
-    Exactness policy: methods integrate over the suite measure by
-    enumeration when ``generator.enumerate()`` is available, and otherwise
-    fall back to i.i.d. suite sampling with ``n_suites`` draws (an rng is
-    then required for reproducibility).  The returned objects record which
-    path was taken.
+    Exactness policy: as in the module docstring — enumerable, then closed
+    form, then ``n_suites`` sampled suites; :meth:`varsigma` has no closed
+    form.  The returned moment objects record whether they are exact.
     """
 
     __test__ = False  # prevent pytest collection (library class)
@@ -169,9 +177,10 @@ class TestedPopulationView(object):
         rng: SeedLike = None,
     ) -> SuiteMoments:
         """``ζ(x)`` and ``E_T[ξ(x,T)²]`` in one pass over the suite measure."""
-        suites, weights, exact = _suite_measure(self._generator, n_suites, rng)
-        (first,), second = _xi_moments((self._population,), suites, weights)
-        return SuiteMoments(first, second, len(suites), exact=exact)
+        (first,), second, exact = _xi_moments(
+            (self._population,), self._generator, n_suites, rng
+        )
+        return SuiteMoments(first, second, exact=exact)
 
     def zeta(
         self,
@@ -221,11 +230,10 @@ def cross_suite_moments(
     """
     population_a.space.require_same(generator.space)
     population_b.space.require_same(generator.space)
-    suites, weights, exact = _suite_measure(generator, n_suites, rng)
-    (first_a, first_b), cross = _xi_moments(
-        (population_a, population_b), suites, weights
+    (first_a, first_b), cross, exact = _xi_moments(
+        (population_a, population_b), generator, n_suites, rng
     )
-    return CrossSuiteMoments(first_a, first_b, cross, len(suites), exact)
+    return CrossSuiteMoments(first_a, first_b, cross, exact)
 
 
 def _suite_measure(
@@ -251,17 +259,59 @@ def _suite_measure(
     return suites, np.full(n_suites, 1.0 / n_suites), False
 
 
+def _closed_form_moments(
+    populations: Sequence[VersionPopulation], generator: SuiteGenerator
+) -> Tuple[List[np.ndarray], np.ndarray, bool] | None:
+    """:func:`_xi_moments` through :class:`~repro.analytic.BernoulliExactEngine`.
+
+    ``None`` unless the populations are Bernoulli on one universe, the
+    generator is exactly an operational or weighted-debug generator (a
+    subclass may override the measure) and the engine accepts every
+    demand's fault cover.  The engine runs on the generator's draw profile:
+    ``ζ`` and the ξ moments depend only on the suite law.
+    """
+    if type(generator) not in (OperationalSuiteGenerator, WeightedDebugGenerator):
+        return None
+    universe = populations[0].universe
+    if any(
+        type(population) is not BernoulliFaultPopulation
+        or population.universe is not universe
+        for population in populations
+    ):
+        return None
+    engine = BernoulliExactEngine(universe, generator.profile)
+    size = generator.size
+    try:
+        firsts = [engine.zeta(population, size) for population in populations]
+        if len(populations) == 1:
+            cross = engine.xi_second_moment(populations[0], size)
+        else:
+            cross = engine.xi_cross_moment(populations[0], populations[-1], size)
+    except ModelError:
+        # some demand's fault cover exceeds the engine's max_cover
+        return None
+    return firsts, cross, True
+
+
 def _xi_moments(
     populations: Sequence[VersionPopulation],
-    suites: Sequence[TestSuite],
-    weights: np.ndarray,
-) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Each population's ``E_T[ξ(x,T)]`` and ``E_T[ξ_first ξ_last]``.
+    generator: SuiteGenerator,
+    n_suites: int,
+    rng: SeedLike,
+) -> Tuple[List[np.ndarray], np.ndarray, bool]:
+    """Each population's ``E_T[ξ(x,T)]``, ``E_T[ξ_first ξ_last]`` and
+    whether they are exact.
 
-    The cross moment is ``E_T[ξ(x,T)²]`` for one population.  Suites go
-    through :meth:`VersionPopulation.tested_difficulty_matrix`
-    ``_SUITE_BLOCK`` at a time.
+    The cross moment is ``E_T[ξ(x,T)²]`` for one population.  The
+    closed-form generators never enumerate, so trying the closed form
+    first keeps the module's exactness order.  Other measures go through
+    :meth:`VersionPopulation.tested_difficulty_matrix` ``_SUITE_BLOCK``
+    suites at a time.
     """
+    closed = _closed_form_moments(populations, generator)
+    if closed is not None:
+        return closed
+    suites, weights, exact = _suite_measure(generator, n_suites, rng)
     size = populations[0].space.size
     firsts = [np.zeros(size, dtype=np.float64) for _ in populations]
     cross = np.zeros(size, dtype=np.float64)
@@ -275,4 +325,4 @@ def _xi_moments(
         for first, xi in zip(firsts, xis):
             first += block_weights @ xi
         cross += block_weights @ (xis[0] * xis[-1])
-    return firsts, cross
+    return firsts, cross, exact

@@ -36,7 +36,6 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
         scenario.population,
         None,
         n_replications=n_replications,
-        n_suites=800 if fast else 4000,
         seed=seed + 300,
     )
     claims.extend(mc_claims)

@@ -35,7 +35,6 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
         scenario.population_a,
         scenario.population_b,
         n_replications=n_replications,
-        n_suites=800 if fast else 4000,
         seed=seed + 600,
     )
     claims = list(mc_claims)

@@ -7,7 +7,8 @@ suite induces dependence —
 
 so assuming conditional independence after shared testing is optimistic by
 exactly the per-demand suite variance.  Validated against brute-force
-enumeration, the Bernoulli closed form, and full-pipeline Monte Carlo.
+enumeration and full-pipeline Monte Carlo; the core decomposition is
+checked for consistency with the Bernoulli closed form it dispatches to.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
         scenario.population,
         None,
         n_replications=n_replications,
-        n_suites=1500 if fast else 8000,
         seed=seed + 700,
     )
     claims.extend(mc_claims)
@@ -51,13 +51,13 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
     exact_second = engine.xi_second_moment(
         scenario.population, scenario.generator.size
     )
-    sampling_gap = float(np.abs(decomposition.joint - exact_second).max())
+    gap = float(np.abs(decomposition.joint - exact_second).max())
     claims.append(
         Claim(
-            "suite-sampled joint agrees with the inclusion-exclusion "
-            "closed form",
-            sampling_gap < 0.02,
-            f"max abs gap {sampling_gap:.4f} (suite-sampling noise)",
+            "core decomposition is exact and agrees with the engine's "
+            "inclusion-exclusion closed form",
+            decomposition.exact and gap <= 1e-12,
+            f"max abs gap {gap:.2e}",
         )
     )
     exact_var = engine.xi_variance(scenario.population, scenario.generator.size)

@@ -23,7 +23,6 @@ from .registry import register
 def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
     """Run E9 and return its result table and claims."""
     n_replications = 1500 if fast else 15000
-    n_suites = 1500 if fast else 8000
     scenario = standard_scenario(seed)
     rng = as_generator(seed + 900)
 
@@ -38,7 +37,6 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
             regime,
             scenario.population,
             scenario.profile,
-            n_suites=n_suites,
             rng=spawn(rng),
         )
         estimator = simulate_marginal_system_pfd(

@@ -25,7 +25,6 @@ from .e08_same_suite_covariance import _negative_covariance_construction
 def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
     """Run E10 and return its result table and claims."""
     n_replications = 1500 if fast else 15000
-    n_suites = 1500 if fast else 8000
     rng = as_generator(seed + 1000)
     rows = []
     claims = []
@@ -42,7 +41,6 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
             scenario.population_a,
             scenario.profile,
             scenario.population_b,
-            n_suites=n_suites,
             rng=spawn(rng),
         )
         estimator = simulate_marginal_system_pfd(

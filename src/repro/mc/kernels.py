@@ -585,15 +585,9 @@ def _suite_law(generator):
     Exact type matches only, mirroring the batch engine's plan rule: a
     subclass may override the measure arbitrarily.
     """
-    if type(generator) is OperationalSuiteGenerator:
+    if type(generator) in (OperationalSuiteGenerator, WeightedDebugGenerator):
         return _ProfileSuiteLaw(
             np.cumsum(generator.profile.probabilities),
-            generator.space.size,
-            generator.size,
-        )
-    if type(generator) is WeightedDebugGenerator:
-        return _ProfileSuiteLaw(
-            np.cumsum(generator.debug_profile.probabilities),
             generator.space.size,
             generator.size,
         )

@@ -69,44 +69,6 @@ def demand_sequences_to_counts(sequences: np.ndarray, n_demands: int) -> np.ndar
     return flat.reshape(seqs.shape[0], n_demands)
 
 
-def _profile_demand_masks(
-    profile: UsageProfile,
-    size: int,
-    space: DemandSpace,
-    count: int,
-    rng: SeedLike,
-) -> np.ndarray:
-    """``count`` i.i.d. profile-drawn suites of ``size`` as demand masks.
-
-    Shared kernel of the operational and debug generators' batched draws:
-    one ``(count, size)`` inverse-CDF block scattered into a boolean
-    ``(count, space)`` membership matrix.
-    """
-    if count < 0:
-        raise ModelError(f"count must be non-negative, got {count}")
-    masks = np.zeros((count, space.size), dtype=bool)
-    if count and size:
-        demands = profile.sample(as_generator(rng), size=(count, size))
-        np.put_along_axis(masks, demands, True, axis=1)
-    return masks
-
-
-def _profile_demand_sequences(
-    profile: UsageProfile,
-    size: int,
-    count: int,
-    rng: SeedLike,
-) -> np.ndarray:
-    """``count`` i.i.d. profile-drawn suites of ``size`` as ordered sequences."""
-    if count < 0:
-        raise ModelError(f"count must be non-negative, got {count}")
-    if count == 0 or size == 0:
-        return np.empty((count, size), dtype=np.int64)
-    return np.asarray(
-        profile.sample(as_generator(rng), size=(count, size)), dtype=np.int64
-    )
-
-
 class SuiteGenerator(abc.ABC):
     """Abstract test-suite generation procedure over a demand space."""
 
@@ -216,7 +178,7 @@ class OperationalSuiteGenerator(SuiteGenerator):
 
     @property
     def profile(self) -> UsageProfile:
-        """The operational profile suites draw from."""
+        """The profile suites draw their demands from."""
         return self._profile
 
     @property
@@ -232,18 +194,32 @@ class OperationalSuiteGenerator(SuiteGenerator):
         return TestSuite(self._space, demands)
 
     def sample_demand_masks(self, count: int, rng: SeedLike = None) -> np.ndarray:
-        """All ``count`` suites in one ``(count, size)`` i.i.d. profile draw."""
-        return _profile_demand_masks(
-            self._profile, self._size, self._space, count, rng
-        )
+        """All ``count`` suites in one ``(count, size)`` i.i.d. profile draw,
+        scattered into a boolean ``(count, space)`` membership matrix."""
+        if count < 0:
+            raise ModelError(f"count must be non-negative, got {count}")
+        masks = np.zeros((count, self._space.size), dtype=bool)
+        if count and self._size:
+            demands = self._profile.sample(
+                as_generator(rng), size=(count, self._size)
+            )
+            np.put_along_axis(masks, demands, True, axis=1)
+        return masks
 
     def sample_demand_sequences(self, count: int, rng: SeedLike = None) -> np.ndarray:
         """All ``count`` suites as one ``(count, size)`` ordered block draw."""
-        return _profile_demand_sequences(self._profile, self._size, count, rng)
+        if count < 0:
+            raise ModelError(f"count must be non-negative, got {count}")
+        if count == 0 or self._size == 0:
+            return np.empty((count, self._size), dtype=np.int64)
+        return np.asarray(
+            self._profile.sample(as_generator(rng), size=(count, self._size)),
+            dtype=np.int64,
+        )
 
     def with_size(self, size: int) -> "OperationalSuiteGenerator":
-        """Same profile, different suite size — used by growth sweeps."""
-        return OperationalSuiteGenerator(self._profile, size)
+        """Same profile and type, different suite size — used by growth sweeps."""
+        return type(self)(self._profile, size)
 
 
 class WithoutReplacementGenerator(SuiteGenerator):
@@ -324,30 +300,23 @@ class PartitionCoverageGenerator(SuiteGenerator):
         return TestSuite(self._space, np.concatenate(picks))
 
 
-class WeightedDebugGenerator(SuiteGenerator):
+class WeightedDebugGenerator(OperationalSuiteGenerator):
     """Suites drawn from a debug profile distinct from the usage profile.
 
     "If debugging is targeted the test suite is generated according to what
     the debugger believes maximises the chances of finding faults" (§2).
-    The debug profile typically up-weights suspected failure regions.
+    The debug profile typically up-weights suspected failure regions.  The
+    draw is the operational one — ``size`` i.i.d. demands — with the debug
+    profile in place of ``Q``, so :attr:`profile` is the debug profile.
     """
 
     def __init__(self, debug_profile: UsageProfile, size: int) -> None:
-        super().__init__(debug_profile.space)
-        if size < 0:
-            raise ModelError(f"suite size must be >= 0, got {size}")
-        self._debug_profile = debug_profile
-        self._size = size
+        super().__init__(debug_profile, size)
 
     @property
     def debug_profile(self) -> UsageProfile:
         """The profile the debugger samples from (distinct from usage)."""
-        return self._debug_profile
-
-    @property
-    def size(self) -> int:
-        """Number of demands per generated suite."""
-        return self._size
+        return self._profile
 
     @classmethod
     def biased_towards(
@@ -364,23 +333,6 @@ class WeightedDebugGenerator(SuiteGenerator):
         hot = profile.space.validate_demands(hot_demands)
         weights[hot] *= boost
         return cls(UsageProfile.normalised(profile.space, weights), size)
-
-    def sample(self, rng: SeedLike = None) -> TestSuite:
-        generator = as_generator(rng)
-        if self._size == 0:
-            return TestSuite.empty(self._space)
-        demands = self._debug_profile.sample(generator, size=self._size)
-        return TestSuite(self._space, demands)
-
-    def sample_demand_masks(self, count: int, rng: SeedLike = None) -> np.ndarray:
-        """All ``count`` suites in one ``(count, size)`` debug-profile draw."""
-        return _profile_demand_masks(
-            self._debug_profile, self._size, self._space, count, rng
-        )
-
-    def sample_demand_sequences(self, count: int, rng: SeedLike = None) -> np.ndarray:
-        """All ``count`` suites as one ``(count, size)`` ordered block draw."""
-        return _profile_demand_sequences(self._debug_profile, self._size, count, rng)
 
 
 class ExhaustiveSuiteGenerator(SuiteGenerator):

@@ -154,3 +154,22 @@ class TestBackToBackEnvelope:
         assert (
             envelope.pessimistic_version_pfd <= envelope.untested_version_pfd
         )
+
+    def test_scalar_imperfect_fixing_is_seeded(
+        self, bernoulli_population, operational_generator, profile
+    ):
+        """Each comparator's fixing draws from its own child of the
+        replication stream, so a fixed seed gives one envelope."""
+        envelopes = [
+            back_to_back_envelope(
+                bernoulli_population,
+                operational_generator,
+                profile,
+                fixing=ImperfectFixing(0.5),
+                n_replications=200,
+                rng=9,
+                engine="scalar",
+            )
+            for _ in range(2)
+        ]
+        assert envelopes[0] == envelopes[1]

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import ForcedTestingDiversity, IndependentSuites, SameSuite
+from repro.core import (
+    ForcedTestingDiversity,
+    IndependentSuites,
+    SameSuite,
+    joint_failure_probability,
+)
 from repro.demand import DemandSpace, uniform_profile
 from repro.errors import IncompatibleSpaceError
 from repro.testing import OperationalSuiteGenerator
@@ -24,9 +29,9 @@ class TestSameSuite:
         self, bernoulli_population, enumerable_generator
     ):
         regime = SameSuite(enumerable_generator)
-        joint = regime.joint_per_demand(
-            bernoulli_population, bernoulli_population
-        )
+        joint = joint_failure_probability(
+            regime, bernoulli_population, bernoulli_population
+        ).joint
         # hand value from test_tested: E[xi(0,T)^2] = 0.125
         assert joint[0] == pytest.approx(0.125)
 
@@ -50,9 +55,9 @@ class TestIndependentSuites:
         self, bernoulli_population, enumerable_generator
     ):
         regime = IndependentSuites(enumerable_generator)
-        joint = regime.joint_per_demand(
-            bernoulli_population, bernoulli_population
-        )
+        joint = joint_failure_probability(
+            regime, bernoulli_population, bernoulli_population
+        ).joint
         assert joint[0] == pytest.approx(0.25**2)
 
 
@@ -80,9 +85,9 @@ class TestForcedTestingDiversity:
             space, [TestSuite.of(space, [4])], [1.0]
         )
         regime = ForcedTestingDiversity(enumerable_generator, other)
-        joint = regime.joint_per_demand(
-            bernoulli_population, bernoulli_population
-        )
+        joint = joint_failure_probability(
+            regime, bernoulli_population, bernoulli_population
+        ).joint
         from repro.core import TestedPopulationView
 
         zeta_a = TestedPopulationView(

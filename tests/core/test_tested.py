@@ -94,7 +94,6 @@ class TestSuiteMoments:
         view = TestedPopulationView(bernoulli_population, enumerable_generator)
         moments = view.suite_moments()
         assert moments.exact
-        assert moments.n_suites == 3
 
     def test_zeta_hand_value(self, bernoulli_population, enumerable_generator):
         """zeta(0): fault 0 (p=.5) survives unless suite {0} (prob .5) runs.
@@ -191,6 +190,105 @@ class TestCrossSuiteMoments:
         )
 
 
+class TestClosedFormDispatch:
+    """Bernoulli populations under i.i.d. profile-drawn suites integrate in
+    closed form; everything else keeps enumerating or sampling."""
+
+    def test_operational_matches_engine(self, universe, profile):
+        from repro.analytic import BernoulliExactEngine
+        from repro.testing import OperationalSuiteGenerator
+
+        generator = OperationalSuiteGenerator(profile, 4)
+        pop_a = BernoulliFaultPopulation(universe, [0.5, 0.25, 0.4])
+        pop_b = BernoulliFaultPopulation(universe, [0.2, 0.6, 0.0])
+        engine = BernoulliExactEngine(universe, profile)
+        moments = TestedPopulationView(pop_a, generator).suite_moments()
+        cross = cross_suite_moments(pop_a, pop_b, generator)
+        assert moments.exact and cross.exact
+        for actual, expected in [
+            (moments.zeta, engine.zeta(pop_a, 4)),
+            (moments.second_moment, engine.xi_second_moment(pop_a, 4)),
+            (cross.zeta_a, engine.zeta(pop_a, 4)),
+            (cross.zeta_b, engine.zeta(pop_b, 4)),
+            (cross.cross_moment, engine.xi_cross_moment(pop_a, pop_b, 4)),
+        ]:
+            np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
+
+    def test_debug_profile_matches_enumeration(self):
+        """A debug profile unlike the usage profile against every ordered
+        size-2 suite on a 4-demand space, weighted by the debug profile."""
+        import itertools
+
+        from repro.demand import DemandSpace, UsageProfile, uniform_profile
+        from repro.faults import FaultUniverse
+        from repro.testing import EnumerableSuiteGenerator, WeightedDebugGenerator
+
+        space = DemandSpace(4)
+        debug = UsageProfile(space, [0.1, 0.2, 0.3, 0.4])
+        assert not np.allclose(debug.probabilities, uniform_profile(space).probabilities)
+        universe = FaultUniverse.from_regions(space, [[0, 1], [1, 2], [3]])
+        pop_a = BernoulliFaultPopulation(universe, [0.5, 0.3, 0.8])
+        pop_b = BernoulliFaultPopulation(universe, [0.1, 0.7, 0.4])
+        generator = WeightedDebugGenerator(debug, 2)
+        pairs = list(itertools.product(range(4), repeat=2))
+        enumerated = EnumerableSuiteGenerator(
+            space,
+            [TestSuite.of(space, pair) for pair in pairs],
+            [debug.probabilities[i] * debug.probabilities[j] for i, j in pairs],
+        )
+        closed = TestedPopulationView(pop_a, generator).suite_moments()
+        truth = TestedPopulationView(pop_a, enumerated).suite_moments()
+        cross = cross_suite_moments(pop_a, pop_b, generator)
+        cross_truth = cross_suite_moments(pop_a, pop_b, enumerated)
+        assert closed.exact and cross.exact
+        for actual, expected in [
+            (closed.zeta, truth.zeta),
+            (closed.second_moment, truth.second_moment),
+            (cross.zeta_b, cross_truth.zeta_b),
+            (cross.cross_moment, cross_truth.cross_moment),
+        ]:
+            np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
+
+    def test_finite_population_is_sampled(self, finite_population, operational_generator):
+        moments = TestedPopulationView(
+            finite_population, operational_generator
+        ).suite_moments(n_suites=50, rng=0)
+        assert not moments.exact
+
+    def test_mixed_populations_are_sampled(
+        self, bernoulli_population, finite_population, operational_generator
+    ):
+        cross = cross_suite_moments(
+            bernoulli_population,
+            finite_population,
+            operational_generator,
+            n_suites=50,
+            rng=0,
+        )
+        assert not cross.exact
+
+    def test_cover_beyond_engine_limit_is_sampled(self, space, profile):
+        from repro.analytic import BernoulliExactEngine
+        from repro.analytic.bernoulli_exact import _MAX_COVER
+        from repro.faults import FaultUniverse
+        from repro.testing import OperationalSuiteGenerator
+
+        universe = FaultUniverse.from_regions(
+            space, [[0, 1 + index % 9] for index in range(_MAX_COVER + 1)]
+        )
+        population = BernoulliFaultPopulation(universe, [0.1] * len(universe))
+        generator = OperationalSuiteGenerator(profile, 2)
+        with pytest.raises(ModelError):
+            BernoulliExactEngine(universe, profile).zeta(population, 2)
+        moments = TestedPopulationView(population, generator).suite_moments(
+            n_suites=50, rng=0
+        )
+        cross = cross_suite_moments(
+            population, population, generator, n_suites=50, rng=0
+        )
+        assert not moments.exact and not cross.exact
+
+
 def _reference_moments(population_a, population_b, generator, n_suites, rng):
     """The per-suite loop the block kernel replaced: ``tested_difficulty``
     once per suite, accumulated suite by suite."""
@@ -219,7 +317,9 @@ def _reference_moments(population_a, population_b, generator, n_suites, rng):
 
 
 def _generators(space, profile):
-    from repro.testing import EnumerableSuiteGenerator, OperationalSuiteGenerator
+    """The sampled cases use a generator with no closed form, so they keep
+    exercising the block kernel against the per-suite loop."""
+    from repro.testing import EnumerableSuiteGenerator, WithoutReplacementGenerator
 
     enumerable = EnumerableSuiteGenerator(
         space,
@@ -233,10 +333,10 @@ def _generators(space, profile):
     )
     return {
         "enumerable": enumerable,
-        "sampled": OperationalSuiteGenerator(profile, 3),
-        "sampled-empty": OperationalSuiteGenerator(profile, 0),
+        "sampled": WithoutReplacementGenerator(profile, 3),
+        "sampled-empty": WithoutReplacementGenerator(profile, 0),
         # more suites than one kernel block, so blocks are merged
-        "sampled-large": OperationalSuiteGenerator(profile, 2),
+        "sampled-large": WithoutReplacementGenerator(profile, 2),
     }
 
 
