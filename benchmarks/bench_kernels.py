@@ -16,7 +16,7 @@ from repro.analytic import BernoulliExactEngine
 from repro.core import SameSuite, TestedPopulationView, marginal_system_pfd
 from repro.core.bounds import back_to_back_envelope
 from repro.demand import DemandSpace, uniform_profile
-from repro.faults import clustered_universe
+from repro.faults import FaultUniverse, clustered_universe
 from repro.mc import (
     apply_imperfect_testing_batch,
     apply_testing_batch,
@@ -25,6 +25,7 @@ from repro.mc import (
     simulate_marginal_system_pfd_batch,
 )
 from repro.populations import BernoulliFaultPopulation
+from repro.rng import inverse_cdf_indices
 from repro.testing import (
     BackToBackComparator,
     ImperfectFixing,
@@ -268,6 +269,84 @@ def test_kernel_e12_back_to_back_speedup(benchmark, imperfect_model):
 
 
 # ---------------------------------------------------------------------------
+# suite draw and exact subset walk (also recorded in BENCH_kernels.json)
+# ---------------------------------------------------------------------------
+
+SUITE_DRAW_BLOCK = (8192, 100)
+SUITE_DRAW_DEMANDS = 2000
+EXACT_WALK_COVER = 16
+
+
+def _binary_search(cdf, uniforms):
+    """The plain search-and-clamp the guide table replaced."""
+    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), len(cdf) - 1)
+
+
+def measure_suite_draw(repeats: int = 3) -> dict:
+    """Guided inverse-CDF suite draw vs plain ``np.searchsorted``, one block.
+
+    The block is ``SUITE_DRAW_BLOCK`` uniforms on a uniform profile over
+    ``SUITE_DRAW_DEMANDS`` demands; the gate asks for equal arrays and a
+    guided search at least 2x faster.
+    """
+    cdf = np.cumsum(uniform_profile(DemandSpace(SUITE_DRAW_DEMANDS)).probabilities)
+    uniforms = np.random.default_rng(11).random(SUITE_DRAW_BLOCK)
+    equal = bool(
+        np.array_equal(
+            inverse_cdf_indices(cdf, None, uniforms=uniforms),
+            _binary_search(cdf, uniforms),
+        )
+    )
+    guided = _best_of(
+        lambda: inverse_cdf_indices(cdf, None, uniforms=uniforms), repeats
+    )
+    plain = _best_of(lambda: _binary_search(cdf, uniforms), repeats)
+    speedup = plain / guided
+    return {
+        "block": list(SUITE_DRAW_BLOCK),
+        "n_demands": SUITE_DRAW_DEMANDS,
+        "searchsorted_seconds": round(plain, 6),
+        "guided_seconds": round(guided, 6),
+        "speedup": round(speedup, 2),
+        "equal": equal,
+        "gate_guided_speedup_ge_2": equal and speedup >= 2.0,
+    }
+
+
+def _wide_cover_model(n_faults: int):
+    """``n_faults`` faults all covering demand 0, each with one own demand."""
+    space = DemandSpace(200)
+    universe = FaultUniverse.from_regions(space, [[0, 1 + f] for f in range(n_faults)])
+    population = BernoulliFaultPopulation.uniform(universe, 0.3)
+    return universe, uniform_profile(space), population
+
+
+def measure_exact_walk(n_faults: int = EXACT_WALK_COVER, repeats: int = 3) -> dict:
+    """A fresh exact engine's ``ζ`` with one demand covered by ``n_faults``."""
+    universe, profile, population = _wide_cover_model(n_faults)
+    seconds = _best_of(
+        lambda: BernoulliExactEngine(universe, profile).zeta(population, 60), repeats
+    )
+    return {"cover": n_faults, "seconds": round(seconds, 6)}
+
+
+def test_kernel_guided_suite_draw_speedup():
+    """Acceptance check: the guided suite draw >= 2x plain searchsorted."""
+    record = measure_suite_draw(repeats=3)
+    assert record["equal"], record
+    assert record["speedup"] >= 2.0, record
+
+
+def test_kernel_exact_walk_wide_cover(benchmark):
+    universe, profile, population = _wide_cover_model(EXACT_WALK_COVER)
+    benchmark.pedantic(
+        lambda: BernoulliExactEngine(universe, profile).zeta(population, 60),
+        rounds=3,
+        iterations=1,
+    )
+
+
+# ---------------------------------------------------------------------------
 # compiled-kernel suite: numba njit vs the numpy twins (BENCH_kernels.json)
 # ---------------------------------------------------------------------------
 
@@ -368,6 +447,7 @@ def measure_compiled(n_replications: int = 20_000, repeats: int = 3) -> dict:
     record = {
         "suite": "compiled-kernels",
         "have_numba": k.HAVE_NUMBA,
+        "nproc": os.cpu_count(),
         "n_replications": n_replications,
         "kernels": kernels,
     }
@@ -383,7 +463,7 @@ def measure_compiled(n_replications: int = 20_000, repeats: int = 3) -> dict:
 
 
 def main(argv=None) -> int:
-    """Write the compiled-kernel record (``BENCH_kernels.json``)."""
+    """Write the kernel record (``BENCH_kernels.json``)."""
     import argparse
     import json
     import pathlib
@@ -395,13 +475,20 @@ def main(argv=None) -> int:
         "--smoke", action="store_true", help="smaller arrays, fewer repeats"
     )
     args = parser.parse_args(argv)
+    repeats = 2 if args.smoke else 3
     record = measure_compiled(
-        n_replications=4_000 if args.smoke else 20_000,
-        repeats=2 if args.smoke else 3,
+        n_replications=4_000 if args.smoke else 20_000, repeats=repeats
     )
+    record["suite_draw"] = measure_suite_draw(repeats)
+    record["exact_walk"] = measure_exact_walk(repeats=repeats)
     out = pathlib.Path(args.out)
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
+    draw = record["suite_draw"]
+    print(f"guided suite draw: {draw['speedup']:.2f}x searchsorted (gate: >= 2)")
+    if not draw["gate_guided_speedup_ge_2"]:
+        print("FAIL: guided suite draw gate (>= 2x, equal) not met", file=sys.stderr)
+        return 1
     if not record["have_numba"]:
         print(f"skipping speedup gate: {record['note']}")
         return 0

@@ -25,8 +25,11 @@ Three choices of ``c_f`` give every moment the paper's results need:
 * ``c_f = p_f^A + p_f^B − p_f^A p_f^B`` → ``E_T[ξ_A ξ_B]``          (eq. 21)
 
 (the last two via ``(1 − a Z)(1 − b Z) = 1 − (a + b − ab) Z`` for binary
-``Z``).  Cost is ``O(2^{|G_x|})`` per demand — exponential only in the
-number of faults covering a single demand, which generators keep small.
+``Z``).  Demands sharing a cover share every term, so the engine groups
+them by ``G_x`` and builds each distinct cover's ``2^k`` union masses
+``Q(R_H)`` once, with a ``k``-step subset-sum transform: ``O(k·2^k)`` per
+distinct cover of ``k`` faults, then ``O(2^k)`` per moment — exponential
+only in the number of faults covering a single demand.
 """
 
 from __future__ import annotations
@@ -70,11 +73,11 @@ class BernoulliExactEngine(object):
 
     Notes
     -----
-    The engine precomputes, per demand, the list of covering faults, and
-    evaluates the inclusion–exclusion sum with an explicit subset walk.
-    Demands covered by more than ``max_cover`` faults raise
-    :class:`ModelError` — reformulate the model (fewer overlapping faults)
-    or use Monte Carlo for such structures.
+    The engine groups demands by cover and caches each distinct cover's
+    ``1 − Q(R_H)`` for every ``H`` (see the module docstring).  Demands
+    covered by more than ``max_cover`` faults with non-zero coefficients
+    raise :class:`ModelError` — reformulate the model (fewer overlapping
+    faults) or use Monte Carlo for such structures.
     """
 
     def __init__(
@@ -87,12 +90,9 @@ class BernoulliExactEngine(object):
         self._universe = universe
         self._profile = profile
         self._max_cover = max_cover
-        coverage = universe.coverage
-        self._covers = [
-            np.flatnonzero(coverage[:, x]).astype(np.int64)
-            for x in range(universe.space.size)
-        ]
-        self._region_masks = coverage.copy()
+        # non-zero pattern -> [(demands, cover, 1 − Q(R_H) for every H ⊆ cover)],
+        # which depends on neither the coefficients' values nor on ``n``
+        self._groups: dict = {}
 
     @property
     def universe(self) -> FaultUniverse:
@@ -107,43 +107,60 @@ class BernoulliExactEngine(object):
     def _expected_product(
         self, coefficients: np.ndarray, n_tests: int
     ) -> np.ndarray:
-        """``E_T[Π_{f∈G_x}(1 − c_f Z_f)]`` per demand, for coefficient vector ``c``.
+        """``E_T[Π_{f∈G_x}(1 − c_f Z_f)]`` per demand, for coefficients ``c``.
 
-        Faults with zero coefficient are skipped (their factor is 1).
+        Faults with zero coefficient are skipped (their factor is 1).  Per
+        distinct cover: the signed products ``Π_{f∈H}(−c_f)``, built by
+        doubling, dotted with ``(1 − Q(R_H))ⁿ``.
         """
         if n_tests < 0:
             raise ModelError(f"n_tests must be >= 0, got {n_tests}")
-        size = self._universe.space.size
-        probs = self._profile.probabilities
-        out = np.ones(size, dtype=np.float64)
-        for x in range(size):
-            cover = self._covers[x]
-            cover = cover[coefficients[cover] != 0.0]
-            k = cover.size
-            if k == 0:
-                continue
-            if k > self._max_cover:
+        out = np.ones(self._universe.space.size, dtype=np.float64)
+        for demands, cover, miss_base in self._cover_groups(coefficients != 0.0):
+            signed = np.ones(1 << len(cover), dtype=np.float64)
+            for i, fault in enumerate(cover):
+                signed[1 << i : 2 << i] = signed[: 1 << i] * -coefficients[fault]
+            out[demands] = signed @ miss_base**n_tests
+        return out
+
+    def _cover_groups(self, nonzero: np.ndarray) -> list:
+        """Demands grouped by their cover among the ``nonzero`` faults."""
+        key = nonzero.tobytes()
+        if key not in self._groups:
+            cover_matrix = self._universe.coverage & nonzero[:, None]
+            sizes = cover_matrix.sum(axis=0)
+            if sizes.size and sizes.max() > self._max_cover:
+                x = int(np.argmax(sizes > self._max_cover))
                 raise ModelError(
-                    f"demand {x} is covered by {k} faults with non-zero "
+                    f"demand {x} is covered by {sizes[x]} faults with non-zero "
                     f"coefficients; exceeds max_cover={self._max_cover}"
                 )
-            masks = self._region_masks[cover]
-            coeffs = coefficients[cover]
-            total = 0.0
-            for bits in range(1 << k):
-                if bits == 0:
-                    total += 1.0
-                    continue
-                chosen = [i for i in range(k) if bits >> i & 1]
-                union = masks[chosen[0]].copy()
-                sign_coeff = -coeffs[chosen[0]]
-                for i in chosen[1:]:
-                    union |= masks[i]
-                    sign_coeff *= -coeffs[i]
-                miss = (1.0 - float(probs[union].sum())) ** n_tests
-                total += sign_coeff * miss
-            out[x] = total
-        return out
+            demands_of: dict = {}
+            for x in np.flatnonzero(sizes):
+                cover = tuple(np.flatnonzero(cover_matrix[:, x]))
+                demands_of.setdefault(cover, []).append(x)
+            self._groups[key] = [
+                (np.array(demands), cover, self._miss_base(cover))
+                for cover, demands in demands_of.items()
+            ]
+        return self._groups[key]
+
+    def _miss_base(self, cover: tuple) -> np.ndarray:
+        """``1 − Q(R_H)`` for every ``H ⊆ cover`` (bit ``i`` ↔ ``cover[i]``)."""
+        k = len(cover)
+        rows = self._universe.coverage[list(cover)]
+        support = rows.any(axis=0)
+        # mass[s]: the mass of the demands covered by exactly the faults in s
+        mass = np.bincount(
+            (1 << np.arange(k)) @ rows[:, support],
+            weights=self._profile.probabilities[support],
+            minlength=1 << k,
+        )
+        for i in range(k):  # subset-sum (zeta) transform: Σ_{s ⊆ t} mass[s]
+            view = mass.reshape(-1, 2, 1 << i)
+            view[:, 1, :] += view[:, 0, :]
+        # H misses exactly the support demands whose faults lie in ~H
+        return 1.0 - (mass[-1] - mass[::-1])
 
     # ------------------------------------------------------------------
     # per-demand moments

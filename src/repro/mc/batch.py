@@ -293,10 +293,16 @@ def apply_imperfect_testing_batch(
     if detection_probability >= 1.0:
         detecting = counts
     else:
-        detecting = generator.binomial(counts, detection_probability)
+        # binomial(0, p) is 0 and consumes no randomness, so drawing only
+        # the non-zero entries (in C order) leaves the stream bit-identical
+        detecting = np.zeros(counts.shape, dtype=np.int64)
+        occurring = np.flatnonzero(counts)
+        detecting.flat[occurring] = generator.binomial(
+            counts.ravel()[occurring], detection_probability
+        )
     # chances[r, f] = number of detecting occurrences covering fault f;
     # float64 matmul routes through BLAS and is exact for realistic counts
-    chances = detecting.astype(np.float64) @ universe.coverage.T.astype(np.float64)
+    chances = detecting.astype(np.float64) @ universe._coverage_float().T
     if fix_probability >= 1.0:
         # 0 ** 0 == 1: untouched faults survive, any chance removes
         return fault_matrix & (chances < 0.5)
@@ -334,7 +340,7 @@ def apply_coverage_testing_batch(
     if not len(universe):
         return fault_matrix.copy()
     generator = as_generator(rng)
-    chances = counts.astype(np.float64) @ universe.coverage.T.astype(np.float64)
+    chances = counts.astype(np.float64) @ universe._coverage_float().T
     # 0 ** 0 == 1: an untouched fault always survives, a q_f == 1 fault
     # is removed by its first chance
     survival = (1.0 - probs[None, :]) ** chances

@@ -59,16 +59,42 @@ def inverse_cdf_indices(cdf: np.ndarray, rng: SeedLike, size=None, uniforms=None
     kernel shares one uniform block between a ``u`` / ``1 − u`` pair while
     keeping this single definition of the search-and-clamp.
     """
-    last = len(cdf) - 1
     if uniforms is not None:
-        indices = np.searchsorted(cdf, np.asarray(uniforms), side="right")
-        return np.minimum(indices, last).astype(np.int64)
+        return _guided_search(cdf, np.asarray(uniforms))
     generator = as_generator(rng)
     if size is None:
         index = int(np.searchsorted(cdf, generator.random(), side="right"))
-        return min(index, last)
-    indices = np.searchsorted(cdf, generator.random(size), side="right")
-    return np.minimum(indices, last).astype(np.int64)
+        return min(index, len(cdf) - 1)
+    return _guided_search(cdf, generator.random(size))
+
+
+# widest bucket span the guide table serves; more skewed profiles bisect
+_MAX_GUIDE_STEPS = 8
+
+
+def _guided_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``min(searchsorted(cdf, u, "right"), len(cdf) − 1)``, ``u`` in [0, 1].
+
+    A bit-identical guide-table search (Chen & Asau 1974), ``K = 4·len(cdf)``
+    buckets.  Bucket ``c`` starts at the count of entries ``<= (c − 1)/K``,
+    one below ``floor(u·K)`` because rounding in ``u·K`` overshoots by at
+    most one; the table's widest span of vectorized forward steps then
+    finishes every lookup.  Blocks smaller than the table keep the binary
+    search.
+    """
+    buckets = 4 * len(cdf)
+    if u.size >= buckets:
+        edges = (np.arange(buckets + 3) - 1.0) / buckets
+        start = np.searchsorted(cdf, edges, side="right")
+        steps = int((start[2:] - start[:-2]).max())
+        if steps <= _MAX_GUIDE_STEPS:
+            padded = np.append(cdf, np.inf)
+            indices = start[(u * buckets).astype(np.intp)]
+            for _ in range(steps):
+                indices += padded[indices] <= u
+            return np.minimum(indices, len(cdf) - 1).astype(np.int64)
+    indices = np.searchsorted(cdf, u, side="right")
+    return np.minimum(indices, len(cdf) - 1).astype(np.int64)
 
 
 def spawn(rng: np.random.Generator) -> np.random.Generator:

@@ -25,6 +25,7 @@ from repro.demand import DemandSpace, uniform_profile, zipf_profile
 from repro.errors import ModelError
 from repro.faults import clustered_universe
 from repro.mc import (
+    apply_coverage_testing_batch,
     apply_imperfect_testing_batch,
     apply_testing_batch,
     back_to_back_batch,
@@ -153,6 +154,45 @@ def test_dead_oracle_leaves_blocks_unchanged(model):
     counts = generator.sample_demand_counts(100, rng=9)
     after = apply_imperfect_testing_batch(faults, counts, universe, 0.0, 1.0, rng=10)
     assert np.array_equal(after, faults)
+
+
+def _dense_imperfect_closure(faults, counts, universe, detect, fix, generator):
+    """The §4.1 closure drawing a binomial at every ``(r, x)``, zeros included."""
+    detecting = generator.binomial(counts, detect)
+    chances = detecting.astype(np.float64) @ universe.coverage.T.astype(np.float64)
+    if fix >= 1.0:
+        return faults & (chances < 0.5)
+    return faults & (generator.random(faults.shape) < (1.0 - fix) ** chances)
+
+
+@pytest.mark.parametrize("fix", [1.0, 0.5])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_imperfect_kernel_draws_the_dense_stream(model, fix, layout):
+    """Binomials drawn only at non-zero counts give the dense draw's
+    detections and leave the generator in the dense draw's state."""
+    _space, _profile, universe, population, generator = model
+    faults = population.sample_fault_matrix(300, rng=11)
+    counts = np.asarray(generator.sample_demand_counts(300, rng=12), order=layout)
+    assert 0 < np.count_nonzero(counts) < counts.size
+    dense, sparse = np.random.default_rng(13), np.random.default_rng(13)
+    expected = _dense_imperfect_closure(faults, counts, universe, 0.6, fix, dense)
+    after = apply_imperfect_testing_batch(
+        faults, counts, universe, 0.6, fix, rng=sparse
+    )
+    assert np.array_equal(after, expected)
+    assert sparse.random() == dense.random()
+
+
+def test_coverage_kernel_matches_its_closed_form(model):
+    _space, _profile, universe, population, generator = model
+    faults = population.sample_fault_matrix(200, rng=14)
+    counts = generator.sample_demand_counts(200, rng=15)
+    probs = np.linspace(0.1, 0.9, len(universe))
+    chances = counts.astype(np.float64) @ universe.coverage.T.astype(np.float64)
+    reference = np.random.default_rng(16)
+    expected = faults & (reference.random(faults.shape) < (1.0 - probs) ** chances)
+    after = apply_coverage_testing_batch(faults, counts, universe, probs, rng=16)
+    assert np.array_equal(after, expected)
 
 
 def test_exhaustive_perfect_rates_remove_everything(model):

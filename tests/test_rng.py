@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.rng
 from repro.rng import (
     as_generator,
     counter_generator,
@@ -40,6 +43,85 @@ class TestInverseCdfIndices:
         np.testing.assert_array_equal(
             inverse_cdf_indices(cdf, 9, 50), inverse_cdf_indices(cdf, 9, 50)
         )
+
+
+def _binary_search(cdf, u):
+    """The plain search-and-clamp the guide table must reproduce bit for bit."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+@st.composite
+def profile_cdfs(draw):
+    """CDFs of uniform, Zipf, heavy-head and random profiles, with zero-mass
+    demands and a last entry that may sit a hair below 1."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["uniform", "zipf", "heavy-head", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        weights = np.ones(n)
+    elif kind == "zipf":
+        weights = np.arange(1, n + 1) ** -draw(st.floats(0.5, 2.5))
+    elif kind == "heavy-head":
+        weights = np.full(n, 1e-4)
+        weights[0] = 1.0
+    else:
+        weights = rng.random(n)
+    weights[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = 0.0
+    if not weights.any():
+        weights[-1] = 1.0
+    cdf = np.cumsum(weights / weights.sum())
+    return cdf * (1.0 - draw(st.sampled_from([0.0, 2**-52, 1e-12, 1e-9])))
+
+
+def _hard_uniforms(cdf, rng):
+    """CDF values, bucket edges, one ulp either side of both, 0.0 and 1.0,
+    padded with random draws to at least the guide table's size."""
+    buckets = 4 * len(cdf)
+    points = np.concatenate([cdf, np.arange(buckets + 1) / buckets])
+    special = np.concatenate(
+        [points, np.nextafter(points, -1.0), np.nextafter(points, 2.0), [0.0, 1.0]]
+    )
+    special = special[(special >= 0.0) & (special <= 1.0)]
+    uniforms = np.concatenate([special, rng.random(buckets)])
+    rng.shuffle(uniforms)
+    return uniforms
+
+
+class TestGuidedSearch:
+    """The guide-table search equals the plain binary search bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cdf=profile_cdfs(),
+        seed=st.integers(0, 2**32 - 1),
+        columns=st.sampled_from([None, 2, 7]),
+        max_steps=st.sampled_from([None, 10**9]),
+    )
+    def test_equals_binary_search(self, cdf, seed, columns, max_steps):
+        uniforms = _hard_uniforms(cdf, np.random.default_rng(seed))
+        if columns is not None:
+            uniforms = uniforms[: uniforms.size // columns * columns]
+            uniforms = uniforms.reshape(-1, columns)
+        with pytest.MonkeyPatch.context() as patch:
+            # an unbounded step cap forces the table onto skewed profiles too
+            if max_steps is not None:
+                patch.setattr(repro.rng, "_MAX_GUIDE_STEPS", max_steps)
+            indices = inverse_cdf_indices(cdf, None, uniforms=uniforms)
+        assert indices.dtype == np.int64
+        assert indices.shape == uniforms.shape
+        np.testing.assert_array_equal(indices, _binary_search(cdf, uniforms))
+
+    @pytest.mark.parametrize("size", [3, 4000, (500, 9)])
+    def test_seeded_blocks_match_binary_search(self, size):
+        cdf = np.cumsum(np.full(100, 0.01))
+        expected = _binary_search(cdf, np.random.default_rng(5).random(size))
+        np.testing.assert_array_equal(inverse_cdf_indices(cdf, 5, size), expected)
+
+    def test_antithetic_one_maps_to_last_demand(self):
+        cdf = np.cumsum(np.full(10, 0.1))
+        uniforms = np.ones(100)
+        indices = inverse_cdf_indices(cdf, None, uniforms=uniforms)
+        np.testing.assert_array_equal(indices, np.full(100, 9))
 
 
 class TestAsGenerator:

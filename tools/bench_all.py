@@ -20,7 +20,9 @@ Five suites, selectable with ``--suites`` (default: all):
 * **kernels** — the compiled backend (``benchmarks/bench_kernels.py``):
   njit scored kernels vs their numpy reference twins, with a >= 5x
   speedup gate when numba is installed (the record states honestly when
-  it is not and no gate applies);
+  it is not and no gate applies); plus the guided inverse-CDF suite draw
+  vs plain ``np.searchsorted`` (>= 2x and equal arrays, on every host)
+  and the exact engine's time on a 16-fault cover;
 * **localization** — the SBFL localized-growth workload
   (``benchmarks/bench_localization.py``): vectorized counter-RNG rounds
   vs the per-replication reference path, with a >= 10x speedup gate
@@ -36,8 +38,8 @@ Five suites, selectable with ``--suites`` (default: all):
     PYTHONPATH=src python tools/bench_all.py --suites localization
 
 Exit status is non-zero when any gate fails (VR speedup < 1, warm
-speedup < 50x, or broken coalescing — the same gates CI enforces), so
-the files are only written from healthy runs.
+speedup < 50x, guided suite draw < 2x, or broken coalescing — the same
+gates CI enforces), so the files are only written from healthy runs.
 """
 
 from __future__ import annotations
