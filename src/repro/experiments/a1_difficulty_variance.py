@@ -10,7 +10,7 @@ the worse becomes the problem".
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv
 
 from ..core import ELModel
 from ..demand import DemandSpace, uniform_profile
@@ -37,7 +37,7 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
     for k in concentrations:
         alpha = k * mean_difficulty
         beta = k * (1.0 - mean_difficulty)
-        theta = stats.beta.ppf(quantiles, alpha, beta)
+        theta = betaincinv(alpha, beta, quantiles)
         model = ELModel.from_difficulty(theta, profile)
         penalty = model.independence_excess_ratio()
         penalties.append(penalty)

@@ -14,8 +14,9 @@ this library models:
   ``(1 − p)^n ≤ 1 − c``);
 * **conservative Bayesian bound** — with a ``Beta(a, b)`` prior on the pfd
   and ``n`` failure-free demands, the posterior is ``Beta(a, b + n)`` and
-  the bound is its ``c``-quantile.  ``a = b = 1`` (uniform prior) is the
-  textbook conservative choice.
+  the bound is its ``c``-quantile (``scipy.special.betaincinv``, imported
+  on first use).  ``a = b = 1`` (uniform prior) is the textbook
+  conservative choice.
 
 These connect the library's suite-size axis to the reliability targets a
 tester would actually contract for.
@@ -25,9 +26,8 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
-
 from ..errors import ModelError, ProbabilityError
+from ..mc.estimator import _z_value
 
 __all__ = [
     "classical_pfd_upper_bound",
@@ -85,9 +85,9 @@ def bayes_pfd_upper_bound(
         )
     if prior_a <= 0 or prior_b <= 0:
         raise ModelError("Beta prior parameters must be positive")
-    return float(
-        stats.beta.ppf(confidence, prior_a, prior_b + n_failure_free)
-    )
+    from scipy.special import betaincinv
+
+    return float(betaincinv(prior_a, prior_b + n_failure_free, confidence))
 
 
 def tests_needed_for_target(target_pfd: float, confidence: float) -> int:
@@ -132,5 +132,5 @@ def replications_for_half_width(
         return 1
     if math.isinf(std):
         raise ModelError("std must be finite")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = _z_value(confidence)
     return max(1, int(math.ceil((z * std / half_width) ** 2)))

@@ -4,17 +4,18 @@
 on x?") uses the Wilson score interval, which behaves sensibly at the very
 small probabilities typical of reliability work.  :class:`MeanEstimator`
 (bounded real outcomes — per-replication system pfd) uses Welford's online
-algorithm with a normal-approximation interval.
+algorithm with a normal-approximation interval.  Both take their normal
+quantile from :class:`statistics.NormalDist`, so this module needs no scipy.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ModelError
 
@@ -24,7 +25,7 @@ __all__ = ["ProportionEstimator", "MeanEstimator"]
 def _z_value(confidence: float) -> float:
     if not 0.0 < confidence < 1.0:
         raise ModelError(f"confidence must be in (0, 1), got {confidence}")
-    return float(stats.norm.ppf(0.5 + confidence / 2.0))
+    return statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 class ProportionEstimator(object):
