@@ -40,6 +40,7 @@ import numpy as np
 
 from ..demand import UsageProfile
 from ..errors import ModelError
+from ..faults.universe import coverage_hits
 from ..rng import counter_key, counter_uniforms, inverse_cdf_indices
 from ..types import SeedLike
 from .components import ComponentModel
@@ -86,9 +87,7 @@ def _row_pfd(faults: np.ndarray, coverage: np.ndarray, probabilities):
     reduction a function of the demand count alone, so results cannot
     drift with the replication batch shape (chunk size).
     """
-    failed = (
-        faults.astype(np.float64) @ coverage.astype(np.float64) > 0.5
-    )
+    failed = coverage_hits(faults, coverage)
     return (failed * probabilities[None, :]).sum(axis=1)
 
 
@@ -165,9 +164,7 @@ def _chunk_localized_growth(spec: dict, task: Tuple[int, int]):
             detected = contrib.any(axis=1)
             # the inspection walk stops at the first component (in policy
             # order) holding a detected fault — the round's repair site
-            repairable = (
-                detected.astype(np.float64) @ one_hot(assignment, n_comp)
-            ) > 0.5
+            repairable = coverage_hits(detected, one_hot(assignment, n_comp))
             if policy == "sbfl":
                 scores = suspiciousness(
                     metric, *spectrum_counts(failing, covered)
@@ -207,9 +204,7 @@ def _chunk_localized_growth(spec: dict, task: Tuple[int, int]):
                 if contrib.any():
                     failing[test] = True
                     detected |= contrib
-            repairable = (
-                detected.astype(np.float64) @ one_hot(assignment, n_comp)
-            ) > 0.5
+            repairable = coverage_hits(detected, one_hot(assignment, n_comp))
             if policy == "sbfl":
                 scores = suspiciousness(
                     metric, *spectrum_counts(failing, covered)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ModelError, ProbabilityError
-from .universe import FaultUniverse
+from .universe import FaultUniverse, coverage_hits
 
 __all__ = [
     "difficulty_from_bernoulli",
@@ -70,7 +70,7 @@ def tested_difficulty_matrix(
     coverage = universe._coverage_float()
     xi = 1.0 - np.exp((survive * log_miss) @ coverage)
     if certain.any():
-        forced = (survive[:, certain] @ coverage[certain]) > 0.5
+        forced = coverage_hits(survive[:, certain], coverage[certain])
         xi = np.where(forced, 1.0, xi)
     return np.clip(xi, 0.0, 1.0)
 

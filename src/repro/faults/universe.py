@@ -22,6 +22,15 @@ from .fault import Fault
 __all__ = ["FaultUniverse"]
 
 
+def coverage_hits(rows: np.ndarray, coverage: np.ndarray) -> np.ndarray:
+    """Boolean ``rows @ coverage > 0`` for 0/1 operands, on float32 BLAS.
+
+    Exact at any size: each entry sums 0/1 terms, and a float32 sum of
+    non-negative terms is positive iff one of them is.
+    """
+    return rows.astype(np.float32) @ coverage.astype(np.float32, copy=False) > 0.5
+
+
 @dataclass(frozen=True)
 class FaultUniverse:
     """An immutable, indexed collection of faults over one demand space.
@@ -39,8 +48,8 @@ class FaultUniverse:
     space: DemandSpace
     faults: tuple
     _coverage: np.ndarray = field(init=False, repr=False, compare=False)
-    _coverage_f64: np.ndarray | None = field(
-        init=False, repr=False, compare=False, default=None
+    _coverage_casts: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
     )
 
     def __post_init__(self) -> None:
@@ -113,18 +122,18 @@ class FaultUniverse:
         hit = self._coverage[:, demands].any(axis=1)
         return np.flatnonzero(hit).astype(np.int64)
 
-    def _coverage_float(self) -> np.ndarray:
-        """Float64 view of the coverage matrix, cached for the batch kernels.
+    def _coverage_float(self, dtype=np.float64) -> np.ndarray:
+        """Float copy of the coverage matrix, cached per dtype.
 
-        Chunked batch runs call :meth:`triggered_matrix` /
-        :meth:`failure_matrix` once per chunk; converting the fixed coverage
-        matrix each time would be pure repeated work.
+        Chunked batch runs take one coverage product per chunk; converting
+        the fixed matrix each time would be pure repeated work.  The 0/1
+        products use float32 (:func:`coverage_hits`); the real-valued
+        log-space ξ product needs float64.
         """
-        if self._coverage_f64 is None:
-            object.__setattr__(
-                self, "_coverage_f64", self._coverage.astype(np.float64)
-            )
-        return self._coverage_f64
+        cast = self._coverage_casts.get(dtype)
+        if cast is None:
+            cast = self._coverage_casts[dtype] = self._coverage.astype(dtype)
+        return cast
 
     def triggered_matrix(self, suite_masks: np.ndarray) -> np.ndarray:
         """Batched :meth:`triggered_by`: which faults each suite triggers.
@@ -150,10 +159,7 @@ class FaultUniverse:
             )
         if not len(self.faults):
             return np.zeros((masks.shape[0], 0), dtype=bool)
-        # float matmul routes through BLAS, which is far faster than any
-        # boolean reduction over the (suites, faults, demands) cube.
-        hits = masks.astype(np.float64) @ self._coverage_float().T
-        return hits > 0.5
+        return coverage_hits(masks, self._coverage_float(np.float32).T)
 
     def failure_matrix(self, presence: np.ndarray) -> np.ndarray:
         """Per-version failure masks from a batch of fault-presence rows.
@@ -178,8 +184,7 @@ class FaultUniverse:
             )
         if not len(self.faults):
             return np.zeros((rows.shape[0], self.space.size), dtype=bool)
-        hits = rows.astype(np.float64) @ self._coverage_float()
-        return hits > 0.5
+        return coverage_hits(rows, self._coverage_float(np.float32))
 
     def surviving(self, demands: Sequence[int] | np.ndarray) -> np.ndarray:
         """Identifiers of faults *not* triggered by the given demands."""

@@ -260,6 +260,21 @@ def _count_block(fault_matrix, suite_counts, universe):
     return fault_matrix, counts
 
 
+def _chance_dtype(counts: np.ndarray):
+    """float32 while every row of ``counts`` totals below 2**24, else float64.
+
+    Each chance count and its partial BLAS sums are integers no larger than
+    the row total, so below that bound float32 holds them all exactly.
+    """
+    return np.float32 if counts.sum(axis=1).max(initial=0) < 1 << 24 else np.float64
+
+
+def _chance_counts(block: np.ndarray, universe, dtype) -> np.ndarray:
+    """Exact float64 ``block @ coverage.T``: covering occurrences per fault."""
+    product = block.astype(dtype, copy=False) @ universe._coverage_float(dtype).T
+    return product.astype(np.float64, copy=False)
+
+
 def apply_imperfect_testing_batch(
     fault_matrix: np.ndarray,
     suite_counts: np.ndarray,
@@ -290,19 +305,20 @@ def apply_imperfect_testing_batch(
     if not len(universe):
         return fault_matrix.copy()
     generator = as_generator(rng)
+    dtype = _chance_dtype(counts)
     if detection_probability >= 1.0:
         detecting = counts
     else:
         # binomial(0, p) is 0 and consumes no randomness, so drawing only
-        # the non-zero entries (in C order) leaves the stream bit-identical
-        detecting = np.zeros(counts.shape, dtype=np.int64)
-        occurring = np.flatnonzero(counts)
+        # the non-zero entries (in C order) leaves the stream bit-identical;
+        # a boolean mask finds them faster than an int64 scan
+        detecting = np.zeros(counts.shape, dtype=dtype)
+        occurring = np.flatnonzero(counts != 0)
         detecting.flat[occurring] = generator.binomial(
             counts.ravel()[occurring], detection_probability
         )
-    # chances[r, f] = number of detecting occurrences covering fault f;
-    # float64 matmul routes through BLAS and is exact for realistic counts
-    chances = detecting.astype(np.float64) @ universe._coverage_float().T
+    # chances[r, f] = number of detecting occurrences covering fault f
+    chances = _chance_counts(detecting, universe, dtype)
     if fix_probability >= 1.0:
         # 0 ** 0 == 1: untouched faults survive, any chance removes
         return fault_matrix & (chances < 0.5)
@@ -340,7 +356,7 @@ def apply_coverage_testing_batch(
     if not len(universe):
         return fault_matrix.copy()
     generator = as_generator(rng)
-    chances = counts.astype(np.float64) @ universe._coverage_float().T
+    chances = _chance_counts(counts, universe, _chance_dtype(counts))
     # 0 ** 0 == 1: an untouched fault always survives, a q_f == 1 fault
     # is removed by its first chance
     survival = (1.0 - probs[None, :]) ** chances
