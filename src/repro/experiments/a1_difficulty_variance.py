@@ -9,35 +9,43 @@ the worse becomes the problem".
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.special import betaincinv
 
 from ..core import ELModel
 from ..demand import DemandSpace, uniform_profile
+from ..extensions.stopping import _beta_quantile
 from .base import Claim, ExperimentResult
 from .registry import register
+
+_CONCENTRATIONS = (2000.0, 50.0, 10.0, 2.0, 0.5)
+_MEAN_DIFFICULTY = 0.2
+
+
+@functools.lru_cache(maxsize=None)
+def _difficulty_grids(n_demands: int) -> tuple:
+    """Each concentration's θ: Beta(k·mu, k·(1−mu)) quantiles (mean mu,
+    variance falling in k) at the demand midpoints, so the sweep is smooth
+    and exact.  Computed once per ``n_demands``; shared, so read-only."""
+    quantiles = (np.arange(n_demands) + 0.5) / n_demands
+    grids = tuple(
+        _beta_quantile(k * _MEAN_DIFFICULTY, k * (1.0 - _MEAN_DIFFICULTY), quantiles)
+        for k in _CONCENTRATIONS
+    )
+    for theta in grids:
+        theta.flags.writeable = False
+    return grids
 
 
 @register("a1")
 def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
     """Run A1 and return its result table and claims."""
     n_demands = 500 if fast else 5000
-    mean_difficulty = 0.2
-    space = DemandSpace(n_demands)
-    profile = uniform_profile(space)
-    rng = np.random.default_rng(seed)
-
-    # Beta(k*mu, k*(1-mu)) has mean mu for every concentration k; small k
-    # means high variance.  Use equally spaced quantiles rather than random
-    # draws so the sweep is smooth and exactly reproducible.
-    concentrations = [2000.0, 50.0, 10.0, 2.0, 0.5]
-    quantiles = (np.arange(n_demands) + 0.5) / n_demands
+    profile = uniform_profile(DemandSpace(n_demands))
     rows = []
     penalties = []
-    for k in concentrations:
-        alpha = k * mean_difficulty
-        beta = k * (1.0 - mean_difficulty)
-        theta = betaincinv(alpha, beta, quantiles)
+    for k, theta in zip(_CONCENTRATIONS, _difficulty_grids(n_demands)):
         model = ELModel.from_difficulty(theta, profile)
         penalty = model.independence_excess_ratio()
         penalties.append(penalty)
@@ -54,7 +62,7 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
     claims = [
         Claim(
             "mean difficulty held constant across the sweep",
-            all(abs(row[1] - mean_difficulty) < 0.01 for row in rows),
+            all(abs(row[1] - _MEAN_DIFFICULTY) < 0.01 for row in rows),
         ),
         Claim(
             "the relative penalty Var/E^2 increases monotonically as the "
@@ -74,10 +82,10 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
         Claim(
             "the penalty stays below the Bernoulli ceiling (1-mu)/mu",
             all(
-                p <= (1.0 - mean_difficulty) / mean_difficulty + 1e-9
+                p <= (1.0 - _MEAN_DIFFICULTY) / _MEAN_DIFFICULTY + 1e-9
                 for p in penalties
             ),
-            f"ceiling = {(1.0 - mean_difficulty) / mean_difficulty:.3f}",
+            f"ceiling = {(1.0 - _MEAN_DIFFICULTY) / _MEAN_DIFFICULTY:.3f}",
         ),
     ]
     return ExperimentResult(

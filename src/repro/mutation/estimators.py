@@ -23,7 +23,8 @@ Three layers:
 
 Everything here is order-invariant: permuting the mutants permutes
 ``weights`` but leaves ``alpha``, the sorted shares, the mutation score
-and every pmf unchanged.
+and every pmf unchanged.  The 1-D fit runs :func:`_minimize_bounded`, a
+bit-exact port of scipy's bounded Brent minimiser, so no scipy is needed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ..errors import ModelError
 
@@ -97,6 +97,50 @@ class DetectionData:
             n_tests=int(n_tests),
             labels=tuple(o.mutant_id for o in outcomes),
         )
+
+
+def _minimize_bounded(func, lower: float, upper: float) -> Tuple[float, float]:
+    """``(x, func(x))`` at the minimum of ``func`` on ``[lower, upper]``.
+
+    A line-for-line port of scipy's ``minimize_scalar(method="bounded")``
+    (Brent, ``xatol=1e-5``, ``maxiter=500``): every floating-point
+    operation runs in scipy's order, so the result is scipy's to the bit.
+    """
+    xatol, maxiter = 1e-5, 500
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    a, b, rat, e, num = lower, upper, 0.0, 0.0, 1
+    nfc = xf = fulc = a + golden_mean * (b - a)
+    ffulc = fnfc = fx = func(xf)
+    while True:
+        xm, tol1 = 0.5 * (a + b), sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > (tol2 - 0.5 * (b - a)) or num >= maxiter:
+            return xf, fx
+        golden = abs(e) <= tol1
+        if not golden:  # try a parabolic step
+            r, q = (xf - nfc) * (fx - ffulc), (xf - fulc) * (fx - fnfc)
+            p, q = (xf - fulc) * q - (xf - nfc) * r, 2.0 * (q - r)
+            p, q, r, e = (-p if q > 0.0 else p), abs(q), e, rat
+            golden = not (abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf))
+            if not golden:
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu, num = func(x), num + 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
 
 
 def _zipf_shares(alpha: float, m: int) -> np.ndarray:
@@ -278,14 +322,10 @@ def fit_size_biased_multinomial(data: DetectionData) -> SizeBiasedMultinomialFit
     if m == 1:
         alpha, loglik = 0.0, 0.0
     else:
-        result = minimize_scalar(
-            _zipf_negative_loglik,
-            bounds=_ALPHA_BOUNDS,
-            args=(sorted_counts,),
-            method="bounded",
+        alpha, fun = _minimize_bounded(
+            lambda a: _zipf_negative_loglik(a, sorted_counts), *_ALPHA_BOUNDS
         )
-        alpha = float(result.x)
-        loglik = -float(result.fun)
+        loglik = -fun
         # the bounded minimiser never lands exactly on the boundary even
         # for exactly-equal counts; snap to 0 when it is flat there
         flat = _zipf_negative_loglik(0.0, sorted_counts)
