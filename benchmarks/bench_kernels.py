@@ -33,6 +33,7 @@ from repro.testing import (
     OperationalSuiteGenerator,
     apply_testing,
 )
+from repro.testing.generators import _suite_runs
 from repro.versions import shared_fault_outputs
 
 
@@ -130,11 +131,14 @@ def imperfect_model():
 def test_kernel_imperfect_closure_batch(benchmark, imperfect_model):
     _space, _profile, universe, population, generator = imperfect_model
     faults = population.sample_fault_matrix(2000, np.random.default_rng(1))
-    counts = generator.sample_demand_counts(2000, np.random.default_rng(2))
+    runs = _suite_runs(
+        generator.sample_demand_sequences(2000, np.random.default_rng(2)),
+        universe.space.size,
+    )
     benchmark(
         apply_imperfect_testing_batch,
         faults,
-        counts,
+        runs,
         universe,
         0.75,
         0.5,

@@ -49,6 +49,7 @@ from ..mc.batch import (
 from ..populations import BernoulliFaultPopulation, VersionPopulation
 from ..rng import as_generator, inverse_cdf_indices, spawn_many
 from ..testing import OperationalSuiteGenerator
+from ..testing.generators import _suite_runs, _SuiteRuns
 from .accumulators import BivariateMoments, moments_of
 from .targets import VR_MODES
 
@@ -176,21 +177,16 @@ def _wants_strata(vr: str) -> bool:
 
 def _antithetic_suite_blocks(
     generator: OperationalSuiteGenerator, n_pairs: int, rng
-) -> Tuple[np.ndarray, np.ndarray]:
-    """A coupled pair of suite occurrence-count blocks (``u`` vs ``1 − u``)."""
-    space_size = generator.space.size
+) -> Tuple[_SuiteRuns, _SuiteRuns]:
+    """A coupled pair of suite blocks (``u`` vs ``1 − u``) as demand runs."""
     cdf = np.cumsum(generator.profile.probabilities)
     uniforms = as_generator(rng).random((n_pairs, generator.size))
-    counts = []
-    for block in (uniforms, 1.0 - uniforms):
-        demands = inverse_cdf_indices(cdf, None, uniforms=block)
-        rows = np.repeat(np.arange(n_pairs), generator.size)
-        flat = np.bincount(
-            rows * space_size + demands.reshape(-1),
-            minlength=n_pairs * space_size,
+    return tuple(
+        _suite_runs(
+            inverse_cdf_indices(cdf, None, uniforms=block), generator.space.size
         )
-        counts.append(flat.reshape(n_pairs, space_size))
-    return counts[0], counts[1]
+        for block in (uniforms, 1.0 - uniforms)
+    )
 
 
 def _antithetic_fault_blocks(
@@ -232,16 +228,14 @@ def version_pfd_chunk(
         faults_a, faults_b = _antithetic_fault_blocks(
             population, n_pairs, streams[0]
         )
-        counts_a, counts_b = _antithetic_suite_blocks(
-            generator, n_pairs, streams[1]
-        )
+        runs_a, runs_b = _antithetic_suite_blocks(generator, n_pairs, streams[1])
         if _plan_needs_counts(plan):
             test_a, test_b = spawn_many(streams[2], 2)
-            tested_a = _apply_plan_batch(plan, faults_a, counts_a, universe, test_a)
-            tested_b = _apply_plan_batch(plan, faults_b, counts_b, universe, test_b)
+            tested_a = _apply_plan_batch(plan, faults_a, runs_a, universe, test_a)
+            tested_b = _apply_plan_batch(plan, faults_b, runs_b, universe, test_b)
         else:
-            tested_a = _apply_plan_batch(plan, faults_a, counts_a > 0, universe)
-            tested_b = _apply_plan_batch(plan, faults_b, counts_b > 0, universe)
+            tested_a = _apply_plan_batch(plan, faults_a, runs_a.masks(), universe)
+            tested_b = _apply_plan_batch(plan, faults_b, runs_b.masks(), universe)
         y_a = universe.failure_matrix(tested_a) @ profile.probabilities
         y_b = universe.failure_matrix(tested_b) @ profile.probabilities
         values = 0.5 * (y_a + y_b)

@@ -11,8 +11,8 @@ are related:
   acceptance-testing / back-to-back situation that induces dependence.
 
 A regime knows how to draw the pair of suites for one replication of the
-generative process — singly or as mask/count blocks — for the Monte-Carlo
-layer.  The analytic layer reads the same regime's generators in
+generative process — singly or as mask/sequence blocks — for the
+Monte-Carlo layer.  The analytic layer reads the same regime's generators in
 :func:`repro.core.joint.joint_failure_probability`, the one place the
 per-demand joint failure probability of eqs. (16)–(21) is assembled, so
 both layers describe the same experiment.
@@ -28,6 +28,7 @@ import numpy as np
 from ..errors import ModelError
 from ..rng import as_generator, spawn_many
 from ..testing import SuiteGenerator, TestSuite
+from ..testing.generators import _sequence_block
 from ..types import SeedLike
 
 __all__ = [
@@ -80,36 +81,28 @@ class TestingRegime(abc.ABC):
             second[row] = suite_b.mask()
         return first, second
 
-    def draw_suite_counts(
+    def _draw_suite_sequences(
         self, count: int, rng: SeedLike = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Draw ``count`` suite pairs as two ``[count, space]`` count blocks.
+        """Draw ``count`` suite pairs as two ``-1``-padded sequence blocks.
 
-        The occurrence-count analogue of :meth:`draw_suite_masks`: entry
-        ``(r, x)`` is how often suite ``r`` executes demand ``x``, with the
-        regime's coupling preserved (a shared-suite regime returns the same
-        block twice).  This is the suite representation of the
-        imperfect-oracle/imperfect-fixing batch kernels, where repeated
-        executions are repeated detection opportunities.  The default loops
-        :meth:`draw_suites`; concrete regimes override with block draws.
+        The ordered analogue of :meth:`draw_suite_masks`, with the same
+        streams and the regime's coupling (a shared-suite regime returns
+        the *same* block twice).  The batch engine sorts these into demand
+        runs for the imperfect-oracle/imperfect-fixing kernels, where
+        repeated executions are repeated detection opportunities.  The
+        default loops :meth:`draw_suites`; concrete regimes override with
+        block draws.
         """
         if count < 0:
             raise ModelError(f"count must be non-negative, got {count}")
-        generator = as_generator(rng)
-        if count == 0:
-            suite_a, _ = self.draw_suites(generator)
-            empty = np.zeros((0, suite_a.space.size), dtype=np.int64)
-            return empty, empty
-        first = None
-        second = None
-        for row, stream in enumerate(spawn_many(generator, count)):
-            suite_a, suite_b = self.draw_suites(stream)
-            if first is None:
-                first = np.zeros((count, suite_a.space.size), dtype=np.int64)
-                second = np.zeros((count, suite_a.space.size), dtype=np.int64)
-            np.add.at(first[row], suite_a.demands, 1)
-            np.add.at(second[row], suite_b.demands, 1)
-        return first, second
+        pairs = [
+            self.draw_suites(stream)
+            for stream in spawn_many(as_generator(rng), count)
+        ]
+        return _sequence_block([a for a, _ in pairs]), _sequence_block(
+            [b for _, b in pairs]
+        )
 
     @property
     @abc.abstractmethod
@@ -183,10 +176,10 @@ class CoverageAwareRegime(TestingRegime):
     ) -> Tuple[np.ndarray, np.ndarray]:
         return self._base.draw_suite_masks(count, rng)
 
-    def draw_suite_counts(
+    def _draw_suite_sequences(
         self, count: int, rng: SeedLike = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._base.draw_suite_counts(count, rng)
+        return self._base._draw_suite_sequences(count, rng)
 
 
 class IndependentSuites(TestingRegime):
@@ -228,14 +221,14 @@ class IndependentSuites(TestingRegime):
             self._generator.sample_demand_masks(count, stream_b),
         )
 
-    def draw_suite_counts(
+    def _draw_suite_sequences(
         self, count: int, rng: SeedLike = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         generator = as_generator(rng)
         stream_a, stream_b = spawn_many(generator, 2)
         return (
-            self._generator.sample_demand_counts(count, stream_a),
-            self._generator.sample_demand_counts(count, stream_b),
+            self._generator.sample_demand_sequences(count, stream_a),
+            self._generator.sample_demand_sequences(count, stream_b),
         )
 
 
@@ -274,11 +267,11 @@ class SameSuite(TestingRegime):
         masks = self._generator.sample_demand_masks(count, as_generator(rng))
         return masks, masks
 
-    def draw_suite_counts(
+    def _draw_suite_sequences(
         self, count: int, rng: SeedLike = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        counts = self._generator.sample_demand_counts(count, as_generator(rng))
-        return counts, counts
+        sequences = self._generator.sample_demand_sequences(count, as_generator(rng))
+        return sequences, sequences
 
 
 class ForcedTestingDiversity(TestingRegime):
@@ -331,12 +324,12 @@ class ForcedTestingDiversity(TestingRegime):
             self._generator_b.sample_demand_masks(count, stream_b),
         )
 
-    def draw_suite_counts(
+    def _draw_suite_sequences(
         self, count: int, rng: SeedLike = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         generator = as_generator(rng)
         stream_a, stream_b = spawn_many(generator, 2)
         return (
-            self._generator_a.sample_demand_counts(count, stream_a),
-            self._generator_b.sample_demand_counts(count, stream_b),
+            self._generator_a.sample_demand_sequences(count, stream_a),
+            self._generator_b.sample_demand_sequences(count, stream_b),
         )

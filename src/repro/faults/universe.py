@@ -4,7 +4,9 @@ The Bernoulli population model (``repro.populations.bernoulli``) draws a
 version as a random subset of a :class:`FaultUniverse`.  The universe also
 precomputes the dense fault-by-demand coverage matrix that all vectorised
 analytics (difficulty functions, inclusion-exclusion closed forms, testing
-closure) operate on.
+closure) operate on, and the batch engine's closure and scoring kernels:
+sparse ones over the present faults' regions and dense float32 products,
+chosen by :meth:`FaultUniverse._sparse_pays` (``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from .fault import Fault
 
 __all__ = ["FaultUniverse"]
 
+#: Dense float32 multiply-adds worth one gathered region element: the
+#: measured break-even (2-core AVX-512 host, no numba) of the sparse
+#: kernels against the BLAS products on 300–2000-demand blocks.
+_GATHER_COST = 256
+
 
 def coverage_hits(rows: np.ndarray, coverage: np.ndarray) -> np.ndarray:
     """Boolean ``rows @ coverage > 0`` for 0/1 operands, on float32 BLAS.
@@ -29,6 +36,12 @@ def coverage_hits(rows: np.ndarray, coverage: np.ndarray) -> np.ndarray:
     non-negative terms is positive iff one of them is.
     """
     return rows.astype(np.float32) @ coverage.astype(np.float32, copy=False) > 0.5
+
+
+def _sum_dtype(values: np.ndarray):
+    """float32 while ``values`` total below 2**24, where it holds every
+    (partial) sum of these non-negative integers exactly; else float64."""
+    return np.float32 if values.sum() < 1 << 24 else np.float64
 
 
 @dataclass(frozen=True)
@@ -49,6 +62,9 @@ class FaultUniverse:
     faults: tuple
     _coverage: np.ndarray = field(init=False, repr=False, compare=False)
     _coverage_casts: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _region_tables: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -148,8 +164,9 @@ class FaultUniverse:
         -------
         Boolean matrix ``[n_suites, n_faults]`` where entry ``(r, f)`` is
         True iff suite ``r`` exercises at least one demand of fault ``f``'s
-        region.  This is the perfect-oracle testing closure as one matrix
-        product: the hot kernel of the batch Monte-Carlo engine.
+        region, for every pair: one float32 matrix product
+        (:func:`coverage_hits`).  The batch closure needs the answer only
+        where fault ``f`` is present, and asks :meth:`_cleared` instead.
         """
         masks = np.asarray(suite_masks, dtype=bool)
         if masks.ndim != 2 or masks.shape[1] != self.space.size:
@@ -174,7 +191,9 @@ class FaultUniverse:
         -------
         Boolean matrix ``[n_versions, n_demands]`` where entry ``(r, x)``
         is True iff version ``r`` fails on demand ``x`` — the batched form
-        of :attr:`repro.versions.Version.failure_mask`.
+        of :attr:`repro.versions.Version.failure_mask`.  Sparse blocks
+        scatter each present fault's region into its row
+        (:meth:`_region_scatter`), dense ones take one float32 product.
         """
         rows = np.asarray(presence, dtype=bool)
         if rows.ndim != 2 or rows.shape[1] != len(self.faults):
@@ -184,7 +203,100 @@ class FaultUniverse:
             )
         if not len(self.faults):
             return np.zeros((rows.shape[0], self.space.size), dtype=bool)
+        if self._sparse_pays(np.count_nonzero(rows), rows.shape[0]):
+            return self._region_scatter(np.flatnonzero(rows), rows.shape[0])
         return coverage_hits(rows, self._coverage_float(np.float32))
+
+    # -- region kernels: ``present`` holds ascending flat indices r * F + f
+    # of an (R, F) fault block; the sparse ones visit only those regions
+
+    def _region_table(self, sentinel: bool) -> np.ndarray:
+        """``(F, W)`` region demand ids, ``W`` the largest region rounded up
+        to whole uint32 words of booleans, cached.  Regions are never empty,
+        so "any" rows pad with a repeat of their first demand; ``sentinel``
+        rows, for sums, with column ``D`` of a zero-extended block."""
+        table = self._region_tables.get(sentinel)
+        if table is None:
+            faults, demands = np.nonzero(self._coverage)
+            sizes = np.bincount(faults, minlength=len(self.faults))
+            width = -(-int(sizes.max(initial=0)) // 4) * 4
+            starts = np.cumsum(sizes) - sizes
+            if sentinel:
+                table = np.full((len(self.faults), width), self.space.size)
+            else:
+                table = np.repeat(demands[starts, None], width, axis=1)
+            table[faults, np.arange(faults.size) - starts[faults]] = demands
+            self._region_tables[sentinel] = table
+        return table
+
+    def _sparse_pays(self, n_present: int, n_rows: int) -> bool:
+        """The one dense-or-sparse rule of the closure and scoring kernels:
+        ``present pairs × W × _GATHER_COST < R × F × D``."""
+        gathered = int(n_present) * self._region_table(False).shape[1]
+        return gathered * _GATHER_COST < n_rows * len(self.faults) * self.space.size
+
+    def _region_index(self, present: np.ndarray, sentinel: bool) -> np.ndarray:
+        """``(len(present), W)`` flat indices of each pair's region in its row
+        of an ``(R, D)`` block, or of an ``(R, D + 1)`` one for ``sentinel``."""
+        rows, faults = np.divmod(present, len(self.faults))
+        index = self._region_table(sentinel)[faults]
+        index += (rows * (self.space.size + int(sentinel)))[:, None]
+        return index
+
+    def _region_any(self, present: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """Sparse :meth:`triggered_matrix` at the ``present`` pairs."""
+        gathered = masks.ravel()[self._region_index(present, False)]
+        hit = np.zeros(present.size, dtype=np.uint32)
+        for column in gathered.view(np.uint32).T:
+            hit |= column
+        return hit != 0
+
+    def _region_scatter(self, present: np.ndarray, n_rows: int) -> np.ndarray:
+        """Sparse :meth:`failure_matrix` of a block with ``present`` pairs."""
+        failures = np.zeros(n_rows * self.space.size, dtype=bool)
+        failures[self._region_index(present, False)] = True
+        return failures.reshape(n_rows, self.space.size)
+
+    def _region_sums(
+        self, present: np.ndarray, n_rows: int, flat: np.ndarray, values: np.ndarray
+    ) -> np.ndarray:
+        """Sparse :meth:`_coverage_sums` at the ``present`` pairs."""
+        width = self.space.size + 1
+        block = np.zeros(
+            n_rows * width, dtype=np.min_scalar_type(values.max(initial=0))
+        )
+        block[flat + flat // self.space.size] = values
+        dtype = _sum_dtype(values)
+        gathered = block[self._region_index(present, True)].astype(dtype)
+        return (gathered @ np.ones(gathered.shape[1], dtype=dtype)).astype(np.float64)
+
+    def _coverage_sums(
+        self, n_rows: int, flat: np.ndarray, values: np.ndarray
+    ) -> np.ndarray:
+        """Exact float64 ``V @ coverage.T`` on float32 (or float64) BLAS, ``V``
+        the ``(n_rows, D)`` block holding ``values`` at flat indices ``flat``."""
+        dtype = _sum_dtype(values)
+        block = np.zeros(n_rows * self.space.size, dtype=dtype)
+        block[flat] = values
+        product = block.reshape(n_rows, self.space.size) @ self._coverage_float(dtype).T
+        return product.astype(np.float64, copy=False)
+
+    def _cleared(self, faults: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """``faults`` without the pairs whose suite row hits their region."""
+        if not self._sparse_pays(np.count_nonzero(faults), masks.shape[0]):
+            return faults & ~self.triggered_matrix(masks)
+        present = np.flatnonzero(faults)
+        cleared = faults.copy()
+        cleared.ravel()[present[self._region_any(present, masks)]] = False
+        return cleared
+
+    def _sums_at(
+        self, present: np.ndarray, n_rows: int, flat: np.ndarray, values: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`_coverage_sums` at each present pair, on the cheaper side."""
+        if self._sparse_pays(present.size, n_rows):
+            return self._region_sums(present, n_rows, flat, values)
+        return self._coverage_sums(n_rows, flat, values).ravel()[present]
 
     def surviving(self, demands: Sequence[int] | np.ndarray) -> np.ndarray:
         """Identifiers of faults *not* triggered by the given demands."""

@@ -11,18 +11,22 @@ whole block of replications at once:
 * an ``(R, D)`` boolean **suite mask** block — row ``r`` is the demand
   membership of replication ``r``'s suite, drawn with the regime's coupling
   (:meth:`~repro.core.regimes.TestingRegime.draw_suite_masks`) — or, for
-  imperfect testing, the ``(R, D)`` integer **occurrence-count** block
-  (:meth:`~repro.core.regimes.TestingRegime.draw_suite_counts`), because
-  each execution of a failing demand is a fresh detection opportunity;
-* the **testing closure** as matrix kernels: one matrix product for the
-  perfect-oracle case (:func:`apply_testing_batch`), binomial detection
-  counts plus per-fault Bernoulli survival draws for the §4.1
-  imperfect-oracle/imperfect-fixing case
-  (:func:`apply_imperfect_testing_batch`), and a demand-ordered masked
+  imperfect testing, the same suites drawn as demand sequences and sorted
+  into ``(row, demand, count)`` **runs**, because each execution of a
+  failing demand is a fresh detection opportunity;
+* the **testing closure**, evaluated only at the present ``(r, f)`` pairs:
+  a region hit test for the perfect-oracle case
+  (:func:`apply_testing_batch`), binomial detection counts plus per-fault
+  Bernoulli survival draws for the §4.1 imperfect-oracle/imperfect-fixing
+  case (:func:`apply_imperfect_testing_batch`), and a demand-ordered masked
   update loop for §4.2 back-to-back testing (:func:`back_to_back_batch`) —
   the only genuinely sequential axis in the paper's testing processes;
-* **scoring** as matrix-vector products against the usage profile
-  (:meth:`~repro.faults.FaultUniverse.failure_matrix`).
+* **scoring**: post-test failure masks
+  (:meth:`~repro.faults.FaultUniverse.failure_matrix`), then one
+  matrix-vector product against the usage profile.
+
+Closure and scoring run on :class:`~repro.faults.FaultUniverse`'s region
+kernels, sparse or dense by one size rule, with bit-identical blocks.
 
 Chunk results stream into the existing :class:`ProportionEstimator` /
 :class:`MeanEstimator` via their ``add_many`` merges, so confidence-interval
@@ -63,17 +67,12 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from ..demand import UsageProfile
-from ..errors import ModelError
+from ..errors import IncompatibleSpaceError, ModelError
 from ..populations import VersionPopulation
 from ..rng import as_generator, spawn, spawn_many
-from ..testing import (
-    BackToBackComparator,
-    FixingPolicy,
-    Oracle,
-    SuiteGenerator,
-    demand_sequences_to_counts,
-)
+from ..testing import BackToBackComparator, FixingPolicy, Oracle, SuiteGenerator
 from ..testing.fixing import ImperfectFixing, PerfectFixing
+from ..testing.generators import _suite_runs, _SuiteRuns
 from ..testing.oracle import ImperfectOracle, PerfectOracle
 from ..types import SeedLike
 from ..versions.outputs import (
@@ -226,58 +225,49 @@ def apply_testing_batch(
     the batched form of :func:`repro.testing.apply_testing` under perfect
     detection and fixing (the paper's §3 process).
     """
-    fault_matrix, triggered = _triggered_block(fault_matrix, suite_masks, universe)
-    return fault_matrix & ~triggered
+    masks = np.asarray(suite_masks, dtype=bool)
+    fault_matrix = _checked_faults(fault_matrix, masks.shape, universe)
+    return universe._cleared(fault_matrix, masks)
 
 
-def _triggered_block(fault_matrix, suite_masks, universe):
-    """``(faults, triggered)`` for a mask-block closure, shapes checked."""
+def _checked_faults(fault_matrix, suite_shape, universe) -> np.ndarray:
+    """The boolean fault block, checked against its suite block's shape."""
     fault_matrix = np.asarray(fault_matrix, dtype=bool)
-    triggered = universe.triggered_matrix(suite_masks)
-    if fault_matrix.shape != triggered.shape:
+    if len(suite_shape) != 2 or suite_shape[1] != universe.space.size:
+        raise IncompatibleSpaceError(
+            f"suite block of shape {suite_shape} does not match demand "
+            f"space size {universe.space.size}"
+        )
+    if fault_matrix.shape != (suite_shape[0], len(universe)):
         raise ModelError(
             f"fault matrix {fault_matrix.shape} and suite block "
-            f"{np.asarray(suite_masks).shape} have mismatched replication "
-            "counts or universes"
+            f"{suite_shape} have mismatched replication counts or universes"
         )
-    return fault_matrix, triggered
+    return fault_matrix
 
 
-def _count_block(fault_matrix, suite_counts, universe):
-    """``(faults, counts)`` for a count-block closure, shapes checked."""
-    fault_matrix = np.asarray(fault_matrix, dtype=bool)
+def _as_runs(suite_counts) -> _SuiteRuns:
+    """Sorted demand runs as given, or those of an ``(R, D)`` occurrence-count
+    block: its non-zero entries in C order."""
+    if isinstance(suite_counts, _SuiteRuns):
+        return suite_counts
     counts = np.asarray(suite_counts)
-    if counts.ndim != 2 or counts.shape[1] != universe.space.size:
-        raise ModelError(
-            f"suite count block of shape {counts.shape} does not match "
-            f"demand space size {universe.space.size}"
-        )
-    if fault_matrix.shape != (counts.shape[0], len(universe)):
-        raise ModelError(
-            f"fault matrix {fault_matrix.shape} and suite count block "
-            f"{counts.shape} have mismatched replication counts or universes"
-        )
-    return fault_matrix, counts
+    if counts.size and counts.min() < 0:
+        raise ModelError("suite count block has negative occurrence counts")
+    flat = np.flatnonzero(counts)
+    return _SuiteRuns(counts.shape, flat, counts.ravel()[flat])
 
 
-def _chance_dtype(counts: np.ndarray):
-    """float32 while every row of ``counts`` totals below 2**24, else float64.
-
-    Each chance count and its partial BLAS sums are integers no larger than
-    the row total, so below that bound float32 holds them all exactly.
-    """
-    return np.float32 if counts.sum(axis=1).max(initial=0) < 1 << 24 else np.float64
-
-
-def _chance_counts(block: np.ndarray, universe, dtype) -> np.ndarray:
-    """Exact float64 ``block @ coverage.T``: covering occurrences per fault."""
-    product = block.astype(dtype, copy=False) @ universe._coverage_float(dtype).T
-    return product.astype(np.float64, copy=False)
+def _survivors(fault_matrix, present, keep) -> np.ndarray:
+    """The ``(R, F)`` block holding the ``present`` pairs that ``keep`` marks."""
+    tested = np.zeros(fault_matrix.shape, dtype=bool)
+    tested.ravel()[present[keep]] = True
+    return tested
 
 
 def apply_imperfect_testing_batch(
     fault_matrix: np.ndarray,
-    suite_counts: np.ndarray,
+    suite_counts,
     universe,
     detection_probability: float,
     fix_probability: float,
@@ -288,7 +278,8 @@ def apply_imperfect_testing_batch(
     ``suite_counts`` is the ``(R, D)`` integer occurrence-count block —
     entry ``(r, x)`` is how often suite ``r`` executes demand ``x``; unlike
     the perfect case, repeats matter because every execution of a failing
-    demand is another independent detection opportunity.
+    demand is another independent detection opportunity.  The engine
+    passes the same suites as sorted demand runs.
 
     The kernel draws, per ``(r, x)``, the binomial number of *detecting*
     occurrences ``K[r, x] ~ Binomial(counts[r, x], detection_p)``; a fault
@@ -301,34 +292,32 @@ def apply_imperfect_testing_batch(
     bit-identical to it because the scalar engine consumes randomness
     conditionally.
     """
-    fault_matrix, counts = _count_block(fault_matrix, suite_counts, universe)
+    runs = _as_runs(suite_counts)
+    fault_matrix = _checked_faults(fault_matrix, runs.shape, universe)
     if not len(universe):
         return fault_matrix.copy()
     generator = as_generator(rng)
-    dtype = _chance_dtype(counts)
-    if detection_probability >= 1.0:
-        detecting = counts
-    else:
+    detecting = runs.counts
+    if detection_probability < 1.0:
         # binomial(0, p) is 0 and consumes no randomness, so drawing only
-        # the non-zero entries (in C order) leaves the stream bit-identical;
-        # a boolean mask finds them faster than an int64 scan
-        detecting = np.zeros(counts.shape, dtype=dtype)
-        occurring = np.flatnonzero(counts != 0)
-        detecting.flat[occurring] = generator.binomial(
-            counts.ravel()[occurring], detection_probability
-        )
-    # chances[r, f] = number of detecting occurrences covering fault f
-    chances = _chance_counts(detecting, universe, dtype)
+        # at the runs (the non-zero counts in C order) is the dense draw
+        detecting = generator.binomial(detecting, detection_probability)
+    present = np.flatnonzero(fault_matrix)
+    # chances at each present (r, f): detecting occurrences covering f
+    chances = universe._sums_at(present, runs.shape[0], runs.flat, detecting)
     if fix_probability >= 1.0:
         # 0 ** 0 == 1: untouched faults survive, any chance removes
-        return fault_matrix & (chances < 0.5)
-    survival = (1.0 - fix_probability) ** chances
-    return fault_matrix & (generator.random(fault_matrix.shape) < survival)
+        return _survivors(fault_matrix, present, chances < 0.5)
+    # the survival uniforms keep the full (R, F) draw of the stream
+    uniforms = generator.random(fault_matrix.shape).ravel()[present]
+    return _survivors(
+        fault_matrix, present, uniforms < (1.0 - fix_probability) ** chances
+    )
 
 
 def apply_coverage_testing_batch(
     fault_matrix: np.ndarray,
-    suite_counts: np.ndarray,
+    suite_counts,
     universe,
     fault_detection_probs,
     rng: SeedLike = None,
@@ -346,7 +335,8 @@ def apply_coverage_testing_batch(
     the same memoryless-geometric argument as §4.1 — each fault's removal
     depends only on its own independent per-execution draws.
     """
-    fault_matrix, counts = _count_block(fault_matrix, suite_counts, universe)
+    runs = _as_runs(suite_counts)
+    fault_matrix = _checked_faults(fault_matrix, runs.shape, universe)
     probs = np.asarray(fault_detection_probs, dtype=np.float64)
     if probs.shape != (len(universe),):
         raise ModelError(
@@ -356,11 +346,13 @@ def apply_coverage_testing_batch(
     if not len(universe):
         return fault_matrix.copy()
     generator = as_generator(rng)
-    chances = _chance_counts(counts, universe, _chance_dtype(counts))
+    present = np.flatnonzero(fault_matrix)
+    chances = universe._sums_at(present, runs.shape[0], runs.flat, runs.counts)
+    uniforms = generator.random(fault_matrix.shape).ravel()[present]
     # 0 ** 0 == 1: an untouched fault always survives, a q_f == 1 fault
     # is removed by its first chance
-    survival = (1.0 - probs[None, :]) ** chances
-    return fault_matrix & (generator.random(fault_matrix.shape) < survival)
+    survival = (1.0 - probs[present % len(universe)]) ** chances
+    return _survivors(fault_matrix, present, uniforms < survival)
 
 
 def apply_blind_testing_batch(
@@ -379,11 +371,12 @@ def apply_blind_testing_batch(
     perfect one restricted to visible columns, and needs only membership
     masks.
     """
-    fault_matrix, triggered = _triggered_block(fault_matrix, suite_masks, universe)
+    masks = np.asarray(suite_masks, dtype=bool)
+    fault_matrix = _checked_faults(fault_matrix, masks.shape, universe)
     visible = ~universe.presence_mask(
         np.asarray(blind_fault_ids, dtype=np.int64)
     )
-    return fault_matrix & ~(triggered & visible[None, :])
+    return (fault_matrix & ~visible) | universe._cleared(fault_matrix & visible, masks)
 
 
 def _identical_cause_rows(causes_a: np.ndarray, causes_b: np.ndarray) -> np.ndarray:
@@ -498,8 +491,9 @@ def _apply_plan_batch(
 ) -> np.ndarray:
     """Dispatch one channel's testing closure according to its plan.
 
-    ``suite_block`` is a mask block for the perfect/blind kinds and a count
-    block for the bernoulli/coverage kinds (see :func:`_plan_needs_counts`).
+    ``suite_block`` is a mask block for the perfect/blind kinds and sorted
+    demand runs for the bernoulli/coverage kinds (see
+    :func:`_plan_needs_counts`).
     """
     kind, detection_p, fix_p, extra = plan
     if kind == _PERFECT:
@@ -526,11 +520,13 @@ def _draw_plan_suites(
 ) -> np.ndarray:
     """``count`` suites from ``generator`` in the representation ``plan`` tests.
 
-    Occurrence counts for the bernoulli/coverage kinds, membership masks
+    Sorted demand runs for the bernoulli/coverage kinds, membership masks
     for the perfect/blind kinds (see :func:`_apply_plan_batch`).
     """
     if _plan_needs_counts(plan):
-        return generator.sample_demand_counts(count, rng)
+        return _suite_runs(
+            generator.sample_demand_sequences(count, rng), generator.space.size
+        )
     return generator.sample_demand_masks(count, rng)
 
 
@@ -587,7 +583,13 @@ def _tested_pair_block(
     faults_a = population_a.sample_fault_matrix(count, streams[0])
     faults_b = population_b.sample_fault_matrix(count, streams[1])
     if needs_counts:
-        suites_a, suites_b = regime.draw_suite_counts(count, streams[2])
+        first, second = regime._draw_suite_sequences(count, streams[2])
+        suites_a = _suite_runs(first, population_a.universe.space.size)
+        suites_b = (
+            suites_a
+            if second is first
+            else _suite_runs(second, population_b.universe.space.size)
+        )
         test_a, test_b = streams[3], streams[4]
     else:
         suites_a, suites_b = regime.draw_suite_masks(count, streams[2])
@@ -716,9 +718,7 @@ def _chunk_back_to_back_envelope(
     faults_a = population_a.sample_fault_matrix(count, streams[0])
     faults_b = population_b.sample_fault_matrix(count, streams[1])
     sequences = generator.sample_demand_sequences(count, streams[2])
-    masks = (
-        demand_sequences_to_counts(sequences, generator.space.size) > 0
-    )
+    masks = _suite_runs(sequences, generator.space.size).masks()
     universe_a = population_a.universe
     universe_b = population_b.universe
     probabilities = profile.probabilities

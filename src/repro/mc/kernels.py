@@ -63,7 +63,7 @@ from ..testing.generators import (
     ExhaustiveSuiteGenerator,
     OperationalSuiteGenerator,
     WeightedDebugGenerator,
-    demand_sequences_to_counts,
+    _suite_runs,
 )
 from ..types import SeedLike
 from .batch import (
@@ -896,7 +896,7 @@ def _chunk_back_to_back(spec: dict, span: Tuple[int, int]) -> np.ndarray:
     faults_b = _draw_faults(key, streams, spec["fb_base"], spec["probs_b"])
     law = spec["law"]
     seqs = law.sequences(_draw_block(key, streams, spec["suite_base"], law.lanes))
-    masks = demand_sequences_to_counts(seqs, law.space_size) > 0
+    masks = _suite_runs(seqs, law.space_size).masks()
     cov_a, cov_b, q = spec["cov_a"], spec["cov_b"], spec["q"]
     all_visible_a = np.ones(spec["probs_a"].shape[0], dtype=bool)
     all_visible_b = np.ones(spec["probs_b"].shape[0], dtype=bool)

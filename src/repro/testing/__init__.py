@@ -19,7 +19,6 @@ from .generators import (
     SuiteGenerator,
     WeightedDebugGenerator,
     WithoutReplacementGenerator,
-    demand_sequences_to_counts,
 )
 from .oracle import BackToBackComparator, ImperfectOracle, Oracle, PerfectOracle
 from .fixing import FixingPolicy, ImperfectFixing, PerfectFixing
@@ -34,7 +33,6 @@ __all__ = [
     "WeightedDebugGenerator",
     "ExhaustiveSuiteGenerator",
     "EnumerableSuiteGenerator",
-    "demand_sequences_to_counts",
     "Oracle",
     "PerfectOracle",
     "ImperfectOracle",

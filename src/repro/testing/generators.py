@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "WeightedDebugGenerator",
     "ExhaustiveSuiteGenerator",
     "EnumerableSuiteGenerator",
-    "demand_sequences_to_counts",
 ]
 
 _SUM_TOLERANCE = 1e-9
@@ -44,29 +43,59 @@ _SUM_TOLERANCE = 1e-9
 SEQUENCE_PAD = -1
 
 
-def demand_sequences_to_counts(sequences: np.ndarray, n_demands: int) -> np.ndarray:
-    """Per-demand occurrence counts from a padded demand-sequence block.
+def _sequence_block(suites: Sequence[TestSuite]) -> np.ndarray:
+    """The suites' demand sequences as one ``-1``-right-padded int64 block."""
+    width = max((len(suite) for suite in suites), default=0)
+    block = np.full((len(suites), width), SEQUENCE_PAD, dtype=np.int64)
+    for row, suite in enumerate(suites):
+        block[row, : len(suite)] = suite.demands
+    return block
 
-    ``sequences`` is an int ``[count, length]`` matrix of demand indices with
-    ``-1`` marking padding (rows may encode suites of different lengths).
-    Returns the int64 ``[count, n_demands]`` matrix whose entry ``(r, x)`` is
-    the number of times suite ``r`` executes demand ``x`` — the suite
-    representation of the imperfect-testing batch kernels, where repeats are
-    *not* ineffective (each execution is another detection opportunity).
+
+class _SuiteRuns(NamedTuple):
+    """``R`` suites over ``D`` demands as sorted runs: ``flat`` holds
+    ``r * D + x`` for every demand ``x`` suite ``r`` executes, ascending (the
+    C order of ``np.flatnonzero`` on the occurrence-count block), and
+    ``counts`` how often — the imperfect-testing kernels' representation."""
+
+    shape: Tuple[int, int]
+    flat: np.ndarray
+    counts: np.ndarray
+
+    def masks(self) -> np.ndarray:
+        """Boolean ``(R, D)`` demand-membership block."""
+        masks = np.zeros(self.shape[0] * self.shape[1], dtype=bool)
+        masks[self.flat] = True
+        return masks.reshape(self.shape)
+
+
+def _suite_runs(sequences: np.ndarray, n_demands: int) -> _SuiteRuns:
+    """Sorted demand runs of a ``-1``-padded demand-sequence block.
+
+    Sorting each row groups a demand's repeats; with the row offset
+    ``r * n_demands`` added, keys ascend across the block.  Entries outside
+    the space or below the ``-1`` padding raise :class:`ModelError`.
     """
     seqs = np.asarray(sequences, dtype=np.int64)
     if seqs.ndim != 2:
         raise ModelError(f"sequence block must be 2-D, got shape {seqs.shape}")
-    rows, cols = np.nonzero(seqs >= 0)
-    demands = seqs[rows, cols]
-    if demands.size and demands.max() >= n_demands:
+    low, high = (seqs.min(), seqs.max()) if seqs.size else (0, 0)
+    if low < SEQUENCE_PAD or high >= n_demands:
         raise ModelError(
-            f"sequence block contains demands outside space of size {n_demands}"
+            f"sequence block contains demands outside space of size "
+            f"{n_demands} (or invalid padding < -1)"
         )
-    flat = np.bincount(
-        rows * n_demands + demands, minlength=seqs.shape[0] * n_demands
-    )
-    return flat.reshape(seqs.shape[0], n_demands)
+    ordered = np.sort(seqs, axis=1)
+    keys = ordered + (np.arange(seqs.shape[0]) * n_demands)[:, None]
+    keys = keys[ordered >= 0] if low < 0 else keys.ravel()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = keys.size - starts[-1:]
+    return _SuiteRuns((seqs.shape[0], n_demands), keys[starts], counts)
 
 
 class SuiteGenerator(abc.ABC):
@@ -125,25 +154,8 @@ class SuiteGenerator(abc.ABC):
         if count < 0:
             raise ModelError(f"count must be non-negative, got {count}")
         generator = as_generator(rng)
-        suites = [self.sample(stream) for stream in spawn_many(generator, count)]
-        width = max((len(suite) for suite in suites), default=0)
-        out = np.full((count, width), SEQUENCE_PAD, dtype=np.int64)
-        for row, suite in enumerate(suites):
-            out[row, : len(suite)] = suite.demands
-        return out
-
-    def sample_demand_counts(self, count: int, rng: SeedLike = None) -> np.ndarray:
-        """Draw ``count`` independent suites as demand occurrence counts.
-
-        Returns the int64 ``[count, space.size]`` matrix whose entry
-        ``(r, x)`` counts how often suite ``r`` executes demand ``x`` — the
-        representation of the imperfect-oracle/imperfect-fixing batch
-        kernels, where each execution of a failing demand is an independent
-        detection opportunity (so multiplicity matters, unlike the
-        perfect-oracle mask representation).
-        """
-        return demand_sequences_to_counts(
-            self.sample_demand_sequences(count, rng), self._space.size
+        return _sequence_block(
+            [self.sample(stream) for stream in spawn_many(generator, count)]
         )
 
     def enumerate(self) -> Iterable[Tuple[TestSuite, float]]:
@@ -452,11 +464,7 @@ class EnumerableSuiteGenerator(SuiteGenerator):
         if count < 0:
             raise ModelError(f"count must be non-negative, got {count}")
         if self._sequence_table is None:
-            width = max(len(suite) for suite in self._suites)
-            table = np.full((len(self._suites), width), SEQUENCE_PAD, dtype=np.int64)
-            for row, suite in enumerate(self._suites):
-                table[row, : len(suite)] = suite.demands
-            self._sequence_table = table
+            self._sequence_table = _sequence_block(self._suites)
         return self._sequence_table[inverse_cdf_indices(self._cdf, rng, count)]
 
     def enumerate(self) -> Iterable[Tuple[TestSuite, float]]:

@@ -215,6 +215,6 @@ def test_coverage_aware_regime_delegates_draws(model):
     masks = regime.draw_suite_masks(4, 5)
     base_masks = base.draw_suite_masks(4, 5)
     np.testing.assert_array_equal(masks[0], base_masks[0])
-    counts = regime.draw_suite_counts(4, 5)
-    base_counts = base.draw_suite_counts(4, 5)
-    np.testing.assert_array_equal(counts[1], base_counts[1])
+    sequences = regime._draw_suite_sequences(4, 5)
+    base_sequences = base._draw_suite_sequences(4, 5)
+    np.testing.assert_array_equal(sequences[1], base_sequences[1])

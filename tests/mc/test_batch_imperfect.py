@@ -12,8 +12,8 @@ path:
   overlapping 99% confidence intervals for ``ImperfectOracle``,
   ``ImperfectFixing``, their combination, and the back-to-back envelope;
 * **execution semantics** — seed determinism and ``n_jobs`` invariance for
-  the new kernels, engine dispatch, and the suite-representation APIs
-  (ordered sequences and occurrence counts) they are built on.
+  the new kernels, engine dispatch, and the suite representations
+  (ordered sequences and their sorted demand runs) they are built on.
 """
 
 import numpy as np
@@ -45,8 +45,8 @@ from repro.testing import (
     ImperfectOracle,
     OperationalSuiteGenerator,
     back_to_back_testing,
-    demand_sequences_to_counts,
 )
+from repro.testing.generators import _suite_runs
 from repro.versions import (
     optimistic_outputs,
     pessimistic_outputs,
@@ -77,8 +77,16 @@ def model():
 
 
 # ---------------------------------------------------------------------------
-# suite representations: ordered sequences and occurrence counts
+# suite representations: ordered sequences and their sorted demand runs
 # ---------------------------------------------------------------------------
+
+
+def _counts(sequences, n_demands):
+    """The ``(R, D)`` occurrence-count block of a demand-sequence block."""
+    runs = _suite_runs(sequences, n_demands)
+    counts = np.zeros(runs.shape, dtype=np.int64)
+    counts.ravel()[runs.flat] = runs.counts
+    return counts
 
 
 def test_operational_sequences_shape_and_counts(model):
@@ -86,13 +94,11 @@ def test_operational_sequences_shape_and_counts(model):
     sequences = generator.sample_demand_sequences(40, rng=1)
     assert sequences.shape == (40, 15)
     assert sequences.min() >= 0 and sequences.max() < 60
-    counts = demand_sequences_to_counts(sequences, 60)
+    counts = _counts(sequences, 60)
     assert counts.shape == (40, 60)
     assert (counts.sum(axis=1) == 15).all()
     # counts and masks agree on membership
-    assert np.array_equal(
-        counts > 0, demand_sequences_to_counts(sequences, 60) > 0
-    )
+    assert np.array_equal(counts > 0, _suite_runs(sequences, 60).masks())
 
 
 def test_default_sequences_pad_variable_lengths():
@@ -110,7 +116,7 @@ def test_default_sequences_pad_variable_lengths():
     assert sequences.shape == (64, 3)
     lengths = (sequences >= 0).sum(axis=1)
     assert set(lengths.tolist()) <= {1, 3}
-    counts = demand_sequences_to_counts(sequences, 8)
+    counts = _counts(sequences, 8)
     # the repeated demand keeps its multiplicity
     assert set(counts[lengths == 3][:, 1].tolist()) == {2}
 
@@ -125,10 +131,10 @@ def test_exhaustive_sequences_cover_space_in_order():
 
 def test_same_suite_counts_are_shared(model):
     _space, _profile, _universe, _population, generator = model
-    counts_a, counts_b = SameSuite(generator).draw_suite_counts(20, rng=3)
-    assert counts_a is counts_b or np.array_equal(counts_a, counts_b)
-    counts_a, counts_b = IndependentSuites(generator).draw_suite_counts(20, rng=3)
-    assert not np.array_equal(counts_a, counts_b)
+    seqs_a, seqs_b = SameSuite(generator)._draw_suite_sequences(20, rng=3)
+    assert seqs_a is seqs_b
+    seqs_a, seqs_b = IndependentSuites(generator)._draw_suite_sequences(20, rng=3)
+    assert not np.array_equal(_counts(seqs_a, 60), _counts(seqs_b, 60))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +146,7 @@ def test_imperfect_kernel_degenerates_to_perfect_closure(model):
     _space, _profile, universe, population, generator = model
     faults = population.sample_fault_matrix(200, rng=5)
     sequences = generator.sample_demand_sequences(200, rng=6)
-    counts = demand_sequences_to_counts(sequences, universe.space.size)
+    counts = _counts(sequences, universe.space.size)
     perfect = apply_testing_batch(faults, counts > 0, universe)
     degenerate = apply_imperfect_testing_batch(
         faults, counts, universe, 1.0, 1.0, rng=7
@@ -151,7 +157,7 @@ def test_imperfect_kernel_degenerates_to_perfect_closure(model):
 def test_dead_oracle_leaves_blocks_unchanged(model):
     _space, _profile, universe, population, generator = model
     faults = population.sample_fault_matrix(100, rng=8)
-    counts = generator.sample_demand_counts(100, rng=9)
+    counts = _counts(generator.sample_demand_sequences(100, rng=9), 60)
     after = apply_imperfect_testing_batch(faults, counts, universe, 0.0, 1.0, rng=10)
     assert np.array_equal(after, faults)
 
@@ -172,7 +178,9 @@ def test_imperfect_kernel_draws_the_dense_stream(model, fix, layout):
     detections and leave the generator in the dense draw's state."""
     _space, _profile, universe, population, generator = model
     faults = population.sample_fault_matrix(300, rng=11)
-    counts = np.asarray(generator.sample_demand_counts(300, rng=12), order=layout)
+    counts = np.asarray(
+        _counts(generator.sample_demand_sequences(300, rng=12), 60), order=layout
+    )
     assert 0 < np.count_nonzero(counts) < counts.size
     dense, sparse = np.random.default_rng(13), np.random.default_rng(13)
     expected = _dense_imperfect_closure(faults, counts, universe, 0.6, fix, dense)
@@ -186,7 +194,7 @@ def test_imperfect_kernel_draws_the_dense_stream(model, fix, layout):
 def test_coverage_kernel_matches_its_closed_form(model):
     _space, _profile, universe, population, generator = model
     faults = population.sample_fault_matrix(200, rng=14)
-    counts = generator.sample_demand_counts(200, rng=15)
+    counts = _counts(generator.sample_demand_sequences(200, rng=15), 60)
     probs = np.linspace(0.1, 0.9, len(universe))
     chances = counts.astype(np.float64) @ universe.coverage.T.astype(np.float64)
     reference = np.random.default_rng(16)
