@@ -22,7 +22,6 @@ from repro.mc import (
     apply_testing_batch,
     back_to_back_batch,
     simulate_marginal_system_pfd,
-    simulate_marginal_system_pfd_batch,
 )
 from repro.populations import BernoulliFaultPopulation
 from repro.rng import inverse_cdf_indices
@@ -102,9 +101,9 @@ def test_kernel_mc_replications(benchmark, kernel_model):
 def test_kernel_mc_replications_batch(benchmark, kernel_model):
     _space, profile, _universe, population, generator = kernel_model
     benchmark.pedantic(
-        simulate_marginal_system_pfd_batch,
+        simulate_marginal_system_pfd,
         args=(SameSuite(generator), population, profile),
-        kwargs={"n_replications": 50, "rng": 5},
+        kwargs={"n_replications": 50, "rng": 5, "engine": "batch"},
         rounds=3,
         iterations=1,
     )
@@ -548,8 +547,8 @@ def test_kernel_mc_batch_speedup(kernel_model):
     regime = SameSuite(generator)
     n_replications = 2000
     # warm both paths (lazy imports, BLAS thread spin-up) before timing
-    simulate_marginal_system_pfd_batch(
-        regime, population, profile, n_replications=10, rng=0
+    simulate_marginal_system_pfd(
+        regime, population, profile, n_replications=10, rng=0, engine="batch"
     )
     simulate_marginal_system_pfd(
         regime, population, profile, n_replications=10, rng=0, engine="scalar"
@@ -565,8 +564,9 @@ def test_kernel_mc_batch_speedup(kernel_model):
     )
     scalar_elapsed = time.perf_counter() - start
     start = time.perf_counter()
-    batch = simulate_marginal_system_pfd_batch(
-        regime, population, profile, n_replications=n_replications, rng=5
+    batch = simulate_marginal_system_pfd(
+        regime, population, profile, n_replications=n_replications, rng=5,
+        engine="batch",
     )
     batch_elapsed = time.perf_counter() - start
 

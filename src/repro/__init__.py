@@ -27,7 +27,6 @@ paper-to-module map.
 
 from ._version import __version__
 from .errors import (
-    ConvergenceError,
     EmptyPopulationError,
     IncompatibleSpaceError,
     ModelError,
@@ -36,11 +35,9 @@ from .errors import (
     ReproError,
 )
 from .demand import (
-    DemandPartition,
     DemandSpace,
     UsageProfile,
     custom_profile,
-    geometric_profile,
     mixture_profile,
     uniform_profile,
     zipf_profile,
@@ -48,7 +45,6 @@ from .demand import (
 from .faults import (
     Fault,
     FaultUniverse,
-    blockwise_universe,
     clustered_universe,
     difficulty_from_bernoulli,
     disjoint_universe,
@@ -79,7 +75,6 @@ from .testing import (
     ImperfectOracle,
     OperationalSuiteGenerator,
     Oracle,
-    PartitionCoverageGenerator,
     PerfectFixing,
     PerfectOracle,
     SuiteGenerator,
@@ -114,15 +109,12 @@ __all__ = [
     "ProbabilityError",
     "IncompatibleSpaceError",
     "NotEnumerableError",
-    "ConvergenceError",
     "EmptyPopulationError",
     # demand
     "DemandSpace",
     "UsageProfile",
-    "DemandPartition",
     "uniform_profile",
     "zipf_profile",
-    "geometric_profile",
     "custom_profile",
     "mixture_profile",
     # faults
@@ -130,7 +122,6 @@ __all__ = [
     "FaultUniverse",
     "uniform_random_universe",
     "clustered_universe",
-    "blockwise_universe",
     "disjoint_universe",
     "zipf_sized_universe",
     "overlapping_pair",
@@ -153,7 +144,6 @@ __all__ = [
     "SuiteGenerator",
     "OperationalSuiteGenerator",
     "WithoutReplacementGenerator",
-    "PartitionCoverageGenerator",
     "WeightedDebugGenerator",
     "ExhaustiveSuiteGenerator",
     "EnumerableSuiteGenerator",

@@ -30,7 +30,6 @@ from .accumulators import (
     MeanAccumulator,
     ProportionAccumulator,
     StratifiedAccumulator,
-    estimator_half_width,
     moments_of,
 )
 from .controller import (
@@ -68,7 +67,6 @@ __all__ = [
     "adaptive_untested_joint_on_demand",
     "adaptive_untested_joint_pfd",
     "adaptive_version_pfd",
-    "estimator_half_width",
     "fault_count_pmf",
     "iter_adaptive_runs",
     "moments_of",

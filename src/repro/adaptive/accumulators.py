@@ -44,7 +44,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from ..errors import ModelError
-from ..mc.estimator import MeanEstimator, ProportionEstimator, _z_value
+from ..mc.estimator import ProportionEstimator, _z_value
 
 __all__ = [
     "BivariateMoments",
@@ -52,20 +52,8 @@ __all__ = [
     "MeanAccumulator",
     "ProportionAccumulator",
     "StratifiedAccumulator",
-    "estimator_half_width",
     "moments_of",
 ]
-
-
-def estimator_half_width(estimator, confidence: float) -> float:
-    """Confidence-interval half-width of a streaming estimator.
-
-    Wilson for proportions, normal for means (via their ``half_width``
-    methods), ``inf`` when the estimator holds no observations.
-    """
-    if estimator.count == 0:
-        return math.inf
-    return estimator.half_width(confidence)
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +338,6 @@ class MeanAccumulator:
     @property
     def count(self) -> int:
         return sum(moments.count for moments in self._chunks.values())
-
-    def to_estimator(self) -> MeanEstimator:
-        """The pooled ``y`` sample as a standard :class:`MeanEstimator`."""
-        reduced = self.reduced()
-        estimator = MeanEstimator()
-        estimator.add_moments(reduced.count, reduced.mean_y, reduced.m2_y)
-        return estimator
 
     def estimate(
         self, confidence: float = 0.99, anchor: Optional[float] = None

@@ -19,7 +19,6 @@ from .el import ELModel
 from .lm import LMModel
 from .tested import SuiteMoments, TestedPopulationView, cross_suite_moments
 from .regimes import (
-    CoverageAwareRegime,
     ForcedTestingDiversity,
     IndependentSuites,
     SameSuite,
@@ -50,7 +49,6 @@ __all__ = [
     "IndependentSuites",
     "SameSuite",
     "ForcedTestingDiversity",
-    "CoverageAwareRegime",
     "JointFailureDecomposition",
     "joint_failure_probability",
     "MarginalDecomposition",

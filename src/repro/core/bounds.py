@@ -17,7 +17,7 @@ the analytic envelope.  :class:`BoundsReport` packages one such check.
 
 The measured quantities route through the Monte-Carlo layer's engine
 seam (:func:`repro.mc.experiments.resolve_engine`, which takes any of
-``engine="auto" | "batch" | "compiled" | "fastest" | "scalar"``):
+``engine="auto" | "batch" | "compiled" | "scalar"``):
 imperfect oracles and fixing run on the vectorized §4.1 kernel of
 :mod:`repro.mc.batch`, and back-to-back testing on its demand-ordered
 block kernel or the compiled counter-RNG kernel, with the scalar
@@ -359,12 +359,10 @@ def back_to_back_envelope(
     identical inputs, so the envelope comparisons are paired.
 
     With ``engine="auto"`` (default) or ``"batch"`` the whole envelope runs
-    on the vectorized block kernel of
-    :func:`repro.mc.back_to_back_envelope_batch`; ``"scalar"`` keeps the
-    per-replication reference loop, which is also the automatic fallback
-    for custom fixing policies.  ``"compiled"`` runs the native
-    counter-RNG kernel of
-    :func:`repro.mc.kernels.back_to_back_envelope_compiled` (requires the
+    on the vectorized block kernel of :mod:`repro.mc.batch`; ``"scalar"``
+    keeps the per-replication reference loop, which is also the automatic
+    fallback for custom fixing policies.  ``"compiled"`` runs the native
+    counter-RNG kernel of :mod:`repro.mc.kernels` (requires the
     ``[compiled]`` extra; never chosen by ``"auto"``).  The name resolves
     through :func:`repro.mc.experiments.resolve_engine`.
     """

@@ -145,19 +145,3 @@ class LMModel:
         result that forced diversity can beat the independence benchmark.
         """
         return self.covariance() < 0.0
-
-    def worst_case_is_el(self) -> bool:
-        """Check the paper's remark that EL is the worst case under exchangeable
-        methodologies.
-
-        For the homogeneous pair (``θ_A = θ_B``) the covariance equals
-        ``Var(Θ)`` and eq. (9) collapses to eq. (6); this predicate returns
-        True when the model's joint probability is no worse than that EL
-        bound computed from the *average* difficulty, by Cauchy–Schwarz:
-        ``E[Θ_A Θ_B] ≤ sqrt(E[Θ_A²] E[Θ_B²])``.
-        """
-        el_bound = np.sqrt(
-            self.profile.expectation(self._theta_a**2)
-            * self.profile.expectation(self._theta_b**2)
-        )
-        return bool(self.prob_both_fail() <= el_bound + 1e-12)

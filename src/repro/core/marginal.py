@@ -88,11 +88,6 @@ class MarginalDecomposition:
             self.independence_product + self.difficulty_covariance
         )
 
-    @property
-    def total_excess_over_independence(self) -> float:
-        """System pfd minus the naive independent-channels product."""
-        return self.system_pfd - self.independence_product
-
     def reconstructed(self) -> float:
         """Re-assemble the pfd from its parts (consistency check)."""
         return (

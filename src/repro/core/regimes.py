@@ -36,7 +36,6 @@ __all__ = [
     "IndependentSuites",
     "SameSuite",
     "ForcedTestingDiversity",
-    "CoverageAwareRegime",
 ]
 
 
@@ -113,73 +112,6 @@ class TestingRegime(abc.ABC):
     @abc.abstractmethod
     def label(self) -> str:
         """Short human-readable regime name for reports."""
-
-
-class CoverageAwareRegime(TestingRegime):
-    """A regime whose testing is limited by structural coverage.
-
-    Decorates any base regime: suite drawing is delegated unchanged, but
-    the regime carries a matched coverage (oracle, fixing) pair — e.g. from
-    :func:`repro.coverage.coverage_testing_pair` — as the *default testing
-    policies* of the experiment.  The Monte-Carlo entry points pick the
-    pair up whenever the caller supplies no explicit oracle/fixing, so
-    "test under regime R with coverage C" is a single object.
-
-    The pair is only validated structurally (both members must expose the
-    same ``fault_detection_probs`` tuple, the batch planner's recognition
-    contract) — this module never imports :mod:`repro.coverage`.
-    """
-
-    def __init__(self, base: TestingRegime, oracle, fixing) -> None:
-        if not isinstance(base, TestingRegime):
-            raise ModelError(
-                f"base must be a TestingRegime, got {type(base).__name__}"
-            )
-        oracle_probs = getattr(oracle, "fault_detection_probs", None)
-        fixing_probs = getattr(fixing, "fault_detection_probs", None)
-        if oracle_probs is None or fixing_probs is None or (
-            tuple(float(p) for p in oracle_probs)
-            != tuple(float(p) for p in fixing_probs)
-        ):
-            raise ModelError(
-                "CoverageAwareRegime needs a matched coverage pair: oracle "
-                "and fixing exposing the same fault_detection_probs (see "
-                "repro.coverage.coverage_testing_pair)"
-            )
-        self._base = base
-        self._oracle = oracle
-        self._fixing = fixing
-
-    @property
-    def base(self) -> TestingRegime:
-        """The decorated suite-drawing regime."""
-        return self._base
-
-    @property
-    def testing_policies(self):
-        """The default ``(oracle, fixing)`` pair for this regime."""
-        return self._oracle, self._fixing
-
-    @property
-    def shares_suite(self) -> bool:
-        return self._base.shares_suite
-
-    @property
-    def label(self) -> str:
-        return f"coverage-aware {self._base.label}"
-
-    def draw_suites(self, rng: SeedLike = None) -> Tuple[TestSuite, TestSuite]:
-        return self._base.draw_suites(rng)
-
-    def draw_suite_masks(
-        self, count: int, rng: SeedLike = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._base.draw_suite_masks(count, rng)
-
-    def _draw_suite_sequences(
-        self, count: int, rng: SeedLike = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._base._draw_suite_sequences(count, rng)
 
 
 class IndependentSuites(TestingRegime):

@@ -105,11 +105,6 @@ class OneOutOfNSystem:
         return cls(tuple(channels))
 
     @property
-    def n_channels(self) -> int:
-        """Number of diverse channels."""
-        return len(self.channels)
-
-    @property
     def failure_mask(self) -> np.ndarray:
         """True where every channel fails."""
         mask = self.channels[0].failure_mask.copy()

@@ -3,30 +3,25 @@
 The paper's demand space ``F = {x1, x2, ...}`` is realised as a finite set of
 integer-indexed demands (:class:`DemandSpace`).  The usage measure ``Q(·)``
 over demands is a :class:`UsageProfile`; several standard shapes (uniform,
-Zipf, geometric, custom, mixtures) are provided because the variability of
+Zipf, custom, mixtures) are provided because the variability of
 ``Q`` interacts with the variability of the difficulty function in every
-marginal result of the paper.  :class:`DemandPartition` supports
-partition-based test generation.
+marginal result of the paper.
 """
 
 from .space import DemandSpace
 from .profile import (
     UsageProfile,
     custom_profile,
-    geometric_profile,
     mixture_profile,
     uniform_profile,
     zipf_profile,
 )
-from .partition import DemandPartition
 
 __all__ = [
     "DemandSpace",
     "UsageProfile",
-    "DemandPartition",
     "uniform_profile",
     "zipf_profile",
-    "geometric_profile",
     "custom_profile",
     "mixture_profile",
 ]

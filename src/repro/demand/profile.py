@@ -23,7 +23,6 @@ __all__ = [
     "UsageProfile",
     "uniform_profile",
     "zipf_profile",
-    "geometric_profile",
     "custom_profile",
     "mixture_profile",
 ]
@@ -180,18 +179,6 @@ def zipf_profile(space: DemandSpace, exponent: float = 1.0) -> UsageProfile:
         raise ProbabilityError(f"zipf exponent must be >= 0, got {exponent}")
     ranks = np.arange(1, space.size + 1, dtype=np.float64)
     return UsageProfile.normalised(space, ranks**-exponent)
-
-
-def geometric_profile(space: DemandSpace, ratio: float = 0.9) -> UsageProfile:
-    """Geometric usage: demand ``k`` has weight ``ratio**k``.
-
-    ``ratio`` close to 1 approaches uniform; small ``ratio`` concentrates
-    usage on the first demands.
-    """
-    if not 0.0 < ratio <= 1.0:
-        raise ProbabilityError(f"geometric ratio must be in (0, 1], got {ratio}")
-    weights = ratio ** np.arange(space.size, dtype=np.float64)
-    return UsageProfile.normalised(space, weights)
 
 
 def custom_profile(

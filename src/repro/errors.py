@@ -39,9 +39,5 @@ class NotEnumerableError(ReproError):
     """
 
 
-class ConvergenceError(ReproError):
-    """A sequential Monte-Carlo estimation failed to reach its target."""
-
-
 class EmptyPopulationError(ModelError):
     """A population or measure with no support was supplied."""

@@ -95,9 +95,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "'auto' (default) vectorizes whenever the testing process "
         "supports it, 'batch' fails loudly when it cannot, 'compiled' "
         "runs the native counter-RNG kernels (needs the [compiled] "
-        "extra), 'fastest' picks compiled when numba is importable and "
-        "batch otherwise (recording the choice in the result's extra), "
-        "'scalar' forces the per-replication reference loops",
+        "extra), 'scalar' forces the per-replication reference loops",
     )
     parser.add_argument(
         "--n-jobs",

@@ -38,11 +38,8 @@ class EngineConfig:
     engine:
         ``"auto"`` (default — batch whenever the testing process supports
         it), ``"batch"`` (fail loudly if it cannot), ``"compiled"`` (the
-        native counter-RNG kernels; needs the ``[compiled]`` extra),
-        ``"fastest"`` (alias: compiled when numba is importable, else
-        batch — trades cross-machine bit-stability for speed; the run's
-        result carries a provenance note in ``extra``), or ``"scalar"``
-        (the reference per-replication loops).
+        native counter-RNG kernels; needs the ``[compiled]`` extra), or
+        ``"scalar"`` (the reference per-replication loops).
     n_jobs:
         Worker processes for chunk sharding on the batch/compiled paths.
     """
@@ -51,9 +48,7 @@ class EngineConfig:
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
-        check_engine(self.engine)
-        if self.n_jobs < 1:
-            raise ModelError(f"n_jobs must be >= 1, got {self.n_jobs}")
+        check_engine(self.engine, self.n_jobs)
 
 
 _ENGINE_CONFIG = EngineConfig()
@@ -86,11 +81,7 @@ def require_batch_engine(context: str) -> None:
     the same contract the ``simulate_*`` drivers enforce for
     ``precision=``.
     """
-    if _ENGINE_CONFIG.engine in ("scalar", "compiled"):
-        raise ModelError(
-            f"{context} runs on the batch kernels; drop "
-            f"--engine {_ENGINE_CONFIG.engine} or the precision knob"
-        )
+    check_engine(_ENGINE_CONFIG.engine, batch_only=context)
 
 
 # Non-finite floats are not valid JSON; canonical payloads spell them out

@@ -7,7 +7,7 @@ The SBFL-guided workload runs on every grid cell with common random
 numbers, making the fix-effort surface directly comparable: richer
 coverage — denser cells or more tests — never slows reliability growth,
 and the two knobs compound (the densest, largest suite localizes
-fastest).
+soonest).
 """
 
 from __future__ import annotations

@@ -135,31 +135,8 @@ def run_experiment(
     runner = get_runner(experiment_id)
     validate_params(experiment_id, params)
     if params:
-        result = runner(seed, fast, **dict(params))
-    else:
-        result = runner(seed, fast)
-    _note_fastest_engine(result)
-    return result
-
-
-def _note_fastest_engine(result: ExperimentResult) -> None:
-    """Record what ``--engine fastest`` actually ran, in the result.
-
-    The alias trades cross-machine bit-stability for speed, so the
-    payload must say which backend produced the numbers; under any
-    concrete engine name this is a no-op and payloads stay unchanged.
-    """
-    from .base import engine_config
-
-    if engine_config().engine != "fastest":
-        return
-    from ..mc.experiments import resolve_fastest
-    from ..mc.kernels import HAVE_NUMBA
-
-    result.extra["engine_provenance"] = (
-        f"engine='fastest' resolved to {resolve_fastest()!r} "
-        f"(numba {'importable' if HAVE_NUMBA else 'not importable'})"
-    )
+        return runner(seed, fast, **dict(params))
+    return runner(seed, fast)
 
 
 def all_experiment_ids() -> List[str]:

@@ -462,9 +462,8 @@ class DevelopmentCampaign(object):
         computed on fault-matrix blocks — each activity transforms the
         entire replication block at once.  ``"scalar"`` (or any custom
         activity in the plan, under ``"auto"``) keeps the per-pair
-        trajectory loop.  Campaigns have no compiled kernels:
-        ``"fastest"`` runs the batch path (and, like ``"batch"``, rejects
-        a plan without one), and ``"compiled"`` is rejected.
+        trajectory loop.  Campaigns have no compiled kernels, so
+        ``"compiled"`` is rejected.
         """
         unsupported = [
             activity.kind

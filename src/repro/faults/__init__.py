@@ -14,7 +14,6 @@ results (eqs. (9), (21), (25)).
 from .fault import Fault
 from .universe import FaultUniverse
 from .generators import (
-    blockwise_universe,
     clustered_universe,
     disjoint_universe,
     overlapping_pair,
@@ -32,7 +31,6 @@ __all__ = [
     "FaultUniverse",
     "uniform_random_universe",
     "clustered_universe",
-    "blockwise_universe",
     "disjoint_universe",
     "zipf_sized_universe",
     "overlapping_pair",

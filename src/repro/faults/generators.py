@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..demand import DemandPartition, DemandSpace
+from ..demand import DemandSpace
 from ..errors import ModelError
 from ..rng import as_generator
 from ..types import SeedLike
@@ -27,7 +27,6 @@ from .universe import FaultUniverse
 __all__ = [
     "uniform_random_universe",
     "clustered_universe",
-    "blockwise_universe",
     "disjoint_universe",
     "zipf_sized_universe",
     "overlapping_pair",
@@ -96,32 +95,6 @@ def clustered_universe(
         )
         regions.append(region)
     return FaultUniverse.from_regions(space, regions)
-
-
-def blockwise_universe(
-    partition: DemandPartition,
-    faults_per_block: int,
-    region_size: int,
-    rng: SeedLike = None,
-) -> FaultUniverse:
-    """Faults confined to single partition blocks.
-
-    Gives exact locality control: a fault in block ``b`` breaks only
-    demands of block ``b``.  Used by the forced-diversity experiments to
-    place the faults of methodology A and methodology B in chosen blocks.
-    """
-    if faults_per_block < 0:
-        raise ModelError(f"faults_per_block must be >= 0, got {faults_per_block}")
-    generator = as_generator(rng)
-    regions = []
-    for block in partition.blocks():
-        size = min(region_size, block.size)
-        if size < 1:
-            raise ModelError("encountered an empty partition block")
-        for _ in range(faults_per_block):
-            region = generator.choice(block, size=size, replace=False)
-            regions.append(region)
-    return FaultUniverse.from_regions(partition.space, regions)
 
 
 def disjoint_universe(

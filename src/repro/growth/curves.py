@@ -76,11 +76,6 @@ class GrowthCurve:
         """pfd at the largest effort level."""
         return float(self.values[-1])
 
-    @property
-    def total_improvement(self) -> float:
-        """``initial − final`` — total pfd reduction over the sweep."""
-        return self.initial - self.final
-
     def is_nonincreasing(self, tolerance: float = 1e-9) -> bool:
         """True iff the curve never rises by more than ``tolerance``.
 

@@ -20,24 +20,11 @@ from .batch import (
     apply_imperfect_testing_batch,
     apply_testing_batch,
     back_to_back_batch,
-    back_to_back_envelope_batch,
     back_to_back_supported,
     batch_supported,
     run_tasks,
-    simulate_joint_on_demand_batch,
-    simulate_marginal_system_pfd_batch,
-    simulate_untested_joint_on_demand_batch,
-    simulate_version_pfd_batch,
 )
-from .kernels import (
-    back_to_back_envelope_compiled,
-    compiled_available,
-    compiled_supported,
-    simulate_joint_on_demand_compiled,
-    simulate_marginal_system_pfd_compiled,
-    simulate_untested_joint_on_demand_compiled,
-    simulate_version_pfd_compiled,
-)
+from .kernels import compiled_available, compiled_supported
 
 __all__ = [
     "ProportionEstimator",
@@ -51,19 +38,9 @@ __all__ = [
     "apply_blind_testing_batch",
     "apply_coverage_testing_batch",
     "back_to_back_batch",
-    "back_to_back_envelope_batch",
     "back_to_back_supported",
     "batch_supported",
-    "simulate_joint_on_demand_batch",
-    "simulate_untested_joint_on_demand_batch",
-    "simulate_marginal_system_pfd_batch",
-    "simulate_version_pfd_batch",
     "run_tasks",
-    "back_to_back_envelope_compiled",
     "compiled_available",
     "compiled_supported",
-    "simulate_joint_on_demand_compiled",
-    "simulate_untested_joint_on_demand_compiled",
-    "simulate_marginal_system_pfd_compiled",
-    "simulate_version_pfd_compiled",
 ]

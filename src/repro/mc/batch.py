@@ -91,13 +91,8 @@ __all__ = [
     "apply_blind_testing_batch",
     "apply_coverage_testing_batch",
     "back_to_back_batch",
-    "back_to_back_envelope_batch",
     "back_to_back_supported",
     "batch_supported",
-    "simulate_untested_joint_on_demand_batch",
-    "simulate_joint_on_demand_batch",
-    "simulate_marginal_system_pfd_batch",
-    "simulate_version_pfd_batch",
     "run_tasks",
 ]
 
@@ -922,7 +917,7 @@ def _accumulate_mean(results: List[Tuple[int, float, float]]) -> MeanEstimator:
 # ---------------------------------------------------------------------------
 
 
-def simulate_untested_joint_on_demand_batch(
+def _simulate_untested_joint_on_demand_batch(
     population_a: VersionPopulation,
     demand: int,
     population_b: VersionPopulation | None = None,
@@ -948,7 +943,7 @@ def simulate_untested_joint_on_demand_batch(
     )
 
 
-def simulate_joint_on_demand_batch(
+def _simulate_joint_on_demand_batch(
     regime: TestingRegime,
     population_a: VersionPopulation,
     demand: int,
@@ -971,7 +966,6 @@ def simulate_joint_on_demand_batch(
     closure) and scores the fixed demand.  Custom policies raise
     :class:`~repro.errors.ModelError`; use ``engine="scalar"`` for those.
     """
-    oracle, fixing = _scalar._regime_policies(regime, oracle, fixing)
     plan = _require_plan(oracle, fixing)
     _scalar._check_replications(n_replications)
     population_b = population_b if population_b is not None else population_a
@@ -984,7 +978,7 @@ def simulate_joint_on_demand_batch(
     )
 
 
-def simulate_marginal_system_pfd_batch(
+def _simulate_marginal_system_pfd_batch(
     regime: TestingRegime,
     population_a: VersionPopulation,
     profile: UsageProfile,
@@ -1009,7 +1003,6 @@ def simulate_marginal_system_pfd_batch(
     §4.1 binomial-detection kernel; custom policies raise
     :class:`~repro.errors.ModelError`.
     """
-    oracle, fixing = _scalar._regime_policies(regime, oracle, fixing)
     plan = _require_plan(oracle, fixing)
     _scalar._check_replications(n_replications)
     population_b = population_b if population_b is not None else population_a
@@ -1028,7 +1021,7 @@ def simulate_marginal_system_pfd_batch(
     )
 
 
-def simulate_version_pfd_batch(
+def _simulate_version_pfd_batch(
     population: VersionPopulation,
     generator: SuiteGenerator,
     profile: UsageProfile,
@@ -1057,7 +1050,7 @@ def simulate_version_pfd_batch(
     )
 
 
-def back_to_back_envelope_batch(
+def _back_to_back_envelope_batch(
     population_a: VersionPopulation,
     generator: SuiteGenerator,
     profile: UsageProfile,

@@ -28,7 +28,7 @@ Each estimator runs on one of three backends:
   for *custom* oracle/fixing policies, whose per-demand dynamics the batch
   kernels cannot introspect.
 
-The ``engine=`` argument takes one of the five names in :data:`ENGINES`,
+The ``engine=`` argument takes one of the four names in :data:`ENGINES`,
 and one seam, :func:`resolve_engine`, maps a name to a backend for every
 driver here and for :func:`repro.core.bounds.back_to_back_envelope` and
 :meth:`repro.extensions.DevelopmentCampaign.mean_final_system_pfd_estimator`.
@@ -39,8 +39,6 @@ process and the scalar loop otherwise.  ``auto`` deliberately never
 resolves to ``compiled``: the compiled backend draws from a different
 (counter-based) random stream, and a default that silently depends on
 whether numba is installed would make results machine-dependent.
-``"fastest"`` is the opposite trade: ``compiled`` when numba is importable
-and the call has compiled kernels, else ``batch`` — never ``scalar``.
 
 Every estimator also accepts ``precision=`` — a
 :class:`repro.adaptive.PrecisionTarget` (or a mapping of its fields).
@@ -77,13 +75,26 @@ _DEFAULT_REPLICATIONS = 2000
 
 #: every ``engine=`` value the simulation entry points, the experiment
 #: CLI, sweeps and the service accept
-ENGINES = ("auto", "batch", "compiled", "fastest", "scalar")
+ENGINES = ("auto", "batch", "compiled", "scalar")
 
 
-def check_engine(engine: str) -> str:
-    """``engine`` unchanged if it names an engine; ModelError otherwise."""
+def check_engine(engine: str, n_jobs: int = 1, batch_only: str | None = None) -> str:
+    """``engine`` unchanged if the run's engine settings are valid.
+
+    ``engine`` must name an engine and ``n_jobs`` be at least 1.
+    ``batch_only`` names a run that only the batch kernels can serve (the
+    adaptive precision engine rides them exclusively); the scalar and
+    compiled engines are then rejected.  Raises ModelError otherwise.
+    """
     if engine not in ENGINES:
         raise ModelError(f"engine must be one of {ENGINES}, got {engine!r}")
+    if n_jobs < 1:
+        raise ModelError(f"n_jobs must be >= 1, got {n_jobs}")
+    if batch_only is not None and engine in ("scalar", "compiled"):
+        raise ModelError(
+            f"{batch_only} runs on the batch kernels; "
+            f"engine={engine!r} cannot be combined with a precision target"
+        )
     return engine
 
 
@@ -99,16 +110,11 @@ def resolve_engine(
     raises before anything else.
     """
     check_engine(engine)
-    requested = engine
-    if engine == "fastest":
-        from . import kernels
-
-        engine = "compiled" if compiled_ok and kernels.HAVE_NUMBA else "batch"
     if engine == "compiled":
         if not compiled_ok:
             raise ModelError(
                 f"engine='compiled' has no compiled kernels for {model}; "
-                "use engine='auto', 'batch' or 'fastest'"
+                "use engine='auto' or 'batch'"
             )
         from .kernels import require_compiled
 
@@ -116,28 +122,13 @@ def resolve_engine(
         return "compiled"
     if engine == "batch" and not batch_ok:
         raise ModelError(
-            f"engine={requested!r} runs on the batch kernels, which cannot "
+            f"engine={engine!r} runs on the batch kernels, which cannot "
             f"model {model}; use engine='auto' for the automatic scalar "
             "fallback, or engine='scalar'"
         )
     if engine == "scalar" or not batch_ok:
         return "scalar"
     return "batch"
-
-
-def resolve_fastest(
-    oracle: Oracle | None = None, fixing: FixingPolicy | None = None
-) -> str:
-    """Resolve the ``"fastest"`` alias to a concrete engine for one call.
-
-    The compiled backend when numba is importable *and* the testing pair
-    has compiled kernels, else the batch path.  Unlike ``"auto"``, the
-    alias trades bit-stability across machines for speed: the same call
-    can run different backends depending on what is installed.
-    """
-    from .kernels import compiled_supported
-
-    return resolve_engine("fastest", True, compiled_supported(oracle, fixing))
 
 
 def _check_replications(n_replications: int) -> None:
@@ -153,20 +144,15 @@ def _coerce_precision(precision, engine: str):
     """
     from ..adaptive.targets import PrecisionTarget
 
-    check_engine(engine)
-    target = PrecisionTarget.coerce(precision)
-    if target is not None and engine in ("scalar", "compiled"):
-        raise ModelError(
-            "precision-targeted estimation runs on the batch kernels; "
-            f"engine={engine!r} cannot be combined with precision="
-        )
-    return target
+    adaptive = None if precision is None else "precision-targeted estimation"
+    check_engine(engine, batch_only=adaptive)
+    return PrecisionTarget.coerce(precision)
 
 
 def _twin(driver: str, choice: str):
     """The vectorized twin of ``driver`` for a resolved backend ``choice``.
 
-    ``<driver>_batch`` or ``<driver>_compiled``; both take the driver's
+    ``_<driver>_batch`` or ``_<driver>_compiled``; both take the driver's
     arguments minus ``engine=`` and ``precision=``, so one lookup serves
     either backend.  ``None`` for ``"scalar"``: the driver's own loop.
     """
@@ -175,7 +161,7 @@ def _twin(driver: str, choice: str):
     from . import batch, kernels
 
     module = batch if choice == "batch" else kernels
-    return getattr(module, f"{driver}_{choice}")
+    return getattr(module, f"_{driver}_{choice}")
 
 
 def _backend(driver: str, engine: str, oracle=None, fixing=None):
@@ -190,26 +176,6 @@ def _backend(driver: str, engine: str, oracle=None, fixing=None):
         model=f"{type(oracle).__name__}/{type(fixing).__name__} testing",
     )
     return _twin(driver, choice)
-
-
-def _regime_policies(
-    regime: TestingRegime,
-    oracle: Oracle | None,
-    fixing: FixingPolicy | None,
-) -> tuple:
-    """Resolve the effective (oracle, fixing) pair for one simulate call.
-
-    A :class:`~repro.core.regimes.CoverageAwareRegime` carries its matched
-    coverage pair as the experiment's default testing policies; explicit
-    ``oracle=``/``fixing=`` arguments always win (even half-supplied —
-    overriding one half of a matched pair is a deliberate, scalar-path
-    choice).
-    """
-    if oracle is None and fixing is None:
-        policies = getattr(regime, "testing_policies", None)
-        if policies is not None:
-            return policies
-    return oracle, fixing
 
 
 def simulate_untested_joint_on_demand(
@@ -287,7 +253,6 @@ def simulate_joint_on_demand(
     or fixing policy is supplied), then score both tested versions on the
     fixed demand.
     """
-    oracle, fixing = _regime_policies(regime, oracle, fixing)
     target = _coerce_precision(precision, engine)
     if target is not None:
         from ..adaptive.controller import adaptive_joint_on_demand
@@ -366,7 +331,6 @@ def simulate_marginal_system_pfd(
     population_a.space.require_same(profile.space)
     if population_b is not None:
         population_b.space.require_same(profile.space)
-    oracle, fixing = _regime_policies(regime, oracle, fixing)
     target = _coerce_precision(precision, engine)
     if target is not None:
         if not rao_blackwell:

@@ -82,7 +82,6 @@ from .experiments import _check_replications
 __all__ = [
     "HAVE_NUMBA",
     "back_to_back_counter",
-    "back_to_back_envelope_compiled",
     "compiled_available",
     "compiled_supported",
     "imperfect_closure",
@@ -91,10 +90,6 @@ __all__ = [
     "perfect_closure",
     "pfd_values",
     "require_compiled",
-    "simulate_joint_on_demand_compiled",
-    "simulate_marginal_system_pfd_compiled",
-    "simulate_untested_joint_on_demand_compiled",
-    "simulate_version_pfd_compiled",
 ]
 
 try:  # pragma: no cover - exercised on the numba CI leg
@@ -958,7 +953,7 @@ def _mean_from(values: np.ndarray) -> MeanEstimator:
 # ---------------------------------------------------------------------------
 
 
-def simulate_untested_joint_on_demand_compiled(
+def _simulate_untested_joint_on_demand_compiled(
     population_a,
     demand: int,
     population_b=None,
@@ -988,7 +983,7 @@ def simulate_untested_joint_on_demand_compiled(
     return _proportion_from(_gather(_chunk_untested_joint, spec, spans, n_jobs))
 
 
-def simulate_joint_on_demand_compiled(
+def _simulate_joint_on_demand_compiled(
     regime,
     population_a,
     demand: int,
@@ -1012,7 +1007,7 @@ def simulate_joint_on_demand_compiled(
     return _proportion_from(_gather(_chunk_tested_joint, spec, spans, n_jobs))
 
 
-def simulate_marginal_system_pfd_compiled(
+def _simulate_marginal_system_pfd_compiled(
     regime,
     population_a,
     profile,
@@ -1040,7 +1035,7 @@ def simulate_marginal_system_pfd_compiled(
     return _mean_from(_gather(_chunk_marginal, spec, spans, n_jobs))
 
 
-def simulate_version_pfd_compiled(
+def _simulate_version_pfd_compiled(
     population,
     generator,
     profile,
@@ -1086,7 +1081,7 @@ def simulate_version_pfd_compiled(
     return _mean_from(_gather(_chunk_version_pfd, spec, spans, n_jobs))
 
 
-def back_to_back_envelope_compiled(
+def _back_to_back_envelope_compiled(
     population_a,
     generator,
     profile,

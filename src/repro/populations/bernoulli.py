@@ -84,24 +84,6 @@ class BernoulliFaultPopulation(VersionPopulation):
         probs = np.full(len(universe), float(probability))
         return cls(universe, probs)
 
-    @classmethod
-    def over_fault_subset(
-        cls,
-        universe: FaultUniverse,
-        fault_ids: Sequence[int] | np.ndarray,
-        probability: float,
-    ) -> "BernoulliFaultPopulation":
-        """Faults in ``fault_ids`` present with ``probability``; others never.
-
-        The building block for forced-diversity constructions where
-        methodology A is prone to one subset of faults and methodology B to
-        another.
-        """
-        ids = universe.validate_fault_ids(fault_ids)
-        probs = np.zeros(len(universe))
-        probs[ids] = float(probability)
-        return cls(universe, probs)
-
     def sample(self, rng: SeedLike = None) -> Version:
         """Draw a version: include each fault independently."""
         generator = as_generator(rng)

@@ -17,7 +17,6 @@ from .types import SeedLike
 
 __all__ = [
     "as_generator",
-    "counter_generator",
     "counter_key",
     "counter_uniforms",
     "inverse_cdf_indices",
@@ -263,22 +262,6 @@ def counter_uniforms(key: int, streams, lanes) -> np.ndarray:
         k1 = (k1 + w1) & mask
     bits = (c0 << shift) | c1
     return (bits >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
-
-
-def counter_generator(seed: SeedLike, index: int) -> np.random.Generator:
-    """A full :class:`~numpy.random.Generator` on the keyed Philox stream.
-
-    The 128-bit Philox key is ``(counter_key(seed), index)``, so streams
-    for different replication/shard indices are independent by
-    construction — no serial spawning, no parent stream to consume, and no
-    birthday-collision risk however many indices are in flight.  This is
-    the coarse-grained companion of :func:`counter_uniforms` for code that
-    needs arbitrary distributions rather than raw uniforms.
-    """
-    if index < 0:
-        raise ValueError(f"index must be non-negative, got {index}")
-    key = np.array([counter_key(seed), index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def stream(seed: SeedLike = None) -> Iterator[np.random.Generator]:

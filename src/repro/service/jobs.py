@@ -250,9 +250,7 @@ class JobSpec:
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
-        check_engine(self.engine)
-        if self.n_jobs < 1:
-            raise ModelError(f"n_jobs must be >= 1, got {self.n_jobs}")
+        check_engine(self.engine, self.n_jobs)
 
     @property
     def params_dict(self) -> Dict[str, object]:

@@ -227,14 +227,9 @@ class Sweep:
         engine: str = "auto",
         n_jobs: int = 1,
     ) -> None:
-        check_engine(engine)
-        if n_jobs < 1:
-            raise ModelError(f"n_jobs must be >= 1, got {n_jobs}")
-        if engine in ("scalar", "compiled") and spec.precision is not None:
-            raise ModelError(
-                "a [precision] sweep runs on the batch kernels; "
-                f"engine={engine!r} cannot be combined with it"
-            )
+        check_engine(
+            engine, n_jobs, None if spec.precision is None else "a [precision] sweep"
+        )
         self.spec = spec
         self.store = store
         self.engine = engine

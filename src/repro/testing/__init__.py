@@ -15,7 +15,6 @@ from .generators import (
     EnumerableSuiteGenerator,
     ExhaustiveSuiteGenerator,
     OperationalSuiteGenerator,
-    PartitionCoverageGenerator,
     SuiteGenerator,
     WeightedDebugGenerator,
     WithoutReplacementGenerator,
@@ -29,7 +28,6 @@ __all__ = [
     "SuiteGenerator",
     "OperationalSuiteGenerator",
     "WithoutReplacementGenerator",
-    "PartitionCoverageGenerator",
     "WeightedDebugGenerator",
     "ExhaustiveSuiteGenerator",
     "EnumerableSuiteGenerator",

@@ -16,12 +16,11 @@ generator objects for the two channels.
 from __future__ import annotations
 
 import abc
-import itertools
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from ..demand import DemandPartition, DemandSpace, UsageProfile
+from ..demand import DemandSpace, UsageProfile
 from ..errors import ModelError, NotEnumerableError, ProbabilityError
 from ..rng import as_generator, inverse_cdf_indices, spawn_many
 from ..types import SeedLike
@@ -31,7 +30,6 @@ __all__ = [
     "SuiteGenerator",
     "OperationalSuiteGenerator",
     "WithoutReplacementGenerator",
-    "PartitionCoverageGenerator",
     "WeightedDebugGenerator",
     "ExhaustiveSuiteGenerator",
     "EnumerableSuiteGenerator",
@@ -273,45 +271,6 @@ class WithoutReplacementGenerator(SuiteGenerator):
         return TestSuite(self._space, demands)
 
 
-class PartitionCoverageGenerator(SuiteGenerator):
-    """One (or more) demands per partition block — partition testing.
-
-    Guarantees every block is exercised; within a block demands are drawn
-    from the restricted operational profile.  Partition testing is a
-    standard "debug-goal" procedure whose measure differs from operational
-    testing — exactly the raw material for forced testing diversity.
-    """
-
-    def __init__(
-        self,
-        partition: DemandPartition,
-        profile: UsageProfile,
-        per_block: int = 1,
-    ) -> None:
-        super().__init__(partition.space)
-        partition.space.require_same(profile.space)
-        if per_block < 1:
-            raise ModelError(f"per_block must be >= 1, got {per_block}")
-        self._partition = partition
-        self._profile = profile
-        self._per_block = per_block
-        self._block_profiles = []
-        for block in partition.blocks():
-            weights = np.zeros(partition.space.size)
-            weights[block] = np.maximum(profile.probabilities[block], 1e-300)
-            self._block_profiles.append(
-                UsageProfile.normalised(partition.space, weights)
-            )
-
-    def sample(self, rng: SeedLike = None) -> TestSuite:
-        generator = as_generator(rng)
-        picks = [
-            block_profile.sample(generator, size=self._per_block)
-            for block_profile in self._block_profiles
-        ]
-        return TestSuite(self._space, np.concatenate(picks))
-
-
 class WeightedDebugGenerator(OperationalSuiteGenerator):
     """Suites drawn from a debug profile distinct from the usage profile.
 
@@ -324,11 +283,6 @@ class WeightedDebugGenerator(OperationalSuiteGenerator):
 
     def __init__(self, debug_profile: UsageProfile, size: int) -> None:
         super().__init__(debug_profile, size)
-
-    @property
-    def debug_profile(self) -> UsageProfile:
-        """The profile the debugger samples from (distinct from usage)."""
-        return self._profile
 
     @classmethod
     def biased_towards(
@@ -422,28 +376,6 @@ class EnumerableSuiteGenerator(SuiteGenerator):
         """Equal probability over the listed suites."""
         suites = list(suites)
         return cls(space, suites, np.full(len(suites), 1.0 / len(suites)))
-
-    @classmethod
-    def all_subsets(
-        cls, profile: UsageProfile, size: int
-    ) -> "EnumerableSuiteGenerator":
-        """All ``size``-subsets of the demand space, probability ∝ product of ``Q``.
-
-        An exactly enumerable analogue of without-replacement sampling for
-        tiny spaces (the combinatorics explode quickly; intended for
-        ground-truth tests only).
-        """
-        space = profile.space
-        suites = []
-        weights = []
-        for combo in itertools.combinations(range(space.size), size):
-            suites.append(TestSuite.of(space, combo))
-            weights.append(float(np.prod(profile.probabilities[list(combo)])))
-        weight_array = np.asarray(weights)
-        total = weight_array.sum()
-        if total <= 0:
-            raise ProbabilityError("no subset has positive probability")
-        return cls(space, suites, weight_array / total)
 
     def __len__(self) -> int:
         return len(self._suites)

@@ -13,7 +13,7 @@ The paper's objects map onto the following concrete representations:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
@@ -37,13 +37,6 @@ IntArray = "NDArray[np.int64]"
 
 #: Anything accepted where a seed is expected.
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
-
-
-class SupportsSample(Protocol):
-    """Protocol for objects that can be sampled with a numpy generator."""
-
-    def sample(self, rng: np.random.Generator) -> object:
-        """Draw one realisation using ``rng``."""
 
 
 def as_index_array(indices: Sequence[int] | "NDArray[np.int64]") -> "NDArray[np.int64]":

@@ -88,9 +88,3 @@ class TestRelationToEL:
         el = ELModel(theta, profile)
         assert lm.prob_both_fail() == pytest.approx(el.prob_both_fail())
         assert lm.covariance() == pytest.approx(el.variance())
-
-    def test_cauchy_schwarz_bound(self, profile):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            model = LMModel(rng.random(10), rng.random(10), profile)
-            assert model.worst_case_is_el()

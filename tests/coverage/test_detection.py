@@ -2,15 +2,14 @@
 
 The pair must (a) behave correctly on the scalar path, (b) be recognised
 structurally by the batch planner with scalar/batch statistical parity,
-(c) be rejected by the compiled backend with a pointer to engine='batch',
-and (d) travel as the default policies of a
-:class:`~repro.core.CoverageAwareRegime`.
+and (c) be rejected by the compiled backend with a pointer to
+engine='batch'.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import CoverageAwareRegime, SameSuite
+from repro.core import SameSuite
 from repro.coverage import (
     ComponentModel,
     CoverageFixing,
@@ -154,67 +153,3 @@ def test_coverage_testing_weaker_than_perfect(model):
         n_replications=4000, rng=61,
     )
     assert limited.mean >= perfect.mean
-
-
-def test_coverage_aware_regime_supplies_default_policies(model):
-    profile, _universe, population, generator, components, matrix = model
-    oracle, fixing = coverage_testing_pair(components, matrix)
-    base = SameSuite(generator)
-    regime = CoverageAwareRegime(base, oracle, fixing)
-    assert regime.shares_suite == base.shares_suite
-    assert regime.label == "coverage-aware same suite"
-    assert regime.base is base
-    via_regime = simulate_marginal_system_pfd(
-        regime, population, profile, engine="batch",
-        n_replications=500, rng=11,
-    )
-    explicit = simulate_marginal_system_pfd(
-        base, population, profile, engine="batch",
-        oracle=oracle, fixing=fixing, n_replications=500, rng=11,
-    )
-    assert via_regime.mean == explicit.mean
-    assert via_regime.variance == explicit.variance
-
-
-def test_coverage_aware_regime_explicit_policies_win(model):
-    profile, _universe, population, generator, components, matrix = model
-    oracle, fixing = coverage_testing_pair(components, matrix)
-    regime = CoverageAwareRegime(SameSuite(generator), oracle, fixing)
-    overridden = simulate_marginal_system_pfd(
-        regime, population, profile, n_replications=500, rng=11,
-    )
-    perfect = simulate_marginal_system_pfd(
-        regime, population, profile, n_replications=500, rng=11,
-        oracle=None, fixing=ImperfectFixing(1.0),
-    )
-    # ImperfectFixing(1.0) is perfect fixing with a perfect default oracle,
-    # which differs from the coverage default almost surely at this size
-    assert perfect.mean != overridden.mean
-
-
-def test_coverage_aware_regime_validation(model):
-    _profile, universe, _population, generator, components, matrix = model
-    oracle, fixing = coverage_testing_pair(components, matrix)
-    base = SameSuite(generator)
-    with pytest.raises(ModelError):
-        CoverageAwareRegime("not a regime", oracle, fixing)
-    with pytest.raises(ModelError):
-        CoverageAwareRegime(base, oracle, ImperfectFixing(0.5))
-    with pytest.raises(ModelError):
-        CoverageAwareRegime(base, oracle, CoverageFixing((0.5,) * len(universe)))
-
-
-def test_coverage_aware_regime_delegates_draws(model):
-    profile, _universe, _population, generator, components, matrix = model
-    oracle, fixing = coverage_testing_pair(components, matrix)
-    base = SameSuite(generator)
-    regime = CoverageAwareRegime(base, oracle, fixing)
-    suite_a, suite_b = regime.draw_suites(3)
-    base_a, base_b = base.draw_suites(3)
-    np.testing.assert_array_equal(suite_a.demands, base_a.demands)
-    masks = regime.draw_suite_masks(4, 5)
-    base_masks = base.draw_suite_masks(4, 5)
-    np.testing.assert_array_equal(masks[0], base_masks[0])
-    sequences = regime._draw_suite_sequences(4, 5)
-    base_sequences = base._draw_suite_sequences(4, 5)
-    np.testing.assert_array_equal(sequences[1], base_sequences[1])

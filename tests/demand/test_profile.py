@@ -7,7 +7,6 @@ from repro.demand import (
     DemandSpace,
     UsageProfile,
     custom_profile,
-    geometric_profile,
     mixture_profile,
     uniform_profile,
     zipf_profile,
@@ -149,16 +148,6 @@ class TestFactories:
     def test_zipf_negative_exponent_rejected(self):
         with pytest.raises(ProbabilityError):
             zipf_profile(DemandSpace(5), exponent=-1.0)
-
-    def test_geometric_ratio_one_is_uniform(self):
-        profile = geometric_profile(DemandSpace(5), ratio=1.0)
-        np.testing.assert_allclose(profile.probabilities, 0.2)
-
-    def test_geometric_invalid_ratio(self):
-        with pytest.raises(ProbabilityError):
-            geometric_profile(DemandSpace(5), ratio=0.0)
-        with pytest.raises(ProbabilityError):
-            geometric_profile(DemandSpace(5), ratio=1.5)
 
     def test_custom(self):
         profile = custom_profile(DemandSpace(3), [1, 1, 2])

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.demand import DemandPartition, DemandSpace
+from repro.demand import DemandSpace
 from repro.errors import ModelError
 from repro.faults import (
-    blockwise_universe,
     clustered_universe,
     disjoint_universe,
     overlapping_pair,
@@ -60,21 +59,6 @@ class TestClustered:
     def test_invalid_concentration(self):
         with pytest.raises(ModelError):
             clustered_universe(SPACE, 1, 2, concentration=0.0, rng=0)
-
-
-class TestBlockwise:
-    def test_faults_confined_to_blocks(self):
-        partition = DemandPartition.equal_blocks(SPACE, 4)
-        universe = blockwise_universe(partition, faults_per_block=3, region_size=5, rng=3)
-        assert len(universe) == 12
-        for index, fault in enumerate(universe):
-            block = partition.block(index // 3)
-            assert set(fault.region.tolist()) <= set(block.tolist())
-
-    def test_region_capped_at_block_size(self):
-        partition = DemandPartition.equal_blocks(DemandSpace(8), 4)
-        universe = blockwise_universe(partition, 1, region_size=10, rng=0)
-        assert all(fault.size == 2 for fault in universe)
 
 
 class TestDisjoint:

@@ -44,7 +44,6 @@ class TestGrowthCurve:
         )
         assert curve.initial == pytest.approx(0.4)
         assert curve.final == pytest.approx(0.1)
-        assert curve.total_improvement == pytest.approx(0.3)
         assert curve.is_nonincreasing()
 
     def test_dominates(self):

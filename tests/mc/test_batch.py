@@ -27,13 +27,9 @@ from repro.mc import (
     apply_testing_batch,
     batch_supported,
     simulate_joint_on_demand,
-    simulate_joint_on_demand_batch,
     simulate_marginal_system_pfd,
-    simulate_marginal_system_pfd_batch,
     simulate_untested_joint_on_demand,
-    simulate_untested_joint_on_demand_batch,
     simulate_version_pfd,
-    simulate_version_pfd_batch,
 )
 from repro.populations import BernoulliFaultPopulation
 from repro.testing import (
@@ -146,8 +142,8 @@ def test_untested_joint_engines_agree(model):
     scalar = simulate_untested_joint_on_demand(
         population, demand, n_replications=3000, rng=11, engine="scalar"
     )
-    batch = simulate_untested_joint_on_demand_batch(
-        population, demand, n_replications=3000, rng=11
+    batch = simulate_untested_joint_on_demand(
+        population, demand, n_replications=3000, rng=11, engine="batch"
     )
     assert batch.count == scalar.count == 3000
     assert _overlap(scalar, batch)
@@ -163,8 +159,8 @@ def test_tested_joint_engines_agree(model, regime_cls):
     scalar = simulate_joint_on_demand(
         regime, population, demand, n_replications=3000, rng=13, engine="scalar"
     )
-    batch = simulate_joint_on_demand_batch(
-        regime, population, demand, n_replications=3000, rng=13
+    batch = simulate_joint_on_demand(
+        regime, population, demand, n_replications=3000, rng=13, engine="batch"
     )
     assert _overlap(scalar, batch)
 
@@ -175,8 +171,8 @@ def test_marginal_engines_agree(model):
     scalar = simulate_marginal_system_pfd(
         regime, population, profile, n_replications=1500, rng=17, engine="scalar"
     )
-    batch = simulate_marginal_system_pfd_batch(
-        regime, population, profile, n_replications=1500, rng=17
+    batch = simulate_marginal_system_pfd(
+        regime, population, profile, n_replications=1500, rng=17, engine="batch"
     )
     assert _overlap(scalar, batch)
 
@@ -193,13 +189,14 @@ def test_marginal_raw_demand_engines_agree(model):
         rao_blackwell=False,
         engine="scalar",
     )
-    batch = simulate_marginal_system_pfd_batch(
+    batch = simulate_marginal_system_pfd(
         regime,
         population,
         profile,
         n_replications=4000,
         rng=19,
         rao_blackwell=False,
+        engine="batch",
     )
     assert _overlap(scalar, batch)
 
@@ -209,8 +206,8 @@ def test_version_pfd_engines_agree(model):
     scalar = simulate_version_pfd(
         population, generator, profile, n_replications=1500, rng=23, engine="scalar"
     )
-    batch = simulate_version_pfd_batch(
-        population, generator, profile, n_replications=1500, rng=23
+    batch = simulate_version_pfd(
+        population, generator, profile, n_replications=1500, rng=23, engine="batch"
     )
     assert _overlap(scalar, batch)
 
@@ -223,11 +220,11 @@ def test_version_pfd_engines_agree(model):
 def test_batch_deterministic_under_seed(model):
     _space, profile, _universe, population, generator = model
     regime = SameSuite(generator)
-    first = simulate_marginal_system_pfd_batch(
-        regime, population, profile, n_replications=500, rng=29
+    first = simulate_marginal_system_pfd(
+        regime, population, profile, n_replications=500, rng=29, engine="batch"
     )
-    second = simulate_marginal_system_pfd_batch(
-        regime, population, profile, n_replications=500, rng=29
+    second = simulate_marginal_system_pfd(
+        regime, population, profile, n_replications=500, rng=29, engine="batch"
     )
     assert first.mean == second.mean
     assert first.variance == second.variance
@@ -236,8 +233,9 @@ def test_batch_deterministic_under_seed(model):
 def test_chunked_run_covers_full_budget(model):
     _space, profile, _universe, population, generator = model
     regime = SameSuite(generator)
-    estimator = simulate_marginal_system_pfd_batch(
-        regime, population, profile, n_replications=1001, rng=31, chunk_size=100
+    estimator = simulate_marginal_system_pfd(
+        regime, population, profile, n_replications=1001, rng=31, chunk_size=100,
+        engine="batch",
     )
     assert estimator.count == 1001
 
@@ -245,7 +243,7 @@ def test_chunked_run_covers_full_budget(model):
 def test_n_jobs_invariant_at_fixed_chunking(model):
     _space, profile, _universe, population, generator = model
     regime = SameSuite(generator)
-    serial = simulate_marginal_system_pfd_batch(
+    serial = simulate_marginal_system_pfd(
         regime,
         population,
         profile,
@@ -253,8 +251,9 @@ def test_n_jobs_invariant_at_fixed_chunking(model):
         rng=37,
         chunk_size=100,
         n_jobs=1,
+        engine="batch",
     )
-    sharded = simulate_marginal_system_pfd_batch(
+    sharded = simulate_marginal_system_pfd(
         regime,
         population,
         profile,
@@ -262,6 +261,7 @@ def test_n_jobs_invariant_at_fixed_chunking(model):
         rng=37,
         chunk_size=100,
         n_jobs=2,
+        engine="batch",
     )
     assert sharded.count == serial.count
     assert sharded.mean == serial.mean
@@ -271,11 +271,13 @@ def test_n_jobs_invariant_at_fixed_chunking(model):
 def test_proportion_n_jobs_invariant(model):
     _space, _profile, _universe, population, generator = model
     regime = IndependentSuites(generator)
-    serial = simulate_joint_on_demand_batch(
-        regime, population, 2, n_replications=400, rng=41, chunk_size=100, n_jobs=1
+    serial = simulate_joint_on_demand(
+        regime, population, 2, n_replications=400, rng=41, chunk_size=100, n_jobs=1,
+        engine="batch",
     )
-    sharded = simulate_joint_on_demand_batch(
-        regime, population, 2, n_replications=400, rng=41, chunk_size=100, n_jobs=2
+    sharded = simulate_joint_on_demand(
+        regime, population, 2, n_replications=400, rng=41, chunk_size=100, n_jobs=2,
+        engine="batch",
     )
     assert (sharded.successes, sharded.count) == (serial.successes, serial.count)
 
@@ -314,8 +316,9 @@ def test_imperfect_oracle_runs_on_batch_path(model):
     regime = SameSuite(generator)
     oracle = ImperfectOracle(0.6)
     assert batch_supported(oracle=oracle)
-    batch = simulate_marginal_system_pfd_batch(
-        regime, population, profile, n_replications=2000, rng=43, oracle=oracle
+    batch = simulate_marginal_system_pfd(
+        regime, population, profile, n_replications=2000, rng=43, oracle=oracle,
+        engine="batch",
     )
     scalar = simulate_marginal_system_pfd(
         regime,
@@ -345,11 +348,11 @@ def test_n_jobs_invariant_at_default_chunking(model):
     # default chunk size must not depend on n_jobs (documented guarantee);
     # 10001 replications span two default-size chunks
     _space, _profile, _universe, population, _generator = model
-    serial = simulate_untested_joint_on_demand_batch(
-        population, 2, n_replications=10001, rng=53, n_jobs=1
+    serial = simulate_untested_joint_on_demand(
+        population, 2, n_replications=10001, rng=53, n_jobs=1, engine="batch"
     )
-    sharded = simulate_untested_joint_on_demand_batch(
-        population, 2, n_replications=10001, rng=53, n_jobs=2
+    sharded = simulate_untested_joint_on_demand(
+        population, 2, n_replications=10001, rng=53, n_jobs=2, engine="batch"
     )
     assert (sharded.successes, sharded.count) == (serial.successes, serial.count)
 
@@ -382,7 +385,9 @@ def test_unknown_engine_rejected(model):
 def test_invalid_replications_rejected_on_batch_path(model):
     _space, _profile, _universe, population, _generator = model
     with pytest.raises(ModelError):
-        simulate_untested_joint_on_demand_batch(population, 0, n_replications=0)
+        simulate_untested_joint_on_demand(
+            population, 0, n_replications=0, engine="batch"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,10 @@ from repro.mc import (
     apply_imperfect_testing_batch,
     apply_testing_batch,
     back_to_back_batch,
-    back_to_back_envelope_batch,
     back_to_back_supported,
     batch_supported,
     simulate_joint_on_demand,
     simulate_marginal_system_pfd,
-    simulate_marginal_system_pfd_batch,
     simulate_version_pfd,
 )
 from repro.populations import BernoulliFaultPopulation
@@ -404,8 +402,8 @@ def test_envelope_auto_engine_uses_batch(model):
     auto = back_to_back_envelope(
         population, generator, profile, n_replications=200, rng=41
     )
-    forced = back_to_back_envelope_batch(
-        population, generator, profile, n_replications=200, rng=41
+    forced = back_to_back_envelope(
+        population, generator, profile, n_replications=200, rng=41, engine="batch"
     )
     assert auto.pessimistic_system_pfd == forced.pessimistic_system_pfd
 
@@ -414,11 +412,12 @@ def test_envelope_imperfect_fixing_supported(model):
     _space, profile, _universe, population, generator = model
     fixing = ImperfectFixing(0.5)
     assert back_to_back_supported(fixing)
-    partial = back_to_back_envelope_batch(
-        population, generator, profile, fixing=fixing, n_replications=300, rng=43
+    partial = back_to_back_envelope(
+        population, generator, profile, fixing=fixing, n_replications=300, rng=43,
+        engine="batch",
     )
-    full = back_to_back_envelope_batch(
-        population, generator, profile, n_replications=300, rng=43
+    full = back_to_back_envelope(
+        population, generator, profile, n_replications=300, rng=43, engine="batch"
     )
     # weaker fixing removes fewer faults: every post-test pfd is >= the
     # perfect-fixing one (statistically; allow MC slack)
@@ -441,8 +440,9 @@ def test_imperfect_batch_deterministic_under_seed(model):
         n_replications=500,
         rng=47,
     )
-    first = simulate_marginal_system_pfd_batch(regime, population, profile, **kwargs)
-    second = simulate_marginal_system_pfd_batch(regime, population, profile, **kwargs)
+    kwargs["engine"] = "batch"
+    first = simulate_marginal_system_pfd(regime, population, profile, **kwargs)
+    second = simulate_marginal_system_pfd(regime, population, profile, **kwargs)
     assert first.mean == second.mean
     assert first.variance == second.variance
 
@@ -457,11 +457,11 @@ def test_imperfect_n_jobs_invariant_at_fixed_chunking(model):
         rng=53,
         chunk_size=100,
     )
-    serial = simulate_marginal_system_pfd_batch(
-        regime, population, profile, n_jobs=1, **kwargs
+    serial = simulate_marginal_system_pfd(
+        regime, population, profile, n_jobs=1, **kwargs, engine="batch"
     )
-    sharded = simulate_marginal_system_pfd_batch(
-        regime, population, profile, n_jobs=2, **kwargs
+    sharded = simulate_marginal_system_pfd(
+        regime, population, profile, n_jobs=2, **kwargs, engine="batch"
     )
     assert sharded.count == serial.count
     assert sharded.mean == serial.mean
@@ -470,7 +470,7 @@ def test_imperfect_n_jobs_invariant_at_fixed_chunking(model):
 
 def test_envelope_n_jobs_invariant_at_fixed_chunking(model):
     _space, profile, _universe, population, generator = model
-    serial = back_to_back_envelope_batch(
+    serial = back_to_back_envelope(
         population,
         generator,
         profile,
@@ -478,8 +478,9 @@ def test_envelope_n_jobs_invariant_at_fixed_chunking(model):
         rng=59,
         chunk_size=100,
         n_jobs=1,
+        engine="batch",
     )
-    sharded = back_to_back_envelope_batch(
+    sharded = back_to_back_envelope(
         population,
         generator,
         profile,
@@ -487,6 +488,7 @@ def test_envelope_n_jobs_invariant_at_fixed_chunking(model):
         rng=59,
         chunk_size=100,
         n_jobs=2,
+        engine="batch",
     )
     assert serial == sharded
 

@@ -149,7 +149,7 @@ class TestVersionPfd:
 
 class TestPopulationSpaceValidation:
     @pytest.mark.parametrize(
-        "engine", ["auto", "batch", "compiled", "fastest", "scalar"]
+        "engine", ["auto", "batch", "compiled", "scalar"]
     )
     def test_population_b_on_another_space_rejected(
         self, bernoulli_population, enumerable_generator, profile, engine
@@ -185,26 +185,23 @@ class TestResolveEngine:
     @pytest.mark.parametrize("have_numba", [False, True])
     @pytest.mark.parametrize("compiled_ok", [False, True])
     @pytest.mark.parametrize("batch_ok", [False, True])
-    @pytest.mark.parametrize("engine", ENGINES + ("gpu",))
+    # "fastest" is a retired alias: it must fail like any unknown name
+    @pytest.mark.parametrize("engine", ENGINES + ("gpu", "fastest"))
     def test_table(self, engine, batch_ok, compiled_ok, have_numba, monkeypatch):
         monkeypatch.setattr(kernels, "HAVE_NUMBA", have_numba)
         monkeypatch.delenv("REPRO_COMPILED_FALLBACK", raising=False)
-        if engine == "fastest":
-            engine_used = "compiled" if compiled_ok and have_numba else "batch"
-        else:
-            engine_used = engine
         if engine not in ENGINES:
             expected = "engine must be one of"
-        elif engine_used == "compiled":
+        elif engine == "compiled":
             if not compiled_ok:
                 expected = "no compiled kernels"
             elif not have_numba:
                 expected = "needs numba"
             else:
                 expected = "compiled"
-        elif engine_used == "batch":
+        elif engine == "batch":
             expected = "batch" if batch_ok else f"engine='{engine}' runs on the batch"
-        elif engine_used == "auto":
+        elif engine == "auto":
             expected = "batch" if batch_ok else "scalar"
         else:
             expected = "scalar"
@@ -213,12 +210,6 @@ class TestResolveEngine:
         else:
             with pytest.raises(ModelError, match=expected):
                 resolve_engine(engine, batch_ok, compiled_ok)
-
-    def test_fastest_never_resolves_to_scalar(self, monkeypatch):
-        for have_numba in (False, True):
-            monkeypatch.setattr(kernels, "HAVE_NUMBA", have_numba)
-            for compiled_ok in (False, True):
-                assert resolve_engine("fastest", True, compiled_ok) != "scalar"
 
 
 def _driver_calls(bernoulli_population, enumerable_generator, profile):

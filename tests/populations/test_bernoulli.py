@@ -21,12 +21,6 @@ class TestConstruction:
         population = BernoulliFaultPopulation.uniform(universe, 0.3)
         np.testing.assert_allclose(population.presence_probs, 0.3)
 
-    def test_over_fault_subset(self, universe):
-        population = BernoulliFaultPopulation.over_fault_subset(
-            universe, [0, 2], 0.4
-        )
-        np.testing.assert_allclose(population.presence_probs, [0.4, 0.0, 0.4])
-
     def test_presence_probs_are_copies(self, bernoulli_population):
         probs = bernoulli_population.presence_probs
         probs[0] = 0.99

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import (
-    ConvergenceError,
     EmptyPopulationError,
     IncompatibleSpaceError,
     ModelError,
@@ -20,7 +19,6 @@ from repro.errors import (
         ProbabilityError,
         IncompatibleSpaceError,
         NotEnumerableError,
-        ConvergenceError,
         EmptyPopulationError,
     ],
 )

@@ -3,10 +3,18 @@
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import repro
+
+SUBPACKAGES = sorted(
+    info.name
+    for info in pkgutil.iter_modules(repro.__path__, prefix="repro.")
+    if info.ispkg
+)
+SNAPSHOT = Path(__file__).with_name("public_api.txt")
 
 
 class TestExports:
@@ -19,25 +27,25 @@ class TestExports:
         assert repro.__version__.count(".") == 2
 
     def test_subpackage_all_names_resolve(self):
-        for module_name in (
-            "repro.demand",
-            "repro.faults",
-            "repro.versions",
-            "repro.populations",
-            "repro.testing",
-            "repro.core",
-            "repro.analytic",
-            "repro.mc",
-            "repro.growth",
-            "repro.extensions",
-            "repro.experiments",
-            "repro.store",
-            "repro.sweeps",
-            "repro.adaptive",
-        ):
+        # perfbench's tracer getattrs every name in repro.coverage.__all__
+        # (and growth's and analytic's), so a stale entry would crash it
+        for module_name in SUBPACKAGES:
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{module_name}.{name} missing"
+
+    def test_public_surface_matches_snapshot(self):
+        """Every ``__all__`` name, one per line in ``public_api.txt``, so an
+        added or removed public name is an explicit one-line diff there."""
+        names = sorted(
+            f"{module_name}:{name}"
+            for module_name in ("repro", *SUBPACKAGES)
+            for name in importlib.import_module(module_name).__all__
+        )
+        snapshot = SNAPSHOT.read_text(encoding="utf-8").split()
+        added = sorted(set(names) - set(snapshot))
+        removed = sorted(set(snapshot) - set(names))
+        assert names == snapshot, f"added {added}, removed {removed}"
 
     def test_every_module_importable(self):
         failures = []

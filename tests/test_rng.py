@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import repro.rng
 from repro.rng import (
     as_generator,
-    counter_generator,
     counter_key,
     counter_uniforms,
     inverse_cdf_indices,
@@ -315,18 +314,3 @@ class TestPhiloxUniform:
         block = counter_uniforms(key, np.arange(500)[:, None], np.arange(20))
         assert abs(block.mean() - 0.5) < 0.01
         assert abs((block < 0.25).mean() - 0.25) < 0.01
-
-
-class TestCounterGenerator:
-    def test_deterministic_per_index(self):
-        a = counter_generator(5, 3).random(6)
-        b = counter_generator(5, 3).random(6)
-        np.testing.assert_array_equal(a, b)
-
-    def test_indices_give_independent_streams(self):
-        draws = [tuple(counter_generator(5, i).random(4)) for i in range(6)]
-        assert len(set(draws)) == 6
-
-    def test_negative_index_raises(self):
-        with pytest.raises(ValueError):
-            counter_generator(5, -1)

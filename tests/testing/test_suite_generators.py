@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.demand import (
-    DemandPartition,
     DemandSpace,
     UsageProfile,
     custom_profile,
@@ -15,7 +14,6 @@ from repro.testing import (
     EnumerableSuiteGenerator,
     ExhaustiveSuiteGenerator,
     OperationalSuiteGenerator,
-    PartitionCoverageGenerator,
     TestSuite,
     WeightedDebugGenerator,
     WithoutReplacementGenerator,
@@ -71,25 +69,6 @@ class TestWithoutReplacement:
         profile = custom_profile(space, [1, 1, 0, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(ModelError):
             WithoutReplacementGenerator(profile, 3)
-
-
-class TestPartitionCoverage:
-    def test_every_block_covered(self, space, profile, rng):
-        partition = DemandPartition.equal_blocks(space, 5)
-        generator = PartitionCoverageGenerator(partition, profile)
-        suite = generator.sample(rng)
-        blocks_hit = {partition.block_of(int(d)) for d in suite}
-        assert blocks_hit == set(range(5))
-
-    def test_per_block(self, space, profile, rng):
-        partition = DemandPartition.equal_blocks(space, 2)
-        generator = PartitionCoverageGenerator(partition, profile, per_block=3)
-        assert len(generator.sample(rng)) == 6
-
-    def test_per_block_validation(self, space, profile):
-        partition = DemandPartition.equal_blocks(space, 2)
-        with pytest.raises(ModelError):
-            PartitionCoverageGenerator(partition, profile, per_block=0)
 
 
 class TestWeightedDebug:
@@ -148,12 +127,3 @@ class TestEnumerable:
         generator = EnumerableSuiteGenerator.uniform_over(space, suites)
         for _, probability in generator.enumerate():
             assert probability == pytest.approx(0.5)
-
-    def test_all_subsets(self, space):
-        profile = uniform_profile(space)
-        generator = EnumerableSuiteGenerator.all_subsets(profile, 2)
-        pairs = list(generator.enumerate())
-        assert len(pairs) == 45  # C(10, 2)
-        assert sum(p for _, p in pairs) == pytest.approx(1.0)
-        for suite, _ in pairs:
-            assert suite.n_unique == 2

@@ -5,8 +5,7 @@ against the code.
 The experiment catalog must list exactly the ids returned by
 ``repro.experiments.all_experiment_ids()`` — no missing rows, no stale
 rows — the kernel-backend page must document exactly the engine
-names the CLI accepts plus every ``*_compiled`` driver ``repro.mc``
-exports, and the observability page's metric catalog and span taxonomy
+names the CLI accepts, and the observability page's metric catalog and span taxonomy
 must cover exactly the families and span names the code registers.
 Run from the repository root (CI runs it in the docs job)::
 
@@ -79,12 +78,9 @@ def check_kernels_doc() -> list:
     """Problems with docs/kernels.md, as printable strings.
 
     The page's engine-matrix rows (``| `name` |``) must be exactly the
-    engine names the experiments CLI accepts, and every ``*_compiled``
-    driver exported from ``repro.mc`` must be mentioned by name — so the
-    backend page can never silently lag an engine rename or a new
-    compiled entry point.
+    engine names the experiments CLI accepts, so the backend page can
+    never silently lag an engine rename.
     """
-    import repro.mc
     from repro.mc.experiments import ENGINES
 
     problems = []
@@ -104,13 +100,6 @@ def check_kernels_doc() -> list:
         problems.append(
             f"engine rows in docs/kernels.md the CLI does not accept: "
             f"{extra}"
-        )
-    drivers = [name for name in repro.mc.__all__ if name.endswith("_compiled")]
-    unmentioned = [name for name in drivers if f"`{name}`" not in text]
-    if unmentioned:
-        problems.append(
-            f"compiled drivers exported from repro.mc but not mentioned "
-            f"in docs/kernels.md: {unmentioned}"
         )
     return problems
 
@@ -267,7 +256,7 @@ def main() -> int:
             f"docs/experiments.md in sync: {len(registered)} experiment "
             f"ids, {len(capable)} precision-capable"
         )
-        print("docs/kernels.md in sync: engine matrix and compiled drivers")
+        print("docs/kernels.md in sync: engine matrix")
         import repro.coverage
 
         print(
