@@ -168,6 +168,10 @@ def _timed(callable_, *args, **kwargs):
     return time.perf_counter() - start
 
 
+def _best_of(callable_, repeats=3):
+    return min(_timed(callable_) for _ in range(repeats))
+
+
 def test_kernel_e11_imperfect_speedup(benchmark, imperfect_model):
     """Acceptance check: the §4.1 kernel >= 10x the scalar loop (e11 model).
 
@@ -272,7 +276,7 @@ def test_kernel_e12_back_to_back_speedup(benchmark, imperfect_model):
 
 
 # ---------------------------------------------------------------------------
-# suite draw and exact subset walk (also recorded in BENCH_kernels.json)
+# suite draw and exact subset walk (the BENCH_kernels.json record)
 # ---------------------------------------------------------------------------
 
 SUITE_DRAW_BLOCK = (8192, 100)
@@ -349,122 +353,6 @@ def test_kernel_exact_walk_wide_cover(benchmark):
     )
 
 
-# ---------------------------------------------------------------------------
-# compiled-kernel suite: numba njit vs the numpy twins (BENCH_kernels.json)
-# ---------------------------------------------------------------------------
-
-_KERNELS_SKIP_NOTE = (
-    "numba not installed: compiled kernels run as their numpy reference "
-    "twins, so there is no speedup to gate — install the [compiled] extra "
-    "to measure the njit path"
-)
-
-
-def _kernel_arrays(n_replications: int):
-    """Large scored-kernel inputs in the e11 model's shape."""
-    from repro.rng import counter_key
-
-    space = DemandSpace(300)
-    universe = clustered_universe(space, n_faults=25, region_size=8, rng=0)
-    population = BernoulliFaultPopulation.uniform(universe, 0.3)
-    rng = np.random.default_rng(1)
-    faults_a = population.sample_fault_matrix(n_replications, rng)
-    faults_b = population.sample_fault_matrix(n_replications, rng)
-    coverage = np.ascontiguousarray(universe.coverage)
-    q = uniform_profile(space).probabilities
-    seqs = rng.integers(0, space.size, size=(n_replications, 60))
-    key = counter_key(9)
-    streams = np.arange(n_replications, dtype=np.uint64)
-    detect_u = np.ascontiguousarray(rng.random((n_replications, 60)))
-    surv_u = np.ascontiguousarray(rng.random((n_replications, 25)))
-    return faults_a, faults_b, coverage, q, seqs, key, streams, detect_u, surv_u
-
-
-def _best_of(callable_, repeats=3):
-    return min(_timed(callable_) for _ in range(repeats))
-
-
-def measure_compiled(n_replications: int = 20_000, repeats: int = 3) -> dict:
-    """Time each scored kernel: njit dispatch vs the explicit numpy twin.
-
-    When numba is absent the dispatched call *is* the twin, so only the
-    numpy time is recorded and ``speedup`` stays ``None`` — the record is
-    honest about what this host could measure.
-    """
-    from repro.mc import kernels as k
-
-    (
-        faults_a, faults_b, coverage, q, seqs, key, streams, detect_u, surv_u,
-    ) = _kernel_arrays(n_replications)
-    stride = 2 * faults_a.shape[1]
-    cases = {
-        "pfd_values": (
-            lambda: k.pfd_values(faults_a, coverage, q),
-            lambda: k._np_pfd_values(faults_a, coverage, q),
-        ),
-        "joint_pfd_values": (
-            lambda: k.joint_pfd_values(faults_a, faults_b, coverage, coverage, q),
-            lambda: k._np_joint_pfd_values(
-                faults_a, faults_b, coverage, coverage, q
-            ),
-        ),
-        "imperfect_closure": (
-            lambda: k.imperfect_closure(
-                faults_a, seqs, coverage, detect_u, surv_u, 0.75, 0.5
-            ),
-            lambda: k._np_imperfect_closure(
-                faults_a, seqs, coverage, detect_u, surv_u, 0.75, 0.5
-            ),
-        ),
-        "back_to_back_counter": (
-            lambda: k.back_to_back_counter(
-                faults_a, faults_b, seqs, coverage, coverage, 2, 0.5,
-                key, streams, 100, stride,
-            ),
-            lambda: (
-                lambda out_a, out_b: k._np_back_to_back(
-                    out_a, out_b, seqs, coverage, coverage, 2, 0.5,
-                    key, streams, 100, stride,
-                )
-            )(faults_a.copy(), faults_b.copy()),
-        ),
-    }
-    kernels = {}
-    for name, (compiled_fn, numpy_fn) in cases.items():
-        numpy_fn()  # warm caches
-        numpy_seconds = _best_of(numpy_fn, repeats)
-        if k.HAVE_NUMBA:
-            compiled_fn()  # trigger the njit compile outside the timing
-            compiled_seconds = _best_of(compiled_fn, repeats)
-            speedup = numpy_seconds / compiled_seconds
-        else:
-            compiled_seconds = None
-            speedup = None
-        kernels[name] = {
-            "numpy_seconds": round(numpy_seconds, 6),
-            "compiled_seconds": (
-                None if compiled_seconds is None else round(compiled_seconds, 6)
-            ),
-            "speedup": None if speedup is None else round(speedup, 2),
-        }
-    record = {
-        "suite": "compiled-kernels",
-        "have_numba": k.HAVE_NUMBA,
-        "nproc": os.cpu_count(),
-        "n_replications": n_replications,
-        "kernels": kernels,
-    }
-    if k.HAVE_NUMBA:
-        speedups = [entry["speedup"] for entry in kernels.values()]
-        record["min_speedup"] = min(speedups)
-        record["gate_compiled_speedup_ge_5"] = all(s >= 5.0 for s in speedups)
-    else:
-        record["min_speedup"] = None
-        record["gate_compiled_speedup_ge_5"] = None
-        record["note"] = _KERNELS_SKIP_NOTE
-    return record
-
-
 def main(argv=None) -> int:
     """Write the kernel record (``BENCH_kernels.json``)."""
     import argparse
@@ -474,16 +362,15 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("--out", default="BENCH_kernels.json", metavar="FILE")
-    parser.add_argument(
-        "--smoke", action="store_true", help="smaller arrays, fewer repeats"
-    )
+    parser.add_argument("--smoke", action="store_true", help="fewer repeats")
     args = parser.parse_args(argv)
     repeats = 2 if args.smoke else 3
-    record = measure_compiled(
-        n_replications=4_000 if args.smoke else 20_000, repeats=repeats
-    )
-    record["suite_draw"] = measure_suite_draw(repeats)
-    record["exact_walk"] = measure_exact_walk(repeats=repeats)
+    record = {
+        "suite": "kernels",
+        "nproc": os.cpu_count(),
+        "suite_draw": measure_suite_draw(repeats),
+        "exact_walk": measure_exact_walk(repeats=repeats),
+    }
     out = pathlib.Path(args.out)
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
@@ -492,45 +379,7 @@ def main(argv=None) -> int:
     if not draw["gate_guided_speedup_ge_2"]:
         print("FAIL: guided suite draw gate (>= 2x, equal) not met", file=sys.stderr)
         return 1
-    if not record["have_numba"]:
-        print(f"skipping speedup gate: {record['note']}")
-        return 0
-    print(f"min compiled speedup: {record['min_speedup']:.2f}x (gate: >= 5)")
-    if not record["gate_compiled_speedup_ge_5"]:
-        print("FAIL: compiled speedup gate (>= 5x) not met", file=sys.stderr)
-        return 1
     return 0
-
-
-def test_kernel_compiled_speedup_gate():
-    """Acceptance check: njit kernels >= 5x their numpy twins.
-
-    Auto-skips (honestly, with the reason in the skip line) when numba is
-    not installed — the numpy twins then *are* the compiled path and there
-    is nothing to compare.  On shared CI runners the bar drops to 2.5x.
-    """
-    from repro.mc.kernels import HAVE_NUMBA
-
-    if not HAVE_NUMBA:
-        pytest.skip(_KERNELS_SKIP_NOTE)
-    min_speedup = 2.5 if os.environ.get("CI") else 5.0
-    record = measure_compiled(n_replications=8_000, repeats=2)
-    assert record["min_speedup"] >= min_speedup, record["kernels"]
-
-
-def test_kernel_compiled_engine_runs(kernel_model, monkeypatch):
-    """The compiled engine end-to-end on the bench model (fallback or njit)."""
-    monkeypatch.setenv("REPRO_COMPILED_FALLBACK", "1")
-    _space, profile, _universe, population, generator = kernel_model
-    estimator = simulate_marginal_system_pfd(
-        SameSuite(generator),
-        population,
-        profile,
-        n_replications=200,
-        rng=5,
-        engine="compiled",
-    )
-    assert estimator.count == 200
 
 
 def test_kernel_mc_batch_speedup(kernel_model):

@@ -86,8 +86,7 @@ def measure_localization(n_replications: int = 400, repeats: int = 2) -> dict:
 
 def test_localization_vectorized_speedup_gate():
     """Acceptance check: the vectorized workload >= 10x the reference
-    path.  Pure numpy on both sides, so the gate applies on every host —
-    no compiled extra involved."""
+    path.  Pure numpy on both sides, so the gate applies on every host."""
     record = measure_localization(n_replications=300, repeats=2)
     assert record["trajectories_match"], "vectorized/reference divergence"
     assert record["speedup"] >= SPEEDUP_GATE, record

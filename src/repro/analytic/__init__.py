@@ -11,11 +11,8 @@ Two independent exact engines validate the whole stack:
   populations under i.i.d. operational suites, via inclusion–exclusion
   over the faults covering each demand.  Polynomial in everything except
   the per-demand fault cover (exponential there, fine for sparse covers).
-
-:mod:`repro.analytic.moments` supplies the discrete moment helpers both use.
 """
 
-from .moments import weighted_cov, weighted_mean, weighted_var
 from .enumeration import (
     exact_joint_per_demand,
     exact_marginal_system_pfd,
@@ -27,9 +24,6 @@ from .bernoulli_exact import (
 )
 
 __all__ = [
-    "weighted_mean",
-    "weighted_var",
-    "weighted_cov",
     "exact_zeta",
     "exact_joint_per_demand",
     "exact_marginal_system_pfd",

@@ -17,10 +17,9 @@ the analytic envelope.  :class:`BoundsReport` packages one such check.
 
 The measured quantities route through the Monte-Carlo layer's engine
 seam (:func:`repro.mc.experiments.resolve_engine`, which takes any of
-``engine="auto" | "batch" | "compiled" | "scalar"``):
-imperfect oracles and fixing run on the vectorized §4.1 kernel of
-:mod:`repro.mc.batch`, and back-to-back testing on its demand-ordered
-block kernel or the compiled counter-RNG kernel, with the scalar
+``engine="auto" | "batch" | "scalar"``): imperfect oracles and fixing
+run on the vectorized §4.1 kernel of :mod:`repro.mc.batch`, and
+back-to-back testing on its demand-ordered block kernel, with the scalar
 per-replication loop kept as an explicit escape hatch and reference.
 """
 
@@ -361,19 +360,15 @@ def back_to_back_envelope(
     With ``engine="auto"`` (default) or ``"batch"`` the whole envelope runs
     on the vectorized block kernel of :mod:`repro.mc.batch`; ``"scalar"``
     keeps the per-replication reference loop, which is also the automatic
-    fallback for custom fixing policies.  ``"compiled"`` runs the native
-    counter-RNG kernel of :mod:`repro.mc.kernels` (requires the
-    ``[compiled]`` extra; never chosen by ``"auto"``).  The name resolves
-    through :func:`repro.mc.experiments.resolve_engine`.
+    fallback for custom fixing policies.  The name resolves through
+    :func:`repro.mc.experiments.resolve_engine`.
     """
     from ..mc.batch import back_to_back_supported
     from ..mc.experiments import _check_replications, _twin, resolve_engine
 
-    supported = back_to_back_supported(fixing)
     choice = resolve_engine(
         engine,
-        supported,
-        supported,
+        back_to_back_supported(fixing),
         model=f"back-to-back testing with {type(fixing).__name__} fixing",
     )
     twin = _twin("back_to_back_envelope", choice)

@@ -24,10 +24,9 @@ to ``target_fraction`` of its initial value (censored runs count as
 Randomness is **counter-based** (:func:`repro.rng.counter_uniforms`,
 keyed by ``(seed, replication_index)`` with a fixed lane layout), and all
 reductions use shape-stable pairwise sums, so results are bit-identical
-for every ``chunk_size`` / ``n_jobs`` — the same guarantee the compiled
-backend makes.  ``vectorized=False`` runs the identical draws through a
-per-replication reference loop (the benchmark baseline and parity
-witness).
+for every ``chunk_size`` / ``n_jobs``.  ``vectorized=False`` runs the
+identical draws through a per-replication reference loop (the benchmark
+baseline and parity witness).
 """
 
 from __future__ import annotations

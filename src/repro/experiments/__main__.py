@@ -93,9 +93,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default="auto",
         help="Monte-Carlo engine for simulation-driven experiments: "
         "'auto' (default) vectorizes whenever the testing process "
-        "supports it, 'batch' fails loudly when it cannot, 'compiled' "
-        "runs the native counter-RNG kernels (needs the [compiled] "
-        "extra), 'scalar' forces the per-replication reference loops",
+        "supports it, 'batch' fails loudly when it cannot, 'scalar' "
+        "forces the per-replication reference loops",
     )
     parser.add_argument(
         "--n-jobs",

@@ -16,7 +16,6 @@ from ..coverage.components import ComponentModel
 from ..coverage.matrix import empirical_coverage
 from ..coverage.workload import simulate_localized_growth
 from ..demand import DemandSpace, uniform_profile
-from ..errors import ModelError
 # submodule imports (not the repro.mutation package) keep the import
 # graph acyclic, as in m1
 from ..mutation.bridge import measured_population
@@ -33,15 +32,9 @@ def workload_engine_kwargs() -> dict:
 
     ``--engine scalar`` selects the workload's per-replication reference
     path (identical draws, so integer outcomes match the vectorized path
-    exactly); the compiled backend has no localization kernels and is
-    rejected loudly rather than silently substituted.
+    exactly).
     """
     config = engine_kwargs()
-    if config["engine"] == "compiled":
-        raise ModelError(
-            "the localization workload has no compiled kernels; run the "
-            "c-family with --engine auto, batch, or scalar"
-        )
     return {
         "vectorized": config["engine"] != "scalar",
         "n_jobs": config["n_jobs"],

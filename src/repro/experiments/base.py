@@ -37,11 +37,10 @@ class EngineConfig:
     ----------
     engine:
         ``"auto"`` (default — batch whenever the testing process supports
-        it), ``"batch"`` (fail loudly if it cannot), ``"compiled"`` (the
-        native counter-RNG kernels; needs the ``[compiled]`` extra), or
-        ``"scalar"`` (the reference per-replication loops).
+        it), ``"batch"`` (fail loudly if it cannot), or ``"scalar"`` (the
+        reference per-replication loops).
     n_jobs:
-        Worker processes for chunk sharding on the batch/compiled paths.
+        Worker processes for chunk sharding on the batch path.
     """
 
     engine: str = "auto"

@@ -462,8 +462,7 @@ class DevelopmentCampaign(object):
         computed on fault-matrix blocks — each activity transforms the
         entire replication block at once.  ``"scalar"`` (or any custom
         activity in the plan, under ``"auto"``) keeps the per-pair
-        trajectory loop.  Campaigns have no compiled kernels, so
-        ``"compiled"`` is rejected.
+        trajectory loop.
         """
         unsupported = [
             activity.kind
@@ -473,7 +472,6 @@ class DevelopmentCampaign(object):
         choice = resolve_engine(
             engine,
             batch_ok=not unsupported,
-            compiled_ok=False,
             model=(
                 f"campaigns with activities {unsupported}"
                 if unsupported

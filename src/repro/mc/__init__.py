@@ -24,7 +24,6 @@ from .batch import (
     batch_supported,
     run_tasks,
 )
-from .kernels import compiled_available, compiled_supported
 
 __all__ = [
     "ProportionEstimator",
@@ -41,6 +40,4 @@ __all__ = [
     "back_to_back_supported",
     "batch_supported",
     "run_tasks",
-    "compiled_available",
-    "compiled_supported",
 ]

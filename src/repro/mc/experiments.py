@@ -8,7 +8,7 @@ shortcuts: versions are actually drawn, actually tested, and actually
 scored, so agreement with :mod:`repro.core` / :mod:`repro.analytic` is a
 genuine end-to-end validation.
 
-Each estimator runs on one of three backends:
+Each estimator runs on one of two backends:
 
 * ``"batch"`` — the vectorized replication engine of
   :mod:`repro.mc.batch`: whole blocks of versions, suites and scores as
@@ -17,28 +17,19 @@ Each estimator runs on one of three backends:
   :class:`~repro.testing.ImperfectFixing` relaxations (binomial detection
   counts + Bernoulli survival masks) and matched blind-spot and coverage
   pairs.
-* ``"compiled"`` — the native-code kernels of :mod:`repro.mc.kernels`
-  (numba ``@njit``) on counter-based RNG, so results are bit-identical
-  for every ``chunk_size`` / ``n_jobs``.  Requires the ``[compiled]``
-  extra (numba); raises a did-you-mean :class:`~repro.errors.ModelError`
-  when it is absent.  Supports Bernoulli populations and the concrete
-  suite generators/regimes — see :doc:`docs/kernels`.
 * ``"scalar"`` — the original per-replication Python loop: the reference
   implementation the batch path is validated against, and the only engine
   for *custom* oracle/fixing policies, whose per-demand dynamics the batch
   kernels cannot introspect.
 
-The ``engine=`` argument takes one of the four names in :data:`ENGINES`,
+The ``engine=`` argument takes one of the three names in :data:`ENGINES`,
 and one seam, :func:`resolve_engine`, maps a name to a backend for every
 driver here and for :func:`repro.core.bounds.back_to_back_envelope` and
 :meth:`repro.extensions.DevelopmentCampaign.mean_final_system_pfd_estimator`.
-The three backend names select themselves (failing loudly when the call's
-model has no such kernel).  The default ``"auto"`` picks the batch path
-whenever :func:`repro.mc.batch.batch_supported` accepts the testing
-process and the scalar loop otherwise.  ``auto`` deliberately never
-resolves to ``compiled``: the compiled backend draws from a different
-(counter-based) random stream, and a default that silently depends on
-whether numba is installed would make results machine-dependent.
+The two backend names select themselves (``"batch"`` failing loudly when
+the call's model has no batch kernel).  The default ``"auto"`` picks the
+batch path whenever :func:`repro.mc.batch.batch_supported` accepts the
+testing process and the scalar loop otherwise.
 
 Every estimator also accepts ``precision=`` — a
 :class:`repro.adaptive.PrecisionTarget` (or a mapping of its fields).
@@ -75,7 +66,7 @@ _DEFAULT_REPLICATIONS = 2000
 
 #: every ``engine=`` value the simulation entry points, the experiment
 #: CLI, sweeps and the service accept
-ENGINES = ("auto", "batch", "compiled", "scalar")
+ENGINES = ("auto", "batch", "scalar")
 
 
 def check_engine(engine: str, n_jobs: int = 1, batch_only: str | None = None) -> str:
@@ -83,14 +74,14 @@ def check_engine(engine: str, n_jobs: int = 1, batch_only: str | None = None) ->
 
     ``engine`` must name an engine and ``n_jobs`` be at least 1.
     ``batch_only`` names a run that only the batch kernels can serve (the
-    adaptive precision engine rides them exclusively); the scalar and
-    compiled engines are then rejected.  Raises ModelError otherwise.
+    adaptive precision engine rides them exclusively); the scalar engine
+    is then rejected.  Raises ModelError otherwise.
     """
     if engine not in ENGINES:
         raise ModelError(f"engine must be one of {ENGINES}, got {engine!r}")
     if n_jobs < 1:
         raise ModelError(f"n_jobs must be >= 1, got {n_jobs}")
-    if batch_only is not None and engine in ("scalar", "compiled"):
+    if batch_only is not None and engine == "scalar":
         raise ModelError(
             f"{batch_only} runs on the batch kernels; "
             f"engine={engine!r} cannot be combined with a precision target"
@@ -98,28 +89,15 @@ def check_engine(engine: str, n_jobs: int = 1, batch_only: str | None = None) ->
     return engine
 
 
-def resolve_engine(
-    engine: str, batch_ok: bool, compiled_ok: bool, model: str = "this model"
-) -> str:
+def resolve_engine(engine: str, batch_ok: bool, model: str = "this model") -> str:
     """Resolve ``engine=`` to the backend one call runs on.
 
-    Returns ``"compiled"``, ``"batch"`` or ``"scalar"``.  ``batch_ok`` and
-    ``compiled_ok`` say whether the batch and compiled backends have
-    kernels for the call; ``model`` names what the call models in the
-    errors raised when the requested backend has none.  An unknown name
-    raises before anything else.
+    Returns ``"batch"`` or ``"scalar"``.  ``batch_ok`` says whether the
+    batch backend has kernels for the call; ``model`` names what the call
+    models in the error raised when ``engine="batch"`` has none.  An
+    unknown name raises before anything else.
     """
     check_engine(engine)
-    if engine == "compiled":
-        if not compiled_ok:
-            raise ModelError(
-                f"engine='compiled' has no compiled kernels for {model}; "
-                "use engine='auto' or 'batch'"
-            )
-        from .kernels import require_compiled
-
-        require_compiled()
-        return "compiled"
     if engine == "batch" and not batch_ok:
         raise ModelError(
             f"engine={engine!r} runs on the batch kernels, which cannot "
@@ -150,29 +128,25 @@ def _coerce_precision(precision, engine: str):
 
 
 def _twin(driver: str, choice: str):
-    """The vectorized twin of ``driver`` for a resolved backend ``choice``.
+    """The batch twin ``_<driver>_batch`` of ``driver``, or ``None``.
 
-    ``_<driver>_batch`` or ``_<driver>_compiled``; both take the driver's
-    arguments minus ``engine=`` and ``precision=``, so one lookup serves
-    either backend.  ``None`` for ``"scalar"``: the driver's own loop.
+    The twin takes the driver's arguments minus ``engine=`` and
+    ``precision=``.  ``None`` for ``"scalar"``: the driver's own loop.
     """
     if choice == "scalar":
         return None
-    from . import batch, kernels
+    from . import batch
 
-    module = batch if choice == "batch" else kernels
-    return getattr(module, f"_{driver}_{choice}")
+    return getattr(batch, f"_{driver}_batch")
 
 
 def _backend(driver: str, engine: str, oracle=None, fixing=None):
     """:func:`_twin` of a ``simulate_*`` driver for its testing pair."""
     from .batch import batch_supported
-    from .kernels import compiled_supported
 
     choice = resolve_engine(
         engine,
         batch_supported(oracle, fixing),
-        compiled_supported(oracle, fixing),
         model=f"{type(oracle).__name__}/{type(fixing).__name__} testing",
     )
     return _twin(driver, choice)

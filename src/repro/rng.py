@@ -144,19 +144,18 @@ def spawn_many(rng: np.random.Generator, count: int) -> List[np.random.Generator
 # A counter-based generator is a pure function ``(key, counter) -> bits``:
 # there is no evolving state, so any parallel decomposition of the work —
 # chunking, process sharding, resumption — reads exactly the same random
-# numbers for replication ``r`` as a serial run would.  The compiled kernel
-# backend (:mod:`repro.mc.kernels`) keys every draw by
-# ``(root_key, stream, lane)`` where ``stream`` is the *global* replication
-# index and ``lane`` enumerates the draw slots within one replication,
-# which is what makes its results bit-identical regardless of
-# ``chunk_size`` and ``n_jobs``.
+# numbers for replication ``r`` as a serial run would.  The c-family's
+# SBFL localization workload (:mod:`repro.coverage.workload`) keys every
+# draw by ``(root_key, stream, lane)`` where ``stream`` is the *global*
+# replication index and ``lane`` enumerates the draw slots within one
+# replication, which is what makes its results bit-identical regardless
+# of ``chunk_size`` and ``n_jobs``.
 #
 # The block cipher is Philox4x32-10 (Salmon et al., SC'11) — the same
 # round function behind ``numpy.random.Philox`` — implemented here twice
-# with identical integer semantics: a scalar form (:func:`philox_uniform`)
-# that numba can ``@njit``, and a vectorized form
-# (:func:`counter_uniforms`) for the numpy fallback, so the compiled and
-# fallback paths draw bit-identical uniforms.
+# with identical integer semantics: the vectorized form the workload
+# draws from (:func:`counter_uniforms`), and a scalar reference form
+# (:func:`philox_uniform`) that pins it one value at a time.
 # ---------------------------------------------------------------------------
 
 _U64_MASK = (1 << 64) - 1
@@ -195,9 +194,9 @@ def philox_uniform(key: np.uint64, stream: np.uint64, lane: np.uint64) -> float:
 
     Pure function of ``(key, stream, lane)``: the 128-bit Philox counter is
     ``(lane, stream)`` and the 64-bit key is ``key``.  Every operation is
-    explicit ``uint64`` arithmetic so numba ``@njit`` compiles this exact
-    function to native code with bit-identical results; the vectorized
-    twin is :func:`counter_uniforms`.
+    explicit ``uint64`` arithmetic, one round at a time, so the function
+    reads as the cipher's specification; :func:`counter_uniforms` is the
+    vectorized form, equal to it value for value.
     """
     mask = np.uint64(0xFFFFFFFF)
     m0 = np.uint64(0xD2511F53)
@@ -229,8 +228,8 @@ def counter_uniforms(key: int, streams, lanes) -> np.ndarray:
     """Uniforms in ``[0, 1)`` keyed by ``(key, stream, lane)`` — vectorized.
 
     ``streams`` and ``lanes`` are broadcast against each other; entry
-    ``(…)`` is exactly ``philox_uniform(key, streams[…], lanes[…])``.  The
-    batch engines call this as
+    ``(…)`` is exactly ``philox_uniform(key, streams[…], lanes[…])``.
+    Callers use it as
     ``counter_uniforms(key, replication_ids[:, None], lane_ids[None, :])``
     to materialise a whole ``(replications, lanes)`` block in one shot.
     """

@@ -605,7 +605,74 @@ class ServiceServer(BaseHttpServer):
         return 404, {"error": f"no route for {request.method} {request.path}"}
 
 
-class ThreadedServer:
+class _HostedLoop:
+    """An asyncio front-end hosted on a background daemon thread.
+
+    The hosting :class:`ThreadedServer` and
+    :class:`~repro.service.router.ThreadedRouter` share.  :meth:`_host`
+    runs ``start`` — a coroutine function that brings the front-end up and
+    returns ``(url, close)`` — on a fresh event loop in a daemon thread,
+    waits until the URL is bound, and re-raises a startup failure on the
+    calling thread.  :meth:`stop` has the loop await ``close()`` and joins
+    the thread.
+    """
+
+    #: seconds :meth:`stop` waits for the hosting thread to finish
+    _join_timeout = 60.0
+
+    def _host(self, start, what: str, thread_name: str) -> None:
+        self._ready = threading.Event()
+        self._stop: Optional[asyncio.Event] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._startup_error: Optional[BaseException] = None
+        self.url: Optional[str] = None
+
+        async def _run() -> None:
+            url, close = await start()
+            self._loop = asyncio.get_running_loop()
+            self._stop = asyncio.Event()
+            self.url = url
+            self._ready.set()
+            await self._stop.wait()
+            await close()
+
+        def _main() -> None:
+            try:
+                asyncio.run(_run())
+            except BaseException as error:  # surface startup failures
+                self._startup_error = error
+                self._ready.set()
+
+        self._thread = threading.Thread(
+            target=_main, name=thread_name, daemon=True
+        )
+        self._thread.start()
+        self._ready.wait(timeout=60.0)
+        if self._startup_error is not None:
+            raise ServiceError(
+                f"{what} thread failed to start: {self._startup_error}",
+                status=500,
+            )
+        if self.url is None:
+            raise ServiceError(f"{what} thread did not come up", status=500)
+
+    def stop(self) -> None:
+        """Shut the front-end down and join the hosting thread (idempotent)."""
+        if self._loop is not None and self._stop is not None:
+            try:
+                self._loop.call_soon_threadsafe(self._stop.set)
+            except RuntimeError:
+                pass  # loop already closed: a previous stop() finished
+        self._thread.join(timeout=self._join_timeout)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+class ThreadedServer(_HostedLoop):
     """A full service (scheduler + HTTP) hosted on a background thread.
 
     The in-process harness tests and the load generator use: the calling
@@ -613,6 +680,8 @@ class ThreadedServer:
     :meth:`stop` drains the scheduler cleanly.  For production-style
     hosting use the CLI's ``serve`` subcommand instead.
     """
+
+    _join_timeout = 120.0
 
     def __init__(
         self,
@@ -626,81 +695,38 @@ class ThreadedServer:
         name: Optional[str] = None,
         instrument: bool = True,
     ) -> None:
-        self._ready = threading.Event()
-        self._stop: Optional[asyncio.Event] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._startup_error: Optional[BaseException] = None
-        self.url: Optional[str] = None
         self.scheduler: Optional[JobScheduler] = None
         self.server: Optional[ServiceServer] = None
 
-        def _main() -> None:
-            async def _run() -> None:
-                from ..store import open_store
+        async def _start():
+            from ..store import open_store
 
-                store = (
-                    open_store(store_path, backend=store_backend)
-                    if store_path is not None
-                    else None
-                )
-                # a fresh registry per hosted server keeps concurrently
-                # hosted instances (tests, the bench) from mixing counters
-                registry = MetricsRegistry() if instrument else NULL_REGISTRY
-                cache = TwoTierCache(
-                    store, capacity=cache_capacity, registry=registry
-                )
-                scheduler = JobScheduler(
-                    cache,
-                    procs=procs,
-                    queue_limit=queue_limit,
-                    name=name,
-                    registry=registry,
-                )
-                await scheduler.start()
-                server = ServiceServer(
-                    scheduler, host=host, port=port, registry=registry
-                )
-                await server.start()
-                self._loop = asyncio.get_running_loop()
-                self._stop = asyncio.Event()
-                self.url = server.url
-                self.scheduler = scheduler
-                self.server = server
-                self._ready.set()
-                await self._stop.wait()
+            store = (
+                open_store(store_path, backend=store_backend)
+                if store_path is not None
+                else None
+            )
+            # a fresh registry per hosted server keeps concurrently
+            # hosted instances (tests, the bench) from mixing counters
+            registry = MetricsRegistry() if instrument else NULL_REGISTRY
+            cache = TwoTierCache(store, capacity=cache_capacity, registry=registry)
+            scheduler = JobScheduler(
+                cache,
+                procs=procs,
+                queue_limit=queue_limit,
+                name=name,
+                registry=registry,
+            )
+            await scheduler.start()
+            server = ServiceServer(scheduler, host=host, port=port, registry=registry)
+            await server.start()
+            self.scheduler = scheduler
+            self.server = server
+
+            async def _close() -> None:
                 await server.close()
                 await scheduler.close()
 
-            try:
-                asyncio.run(_run())
-            except BaseException as error:  # surface startup failures
-                self._startup_error = error
-                self._ready.set()
+            return server.url, _close
 
-        self._thread = threading.Thread(
-            target=_main, name="repro-service", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=60.0)
-        if self._startup_error is not None:
-            raise ServiceError(
-                f"service thread failed to start: {self._startup_error}",
-                status=500,
-            )
-        if self.url is None:
-            raise ServiceError("service thread did not come up", status=500)
-
-    def stop(self) -> None:
-        """Drain the scheduler and join the hosting thread (idempotent)."""
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:
-                pass  # loop already closed: a previous stop() finished
-        self._thread.join(timeout=120.0)
-
-    def __enter__(self) -> "ThreadedServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        self._host(_start, "service", "repro-service")

@@ -39,7 +39,6 @@ every reachable shard.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -57,6 +56,7 @@ from .http import (
     PROMETHEUS_CONTENT_TYPE,
     BaseHttpServer,
     RawResponse,
+    _HostedLoop,
     _experiments_payload,
     _method_not_allowed,
     _null_context,
@@ -599,7 +599,7 @@ class RouterServer(BaseHttpServer):
         return {"jobs": merged}
 
 
-class ThreadedRouter:
+class ThreadedRouter(_HostedLoop):
     """A router + HTTP front-end hosted on a background thread.
 
     The in-process twin of :class:`~repro.service.http.ThreadedServer`,
@@ -617,55 +617,31 @@ class ThreadedRouter:
         health_interval: float = 0.25,
         instrument: bool = True,
     ) -> None:
-        self._ready = threading.Event()
-        self._stop: Optional[asyncio.Event] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._startup_error: Optional[BaseException] = None
-        self.url: Optional[str] = None
         self.router: Optional[Router] = None
 
-        def _main() -> None:
-            async def _run() -> None:
-                # a fresh registry per hosted router keeps concurrently
-                # hosted instances (tests, the bench) from mixing counters
-                registry = MetricsRegistry() if instrument else NULL_REGISTRY
-                router = Router(
-                    shards,
-                    retries=retries,
-                    backoff=backoff,
-                    health_interval=health_interval,
-                    registry=registry,
-                )
-                await router.start()
-                server = RouterServer(router, host=host, port=port)
-                await server.start()
-                self._loop = asyncio.get_running_loop()
-                self._stop = asyncio.Event()
-                self.url = server.url
-                self.router = router
-                self._ready.set()
-                await self._stop.wait()
+        async def _start():
+            # a fresh registry per hosted router keeps concurrently
+            # hosted instances (tests, the bench) from mixing counters
+            registry = MetricsRegistry() if instrument else NULL_REGISTRY
+            router = Router(
+                shards,
+                retries=retries,
+                backoff=backoff,
+                health_interval=health_interval,
+                registry=registry,
+            )
+            await router.start()
+            server = RouterServer(router, host=host, port=port)
+            await server.start()
+            self.router = router
+
+            async def _close() -> None:
                 await server.close()
                 await router.close()
 
-            try:
-                asyncio.run(_run())
-            except BaseException as error:  # surface startup failures
-                self._startup_error = error
-                self._ready.set()
+            return server.url, _close
 
-        self._thread = threading.Thread(
-            target=_main, name="repro-router", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=60.0)
-        if self._startup_error is not None:
-            raise ServiceError(
-                f"router thread failed to start: {self._startup_error}",
-                status=500,
-            )
-        if self.url is None:
-            raise ServiceError("router thread did not come up", status=500)
+        self._host(_start, "router", "repro-router")
 
     def check_health(self) -> Dict[str, bool]:
         """Force one synchronous health probe (tests use this to avoid
@@ -674,18 +650,3 @@ class ThreadedRouter:
             self.router.check_health(), self._loop
         )
         return future.result(timeout=30.0)
-
-    def stop(self) -> None:
-        """Shut the router down and join the hosting thread (idempotent)."""
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:
-                pass  # loop already closed: a previous stop() finished
-        self._thread.join(timeout=60.0)
-
-    def __enter__(self) -> "ThreadedRouter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -1,9 +1,8 @@
 """Tests for the coverage oracle/fixing pair and its engine integration.
 
-The pair must (a) behave correctly on the scalar path, (b) be recognised
-structurally by the batch planner with scalar/batch statistical parity,
-and (c) be rejected by the compiled backend with a pointer to
-engine='batch'.
+The pair must (a) behave correctly on the scalar path and (b) be
+recognised structurally by the batch planner with scalar/batch
+statistical parity.
 """
 
 import numpy as np
@@ -22,7 +21,6 @@ from repro.demand import DemandSpace, zipf_profile
 from repro.errors import ModelError, ProbabilityError
 from repro.faults import clustered_universe
 from repro.mc import batch_supported, simulate_marginal_system_pfd
-from repro.mc.kernels import compiled_supported
 from repro.populations import BernoulliFaultPopulation
 from repro.rng import as_generator
 from repro.testing import (
@@ -116,12 +114,6 @@ def test_batch_supported_truth_table(model):
     assert not batch_supported(oracle, ImperfectFixing(0.5))
     other = CoverageFixing((0.5,) * len(universe))
     assert not batch_supported(oracle, other)
-
-
-def test_compiled_backend_rejects_coverage_pairs(model):
-    _profile, _universe, _population, generator, components, matrix = model
-    oracle, fixing = coverage_testing_pair(components, matrix)
-    assert not compiled_supported(oracle, fixing)
 
 
 def test_scalar_and_batch_engines_agree(model):

@@ -32,9 +32,12 @@ from repro.mc import (
     simulate_version_pfd,
 )
 from repro.populations import BernoulliFaultPopulation
+from repro.rng import as_generator, spawn_many
 from repro.testing import (
+    ImperfectFixing,
     ImperfectOracle,
     OperationalSuiteGenerator,
+    SuiteGenerator,
     TestSuite,
     apply_testing,
 )
@@ -287,6 +290,47 @@ class _CustomOracle(ImperfectOracle):
 
     def detects(self, version, demand, rng):
         return super().detects(version, demand, rng)
+
+
+class _SampleOnlyGenerator(SuiteGenerator):
+    """A user generator that defines only ``sample``: a random number of
+    uniform demands, repeats allowed, so suites differ in length."""
+
+    def sample(self, rng=None):
+        rng = as_generator(rng)
+        length = int(rng.integers(1, 12))
+        return TestSuite.of(self.space, rng.integers(0, self.space.size, length))
+
+
+def test_sample_only_generator_runs_on_batch(model):
+    """The base-class block draws loop ``sample`` on the same spawned
+    streams, so a subclass defining only ``sample`` runs on
+    ``engine="batch"``, in the perfect (masks) and §4.1 (sequences)
+    closures alike, and agrees with the scalar loop."""
+    space, profile, _universe, population, _generator = model
+    custom = _SampleOnlyGenerator(space)
+    suites = [custom.sample(stream) for stream in spawn_many(as_generator(5), 40)]
+    np.testing.assert_array_equal(
+        custom.sample_demand_masks(40, rng=5), np.stack([s.mask() for s in suites])
+    )
+    sequences = custom.sample_demand_sequences(40, rng=5)
+    assert sequences.shape == (40, max(len(suite) for suite in suites))
+    for row, suite in zip(sequences, suites):
+        np.testing.assert_array_equal(row[: len(suite)], suite.demands)
+        assert (row[len(suite):] == -1).all()
+    for testing in (
+        {},
+        {"oracle": ImperfectOracle(0.6), "fixing": ImperfectFixing(0.5)},
+    ):
+        batch = simulate_version_pfd(
+            population, custom, profile, n_replications=3000, rng=11,
+            engine="batch", **testing,
+        )
+        scalar = simulate_version_pfd(
+            population, custom, profile, n_replications=400, rng=11,
+            engine="scalar", **testing,
+        )
+        assert _overlap(batch, scalar), (batch.mean, scalar.mean)
 
 
 def test_custom_oracle_not_batch_supported(model):

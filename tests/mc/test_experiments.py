@@ -1,9 +1,11 @@
 """Tests for the full-pipeline Monte-Carlo experiment drivers."""
 
+import sys
+import types
+
 import numpy as np
 import pytest
 
-import repro.mc.kernels as kernels
 from repro.core import IndependentSuites, SameSuite, joint_failure_probability
 from repro.errors import ModelError
 from repro.mc.experiments import ENGINES, resolve_engine
@@ -149,7 +151,7 @@ class TestVersionPfd:
 
 class TestPopulationSpaceValidation:
     @pytest.mark.parametrize(
-        "engine", ["auto", "batch", "compiled", "scalar"]
+        "engine", ["auto", "batch", "scalar"]
     )
     def test_population_b_on_another_space_rejected(
         self, bernoulli_population, enumerable_generator, profile, engine
@@ -179,37 +181,82 @@ class TestPopulationSpaceValidation:
 
 
 class TestResolveEngine:
-    """The one engine seam: every name × backend-support combination,
-    with and without numba."""
+    """The one engine seam: every name × batch-support combination.  Its
+    answer depends on nothing else: neither the retired
+    ``REPRO_COMPILED_FALLBACK`` variable nor an importable ``numba``
+    module changes it."""
 
-    @pytest.mark.parametrize("have_numba", [False, True])
-    @pytest.mark.parametrize("compiled_ok", [False, True])
+    @pytest.mark.parametrize("numba_importable", [False, True])
+    @pytest.mark.parametrize("fallback_env", [False, True])
     @pytest.mark.parametrize("batch_ok", [False, True])
-    # "fastest" is a retired alias: it must fail like any unknown name
-    @pytest.mark.parametrize("engine", ENGINES + ("gpu", "fastest"))
-    def test_table(self, engine, batch_ok, compiled_ok, have_numba, monkeypatch):
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", have_numba)
-        monkeypatch.delenv("REPRO_COMPILED_FALLBACK", raising=False)
+    # "fastest" and "compiled" are retired names: they must fail like any
+    # unknown name
+    @pytest.mark.parametrize(
+        "engine", ("auto", "batch", "compiled", "fastest", "gpu", "scalar")
+    )
+    def test_table(
+        self, engine, batch_ok, fallback_env, numba_importable, monkeypatch
+    ):
+        if fallback_env:
+            monkeypatch.setenv("REPRO_COMPILED_FALLBACK", "1")
+        else:
+            monkeypatch.delenv("REPRO_COMPILED_FALLBACK", raising=False)
+        if numba_importable:
+            monkeypatch.setitem(sys.modules, "numba", types.ModuleType("numba"))
         if engine not in ENGINES:
             expected = "engine must be one of"
-        elif engine == "compiled":
-            if not compiled_ok:
-                expected = "no compiled kernels"
-            elif not have_numba:
-                expected = "needs numba"
-            else:
-                expected = "compiled"
         elif engine == "batch":
             expected = "batch" if batch_ok else f"engine='{engine}' runs on the batch"
         elif engine == "auto":
             expected = "batch" if batch_ok else "scalar"
         else:
             expected = "scalar"
-        if expected in ("batch", "compiled", "scalar"):
-            assert resolve_engine(engine, batch_ok, compiled_ok) == expected
+        if expected in ("batch", "scalar"):
+            assert resolve_engine(engine, batch_ok) == expected
         else:
             with pytest.raises(ModelError, match=expected):
-                resolve_engine(engine, batch_ok, compiled_ok)
+                resolve_engine(engine, batch_ok)
+
+
+def test_retired_compiled_name_rejected_on_every_surface(
+    bernoulli_population, enumerable_generator, profile, tmp_path, capsys
+):
+    """``engine="compiled"`` is an unknown name through the drivers, the
+    §4.2 envelope, the run-wide experiment configuration, sweeps, the
+    service's job spec and the CLI's ``--engine`` choices."""
+    from repro.core.bounds import back_to_back_envelope
+    from repro.experiments.__main__ import main
+    from repro.experiments.base import EngineConfig
+    from repro.service.jobs import JobSpec
+    from repro.store import ResultStore
+    from repro.sweeps import Sweep, SweepSpec
+
+    assert ENGINES == ("auto", "batch", "scalar")
+    unknown = r"engine must be one of \('auto', 'batch', 'scalar'\), got 'compiled'"
+    for call in _driver_calls(
+        bernoulli_population, enumerable_generator, profile
+    ).values():
+        with pytest.raises(ModelError, match=unknown):
+            call(n_replications=10, rng=0, engine="compiled")
+    with pytest.raises(ModelError, match=unknown):
+        back_to_back_envelope(
+            bernoulli_population, enumerable_generator, profile,
+            n_replications=10, rng=0, engine="compiled",
+        )
+    with pytest.raises(ModelError, match=unknown):
+        EngineConfig(engine="compiled")
+    with pytest.raises(ModelError, match=unknown):
+        Sweep(
+            SweepSpec(experiments=["a5"], seeds=[0]),
+            ResultStore(tmp_path / "store.jsonl"),
+            engine="compiled",
+        )
+    with pytest.raises(ModelError, match=unknown):
+        JobSpec("a5", engine="compiled")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["a5", "--engine", "compiled"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'compiled'" in capsys.readouterr().err
 
 
 def _driver_calls(bernoulli_population, enumerable_generator, profile):

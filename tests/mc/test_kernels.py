@@ -1,487 +1,208 @@
-"""Tests for the compiled kernel backend (repro.mc.kernels).
+"""Tests for the dense reference kernels (repro.mc.kernels).
 
-Four layers:
+Two layers:
 
-* **engine seam** — ``engine="compiled"`` without numba raises a
-  did-you-mean :class:`ModelError`; ``engine="auto"`` never selects the
-  compiled backend; every validation seam accepts the new name.
-* **cross-engine agreement** — compiled estimates agree with batch and
-  scalar (overlapping confidence intervals) on every supported regime,
-  including §4.1 imperfect testing, blind-spot pairs and the §4.2
-  envelope.  Run on the numpy fallback (``REPRO_COMPILED_FALLBACK``), the
-  semantic reference the numba path is held to on the numba CI leg.
-* **bit-invariance** — identical moments for every ``chunk_size`` /
-  ``n_jobs`` decomposition (hypothesis), the counter-RNG guarantee.
-* **kernel twins** — when numba *is* installed, njit kernels match the
-  numpy twins decision-for-decision on the same counter uniforms.
+* **exact agreement with batch** — on hypothesis-generated universes,
+  versions and suites, drawn both where
+  :meth:`~repro.faults.FaultUniverse._sparse_pays` sends the batch
+  closure to its sparse region kernels and where it keeps them dense:
+  ``perfect_closure`` equals :func:`~repro.mc.apply_testing_batch` and
+  :func:`~repro.mc.apply_blind_testing_batch`, ``imperfect_closure`` at
+  full detection equals :func:`~repro.mc.apply_imperfect_testing_batch`
+  on the same survival uniforms, and
+  ``back_to_back_counter`` under perfect fixing equals
+  :func:`~repro.mc.back_to_back_batch` in all three output models;
+* **counter-keyed coins** — with imperfect fixing, the back-to-back
+  kernel flips the same coins for every split of the replication axis.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ForcedTestingDiversity, IndependentSuites, SameSuite
-from repro.core.bounds import back_to_back_envelope
-from repro.demand import DemandSpace, zipf_profile
-from repro.errors import ModelError
-from repro.extensions.mistakes import BlindSpotFixing, BlindSpotOracle
-from repro.faults import clustered_universe
+from repro.demand import DemandSpace
+from repro.faults import FaultUniverse
 from repro.mc import (
-    simulate_joint_on_demand,
-    simulate_marginal_system_pfd,
-    simulate_untested_joint_on_demand,
-    simulate_version_pfd,
+    apply_blind_testing_batch,
+    apply_imperfect_testing_batch,
+    apply_testing_batch,
+    back_to_back_batch,
 )
-from repro.mc.kernels import (
-    HAVE_NUMBA,
-    compiled_available,
-    compiled_supported,
-    require_compiled,
-)
-from repro.populations import BernoulliFaultPopulation
-from repro.testing import (
-    ImperfectFixing,
-    ImperfectOracle,
-    Oracle,
-    OperationalSuiteGenerator,
-    SuiteGenerator,
-    TestSuite,
-    WeightedDebugGenerator,
+from repro.mc.kernels import back_to_back_counter, imperfect_closure, perfect_closure
+from repro.rng import counter_key
+from repro.testing import BackToBackComparator
+from repro.testing.fixing import PerfectFixing
+from repro.versions.outputs import (
+    OPTIMISTIC,
+    PESSIMISTIC,
+    SHARED_FAULT,
+    FailureOutputModel,
 )
 
-
-@pytest.fixture(autouse=True)
-def _compiled_fallback(monkeypatch):
-    """Let ``engine="compiled"`` run on the numpy twins without numba."""
-    monkeypatch.setenv("REPRO_COMPILED_FALLBACK", "1")
-
-
-@pytest.fixture
-def model():
-    space = DemandSpace(40)
-    profile = zipf_profile(space, exponent=0.7)
-    universe = clustered_universe(space, n_faults=10, region_size=4, rng=3)
-    population = BernoulliFaultPopulation.uniform(universe, 0.35)
-    generator = OperationalSuiteGenerator(profile, 12)
-    return space, profile, universe, population, generator
+# one regime per side of the batch engine's dense-or-sparse size rule:
+# (demands, faults, presence probability)
+_SIDES = {
+    "dense": ((5, 30), (1, 12), (0.3, 0.9)),
+    "sparse": ((300, 600), (5, 40), (0.01, 0.08)),
+}
+_MODES = {0: OPTIMISTIC, 1: PESSIMISTIC, 2: SHARED_FAULT}
 
 
-def _overlap(first, second, confidence=0.99):
-    if hasattr(first, "wilson_interval"):
-        low_a, high_a = first.wilson_interval(confidence)
-        low_b, high_b = second.wilson_interval(confidence)
-    else:
-        low_a, high_a = first.normal_interval(confidence)
-        low_b, high_b = second.normal_interval(confidence)
-    return low_a <= high_b and low_b <= high_a
-
-
-# ---------------------------------------------------------------------------
-# engine seam
-# ---------------------------------------------------------------------------
-
-
-class TestEngineSeam:
-    def test_missing_numba_raises_did_you_mean(self, model, monkeypatch):
-        if HAVE_NUMBA:
-            pytest.skip("numba installed: the error path cannot trigger")
-        monkeypatch.delenv("REPRO_COMPILED_FALLBACK")
-        _space, _profile, _universe, population, _generator = model
-        with pytest.raises(ModelError, match="numba.*Did you mean"):
-            simulate_untested_joint_on_demand(
-                population, 2, n_replications=10, rng=1, engine="compiled"
-            )
-        assert not compiled_available()
-        with pytest.raises(ModelError, match=r"\[compiled\]"):
-            require_compiled()
-
-    def test_auto_never_selects_compiled(self, model, monkeypatch):
-        # auto must resolve identically with and without the compiled
-        # backend available — default results stay machine-independent
-        _space, _profile, _universe, population, _generator = model
-        with_fallback = simulate_untested_joint_on_demand(
-            population, 2, n_replications=50, rng=1, engine="auto"
-        )
-        monkeypatch.delenv("REPRO_COMPILED_FALLBACK")
-        without = simulate_untested_joint_on_demand(
-            population, 2, n_replications=50, rng=1, engine="auto"
-        )
-        assert with_fallback.counts == without.counts
-
-    def test_unknown_engine_rejected(self, model):
-        _space, _profile, _universe, population, _generator = model
-        with pytest.raises(ModelError, match="engine must be one of"):
-            simulate_untested_joint_on_demand(
-                population, 2, n_replications=10, rng=1, engine="gpu"
-            )
-
-    def test_precision_rejected_on_compiled(self, model):
-        _space, profile, _universe, population, generator = model
-        with pytest.raises(ModelError, match="precision"):
-            simulate_version_pfd(
-                population,
-                generator,
-                profile,
-                rng=1,
-                engine="compiled",
-                precision={"rel_half_width": 0.1},
-            )
-
-    def test_engine_config_accepts_compiled(self):
-        from repro.experiments.base import EngineConfig
-
-        assert EngineConfig(engine="compiled").engine == "compiled"
-
-    def test_back_to_back_envelope_accepts_compiled(self, model):
-        _space, profile, _universe, population, generator = model
-        envelope = back_to_back_envelope(
-            population,
-            generator,
-            profile,
-            n_replications=50,
-            rng=3,
-            engine="compiled",
-        )
-        assert envelope.n_replications == 50
-
-
-# ---------------------------------------------------------------------------
-# unsupported models fail loudly
-# ---------------------------------------------------------------------------
-
-
-class _CustomOracle(Oracle):
-    def detects(self, version, demand, rng):  # pragma: no cover
-        return True
-
-
-class _CustomGenerator(SuiteGenerator):
-    def sample(self, rng=None):  # pragma: no cover
-        return TestSuite.of(self._space, [0])
-
-
-class TestUnsupportedModels:
-    def test_custom_oracle_rejected(self, model):
-        _space, _profile, _universe, population, generator = model
-        with pytest.raises(ModelError, match="_CustomOracle"):
-            simulate_joint_on_demand(
-                SameSuite(generator),
-                population,
-                2,
-                n_replications=10,
-                rng=1,
-                oracle=_CustomOracle(),
-                engine="compiled",
-            )
-
-    def test_custom_generator_rejected(self, model):
-        space, profile, _universe, population, _generator = model
-        custom = _CustomGenerator(space)
-        with pytest.raises(ModelError, match="_CustomGenerator"):
-            simulate_version_pfd(
-                population, custom, profile, n_replications=10, rng=1,
-                engine="compiled",
-            )
-
-    def test_compiled_supported_mirrors_the_rules(self, model):
-        space, _profile, _universe, population, generator = model
-        assert compiled_supported(
-            populations=[population],
-            generators=[generator],
-            regime=SameSuite(generator),
-        )
-        assert not compiled_supported(oracle=_CustomOracle())
-        assert not compiled_supported(generators=[_CustomGenerator(space)])
-
-
-# ---------------------------------------------------------------------------
-# cross-engine agreement
-# ---------------------------------------------------------------------------
-
-
-N = 3000
-N_SCALAR = 250
-
-
-class TestCrossEngineAgreement:
-    def _engines(self, fn, scalar_n=N_SCALAR, **kwargs):
-        compiled = fn(n_replications=N, rng=7, engine="compiled", **kwargs)
-        batch = fn(n_replications=N, rng=7, engine="batch", **kwargs)
-        scalar = fn(n_replications=scalar_n, rng=7, engine="scalar", **kwargs)
-        assert _overlap(compiled, batch), (compiled.mean, batch.mean)
-        assert _overlap(compiled, scalar), (compiled.mean, scalar.mean)
-
-    def test_untested_joint(self, model):
-        _space, _profile, _universe, population, _generator = model
-        self._engines(
-            lambda **kw: simulate_untested_joint_on_demand(population, 2, **kw)
-        )
-
-    @pytest.mark.parametrize("regime_kind", ["independent", "same", "forced"])
-    def test_joint_perfect(self, model, regime_kind):
-        _space, profile, _universe, population, generator = model
-        debug = WeightedDebugGenerator.biased_towards(profile, [0, 1], 3.0, 12)
-        regime = {
-            "independent": IndependentSuites(generator),
-            "same": SameSuite(generator),
-            "forced": ForcedTestingDiversity(generator, debug),
-        }[regime_kind]
-        self._engines(
-            lambda **kw: simulate_joint_on_demand(
-                regime, population, 2, **kw
+@st.composite
+def _universes(draw, side):
+    (d_low, d_high), (f_low, f_high), _presence = _SIDES[side]
+    space = DemandSpace(draw(st.integers(d_low, d_high)))
+    n_faults = draw(st.integers(f_low, f_high))
+    regions = [
+        draw(
+            st.lists(
+                st.integers(0, space.size - 1), min_size=1, max_size=4, unique=True
             )
         )
+        for _ in range(n_faults)
+    ]
+    return FaultUniverse.from_regions(space, regions)
 
-    def test_joint_imperfect(self, model):
-        _space, _profile, _universe, population, generator = model
-        self._engines(
-            lambda **kw: simulate_joint_on_demand(
-                SameSuite(generator),
-                population,
-                2,
-                oracle=ImperfectOracle(0.7),
-                fixing=ImperfectFixing(0.6),
-                **kw,
-            )
+
+@st.composite
+def _blocks(draw, side):
+    """A universe, an ``(R, F)`` fault block on its side of the size rule,
+    and a seed for the suites."""
+    universe = draw(_universes(side))
+    presence = draw(st.floats(*_SIDES[side][2]))
+    n_rows = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    faults = rng.random((n_rows, len(universe))) < presence
+    return universe, faults, rng
+
+
+def _on_side(universe, faults, side) -> bool:
+    sparse = universe._sparse_pays(np.count_nonzero(faults), faults.shape[0])
+    return sparse == (side == "sparse")
+
+
+def _coverage(universe) -> np.ndarray:
+    return np.ascontiguousarray(universe.coverage, dtype=bool)
+
+
+@pytest.mark.parametrize("side", sorted(_SIDES))
+class TestExactAgainstBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_perfect_closure(self, side, data):
+        universe, faults, rng = data.draw(_blocks(side))
+        assume(_on_side(universe, faults, side))
+        masks = rng.random((faults.shape[0], universe.space.size)) < 0.1
+        visible = np.ones(len(universe), dtype=bool)
+        np.testing.assert_array_equal(
+            perfect_closure(faults, masks, _coverage(universe), visible),
+            apply_testing_batch(faults, masks, universe),
+        )
+        blind = np.flatnonzero(rng.random(len(universe)) < 0.3)
+        np.testing.assert_array_equal(
+            perfect_closure(
+                faults, masks, _coverage(universe), ~universe.presence_mask(blind)
+            ),
+            apply_blind_testing_batch(faults, masks, universe, blind),
         )
 
-    def test_joint_blind_spot_pair(self, model):
-        _space, _profile, _universe, population, generator = model
-        self._engines(
-            lambda **kw: simulate_joint_on_demand(
-                SameSuite(generator),
-                population,
-                2,
-                oracle=BlindSpotOracle((0, 3)),
-                fixing=BlindSpotFixing((0, 3)),
-                **kw,
-            )
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), fix_p=st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    def test_imperfect_closure_full_detection(self, side, data, fix_p):
+        # at d = 1 the batch kernel draws no binomials, so its survival
+        # uniforms are the first (R, F) block of its stream
+        universe, faults, rng = data.draw(_blocks(side))
+        assume(_on_side(universe, faults, side))
+        seqs = rng.integers(-1, universe.space.size, size=(faults.shape[0], 12))
+        counts = np.zeros((faults.shape[0], universe.space.size), dtype=np.int64)
+        rows, cols = np.nonzero(seqs >= 0)
+        np.add.at(counts, (rows, seqs[rows, cols]), 1)
+        seed = int(rng.integers(2**32))
+        np.testing.assert_array_equal(
+            imperfect_closure(
+                faults,
+                seqs,
+                _coverage(universe),
+                rng.random(seqs.shape),
+                np.random.default_rng(seed).random(faults.shape),
+                1.0,
+                fix_p,
+            ),
+            apply_imperfect_testing_batch(
+                faults, counts, universe, 1.0, fix_p, rng=np.random.default_rng(seed)
+            ),
         )
 
-    @pytest.mark.parametrize("rao_blackwell", [True, False])
-    def test_marginal_system_pfd(self, model, rao_blackwell):
-        _space, profile, _universe, population, generator = model
-        self._engines(
-            lambda **kw: simulate_marginal_system_pfd(
-                IndependentSuites(generator),
-                population,
-                profile,
-                rao_blackwell=rao_blackwell,
-                **kw,
-            )
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(sorted(_MODES)))
+    def test_back_to_back_perfect_fixing(self, side, data, mode):
+        universe_a, faults_a, rng = data.draw(_blocks(side))
+        assume(_on_side(universe_a, faults_a, side))
+        # channel B: its own universe over the same space, possibly of
+        # another width, so shared-fault mode compares padded cause sets
+        n_faults_b = data.draw(st.integers(1, len(universe_a) + 3))
+        regions_b = [
+            rng.choice(universe_a.space.size, size=rng.integers(1, 5), replace=False)
+            for _ in range(n_faults_b)
+        ]
+        universe_b = FaultUniverse.from_regions(universe_a.space, regions_b)
+        faults_b = rng.random((faults_a.shape[0], n_faults_b)) < 0.5
+        seqs = rng.integers(-1, universe_a.space.size, size=(faults_a.shape[0], 15))
+        want_a, want_b = back_to_back_batch(
+            faults_a,
+            faults_b,
+            seqs,
+            universe_a,
+            universe_b,
+            BackToBackComparator(FailureOutputModel(_MODES[mode])),
+            fixing=PerfectFixing(),
         )
-
-    def test_version_pfd(self, model):
-        _space, profile, _universe, population, generator = model
-        self._engines(
-            lambda **kw: simulate_version_pfd(
-                population, generator, profile, **kw
-            )
+        got_a, got_b = back_to_back_counter(
+            faults_a,
+            faults_b,
+            seqs,
+            _coverage(universe_a),
+            _coverage(universe_b),
+            mode,
+            1.0,
+            counter_key(0),
+            np.arange(faults_a.shape[0], dtype=np.uint64),
+            0,
+            len(universe_a) + n_faults_b,
         )
-
-    def test_version_pfd_imperfect(self, model):
-        _space, profile, _universe, population, generator = model
-        self._engines(
-            lambda **kw: simulate_version_pfd(
-                population,
-                generator,
-                profile,
-                oracle=ImperfectOracle(0.6),
-                fixing=ImperfectFixing(0.5),
-                **kw,
-            )
-        )
-
-    @pytest.mark.parametrize("fixing", [None, ImperfectFixing(0.5)])
-    def test_back_to_back_envelope(self, model, fixing):
-        _space, profile, _universe, population, generator = model
-        compiled = back_to_back_envelope(
-            population, generator, profile, fixing=fixing,
-            n_replications=1500, rng=7, engine="compiled",
-        )
-        batch = back_to_back_envelope(
-            population, generator, profile, fixing=fixing,
-            n_replications=1500, rng=7, engine="batch",
-        )
-        if fixing is None:
-            # with imperfect fixing the optimistic run flips fix coins the
-            # perfect-oracle run does not, so the §4.2 identity only holds
-            # in the perfect-fixing limit (same as the batch/scalar paths)
-            assert compiled.ordering_holds
-            assert compiled.optimistic_matches_perfect
-        for field in (
-            "untested_system_pfd",
-            "perfect_system_pfd",
-            "optimistic_system_pfd",
-            "pessimistic_system_pfd",
-            "shared_fault_system_pfd",
-            "untested_version_pfd",
-            "optimistic_version_pfd",
-            "pessimistic_version_pfd",
-            "shared_fault_version_pfd",
-        ):
-            assert getattr(compiled, field) == pytest.approx(
-                getattr(batch, field), abs=0.02
-            ), field
-
-
-# ---------------------------------------------------------------------------
-# bit-invariance under chunking and sharding
-# ---------------------------------------------------------------------------
-
-
-def _small_model():
-    space = DemandSpace(20)
-    profile = zipf_profile(space, exponent=0.8)
-    universe = clustered_universe(space, n_faults=6, region_size=3, rng=5)
-    population = BernoulliFaultPopulation.uniform(universe, 0.4)
-    generator = OperationalSuiteGenerator(profile, 8)
-    return profile, population, generator
+        np.testing.assert_array_equal(got_a, want_a)
+        np.testing.assert_array_equal(got_b, want_b)
 
 
 class TestBitInvariance:
-    @settings(max_examples=12, deadline=None)
-    @given(chunk_size=st.integers(min_value=1, max_value=150))
-    def test_joint_moments_identical_for_any_chunking(self, chunk_size):
-        profile, population, generator = _small_model()
-        reference = simulate_joint_on_demand(
-            SameSuite(generator), population, 1, n_replications=97, rng=11,
-            oracle=ImperfectOracle(0.7), fixing=ImperfectFixing(0.6),
-            engine="compiled", chunk_size=97,
-        )
-        chunked = simulate_joint_on_demand(
-            SameSuite(generator), population, 1, n_replications=97, rng=11,
-            oracle=ImperfectOracle(0.7), fixing=ImperfectFixing(0.6),
-            engine="compiled", chunk_size=chunk_size,
-        )
-        assert chunked.counts == reference.counts
-
-    @settings(max_examples=8, deadline=None)
-    @given(chunk_size=st.integers(min_value=1, max_value=150))
-    def test_mean_moments_identical_for_any_chunking(self, chunk_size):
-        profile, population, generator = _small_model()
-        reference = simulate_marginal_system_pfd(
-            IndependentSuites(generator), population, profile,
-            n_replications=97, rng=11, engine="compiled", chunk_size=97,
-        )
-        chunked = simulate_marginal_system_pfd(
-            IndependentSuites(generator), population, profile,
-            n_replications=97, rng=11, engine="compiled",
-            chunk_size=chunk_size,
-        )
-        assert chunked.moments == reference.moments
-
-    def test_n_jobs_does_not_change_moments(self):
-        profile, population, generator = _small_model()
-        serial = simulate_version_pfd(
-            population, generator, profile, n_replications=120, rng=13,
-            engine="compiled", chunk_size=30, n_jobs=1,
-        )
-        sharded = simulate_version_pfd(
-            population, generator, profile, n_replications=120, rng=13,
-            engine="compiled", chunk_size=30, n_jobs=2,
-        )
-        assert sharded.moments == serial.moments
-
     def test_back_to_back_identical_for_any_chunking(self):
-        profile, population, generator = _small_model()
-        reference = back_to_back_envelope(
-            population, generator, profile, n_replications=60, rng=13,
-            engine="compiled", chunk_size=60,
+        rng = np.random.default_rng(4)
+        space = DemandSpace(20)
+        universe = FaultUniverse.from_regions(
+            space, [rng.choice(20, size=3, replace=False) for _ in range(6)]
         )
-        for chunk_size in (1, 7, 59):
-            chunked = back_to_back_envelope(
-                population, generator, profile, n_replications=60, rng=13,
-                engine="compiled", chunk_size=chunk_size,
+        coverage = _coverage(universe)
+        faults_a = rng.random((60, 6)) < 0.5
+        faults_b = rng.random((60, 6)) < 0.5
+        seqs = rng.integers(-1, 20, size=(60, 10))
+        streams = np.arange(60, dtype=np.uint64)
+        key = counter_key(13)
+
+        def run(rows):
+            return back_to_back_counter(
+                faults_a[rows], faults_b[rows], seqs[rows], coverage, coverage,
+                2, 0.5, key, streams[rows], 100, 12,
             )
-            assert chunked == reference
 
-
-# ---------------------------------------------------------------------------
-# numba kernels match the numpy twins (runs on the numba CI leg)
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestNumbaMatchesNumpyTwins:
-    def _arrays(self):
-        from repro.rng import counter_key
-
-        rng = np.random.default_rng(0)
-        faults_a = rng.random((40, 6)) < 0.4
-        faults_b = rng.random((40, 5)) < 0.4
-        cov_a = np.ascontiguousarray(rng.random((6, 20)) < 0.3)
-        cov_b = np.ascontiguousarray(rng.random((5, 20)) < 0.3)
-        q = rng.dirichlet(np.ones(20))
-        key = counter_key(9)
-        streams = np.arange(40, dtype=np.uint64)
-        return faults_a, faults_b, cov_a, cov_b, q, key, streams
-
-    def test_scoring_kernels(self):
-        from repro.mc import kernels as k
-
-        faults_a, faults_b, cov_a, cov_b, q, _key, _streams = self._arrays()
-        ids_a = np.flatnonzero(cov_a[:, 3]).astype(np.int64)
-        ids_b = np.flatnonzero(cov_b[:, 3]).astype(np.int64)
-        np.testing.assert_array_equal(
-            k.joint_demand_failures(faults_a, faults_b, ids_a, ids_b),
-            k._np_joint_demand_failures(faults_a, faults_b, ids_a, ids_b),
-        )
-        np.testing.assert_allclose(
-            k.pfd_values(faults_a, cov_a, q),
-            k._np_pfd_values(faults_a, cov_a, q),
-            rtol=1e-12,
-        )
-        np.testing.assert_allclose(
-            k.joint_pfd_values(faults_a, faults_b, cov_a, cov_b, q),
-            k._np_joint_pfd_values(faults_a, faults_b, cov_a, cov_b, q),
-            rtol=1e-12,
-        )
-
-    def test_closure_kernels_bit_identical(self):
-        from repro.mc import kernels as k
-        from repro.rng import counter_uniforms
-
-        faults_a, _faults_b, cov_a, _cov_b, _q, key, streams = self._arrays()
-        rng = np.random.default_rng(1)
-        masks = rng.random((40, 20)) < 0.3
-        visible = rng.random(6) < 0.8
-        np.testing.assert_array_equal(
-            k.perfect_closure(faults_a, masks, cov_a, visible),
-            k._np_perfect_closure(faults_a, masks, cov_a, visible),
-        )
-        seqs = rng.integers(-1, 20, size=(40, 8))
-        detect_u = counter_uniforms(key, streams[:, None], np.arange(8))
-        surv_u = counter_uniforms(
-            key, streams[:, None], 8 + np.arange(6)
-        )
-        np.testing.assert_array_equal(
-            k.imperfect_closure(
-                faults_a, seqs, cov_a, detect_u, surv_u, 0.7, 0.6
-            ),
-            k._np_imperfect_closure(
-                faults_a, seqs, cov_a, detect_u, surv_u, 0.7, 0.6
-            ),
-        )
-
-    def test_back_to_back_kernel_bit_identical(self):
-        from repro.mc import kernels as k
-
-        faults_a, faults_b, cov_a, cov_b, _q, key, streams = self._arrays()
-        rng = np.random.default_rng(2)
-        seqs = rng.integers(-1, 20, size=(40, 8))
-        stride = faults_a.shape[1] + faults_b.shape[1]
-        for mode in (0, 1, 2):
-            for fix_p in (1.0, 0.5):
-                got_a, got_b = k.back_to_back_counter(
-                    faults_a, faults_b, seqs, cov_a, cov_b, mode, fix_p,
-                    key, streams, 100, stride,
-                )
-                want_a, want_b = faults_a.copy(), faults_b.copy()
-                k._np_back_to_back(
-                    want_a, want_b, seqs, cov_a, cov_b, mode, fix_p,
-                    key, streams, 100, stride,
-                )
-                np.testing.assert_array_equal(got_a, want_a)
-                np.testing.assert_array_equal(got_b, want_b)
+        whole_a, whole_b = run(slice(None))
+        assert whole_a.sum() < faults_a.sum()  # the coins did remove faults
+        for chunk in (1, 7, 59):
+            parts = [run(slice(start, start + chunk)) for start in range(0, 60, chunk)]
+            np.testing.assert_array_equal(
+                np.concatenate([a for a, _b in parts]), whole_a
+            )
+            np.testing.assert_array_equal(
+                np.concatenate([b for _a, b in parts]), whole_b
+            )

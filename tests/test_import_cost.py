@@ -8,6 +8,10 @@ core, even through a first adaptive run (which imports
 even through a1's Beta quantiles, the size-biased fit behind m1–m3 and
 the Bayesian stopping bound.  scipy is a test-only dependency.
 
+Nothing under ``src/`` imports :mod:`repro.mc.kernels`, the dense
+reference kernels only the tests and the benchmark's tracer name, so the
+catalog does not load it either.
+
 The checks are deterministic: they inspect ``sys.modules`` in a fresh
 interpreter and never time anything.
 """
@@ -54,7 +58,14 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def _scipy_modules_after(code: str) -> list:
+_EXPERIMENTS = """
+import json, sys
+import repro.experiments
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro.mc."))))
+"""
+
+
+def _modules_after(code: str) -> list:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p
@@ -71,9 +82,15 @@ def _scipy_modules_after(code: str) -> list:
 
 
 def test_core_and_first_adaptive_run_load_no_scipy():
-    assert _scipy_modules_after(_CORE) == []
+    assert _modules_after(_CORE) == []
 
 
 def test_experiment_catalog_loads_no_scipy_stats():
     """No scipy module at all, ``scipy.stats`` included."""
-    assert _scipy_modules_after(_CATALOG) == []
+    assert _modules_after(_CATALOG) == []
+
+
+def test_experiments_import_does_not_load_the_reference_kernels():
+    loaded = _modules_after(_EXPERIMENTS)
+    assert "repro.mc.batch" in loaded  # the probe sees the engine load
+    assert "repro.mc.kernels" not in loaded

@@ -233,7 +233,7 @@ class TestCounterKey:
 
     def test_known_values(self):
         # splitmix64-mixed keys, pinned so any change to the mixing
-        # function (which would silently re-randomise every compiled-engine
+        # function (which would silently re-randomise every counter-keyed
         # result) fails loudly
         assert counter_key(0) == 16294208416658607535
         assert counter_key(42) == 13679457532755275413
@@ -262,7 +262,8 @@ class TestCounterKey:
 class TestPhiloxUniform:
     def test_known_answers(self):
         # pinned Philox4x32-10 outputs: any change to the round function,
-        # constants, or the 53-bit conversion shifts every compiled result
+        # constants, or the 53-bit conversion shifts every counter-keyed
+        # result (the c-family workload draws from these uniforms)
         cases = [
             ((0, 0, 0), 0.3990464708489645),
             ((42, 0, 0), 0.6129598811894158),

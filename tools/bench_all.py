@@ -17,12 +17,9 @@ Five suites, selectable with ``--suites`` (default: all):
 * **mutation** — the mutation harness (``benchmarks/bench_mutation.py``):
   mutant-generation throughput, a real campaign's cold-vs-warm (resume
   cache hit) ratio, and estimator fit throughput;
-* **kernels** — the compiled backend (``benchmarks/bench_kernels.py``):
-  njit scored kernels vs their numpy reference twins, with a >= 5x
-  speedup gate when numba is installed (the record states honestly when
-  it is not and no gate applies); plus the guided inverse-CDF suite draw
-  vs plain ``np.searchsorted`` (>= 2x and equal arrays, on every host)
-  and the exact engine's time on a 16-fault cover;
+* **kernels** — two kernel records (``benchmarks/bench_kernels.py``):
+  the guided inverse-CDF suite draw vs plain ``np.searchsorted`` (>= 2x
+  and equal arrays) and the exact engine's time on a 16-fault cover;
 * **localization** — the SBFL localized-growth workload
   (``benchmarks/bench_localization.py``): vectorized counter-RNG rounds
   vs the per-replication reference path, with a >= 10x speedup gate
@@ -150,7 +147,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--kernels-smoke",
         action="store_true",
-        help="smaller kernel arrays, fewer timing repeats",
+        help="fewer kernel timing repeats",
     )
     parser.add_argument(
         "--localization-out",

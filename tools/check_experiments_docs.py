@@ -4,7 +4,7 @@ against the code.
 
 The experiment catalog must list exactly the ids returned by
 ``repro.experiments.all_experiment_ids()`` — no missing rows, no stale
-rows — the kernel-backend page must document exactly the engine
+rows — the engine page (docs/kernels.md) must document exactly the engine
 names the CLI accepts, and the observability page's metric catalog and span taxonomy
 must cover exactly the families and span names the code registers.
 Run from the repository root (CI runs it in the docs job)::
@@ -79,13 +79,13 @@ def check_kernels_doc() -> list:
 
     The page's engine-matrix rows (``| `name` |``) must be exactly the
     engine names the experiments CLI accepts, so the backend page can
-    never silently lag an engine rename.
+    never silently lag an engine rename or deletion.
     """
     from repro.mc.experiments import ENGINES
 
     problems = []
     if not KERNELS_DOC.exists():
-        return [f"missing kernel-backend page: {KERNELS_DOC}"]
+        return [f"missing engine page: {KERNELS_DOC}"]
     text = KERNELS_DOC.read_text()
     documented = re.findall(r"^\|\s*`([a-z]+)`", text, re.MULTILINE)
     engines = list(ENGINES)
