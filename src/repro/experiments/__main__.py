@@ -137,18 +137,6 @@ def _configure_logging(args) -> None:
     )
 
 
-def _add_store_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store-backend",
-        choices=("auto", "jsonl", "sqlite"),
-        default="auto",
-        help="result-store backend: 'auto' (default) detects from the "
-        "path and existing files, 'jsonl' is the append-only line store, "
-        "'sqlite' a WAL-mode database with indexed lookups for stores "
-        "holding millions of records (see docs/sweeps.md)",
-    )
-
-
 def _add_precision_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--target-rel-hw",
@@ -314,7 +302,7 @@ def run_main(argv: List[str]) -> int:
 
 def sweep_main(argv: List[str]) -> int:
     """``sweep --grid grid.toml --out results/``: run a resumable grid."""
-    from ..store import open_store
+    from ..store import ResultStore
     from ..sweeps import Sweep, load_grid
 
     parser = argparse.ArgumentParser(
@@ -355,14 +343,13 @@ def sweep_main(argv: List[str]) -> int:
         "--procs becomes the number of concurrent requests and records "
         "are mirrored into --out",
     )
-    _add_store_backend_argument(parser)
     _add_engine_arguments(parser)
     _add_logging_arguments(parser)
     args = parser.parse_args(argv)
     _configure_logging(args)
 
     spec = load_grid(args.grid)
-    store = open_store(args.out, backend=args.store_backend)
+    store = ResultStore(args.out)
     sweep = Sweep(spec, store, engine=args.engine, n_jobs=args.n_jobs)
     if args.dry_run:
         cached, pending = sweep.partition()
@@ -473,20 +460,19 @@ def serve_main(argv: List[str]) -> int:
         help="log a warning for any job whose computation exceeds this "
         "(default 30)",
     )
-    _add_store_backend_argument(parser)
+    # accepted, and unused, only because perfbench's service workload passes it
+    parser.add_argument(
+        "--store-backend", choices=("jsonl",), help=argparse.SUPPRESS
+    )
     _add_logging_arguments(parser)
     args = parser.parse_args(argv)
     _configure_logging(args)
 
     from ..service import JobScheduler, ServiceServer, TwoTierCache
-    from ..store import open_store
+    from ..store import ResultStore
 
     async def _serve() -> None:
-        store = (
-            None
-            if args.no_store
-            else open_store(args.store, backend=args.store_backend)
-        )
+        store = None if args.no_store else ResultStore(args.store)
         cache = TwoTierCache(store, capacity=args.cache_size)
         scheduler = JobScheduler(
             cache,
@@ -630,7 +616,7 @@ def mutate_main(argv: List[str]) -> int:
         self_target,
     )
     from ..mutation.targets import TargetProgram
-    from ..store import open_store
+    from ..store import ResultStore
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments mutate",
@@ -700,7 +686,6 @@ def mutate_main(argv: List[str]) -> int:
         help="fail (exit 1) when the mutation score ends below S — the "
         "CI mutation-score gate",
     )
-    _add_store_backend_argument(parser)
     args = parser.parse_args(argv)
 
     if args.list_targets:
@@ -744,7 +729,7 @@ def mutate_main(argv: List[str]) -> int:
             "--program FILE --tests FILE... (--list-targets to browse)"
         )
 
-    store = open_store(args.store, backend=args.store_backend)
+    store = ResultStore(args.store)
     campaign = MutationCampaign(
         target,
         store,
@@ -801,7 +786,7 @@ def mutate_main(argv: List[str]) -> int:
 
 def aggregate_main(argv: List[str]) -> int:
     """``aggregate --store results/``: join stored records into tables."""
-    from ..store import open_store
+    from ..store import ResultStore
     from ..sweeps import comparison_table, render_table, summary_table
 
     parser = argparse.ArgumentParser(
@@ -833,10 +818,9 @@ def aggregate_main(argv: List[str]) -> int:
         metavar="FILE",
         help="write the table to FILE instead of stdout",
     )
-    _add_store_backend_argument(parser)
     args = parser.parse_args(argv)
 
-    store = open_store(args.store, backend=args.store_backend)
+    store = ResultStore(args.store)
     if not store.path.exists():
         raise ModelError(f"no result store at {store.path}")
     if args.experiment is not None:

@@ -691,7 +691,6 @@ class ThreadedServer(_HostedLoop):
         port: int = 0,
         cache_capacity: int = 1024,
         queue_limit: int = 64,
-        store_backend: str = "auto",
         name: Optional[str] = None,
         instrument: bool = True,
     ) -> None:
@@ -699,13 +698,9 @@ class ThreadedServer(_HostedLoop):
         self.server: Optional[ServiceServer] = None
 
         async def _start():
-            from ..store import open_store
+            from ..store import ResultStore
 
-            store = (
-                open_store(store_path, backend=store_backend)
-                if store_path is not None
-                else None
-            )
+            store = ResultStore(store_path) if store_path is not None else None
             # a fresh registry per hosted server keeps concurrently
             # hosted instances (tests, the bench) from mixing counters
             registry = MetricsRegistry() if instrument else NULL_REGISTRY

@@ -46,7 +46,6 @@ class ShardProcess:
         store_path: str,
         procs: int = 0,
         queue_limit: int = 64,
-        store_backend: str = "auto",
         port: int = 0,
         startup_timeout: float = 60.0,
         log_file: Optional[str] = None,
@@ -57,7 +56,6 @@ class ShardProcess:
         self.store_path = store_path
         self.procs = procs
         self.queue_limit = queue_limit
-        self.store_backend = store_backend
         self.port = port  # 0 until first start binds one
         self.startup_timeout = startup_timeout
         #: structured logs go to a file, not the stdout pipe — nobody
@@ -104,8 +102,6 @@ class ShardProcess:
             str(self.queue_limit),
             "--store",
             str(self.store_path),
-            "--store-backend",
-            self.store_backend,
             "--name",
             self.name,
         ]
@@ -198,7 +194,6 @@ class LocalCluster:
         store_root: str,
         procs: int = 0,
         queue_limit: int = 64,
-        store_backend: str = "auto",
         retries: int = 1,
         backoff: float = 0.05,
         health_interval: float = 0.25,
@@ -217,7 +212,6 @@ class LocalCluster:
                 store_path=str(self.store_root / f"s{index}"),
                 procs=procs,
                 queue_limit=queue_limit,
-                store_backend=store_backend,
                 log_file=(
                     str(log_root / f"s{index}.jsonl")
                     if log_root is not None

@@ -6,12 +6,9 @@ knob params, seed, fast/full mode and the package version.  Re-running the
 same point is a cache hit; an interrupted sweep resumes from the last
 record that reached disk.
 
-Two interchangeable backends implement the :class:`StoreBackend` protocol
-(see :mod:`repro.store.backend`): the append-only JSONL
-:class:`ResultStore` (the default — human-greppable, diff-able) and the
-WAL-mode :class:`SqliteStore` (indexed lookups and SQL-side aggregation
-for stores holding millions of records).  :func:`open_store` picks one
-from a path and an optional ``--store-backend`` style override.
+The one store is :class:`ResultStore`: append-only JSONL, one
+canonical-JSON record per line, human-greppable and diff-able.  Its path
+is a directory (holding ``records.jsonl``) or an explicit ``.jsonl`` file.
 
 >>> from repro.store import ResultStore, make_record
 >>> from repro.experiments import run_experiment
@@ -23,7 +20,6 @@ from a path and an optional ``--store-backend`` style override.
 True
 """
 
-from .backend import STORE_BACKENDS, StoreBackend, detect_backend, open_store
 from .records import (
     cache_key,
     canonical_json,
@@ -32,20 +28,14 @@ from .records import (
     record_result,
     validate_record,
 )
-from .sqlite import SqliteStore
 from .store import ResultStore
 
 __all__ = [
     "ResultStore",
-    "SqliteStore",
-    "STORE_BACKENDS",
-    "StoreBackend",
     "cache_key",
     "canonical_json",
     "canonical_params",
-    "detect_backend",
     "make_record",
-    "open_store",
     "record_result",
     "validate_record",
 ]

@@ -79,6 +79,12 @@ class ResultStore:
         path = Path(path)
         if path.suffix == ".jsonl":
             self._file = path
+        elif path.exists() and not path.is_dir():
+            # caught here, not at the first put() after the work is done
+            raise ModelError(
+                f"store path {path} is a file; a result store is a "
+                f"directory or a .jsonl file"
+            )
         else:
             self._file = path / self.RECORDS_FILE
         self._records: Dict[str, dict] = {}

@@ -77,78 +77,33 @@ def _param_names(records: Sequence[dict]) -> List[str]:
     return list(names)
 
 
-def _summary_entries(store: ResultStore) -> List[dict]:
-    """Per-record summary entries: identity, claim counts, verdict.
-
-    Backends exposing ``summary_rows`` (the SQLite store) compute these
-    inside SQL — claim counting happens in the database and the result
-    payloads never leave it.  Everything else falls back to a Python scan
-    over ``records()``.  Both paths produce identical entries, so the
-    rendered table is byte-for-byte backend-independent (the conformance
-    suite asserts exactly that).
-    """
-    summary_rows = getattr(store, "summary_rows", None)
-    if summary_rows is not None:
-        return summary_rows()
-    entries = []
-    for record in store.records():
-        if "result" not in record:
-            continue
-        claims = record["result"]["claims"]
-        entries.append(
-            {
-                "experiment_id": record["experiment_id"],
-                "seed": record["seed"],
-                "fast": record["fast"],
-                "engine": record["engine"],
-                "version": record["version"],
-                "params": record["params"],
-                "held": sum(1 for claim in claims if claim["holds"]),
-                "claims": len(claims),
-                "passed": record["result"]["passed"],
-            }
-        )
-    return entries
-
-
 def summary_table(store: ResultStore) -> Table:
     """One row per stored point: identity, claim counts, verdict."""
-    entries = sorted(
-        _summary_entries(store),
-        key=lambda entry: (
-            entry["experiment_id"],
-            entry["seed"],
-            entry["engine"],
-            entry["version"],
-            [
-                (name, _value_order(entry["params"][name]))
-                for name in sorted(entry["params"])
-            ],
-        ),
-    )
-    if not entries:
+    records = _sorted_records(store.records())
+    if not records:
         raise ModelError(f"store {store.path} has no records to aggregate")
-    param_names = _param_names(entries)
+    param_names = _param_names(records)
     columns = (
         ["experiment", "seed", "fast", "engine", "version"]
         + param_names
         + ["claims held", "claims", "status"]
     )
     rows: List[List[object]] = []
-    for entry in entries:
+    for record in records:
+        claims = record["result"]["claims"]
         rows.append(
             [
-                entry["experiment_id"],
-                entry["seed"],
-                entry["fast"],
-                entry["engine"],
-                entry["version"],
+                record["experiment_id"],
+                record["seed"],
+                record["fast"],
+                record["engine"],
+                record["version"],
             ]
-            + [entry["params"].get(name, "") for name in param_names]
+            + [record["params"].get(name, "") for name in param_names]
             + [
-                entry["held"],
-                entry["claims"],
-                "PASS" if entry["passed"] else "FAIL",
+                sum(1 for claim in claims if claim["holds"]),
+                len(claims),
+                "PASS" if record["result"]["passed"] else "FAIL",
             ]
         )
     return columns, rows

@@ -111,11 +111,32 @@ class TestSweepExitCodes:
         assert not out.exists()
 
 
+    def test_out_at_an_existing_file_exits_2_before_running(
+        self, tmp_path, capsys
+    ):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"sweep": {"experiments": ["a5"]}}))
+        out = tmp_path / "notastore"
+        out.write_text("keep me\n")
+        code = main(["sweep", "--grid", str(grid), "--out", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "a result store is a directory or a .jsonl file" in captured.err
+        assert "a5" not in captured.out  # no point ran
+        assert out.read_text() == "keep me\n"
+
+
 class TestAggregateExitCodes:
     def test_missing_store_exits_2(self, tmp_path, capsys):
         code = main(["aggregate", "--store", str(tmp_path / "nope")])
         assert code == EXIT_USAGE
         assert "no result store" in capsys.readouterr().err
+
+    def test_store_backend_flag_is_gone(self, tmp_path):
+        argv = ["aggregate", "--store", str(tmp_path), "--store-backend", "jsonl"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_USAGE
 
 
 class TestServeExitCodes:
@@ -130,6 +151,18 @@ class TestServeExitCodes:
     def test_bad_cache_size_exits_2(self, capsys):
         assert main(["serve", "--cache-size", "0"]) == EXIT_USAGE
         assert "capacity" in capsys.readouterr().err
+
+    def test_store_at_an_existing_file_exits_2(self, tmp_path, capsys):
+        store = tmp_path / "records.sqlite"
+        store.write_bytes(b"SQLite format 3\x00")
+        assert main(["serve", "--store", str(store)]) == EXIT_USAGE
+        assert "directory or a .jsonl file" in capsys.readouterr().err
+
+    def test_store_backend_accepts_only_jsonl(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--store-backend", "sqlite"])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestEngineFlagPaths:

@@ -77,7 +77,7 @@ def spawn_server(store, *extra_args):
 
     Binds port 0 and parses the startup banner, so tests never race a
     hard-coded port.  Extra CLI args pass through (e.g. ``"--procs",
-    "1"`` or ``"--store-backend", "sqlite"``).
+    "1"`` or ``"--cache-size", "16"``).
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get(

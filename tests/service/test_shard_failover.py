@@ -87,32 +87,3 @@ class TestShardFailover:
                 # restarted shard serves it from its on-disk store
                 assert healed["cached"] is True, healed
                 assert healed["source"] in ("store", "memory")
-
-    def test_kill_and_heal_with_sqlite_backend(self, tmp_path):
-        # the same degrade/heal cycle on the other store backend: WAL-mode
-        # SQLite must survive SIGKILL just like the append-only JSONL file
-        with LocalCluster(
-            2, tmp_path / "stores", store_backend="sqlite"
-        ) as cluster:
-            url = cluster.url
-            job = _submit(url, 0)
-            assert job["state"] == "done"
-            victim = cluster.shard(job["shard"])
-            victim.kill()
-            with ServiceClient(url) as client:
-                wait_until(
-                    lambda: client.healthz()["shards_healthy"] == 1,
-                    message="router never noticed the killed shard",
-                )
-                rerouted = client.submit("a5", seed=0, wait=True)
-                assert rerouted["state"] == "done"
-                assert rerouted["shard"] != victim.name
-            victim.restart()
-            with ServiceClient(url) as client:
-                wait_until(
-                    lambda: client.healthz()["shards_healthy"] == 2,
-                    message="router never saw the shard return",
-                )
-                healed = client.submit("a5", seed=0, wait=True)
-                assert healed["shard"] == victim.name
-                assert healed["cached"] is True, healed

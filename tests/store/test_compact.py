@@ -46,6 +46,21 @@ class TestCompact:
         after = {r["key"]: r for r in ResultStore(tmp_path).load()}
         assert after == before
 
+    def test_keeps_newest_payloads_in_first_written_order(self, tmp_path):
+        store = ResultStore(tmp_path)
+        records = [make_record("a5", seed=i) for i in range(5)]
+        for record in records:
+            store.put(record)
+        for record in records[:3]:  # superseded duplicates
+            store.put(dict(record, extra_marker="v2"))
+        before = store.records()
+        stats = store.compact()
+        assert (stats["records"], stats["dropped_duplicates"]) == (5, 3)
+        assert stats["bytes_after"] == store.path.stat().st_size
+        assert stats["bytes_after"] < stats["bytes_before"]
+        assert store.records() == before
+        assert ResultStore(tmp_path).records() == before
+
     def test_drops_partial_trailing_line(self, tmp_path, records):
         store = ResultStore(tmp_path)
         store.put(records[0])

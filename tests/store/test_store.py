@@ -61,13 +61,26 @@ class TestResultStore:
         assert key in store
         assert store.get(key) == record
         assert len(store) == 1
+        assert list(store) == [record]
+        assert store.keys() == [key]
         assert store.experiment_ids() == ["a5"]
 
     def test_fresh_instance_reads_what_was_written(self, tmp_path, a5_result):
-        record = make_record("a5", seed=3, result=a5_result)
+        record = make_record(
+            "a5", seed=3, params={"deep": {"nested": [1, 2]}}, result=a5_result
+        )
         ResultStore(tmp_path).put(record)
         reread = ResultStore(tmp_path)
         assert reread.get(record["key"]) == record
+
+    def test_unicode_and_float_payloads_survive(self, tmp_path):
+        record = make_record(
+            "a5", seed=5, params={"label": "π≈3.14159", "ratio": 0.1 + 0.2}
+        )
+        ResultStore(tmp_path).put(record)
+        loaded = ResultStore(tmp_path).get(record["key"])
+        assert loaded["params"]["label"] == "π≈3.14159"
+        assert loaded["params"]["ratio"] == 0.1 + 0.2  # bit-exact
 
     def test_explicit_jsonl_path(self, tmp_path, a5_result):
         path = tmp_path / "mine.jsonl"
@@ -81,6 +94,18 @@ class TestResultStore:
         store = ResultStore(tmp_path / "nowhere")
         assert len(store) == 0
         assert store.keys() == []
+        assert store.get("no-such-key") is None
+        assert "no-such-key" not in store
+
+    @pytest.mark.parametrize("name", ["notastore", "records.sqlite"])
+    def test_existing_file_without_jsonl_suffix_is_rejected(
+        self, tmp_path, name
+    ):
+        path = tmp_path / name
+        path.write_text("not a store\n")
+        with pytest.raises(ModelError, match="directory or a .jsonl file"):
+            ResultStore(path)
+        assert path.read_text() == "not a store\n"
 
     def test_truncated_trailing_line_skipped_with_warning(
         self, tmp_path, a5_result
@@ -127,9 +152,22 @@ class TestResultStore:
         shadow = dict(record)
         shadow["result"] = {"passed": True, "marker": "second-write"}
         store.put(shadow)
+        assert len(store) == 1
+        assert store.get(record["key"]) == shadow
         reread = ResultStore(tmp_path)
         assert len(reread) == 1
         assert reread.get(record["key"])["result"]["marker"] == "second-write"
+
+    def test_duplicate_keeps_first_written_order(self, tmp_path):
+        store = ResultStore(tmp_path)
+        early, middle, late = (make_record("a5", seed=s) for s in (1, 2, 3))
+        for record in (early, middle, late):
+            store.put(record)
+        replacement = dict(early, extra_marker="v2")
+        store.put(replacement)
+        # dict semantics: the key stays where it first appeared
+        assert store.records() == [replacement, middle, late]
+        assert ResultStore(tmp_path).records() == [replacement, middle, late]
 
     def test_hand_edited_record_skipped_not_fatal(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -144,9 +182,68 @@ class TestResultStore:
 
     def test_records_filter_by_experiment(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.put(make_record("a5", seed=0))
-        store.put(make_record("a4", seed=0))
-        store.put(make_record("a5", seed=1))
-        assert len(store.records("a5")) == 2
-        assert len(store.records("a4")) == 1
-        assert store.experiment_ids() == ["a5", "a4"]
+        first, other, second = (
+            make_record("a5", seed=0),
+            make_record("a4", seed=0),
+            make_record("a5", seed=1),
+        )
+        for record in (first, other, second):
+            store.put(record)
+        assert store.records("a5") == [first, second]
+        assert store.records("a4") == [other]
+        assert store.records() == [first, other, second]
+        assert store.experiment_ids() == ["a5", "a4"]  # first-written order
+
+
+GOLDEN_GRID = dict(
+    experiments=["a4", "a2"],
+    seeds=[0, 1],
+    experiment_params={"a2": {"presence_prob": [0.2, 0.3]}},
+)
+
+
+@pytest.fixture(scope="module")
+def golden_store(tmp_path_factory):
+    """One real sweep's store (computed once, shared read-only)."""
+    from repro.sweeps import Sweep, SweepSpec
+
+    store = ResultStore(tmp_path_factory.mktemp("golden"))
+    report = Sweep(SweepSpec(**GOLDEN_GRID), store).run()
+    assert report.passed
+    return store
+
+
+def _rehosted(golden_store, tmp_path):
+    """The golden records replayed into a fresh ``.jsonl`` store, compacted
+    and reopened from disk."""
+    rehosted = ResultStore(tmp_path / "rehosted.jsonl")
+    for record in golden_store.records():
+        rehosted.put(record)
+    rehosted.put(golden_store.records()[0])  # a superseded duplicate
+    rehosted.compact()
+    return ResultStore(rehosted.path)
+
+
+class TestAggregate:
+    """Aggregate output on the golden grid survives a write, reload and
+    compaction byte for byte."""
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_summary_table_survives_reload_and_compact(
+        self, golden_store, tmp_path, fmt
+    ):
+        from repro.sweeps import render_table, summary_table
+
+        expected = render_table(summary_table(golden_store), fmt)
+        rehosted = _rehosted(golden_store, tmp_path)
+        assert render_table(summary_table(rehosted), fmt) == expected
+        assert len(summary_table(golden_store)[1]) == 6
+
+    def test_comparison_table_survives_reload_and_compact(
+        self, golden_store, tmp_path
+    ):
+        from repro.sweeps import comparison_table, render_table
+
+        expected = render_table(comparison_table(golden_store, "a2"), "csv")
+        rehosted = _rehosted(golden_store, tmp_path)
+        assert render_table(comparison_table(rehosted, "a2"), "csv") == expected

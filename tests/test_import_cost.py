@@ -12,6 +12,9 @@ Nothing under ``src/`` imports :mod:`repro.mc.kernels`, the dense
 reference kernels only the tests and the benchmark's tracer name, so the
 catalog does not load it either.
 
+A result store is one JSONL file, so neither the service nor the store
+loads :mod:`sqlite3`.
+
 The checks are deterministic: they inspect ``sys.modules`` in a fresh
 interpreter and never time anything.
 """
@@ -65,6 +68,13 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro.mc."))))
 """
 
 
+_SERVICE = """
+import json, sys
+import repro.service
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "sqlite3")))
+"""
+
+
 def _modules_after(code: str) -> list:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -94,3 +104,7 @@ def test_experiments_import_does_not_load_the_reference_kernels():
     loaded = _modules_after(_EXPERIMENTS)
     assert "repro.mc.batch" in loaded  # the probe sees the engine load
     assert "repro.mc.kernels" not in loaded
+
+
+def test_service_import_does_not_load_sqlite3():
+    assert _modules_after(_SERVICE) == []

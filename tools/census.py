@@ -188,7 +188,7 @@ def _children(work: Path) -> None:
     env = dict(os.environ, PYTHONPATH=f"{work}{os.pathsep}{ROOT / 'src'}")
     for argv in (
         ["tools/compact_store.py", "--store", str(work / "quick")],
-        ["tools/shard_smoke.py", "--backend", "both"],
+        ["tools/shard_smoke.py"],
         ["tools/obs_smoke.py"],
         ["-m", "pytest", "benchmarks", "-q", "--benchmark-disable",
          "-p", "no:cacheprovider"],

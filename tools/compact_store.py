@@ -2,22 +2,18 @@
 """Compact a result store: drop superseded duplicates and reclaim space.
 
 Long-lived stores (resumed sweeps, the ``repro.service`` server) grow:
-the JSONL backend is append-only, so every re-run of a point adds a line
+the JSONL store is append-only, so every re-run of a point adds a line
 that shadows — but never removes — the previous one, and an interrupted
-append can leave a partial trailing line; the SQLite backend upserts (one
-row per key) but accumulates free pages and WAL.  This tool compacts
-either backend::
+append can leave a partial trailing line.  This tool rewrites the store
+keeping one record per key::
 
     PYTHONPATH=src python tools/compact_store.py --store results/
     PYTHONPATH=src python tools/compact_store.py --store results/ --dry-run
-    PYTHONPATH=src python tools/compact_store.py --store results/ \
-        --store-backend sqlite
 
 Safe to run while readers are open (they see either the old or the new
-state), but not while another process is appending to a JSONL store — a
+state), but not while another process is appending to the store — a
 record written between the read and the ``os.replace`` would be lost.
-Stop writers (or the server) first.  SQLite compaction takes the write
-lock itself, so concurrent writers block briefly instead of losing data.
+Stop writers (or the server) first.
 """
 
 from __future__ import annotations
@@ -30,21 +26,13 @@ import warnings
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Compact a result store: drop superseded duplicate "
-        "keys and unreadable/partial lines (jsonl) or checkpoint and "
-        "VACUUM (sqlite)."
+        "keys and unreadable/partial lines."
     )
     parser.add_argument(
         "--store",
         default="results",
         metavar="PATH",
-        help="store directory, .jsonl file or .sqlite file "
-        "(default: results/)",
-    )
-    parser.add_argument(
-        "--store-backend",
-        choices=("auto", "jsonl", "sqlite"),
-        default="auto",
-        help="backend at --store (default: auto-detect)",
+        help="store directory or .jsonl file (default: results/)",
     )
     parser.add_argument(
         "--dry-run",
@@ -53,31 +41,28 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.store import ResultStore, open_store
+    from repro.errors import ModelError
+    from repro.store import ResultStore
+    from repro.store.store import _scan
 
-    store = open_store(args.store, backend=args.store_backend)
+    try:
+        store = ResultStore(args.store)
+    except ModelError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if not store.path.exists():
         print(f"no store at {store.path}; nothing to compact")
         return 0
     if args.dry_run:
-        if isinstance(store, ResultStore):
-            from repro.store.store import _scan
-
-            content = store.path.read_text(encoding="utf-8")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                records, parsed, unreadable = _scan(content, str(store.path))
-            print(
-                f"{store.path}: {len(records)} records would survive "
-                f"({parsed - len(records)} superseded duplicates and "
-                f"{unreadable} unreadable lines would be dropped; dry run)"
-            )
-        else:
-            print(
-                f"{store.path}: {len(store)} records (sqlite keeps one row "
-                "per key; compaction would checkpoint the WAL and VACUUM "
-                "free pages; dry run)"
-            )
+        content = store.path.read_text(encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records, parsed, unreadable = _scan(content, str(store.path))
+        print(
+            f"{store.path}: {len(records)} records would survive "
+            f"({parsed - len(records)} superseded duplicates and "
+            f"{unreadable} unreadable lines would be dropped; dry run)"
+        )
         return 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -1,6 +1,6 @@
 """Live smoke for the sharded service: router + 2 serve subprocesses.
 
-Exercises the cluster-level contract end to end, once per store backend:
+Exercises the cluster-level contract end to end:
 
 1. distinct cache keys spread across both shards (the ring actually
    partitions work);
@@ -16,7 +16,7 @@ Exercises the cluster-level contract end to end, once per store backend:
 Exit status is non-zero on the first violated check.  CI runs this as
 the ``shard-smoke`` job; locally::
 
-    PYTHONPATH=src python tools/shard_smoke.py [--backend jsonl|sqlite|both]
+    PYTHONPATH=src python tools/shard_smoke.py
 """
 
 import argparse
@@ -165,36 +165,20 @@ def _health_summary(url):
     )
 
 
-def run_smoke(backend):
-    print(f"--- backend: {backend} ---")
+def main(argv=None):
+    argparse.ArgumentParser(
+        description="router + 2 shard subprocesses: spread, coalesce, "
+        "kill/degrade/heal"
+    ).parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="shard_smoke_") as tmp:
-        with LocalCluster(2, tmp, store_backend=backend) as cluster:
+        with LocalCluster(2, tmp) as cluster:
             url = cluster.url
-            print(f"cluster up: router {url}, shards s0/s1 ({backend})")
+            print(f"cluster up: router {url}, shards s0/s1")
             home = _spread_check(url)
             _coalesce_check(url)
             _failover_check(url, cluster, home)
             _health_summary(url)
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="router + 2 shard subprocesses: spread, coalesce, "
-        "kill/degrade/heal — per store backend"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("jsonl", "sqlite", "both"),
-        default="both",
-        help="store backend(s) to exercise (default: both)",
-    )
-    args = parser.parse_args(argv)
-    backends = (
-        ("jsonl", "sqlite") if args.backend == "both" else (args.backend,)
-    )
-    for backend in backends:
-        run_smoke(backend)
-    print(f"shard smoke ok ({', '.join(backends)})")
+    print("shard smoke ok")
     return 0
 
 
