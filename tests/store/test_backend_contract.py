@@ -1,54 +1,28 @@
-"""Backend conformance suite: every store backend honors one contract.
+"""Store contract: what the sweep, service and mutation callers rely on.
 
-The sweep layer, the service cache and the mutation campaign runner all
-talk to a store through the :class:`~repro.store.backend.StoreBackend`
-protocol; this suite is the contract those callers rely on, parametrized
-over every backend (JSONL and SQLite) so a future backend gets the whole
-net for free:
+The result store is the append-only JSONL :class:`~repro.store.ResultStore`;
+the cases are parametrized by its on-disk format (``jsonl``, the only one):
 
 * roundtrip — ``put`` then ``get``/``records``/``keys`` returns the
-  record unchanged;
-* last-wins duplicates — re-putting a key replaces the payload but keeps
-  the key's first-written position (dict semantics, both backends);
-* interrupt safety — a writer SIGKILLed mid-stream loses at most the
-  record in flight; everything already acknowledged survives reload;
-* concurrent writers — multiprocess ``put()`` stress, no corruption;
-* ``compact()`` — record-preserving, space-reclaiming, honest stats;
-* aggregate parity — the golden sweep grid renders byte-identical
-  summary and comparison tables from either backend (the SQLite
-  backend's SQL pushdown must not drift from the Python scan).
+  record unchanged, and a fresh handle reads it back from disk;
+* last-wins duplicates — re-putting a key replaces the payload;
+* concurrent writers — multiprocess ``put()`` stress, no corruption.
 """
 
-import json
 import multiprocessing
-import os
-import signal
-import subprocess
-import sys
-import time
-import warnings
-from pathlib import Path
 
 import pytest
 
-from repro.store import (
-    ResultStore,
-    SqliteStore,
-    StoreBackend,
-    make_record,
-    open_store,
-)
+from repro.store import ResultStore, make_record
 
-ROOT = Path(__file__).resolve().parents[2]
-
-BACKENDS = ("jsonl", "sqlite")
+FORMATS = ("jsonl",)
 
 
 def _open(tmp_path, backend):
-    return open_store(tmp_path / backend, backend=backend)
+    return ResultStore(tmp_path / backend)
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=FORMATS)
 def backend(request):
     return request.param
 
@@ -56,16 +30,6 @@ def backend(request):
 @pytest.fixture
 def store(tmp_path, backend):
     return _open(tmp_path, backend)
-
-
-class TestProtocol:
-    def test_both_backends_satisfy_the_protocol(self, store):
-        assert isinstance(store, StoreBackend)
-
-    def test_open_store_picks_the_requested_backend(self, tmp_path, backend):
-        store = _open(tmp_path, backend)
-        expected = ResultStore if backend == "jsonl" else SqliteStore
-        assert type(store) is expected
 
 
 class TestRoundtrip:
@@ -100,15 +64,6 @@ class TestRoundtrip:
         reader = _open(tmp_path, backend)
         assert reader.get(record["key"]) == record
 
-    def test_unicode_and_float_payloads_survive(self, store):
-        record = make_record(
-            "a5", seed=5, params={"label": "π≈3.14159", "ratio": 0.1 + 0.2}
-        )
-        store.put(record)
-        loaded = store.get(record["key"])
-        assert loaded["params"]["label"] == "π≈3.14159"
-        assert loaded["params"]["ratio"] == 0.1 + 0.2  # bit-exact
-
 
 class TestLastWins:
     def test_duplicate_key_keeps_newest_payload(self, store):
@@ -119,20 +74,9 @@ class TestLastWins:
         assert len(store) == 1
         assert store.get(first["key"]) == newer
 
-    def test_duplicate_keeps_first_written_order(self, store):
-        early = make_record("a5", seed=1)
-        middle = make_record("a5", seed=2)
-        late = make_record("a5", seed=3)
-        for record in (early, middle, late):
-            store.put(record)
-        replacement = dict(early, extra_marker="v2")
-        store.put(replacement)
-        # dict semantics: the key stays where it first appeared
-        assert store.records() == [replacement, middle, late]
 
-
-def _stress_writer(path, backend, worker):
-    store = open_store(path, backend=backend)
+def _stress_writer(path, worker):
+    store = ResultStore(path)
     for index in range(25):
         store.put(
             make_record(
@@ -146,11 +90,9 @@ def _stress_writer(path, backend, worker):
 class TestConcurrency:
     def test_multiprocess_put_stress(self, tmp_path, backend):
         path = str(tmp_path / backend)
-        open_store(path, backend=backend)  # create before forking
+        ResultStore(path)  # create before forking
         workers = [
-            multiprocessing.Process(
-                target=_stress_writer, args=(path, backend, w)
-            )
+            multiprocessing.Process(target=_stress_writer, args=(path, w))
             for w in range(4)
         ]
         for process in workers:
@@ -158,157 +100,7 @@ class TestConcurrency:
         for process in workers:
             process.join(timeout=120)
             assert process.exitcode == 0
-        store = open_store(path, backend=backend)
+        store = ResultStore(path)
         assert len(store) == 4 * 25
         for record in store.records():
             assert record["params"]["pad"] == "x" * 300
-
-
-_INTERRUPT_SCRIPT = """
-import sys
-import repro.experiments  # noqa: F401  (registers modules; import order)
-from repro.store import make_record, open_store
-
-path, backend = sys.argv[1], sys.argv[2]
-store = open_store(path, backend=backend)
-for index in range(10_000):
-    store.put(make_record("a5", seed=index, params={"pad": "y" * 200}))
-    print(index, flush=True)  # parent watches acknowledged seq numbers
-"""
-
-
-class TestInterruptSafety:
-    @pytest.mark.slow
-    def test_sigkill_mid_stream_loses_at_most_the_record_in_flight(
-        self, tmp_path, backend
-    ):
-        path = str(tmp_path / backend)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
-        process = subprocess.Popen(
-            [sys.executable, "-c", _INTERRUPT_SCRIPT, path, backend],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-        )
-        acknowledged = -1
-        deadline = time.monotonic() + 60
-        while acknowledged < 40:  # let a few dozen records land first
-            line = process.stdout.readline()
-            assert line, "writer exited before producing records"
-            acknowledged = int(line)
-            assert time.monotonic() < deadline
-        os.kill(process.pid, signal.SIGKILL)
-        process.wait(timeout=30)
-        # recovery: the store loads, and every acknowledged record is
-        # present and complete (the unacknowledged in-flight one may or
-        # may not have reached disk)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # jsonl may drop a torn tail
-            store = open_store(path, backend=backend)
-            records = {r["seed"]: r for r in store.records()}
-        for seed in range(acknowledged + 1):
-            assert seed in records, f"acknowledged record {seed} lost"
-            assert records[seed]["params"]["pad"] == "y" * 200
-
-
-class TestCompact:
-    def test_compact_preserves_records_and_reports_stats(self, store):
-        records = [make_record("a5", seed=i) for i in range(5)]
-        for record in records:
-            store.put(record)
-        for record in records[:3]:  # superseded duplicates
-            store.put(dict(record, extra_marker="v2"))
-        before = {record["key"]: record for record in store.records()}
-        stats = store.compact()
-        assert stats["records"] == 5
-        assert stats["bytes_after"] <= stats["bytes_before"]
-        assert set(stats) >= {
-            "records",
-            "dropped_duplicates",
-            "dropped_unreadable",
-            "bytes_before",
-            "bytes_after",
-        }
-        after = {record["key"]: record for record in store.records()}
-        assert after == before
-        # and a fresh handle sees the same state
-        reread = open_store(store.path)
-        assert {r["key"]: r for r in reread.records()} == before
-
-
-# ---------------------------------------------------------------------------
-# aggregate parity on the golden grid
-# ---------------------------------------------------------------------------
-
-GOLDEN_GRID = dict(
-    experiments=["a4", "a2"],
-    seeds=[0, 1],
-    experiment_params={"a2": {"presence_prob": [0.2, 0.3]}},
-)
-
-
-@pytest.fixture(scope="module")
-def golden_records(tmp_path_factory):
-    """One real sweep's records (computed once, shared read-only)."""
-    from repro.sweeps import Sweep, SweepSpec
-
-    store = ResultStore(tmp_path_factory.mktemp("golden"))
-    report = Sweep(SweepSpec(**GOLDEN_GRID), store).run()
-    assert report.passed
-    return store.records()
-
-
-class TestAggregateParity:
-    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-    def test_summary_table_is_byte_identical_across_backends(
-        self, golden_records, tmp_path, fmt
-    ):
-        from repro.sweeps import render_table, summary_table
-
-        rendered = {}
-        for backend in BACKENDS:
-            store = _open(tmp_path, backend)
-            for record in golden_records:
-                store.put(record)
-            rendered[backend] = render_table(summary_table(store), fmt)
-        assert rendered["jsonl"] == rendered["sqlite"]
-
-    def test_comparison_table_is_byte_identical_across_backends(
-        self, golden_records, tmp_path
-    ):
-        from repro.sweeps import comparison_table, render_table
-
-        rendered = {}
-        for backend in BACKENDS:
-            store = _open(tmp_path, backend)
-            for record in golden_records:
-                store.put(record)
-            rendered[backend] = render_table(
-                comparison_table(store, "a2"), "csv"
-            )
-        assert rendered["jsonl"] == rendered["sqlite"]
-
-    def test_sqlite_summary_uses_the_sql_pushdown(self, golden_records, tmp_path):
-        # guard against the fast path silently disappearing: the SQLite
-        # backend must expose summary_rows and its output must match the
-        # Python-side scan entry for entry
-        store = _open(tmp_path, "sqlite")
-        reference = _open(tmp_path, "jsonl")
-        for record in golden_records:
-            store.put(record)
-            reference.put(record)
-        from repro.sweeps.aggregate import _summary_entries
-
-        assert hasattr(store, "summary_rows")
-        sql_entries = sorted(
-            store.summary_rows(), key=lambda e: json.dumps(e, sort_keys=True)
-        )
-        scan_entries = sorted(
-            _summary_entries(reference),
-            key=lambda e: json.dumps(e, sort_keys=True),
-        )
-        assert sql_entries == scan_entries
