@@ -758,12 +758,15 @@ def adaptive_campaign_pfd(
     )
 
 
-def _require_proportion_vr(target: PrecisionTarget) -> None:
-    """Proportion metrics accumulate exact counts; no VR transform exists.
-
-    An *explicit* request for one must fail loudly (mirroring
-    :func:`repro.adaptive.variance.resolve_vr`'s contract) instead of
-    silently running plain sampling under a misleading label.
+def _adaptive_proportion(
+    name, kernel, target, rng, n_jobs, chunk_size, default_budget
+) -> AdaptiveReport:
+    """Run one proportion metric; ``kernel`` maps ``(count, seed)`` to
+    ``(successes, count)``.  Chunks accumulate exact integer counts and the
+    stopping half-width is the Wilson interval's, so no VR transform
+    exists: an *explicit* request for one fails loudly (as
+    :func:`repro.adaptive.variance.resolve_vr` does) instead of silently
+    running plain sampling under a misleading label.
     """
     if target.vr not in ("auto", "none"):
         raise ModelError(
@@ -771,6 +774,16 @@ def _require_proportion_vr(target: PrecisionTarget) -> None:
             "(exact integer counts, Wilson intervals); use vr='none' or "
             "vr='auto'"
         )
+    spec = MetricSpec(
+        name=name,
+        kernel=partial(proportion_chunk, kernel),
+        kind="proportion",
+        vr="none",
+    )
+    target = target.with_defaults(budget=default_budget)
+    return run_adaptive(
+        [spec], target, rng=rng, n_jobs=n_jobs, chunk_size=chunk_size
+    )
 
 
 def adaptive_untested_joint_on_demand(
@@ -785,21 +798,11 @@ def adaptive_untested_joint_on_demand(
     name: str = "untested_joint_on_demand",
 ) -> AdaptiveReport:
     """Adaptive ``P(both untested versions fail on x)`` — the eq. (4) check."""
-    _require_proportion_vr(target)
     population_b = population_b if population_b is not None else population_a
     demand = population_a.space.validate_demand(demand)
-    target = target.with_defaults(budget=default_budget)
-    spec = MetricSpec(
-        name=name,
-        kernel=partial(
-            proportion_chunk,
-            partial(_chunk_untested_joint, population_a, population_b, demand),
-        ),
-        kind="proportion",
-        vr="none",
-    )
-    return run_adaptive(
-        [spec], target, rng=rng, n_jobs=n_jobs, chunk_size=chunk_size
+    kernel = partial(_chunk_untested_joint, population_a, population_b, demand)
+    return _adaptive_proportion(
+        name, kernel, target, rng, n_jobs, chunk_size, default_budget
     )
 
 
@@ -819,30 +822,15 @@ def adaptive_joint_on_demand(
 ) -> AdaptiveReport:
     """Adaptive ``P(both tested versions fail on x)`` — eqs. (16)–(21).
 
-    A proportion metric: chunks accumulate exact integer counts and the
-    stopping half-width is the Wilson interval's.
+    A proportion metric on the fixed-n tested-pair chunk, bound to the one
+    demand.
     """
-    _require_proportion_vr(target)
     plan = _require_plan(oracle, fixing)
     population_b = population_b if population_b is not None else population_a
     demand = population_a.space.validate_demand(demand)
-    target = target.with_defaults(budget=default_budget)
-    spec = MetricSpec(
-        name=name,
-        kernel=partial(
-            proportion_chunk,
-            partial(
-                _chunk_tested_joint,
-                regime,
-                population_a,
-                population_b,
-                demand,
-                plan,
-            ),
-        ),
-        kind="proportion",
-        vr="none",
+    kernel = partial(
+        _chunk_tested_joint, regime, population_a, population_b, [demand], plan
     )
-    return run_adaptive(
-        [spec], target, rng=rng, n_jobs=n_jobs, chunk_size=chunk_size
+    return _adaptive_proportion(
+        name, kernel, target, rng, n_jobs, chunk_size, default_budget
     )

@@ -371,10 +371,11 @@ def proportion_chunk(
 
     ``kernel`` maps ``(count, seed)`` to ``(successes, count)`` — the
     fixed-n joint-on-demand chunks of :mod:`repro.mc.batch`, bound to
-    their model.  Proportion metrics accumulate those exact integer pairs;
-    no variance-reduction transform applies (the Wilson interval is
-    already the robust choice near zero).
+    their model to one demand (a one-element ``successes`` is unwrapped).
+    Proportion metrics accumulate those exact integer pairs; no VR
+    transform applies (the Wilson interval is the robust choice near zero).
     """
     index, count, seed = task
     successes, total = kernel((count, seed))
+    (successes,) = np.atleast_1d(successes)
     return index, total, (successes, total)

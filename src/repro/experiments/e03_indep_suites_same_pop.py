@@ -13,7 +13,7 @@ from ..core import IndependentSuites
 from .base import Claim, ExperimentResult
 from .models import standard_scenario, tiny_enumerable_scenario
 from .registry import register
-from ._jointcheck import enumeration_claim, mc_rows_and_claims
+from ._jointcheck import SHARED_NOTE, enumeration_claim, mc_rows_and_claims
 
 
 @register("e03")
@@ -69,5 +69,5 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
         ],
         rows=rows,
         claims=claims,
-        notes=f"{n_replications} full-pipeline replications per demand",
+        notes=f"{n_replications} full-pipeline replications {SHARED_NOTE}",
     )

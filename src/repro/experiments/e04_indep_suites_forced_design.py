@@ -15,7 +15,7 @@ from ..versions import Version
 from .base import Claim, ExperimentResult
 from .models import forced_design_scenario, tiny_enumerable_scenario
 from .registry import register
-from ._jointcheck import enumeration_claim, mc_rows_and_claims
+from ._jointcheck import SHARED_NOTE, enumeration_claim, mc_rows_and_claims
 
 
 def _tiny_population_b(tiny):
@@ -73,5 +73,5 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
         ],
         rows=rows,
         claims=claims,
-        notes=f"{n_replications} full-pipeline replications per demand",
+        notes=f"{n_replications} full-pipeline replications {SHARED_NOTE}",
     )

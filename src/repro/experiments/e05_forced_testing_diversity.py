@@ -15,7 +15,7 @@ from ..testing import EnumerableSuiteGenerator, TestSuite, WeightedDebugGenerato
 from .base import Claim, ExperimentResult
 from .models import standard_scenario, tiny_enumerable_scenario
 from .registry import register
-from ._jointcheck import enumeration_claim, mc_rows_and_claims
+from ._jointcheck import SHARED_NOTE, enumeration_claim, mc_rows_and_claims
 
 
 def _tiny_second_generator(tiny) -> EnumerableSuiteGenerator:
@@ -97,6 +97,6 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
         notes=(
             "channel A: operational suites; channel B: debug suites biased "
             f"4x towards high-difficulty demands; {n_replications} "
-            "replications per demand"
+            f"replications {SHARED_NOTE}"
         ),
     )

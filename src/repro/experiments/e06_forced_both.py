@@ -14,7 +14,7 @@ from ..testing import WeightedDebugGenerator
 from .base import Claim, ExperimentResult
 from .models import forced_design_scenario
 from .registry import register
-from ._jointcheck import mc_rows_and_claims
+from ._jointcheck import SHARED_NOTE, mc_rows_and_claims
 
 
 @register("e06")
@@ -74,6 +74,6 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
         claims=claims,
         notes=(
             "methodologies share 4 of their faults; channel B debugged with "
-            f"a biased profile; {n_replications} replications per demand"
+            f"a biased profile; {n_replications} replications {SHARED_NOTE}"
         ),
     )

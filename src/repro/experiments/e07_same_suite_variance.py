@@ -20,7 +20,7 @@ from ..core import SameSuite
 from .base import Claim, ExperimentResult
 from .models import standard_scenario, tiny_enumerable_scenario
 from .registry import register
-from ._jointcheck import enumeration_claim, mc_rows_and_claims
+from ._jointcheck import SHARED_NOTE, enumeration_claim, mc_rows_and_claims
 
 
 @register("e07")
@@ -97,7 +97,7 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
         rows=rows,
         claims=claims,
         notes=(
-            f"{n_replications} full-pipeline replications per demand; "
+            f"{n_replications} full-pipeline replications {SHARED_NOTE}; "
             "closed form via inclusion-exclusion over covering faults"
         ),
     )

@@ -24,7 +24,7 @@ from ..testing import EnumerableSuiteGenerator, TestSuite
 from .base import Claim, ExperimentResult
 from .models import forced_design_scenario, tiny_enumerable_scenario
 from .registry import register
-from ._jointcheck import enumeration_claim, mc_rows_and_claims
+from ._jointcheck import SHARED_NOTE, enumeration_claim, mc_rows_and_claims
 
 
 def _negative_covariance_construction():
@@ -161,6 +161,6 @@ def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
         notes=(
             "positive covariance from 5 shared faults; negative covariance "
             "from an explicit two-suite measure with channel-alternating "
-            "effectiveness"
+            f"effectiveness; {n_replications} replications {SHARED_NOTE}"
         ),
     )

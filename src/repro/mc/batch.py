@@ -637,18 +637,22 @@ def _chunk_tested_joint(
     regime: TestingRegime,
     population_a: VersionPopulation,
     population_b: VersionPopulation,
-    demand: int,
+    demands: List[int],
     plan: tuple,
     task: Tuple[int, int],
-) -> Tuple[int, int]:
-    """One chunk of eqs. (16)–(21) replications → ``(successes, count)``."""
+) -> Tuple[Tuple[int, ...], int]:
+    """One chunk of eqs. (16)–(21) → ``(successes per demand, count)``."""
     count, seed = task
     _faults_a, _faults_b, tested_a, tested_b = _tested_pair_block(
         regime, population_a, population_b, plan, count, as_generator(seed)
     )
-    fails_a = tested_a[:, population_a.universe.coverage[:, demand]].any(axis=1)
-    fails_b = tested_b[:, population_b.universe.coverage[:, demand]].any(axis=1)
-    return int(np.count_nonzero(fails_a & fails_b)), count
+    cover_a = population_a.universe.coverage[:, demands].T
+    cover_b = population_b.universe.coverage[:, demands].T
+    successes = tuple(
+        int(np.count_nonzero(tested_a[:, a].any(axis=1) & tested_b[:, b].any(axis=1)))
+        for a, b in zip(cover_a, cover_b)
+    )
+    return successes, count
 
 
 def _chunk_marginal(
@@ -946,7 +950,7 @@ def _simulate_untested_joint_on_demand_batch(
 def _simulate_joint_on_demand_batch(
     regime: TestingRegime,
     population_a: VersionPopulation,
-    demand: int,
+    demands: List[int],
     population_b: VersionPopulation | None = None,
     n_replications: int = _scalar._DEFAULT_REPLICATIONS,
     rng: SeedLike = None,
@@ -954,28 +958,27 @@ def _simulate_joint_on_demand_batch(
     fixing: FixingPolicy | None = None,
     chunk_size: int | None = None,
     n_jobs: int = 1,
-) -> ProportionEstimator:
+) -> Tuple[ProportionEstimator, ...]:
     """Batched ``P(both tested versions fail on x)`` — eqs. (16)–(21) check.
 
-    Vectorized drop-in for :func:`repro.mc.simulate_joint_on_demand`.  Each
+    Vectorized backend of :func:`repro.mc.simulate_joint_on_demand`.  Each
     chunk draws a fault-matrix block per channel, a coupled suite block
     from the regime (shared for :class:`~repro.core.SameSuite`, independent
     otherwise — precisely the coupling that separates eqs. (20)/(21) from
     (16)–(19)), applies the testing closure for the supplied oracle/fixing
     pair (§3 mask closure, §4.1 binomial-detection kernel, or blind-spot
-    closure) and scores the fixed demand.  Custom policies raise
+    closure) and scores each of ``demands``.  Custom policies raise
     :class:`~repro.errors.ModelError`; use ``engine="scalar"`` for those.
     """
     plan = _require_plan(oracle, fixing)
     _scalar._check_replications(n_replications)
     population_b = population_b if population_b is not None else population_a
-    demand = population_a.space.validate_demand(demand)
     kernel = partial(
-        _chunk_tested_joint, regime, population_a, population_b, demand, plan
+        _chunk_tested_joint, regime, population_a, population_b, demands, plan
     )
-    return _accumulate_proportion(
-        _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
-    )
+    results = _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
+    columns = [[(hits[j], n) for hits, n in results] for j in range(len(demands))]
+    return tuple(_accumulate_proportion(column) for column in columns)
 
 
 def _simulate_marginal_system_pfd_batch(

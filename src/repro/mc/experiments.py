@@ -44,6 +44,10 @@ until the target half-width is met, returning the same estimator type
 
 from __future__ import annotations
 
+from typing import Sequence, Tuple
+
+import numpy as np
+
 from ..demand import UsageProfile
 from ..errors import ModelError
 from ..populations import VersionPopulation
@@ -209,7 +213,7 @@ def simulate_untested_joint_on_demand(
 def simulate_joint_on_demand(
     regime: TestingRegime,
     population_a: VersionPopulation,
-    demand: int,
+    demand: int | Sequence[int],
     population_b: VersionPopulation | None = None,
     n_replications: int = _DEFAULT_REPLICATIONS,
     rng: SeedLike = None,
@@ -219,16 +223,23 @@ def simulate_joint_on_demand(
     chunk_size: int | None = None,
     n_jobs: int = 1,
     precision=None,
-) -> ProportionEstimator:
+) -> ProportionEstimator | Tuple[ProportionEstimator, ...]:
     """Estimate ``P(both tested versions fail on x)`` — eqs. (16)–(21) check.
 
     Each replication: draw a version pair, draw the suite pair per the
     regime's coupling, test each channel (perfect testing unless an oracle
     or fixing policy is supplied), then score both tested versions on the
     fixed demand.
+
+    A sequence of demands returns a tuple of (dependent) estimators from
+    the same replications, estimator ``j`` equal to the single-demand run
+    on ``demand[j]`` at the same ``rng``; ``precision=`` takes one demand.
     """
     target = _coerce_precision(precision, engine)
+    single = np.ndim(demand) == 0
     if target is not None:
+        if not single:
+            raise ModelError("precision= takes one demand, not a sequence")
         from ..adaptive.controller import adaptive_joint_on_demand
 
         report = adaptive_joint_on_demand(
@@ -245,12 +256,13 @@ def simulate_joint_on_demand(
             default_budget=n_replications,
         )
         return report.only.as_estimator(report)
+    demands = [population_a.space.validate_demand(d) for d in np.atleast_1d(demand)]
     backend = _backend("simulate_joint_on_demand", engine, oracle, fixing)
     if backend is not None:
-        return backend(
+        estimators = backend(
             regime,
             population_a,
-            demand,
+            demands,
             population_b,
             n_replications=n_replications,
             rng=rng,
@@ -259,10 +271,11 @@ def simulate_joint_on_demand(
             chunk_size=chunk_size,
             n_jobs=n_jobs,
         )
+        return estimators[0] if single else estimators
     _check_replications(n_replications)
     population_b = population_b if population_b is not None else population_a
     rng = as_generator(rng)
-    estimator = ProportionEstimator()
+    estimators = tuple(ProportionEstimator() for _ in demands)
     for replication in spawn_many(rng, n_replications):
         streams = spawn_many(replication, 5)
         version_a = population_a.sample(streams[0])
@@ -274,8 +287,9 @@ def simulate_joint_on_demand(
         tested_b = apply_testing(
             version_b, suite_b, oracle, fixing, rng=streams[4]
         ).after
-        estimator.add(tested_a.fails_on(demand) and tested_b.fails_on(demand))
-    return estimator
+        for estimator, each in zip(estimators, demands):
+            estimator.add(tested_a.fails_on(each) and tested_b.fails_on(each))
+    return estimators[0] if single else estimators
 
 
 def simulate_marginal_system_pfd(

@@ -285,6 +285,90 @@ def test_proportion_n_jobs_invariant(model):
     assert (sharded.successes, sharded.count) == (serial.successes, serial.count)
 
 
+# one tested-pair simulation scores every demand of a sequence; column j
+# must equal the single-demand run on demands[j] at the same rng
+_DEMANDS = [51, 2, 38]
+
+#: design → (regime class, second population's presence probability or None)
+_DESIGNS = {
+    "same_suite": (SameSuite, None),
+    "independent_suites": (IndependentSuites, None),
+    "forced_design": (IndependentSuites, 0.2),
+}
+
+#: perfect testing, and the §4.1 oracle/fixing pair (sorted demand runs
+#: plus one testing stream per channel)
+_PLANS = {
+    "perfect": {},
+    "oracle_fixing": {
+        "oracle": ImperfectOracle(0.7),
+        "fixing": ImperfectFixing(0.6),
+    },
+}
+
+
+def _joint_runs(model, design, plan, demands, **kwargs):
+    _space, _profile, universe, population, generator = model
+    regime_cls, presence_b = _DESIGNS[design]
+    population_b = (
+        None
+        if presence_b is None
+        else BernoulliFaultPopulation.uniform(universe, presence_b)
+    )
+    return simulate_joint_on_demand(
+        regime_cls(generator),
+        population,
+        demands,
+        population_b,
+        rng=23,
+        **_PLANS[plan],
+        **kwargs,
+    )
+
+
+def _assert_columns_match(model, design, plan, sequence_kwargs, single_kwargs):
+    joint = _joint_runs(model, design, plan, _DEMANDS, **sequence_kwargs)
+    assert isinstance(joint, tuple) and len(joint) == len(_DEMANDS)
+    assert sum(estimator.successes for estimator in joint) > 0
+    for demand, estimator in zip(_DEMANDS, joint):
+        single = _joint_runs(model, design, plan, demand, **single_kwargs)
+        assert (estimator.successes, estimator.count) == (
+            single.successes,
+            single.count,
+        )
+
+
+@pytest.mark.parametrize(
+    "engine, n_replications", [("batch", 2000), ("scalar", 120)]
+)
+@pytest.mark.parametrize("plan", sorted(_PLANS))
+@pytest.mark.parametrize("design", sorted(_DESIGNS))
+def test_demand_sequence_equals_single_demand_runs(
+    model, design, plan, engine, n_replications
+):
+    kwargs = dict(engine=engine, n_replications=n_replications)
+    _assert_columns_match(model, design, plan, kwargs, kwargs)
+
+
+@pytest.mark.parametrize("plan", sorted(_PLANS))
+def test_sharded_demand_sequence_equals_single_demand_runs(model, plan):
+    kwargs = dict(engine="batch", n_replications=400, chunk_size=100)
+    _assert_columns_match(
+        model, "forced_design", plan, dict(kwargs, n_jobs=2), kwargs
+    )
+
+
+def test_demand_sequence_rejects_precision(model):
+    _space, _profile, _universe, population, generator = model
+    with pytest.raises(ModelError, match="not a sequence"):
+        simulate_joint_on_demand(
+            SameSuite(generator),
+            population,
+            _DEMANDS,
+            precision={"rel_hw": 0.2},
+        )
+
+
 class _CustomOracle(ImperfectOracle):
     """An oracle the batch engine cannot introspect (custom subclass)."""
 

@@ -12,8 +12,11 @@ import asyncio
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -70,6 +73,39 @@ async def wait_job_state(job, state, timeout=DEFAULT_TIMEOUT):
         timeout=timeout,
         message=f"job never reached {state!r} (state {job.state!r})",
     )
+
+
+@pytest.fixture()
+def hold(monkeypatch):
+    """``hold(experiment_id)`` keeps that experiment's jobs running until
+    the test sets the returned :class:`threading.Event`.
+
+    The registered runner is swapped for one that waits on the event and
+    then runs the real experiment, so a blocker job occupies the worker
+    slot for exactly as long as the test needs, however fast the
+    experiment is.  Only in-process (thread-mode) schedulers and servers
+    see the swap.  Every event is set at teardown, and the wait gives up
+    after :data:`DEFAULT_TIMEOUT`, so a failing test cannot strand a worker.
+    """
+    from repro.experiments import registry
+
+    gates = []
+
+    def hold_experiment(experiment_id):
+        gate = threading.Event()
+        runner = registry.get_runner(experiment_id)
+
+        def held(seed, fast=True):
+            gate.wait(DEFAULT_TIMEOUT)
+            return runner(seed, fast)
+
+        monkeypatch.setitem(registry._REGISTRY, experiment_id, held)
+        gates.append(gate)
+        return gate
+
+    yield hold_experiment
+    for gate in gates:
+        gate.set()
 
 
 def spawn_server(store, *extra_args):

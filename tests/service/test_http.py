@@ -8,6 +8,8 @@ from repro.service import ServiceClient, ServiceError
 from repro.service.http import ThreadedServer
 from repro.store import ResultStore
 
+from .conftest import wait_until
+
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
@@ -56,19 +58,23 @@ class TestEndpoints:
         assert done["state"] == "done"
         assert done["record"]["experiment_id"] == "x3"
 
-    def test_coalescing_over_http(self, client):
+    def test_coalescing_over_http(self, client, hold):
+        gate = hold("e07")
         first = client.submit("e07", seed=103, wait=False)
         second = client.submit("e07", seed=103, wait=False)
         assert second["id"] == first["id"]
         assert second["coalesced"] >= 1
+        gate.set()
         client.wait(first["id"], timeout=60)
 
-    def test_cancel_queued_job(self, client):
+    def test_cancel_queued_job(self, client, hold):
+        gate = hold("e07")
         blocker = client.submit("e07", seed=104, wait=False)
         queued = client.submit("x3", seed=105, wait=False)
         outcome = client.cancel(queued["id"])
-        if outcome["cancelled"]:  # it was still queued behind the blocker
-            assert client.job(queued["id"])["state"] == "cancelled"
+        assert outcome["cancelled"]  # still queued behind the held blocker
+        assert client.job(queued["id"])["state"] == "cancelled"
+        gate.set()
         client.wait(blocker["id"], timeout=60)
 
     def test_unknown_job_404(self, client):
@@ -171,16 +177,22 @@ class TestProtocolErrors:
 
 
 class TestQueueLimitOverHttp:
-    def test_full_queue_returns_429(self, tmp_path):
+    def test_full_queue_returns_429(self, tmp_path, hold):
+        gate = hold("e02")
         with ThreadedServer(
             store_path=tmp_path, procs=0, queue_limit=1
         ) as hosted:
             client = ServiceClient(hosted.url)
             blocker = client.submit("e02", seed=1, wait=False)
+            wait_until(
+                lambda: client.job(blocker["id"])["state"] == "running",
+                message="blocker never started",
+            )
             client.submit("x3", seed=1, wait=False)  # fills the queue
             with pytest.raises(ServiceError) as excinfo:
                 client.submit("x3", seed=2, wait=False)
             assert excinfo.value.status == 429
             assert "queue is full" in str(excinfo.value)
+            gate.set()
             client.wait(blocker["id"], timeout=60)
             client.close()

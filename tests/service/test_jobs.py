@@ -111,13 +111,16 @@ class TestScheduler:
 
         run(main())
 
-    def test_priorities_pop_before_fifo(self, tmp_path):
+    def test_priorities_pop_before_fifo(self, tmp_path, hold):
+        gate = hold("e07")
+
         async def main():
             scheduler = await _scheduler(tmp_path)
             blocker = scheduler.submit(JobSpec("e07", seed=11))
             await _wait_running(blocker)
             low = scheduler.submit(JobSpec("a4", seed=1), priority=0)
             high = scheduler.submit(JobSpec("a4", seed=2), priority=5)
+            gate.set()
             await low.wait(timeout=60)
             await high.wait(timeout=60)
             assert high.finished < low.finished
@@ -125,7 +128,9 @@ class TestScheduler:
 
         run(main())
 
-    def test_coalesced_caller_escalates_queued_priority(self, tmp_path):
+    def test_coalesced_caller_escalates_queued_priority(self, tmp_path, hold):
+        gate = hold("e07")
+
         async def main():
             scheduler = await _scheduler(tmp_path)
             blocker = scheduler.submit(JobSpec("e07", seed=16))
@@ -135,6 +140,7 @@ class TestScheduler:
             again = scheduler.submit(JobSpec("a4", seed=10), priority=9)
             assert again is shared
             assert shared.priority == 9  # escalated by the coalesced caller
+            gate.set()
             await shared.wait(timeout=60)
             await other.wait(timeout=60)
             assert shared.finished < other.finished
@@ -142,7 +148,9 @@ class TestScheduler:
 
         run(main())
 
-    def test_cancel_queued_but_not_running(self, tmp_path):
+    def test_cancel_queued_but_not_running(self, tmp_path, hold):
+        gate = hold("e07")
+
         async def main():
             scheduler = await _scheduler(tmp_path)
             blocker = scheduler.submit(JobSpec("e07", seed=12))
@@ -152,6 +160,7 @@ class TestScheduler:
             assert queued.state == "cancelled"
             assert scheduler.cancel(blocker.id) is False
             assert scheduler.cancel("job-999999") is False
+            gate.set()
             await blocker.wait(timeout=60)
             await scheduler.close()
             # the cancelled job never reached the store
@@ -161,7 +170,9 @@ class TestScheduler:
 
         run(main())
 
-    def test_cancelled_key_can_be_resubmitted(self, tmp_path):
+    def test_cancelled_key_can_be_resubmitted(self, tmp_path, hold):
+        gate = hold("e07")
+
         async def main():
             scheduler = await _scheduler(tmp_path)
             blocker = scheduler.submit(JobSpec("e07", seed=13))
@@ -170,13 +181,16 @@ class TestScheduler:
             scheduler.cancel(first.id)
             second = scheduler.submit(JobSpec("a4", seed=4))
             assert second.id != first.id
+            gate.set()
             await second.wait(timeout=60)
             assert second.state == "done"
             await scheduler.close()
 
         run(main())
 
-    def test_bounded_queue_rejects_with_429(self, tmp_path):
+    def test_bounded_queue_rejects_with_429(self, tmp_path, hold):
+        gate = hold("e07")
+
         async def main():
             scheduler = await _scheduler(tmp_path, queue_limit=2)
             blocker = scheduler.submit(JobSpec("e07", seed=14))
@@ -187,6 +201,7 @@ class TestScheduler:
                 scheduler.submit(JobSpec("a4", seed=7))
             assert excinfo.value.status == 429
             assert scheduler.metrics_snapshot()["jobs"]["rejected"] == 1
+            gate.set()
             await scheduler.close()
 
         run(main())
@@ -211,13 +226,20 @@ class TestScheduler:
 
         run(main())
 
-    def test_close_drains_running_and_cancels_queued(self, tmp_path):
+    def test_close_drains_running_and_cancels_queued(self, tmp_path, hold):
+        gate = hold("e07")
+
         async def main():
             scheduler = await _scheduler(tmp_path)
             running = scheduler.submit(JobSpec("e07", seed=15))
             await _wait_running(running)
             queued = scheduler.submit(JobSpec("a4", seed=8))
-            await scheduler.close()
+            # release the running job only once close() has cancelled the
+            # queue, so the queued job cannot take the freed slot first
+            closing = asyncio.create_task(scheduler.close())
+            await wait_job_state(queued, "cancelled")
+            gate.set()
+            await closing
             assert running.state == "done"
             assert queued.state == "cancelled"
             with pytest.raises(ServiceError) as excinfo:

@@ -214,7 +214,8 @@ class TestScrapeUnderLoad:
         scraper.join()
         assert errors == []
 
-    def test_scrape_totals_match_job_activity(self, tmp_path):
+    def test_scrape_totals_match_job_activity(self, tmp_path, hold):
+        gate = hold("e07")
         with ThreadedServer(
             store_path=tmp_path, procs=0, cache_capacity=1, queue_limit=1
         ) as hosted, ServiceClient(hosted.url) as bound:
@@ -235,6 +236,7 @@ class TestScrapeUnderLoad:
                 bound.submit("x3", seed=394)
             assert excinfo.value.status == 429
             assert bound.cancel(queued["id"])["cancelled"] is True
+            gate.set()
             bound.wait(blocker["id"], timeout=120)
             families = bound.metrics(format="prometheus")
             legacy = bound.metrics()
