@@ -6,7 +6,8 @@ precomputes the dense fault-by-demand coverage matrix that all vectorised
 analytics (difficulty functions, inclusion-exclusion closed forms, testing
 closure) operate on, and the batch engine's closure and scoring kernels:
 sparse ones over the present faults' regions and dense float32 products,
-chosen by :meth:`FaultUniverse._sparse_pays` (``docs/architecture.md``).
+chosen by :meth:`FaultUniverse._sparse_pays` (``docs/architecture.md``),
+plus the per-demand cover bitsets of the §4.2 back-to-back kernel.
 """
 
 from __future__ import annotations
@@ -38,6 +39,23 @@ def coverage_hits(rows: np.ndarray, coverage: np.ndarray) -> np.ndarray:
     return rows.astype(np.float32) @ coverage.astype(np.float32, copy=False) > 0.5
 
 
+def _packed_rows(rows: np.ndarray, words: int) -> np.ndarray:
+    """``(R, words)`` uint64 bitsets of a boolean ``(R, F)`` block, with
+    ``F <= 64 * words``: column ``f`` is bit ``f % 64`` of word ``f // 64``
+    (on little-endian hosts; :func:`_unpacked_rows` inverts it on any)."""
+    packed = np.zeros((rows.shape[0], 8 * words), dtype=np.uint8)
+    row_bytes = np.packbits(rows, axis=1, bitorder="little")
+    packed[:, : row_bytes.shape[1]] = row_bytes
+    return packed.view(np.uint64)
+
+
+def _unpacked_rows(bits: np.ndarray, width: int) -> np.ndarray:
+    """The boolean ``(R, width)`` block of :func:`_packed_rows`' bitsets."""
+    return np.unpackbits(
+        bits.view(np.uint8), axis=1, count=width, bitorder="little"
+    ).view(bool)
+
+
 def _sum_dtype(values: np.ndarray):
     """float32 while ``values`` total below 2**24, where it holds every
     (partial) sum of these non-negative integers exactly; else float64."""
@@ -65,6 +83,9 @@ class FaultUniverse:
         init=False, repr=False, compare=False, default_factory=dict
     )
     _region_tables: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _cover_tables: dict = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -227,6 +248,18 @@ class FaultUniverse:
                 table = np.repeat(demands[starts, None], width, axis=1)
             table[faults, np.arange(faults.size) - starts[faults]] = demands
             self._region_tables[sentinel] = table
+        return table
+
+    def _cover_table(self, words: int) -> np.ndarray:
+        """``(D + 1, words)`` uint64 bitsets of the faults covering each
+        demand (:func:`_packed_rows` of the coverage transpose), cached per
+        width.  The last row is zero, so the ``-1`` padding demand of a
+        sequence block gathers an empty cover."""
+        table = self._cover_tables.get(words)
+        if table is None:
+            covers = np.zeros((self.space.size + 1, len(self.faults)), dtype=bool)
+            covers[:-1] = self._coverage.T
+            table = self._cover_tables[words] = _packed_rows(covers, words)
         return table
 
     def _sparse_pays(self, n_present: int, n_rows: int) -> bool:

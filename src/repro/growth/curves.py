@@ -173,10 +173,11 @@ def back_to_back_growth_curves(
     Curves ``"system"`` and ``"version"`` are back-to-back; ``"perfect"`` is
     the system pfd of a perfect oracle on the *same* pairs and prefixes.
 
-    Draws use one spawned stream per replication and are then stacked; the
-    §4.2 block kernel replays the prefixes segment by segment (the state
-    after ``n`` demands feeds demands ``n..n'``), which equals replaying
-    each prefix from scratch because perfect fixing draws no randomness.
+    The A versions, the B versions and the suites are each one block draw
+    from their own spawned stream; the §4.2 block kernel replays the
+    prefixes segment by segment (the state after ``n`` demands feeds
+    demands ``n..n'``), which equals replaying each prefix from scratch
+    because perfect fixing draws no randomness.
     """
     grid = _effort_grid(sizes)
     if n_replications < 1:
@@ -188,15 +189,10 @@ def back_to_back_growth_curves(
     universe_b = population_b.universe
     generator = OperationalSuiteGenerator(profile, int(grid[-1]))
 
-    untested_a = np.zeros((n_replications, len(universe_a)), dtype=bool)
-    untested_b = np.zeros((n_replications, len(universe_b)), dtype=bool)
-    sequences = np.empty((n_replications, generator.size), dtype=np.int64)
-    replications = spawn_many(as_generator(rng), n_replications)
-    for row, replication in enumerate(replications):
-        streams = spawn_many(replication, 3)
-        untested_a[row, population_a.sample(streams[0]).fault_ids] = True
-        untested_b[row, population_b.sample(streams[1]).fault_ids] = True
-        sequences[row] = generator.sample(streams[2]).demands
+    streams = spawn_many(as_generator(rng), 3)
+    untested_a = population_a.sample_fault_matrix(n_replications, streams[0])
+    untested_b = population_b.sample_fault_matrix(n_replications, streams[1])
+    sequences = generator.sample_demand_sequences(n_replications, streams[2])
 
     comparator = BackToBackComparator(output_model)
     probabilities = profile.probabilities

@@ -68,6 +68,7 @@ import numpy as np
 
 from ..demand import UsageProfile
 from ..errors import IncompatibleSpaceError, ModelError
+from ..faults.universe import _packed_rows, _unpacked_rows
 from ..populations import VersionPopulation
 from ..rng import as_generator, spawn, spawn_many
 from ..testing import BackToBackComparator, FixingPolicy, Oracle, SuiteGenerator
@@ -379,7 +380,9 @@ def _identical_cause_rows(causes_a: np.ndarray, causes_b: np.ndarray) -> np.ndar
 
     Mirrors the scalar shared-fault model, which compares the two versions'
     ``faults_causing_failure`` id arrays: when the universes differ in size
-    the narrower mask is padded with absent faults.
+    the narrower mask is padded with absent faults.  The dense reference
+    kernel :func:`repro.mc.kernels.back_to_back_counter` uses it;
+    :func:`back_to_back_batch` compares bitset words instead.
     """
     width = max(causes_a.shape[1], causes_b.shape[1])
 
@@ -411,7 +414,12 @@ def back_to_back_batch(
     partner (a demand mismatches only while the *other* version still
     disagrees), so — unlike every §3/§4.1 closure — the demand axis is
     genuinely sequential; the kernel replays positions left to right and
-    vectorizes each step across all pairs as masked matrix updates.
+    vectorizes each step across all pairs.  Fault rows are packed once into
+    uint64 bitsets; each position gathers the demands' covers from
+    :meth:`~repro.faults.FaultUniverse._cover_table` and updates ``(R, W)``
+    words, ``W`` the wider universe's fault count in 64-bit words.
+    Imperfect fixing draws ``(R, F_A)`` then ``(R, F_B)`` uniforms at every
+    position that holds a demand.
 
     Returns the post-test ``(R, F_A)`` and ``(R, F_B)`` fault matrices.
     The inputs are not modified.
@@ -426,8 +434,8 @@ def back_to_back_batch(
             "back-to-back batch kernel cannot model custom fixing policy "
             f"{type(fixing).__name__}; use the scalar path"
         )
-    faults_a = np.array(fault_matrix_a, dtype=bool)
-    faults_b = np.array(fault_matrix_b, dtype=bool)
+    faults_a = np.asarray(fault_matrix_a, dtype=bool)
+    faults_b = np.asarray(fault_matrix_b, dtype=bool)
     seqs = np.asarray(sequences, dtype=np.int64)
     if seqs.ndim != 2 or seqs.shape[0] != faults_a.shape[0]:
         raise ModelError(
@@ -447,34 +455,43 @@ def back_to_back_batch(
                 f"{space_limit} (or invalid padding < -1)"
             )
     generator = as_generator(rng) if fix_probability < 1.0 else None
-    coverage_a = universe_a.coverage
-    coverage_b = universe_b.coverage
+    # fault rows as bitsets over one common width, so that "identical
+    # causes" (fault-id set equality across universes) is word equality
+    words = max(1, -(-max(faults_a.shape[1], faults_b.shape[1]) // 64))
+    cover_a = universe_a._cover_table(words)
+    cover_b = universe_b._cover_table(words)
+    bits_a = _packed_rows(faults_a, words)
+    bits_b = _packed_rows(faults_b, words)
     for position in range(seqs.shape[1]):
         demands = seqs[:, position]
-        valid = demands >= 0
-        if not valid.any():
+        if demands.max(initial=-1) < 0:
             continue
-        clamped = np.where(valid, demands, 0)
-        causes_a = faults_a & coverage_a[:, clamped].T
-        causes_b = faults_b & coverage_b[:, clamped].T
-        fails_a = causes_a.any(axis=1) & valid
-        fails_b = causes_b.any(axis=1) & valid
+        # -1 gathers the tables' zero last row: padding covers nothing
+        causes_a = bits_a & cover_a[demands]
+        causes_b = bits_b & cover_b[demands]
+        fails_a = causes_a.any(axis=1)
+        fails_b = causes_b.any(axis=1)
         if mode == OPTIMISTIC:
             flagged = fails_a | fails_b
         elif mode == PESSIMISTIC:
             flagged = fails_a ^ fails_b
         else:  # SHARED_FAULT
-            coincident = fails_a & fails_b
-            identical = coincident & _identical_cause_rows(causes_a, causes_b)
-            flagged = (fails_a ^ fails_b) | (coincident & ~identical)
-        removal_a = causes_a & (fails_a & flagged)[:, None]
-        removal_b = causes_b & (fails_b & flagged)[:, None]
+            identical = (causes_a == causes_b).all(axis=1)
+            flagged = (fails_a | fails_b) & ~identical
         if generator is not None:
-            removal_a &= generator.random(removal_a.shape) < fix_probability
-            removal_b &= generator.random(removal_b.shape) < fix_probability
-        faults_a &= ~removal_a
-        faults_b &= ~removal_b
-    return faults_a, faults_b
+            causes_a &= _packed_rows(
+                generator.random(faults_a.shape) < fix_probability, words
+            )
+            causes_b &= _packed_rows(
+                generator.random(faults_b.shape) < fix_probability, words
+            )
+        # causes are a subset of the row, so xor clears the removed faults
+        bits_a ^= causes_a * (fails_a & flagged)[:, None]
+        bits_b ^= causes_b * (fails_b & flagged)[:, None]
+    return (
+        _unpacked_rows(bits_a, faults_a.shape[1]),
+        _unpacked_rows(bits_b, faults_b.shape[1]),
+    )
 
 
 def _apply_plan_batch(

@@ -257,11 +257,6 @@ class BaseHttpServer:
         """The server's base URL."""
         return f"http://{self.host}:{self.port}"
 
-    async def serve_until(self, stop: asyncio.Event) -> None:
-        """Serve until ``stop`` is set, then close the listener."""
-        await stop.wait()
-        await self.close()
-
     @property
     def open_connections(self) -> int:
         """Connection-handler tasks currently alive (leak detector hook)."""

@@ -159,8 +159,6 @@ def _execute_job(
     snapshot of a fresh per-job metrics registry (the parent merges it —
     the worker→parent aggregation path), and the phase-timing breakdown.
     """
-    if len(task) == 7:  # pre-trace tuple shape (direct callers, old tests)
-        task = task + (None, None)
     (
         job_id,
         experiment_id,

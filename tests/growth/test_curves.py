@@ -154,28 +154,33 @@ class TestBackToBackGrowthCurves:
 def _reference_back_to_back(
     population_a, profile, sizes, output_model, population_b, n_replications, rng
 ):
-    """The per-replication scalar loop the block kernel replaced: every
-    prefix replayed from scratch with ``back_to_back_testing`` and, on the
-    same draws, ``apply_testing`` for the perfect-oracle arm."""
+    """The scalar replay of the block draws: each drawn pair and suite row
+    replayed from scratch for every prefix with ``back_to_back_testing``
+    and, on the same draws, ``apply_testing`` for the perfect-oracle arm."""
     from repro.rng import as_generator, spawn_many
     from repro.testing import (
         BackToBackComparator,
         OperationalSuiteGenerator,
+        TestSuite,
         apply_testing,
         back_to_back_testing,
     )
+    from repro.versions import Version
 
     population_b = population_b if population_b is not None else population_a
     comparator = BackToBackComparator(output_model)
     generator = OperationalSuiteGenerator(profile, int(sizes[-1]))
+    streams = spawn_many(as_generator(rng), 3)
+    rows_a = population_a.sample_fault_matrix(n_replications, streams[0])
+    rows_b = population_b.sample_fault_matrix(n_replications, streams[1])
+    sequences = generator.sample_demand_sequences(n_replications, streams[2])
     system = np.zeros(len(sizes))
     version = np.zeros(len(sizes))
     perfect = np.zeros(len(sizes))
-    for replication in spawn_many(as_generator(rng), n_replications):
-        streams = spawn_many(replication, 3)
-        version_a = population_a.sample(streams[0])
-        version_b = population_b.sample(streams[1])
-        suite = generator.sample(streams[2])
+    for row_a, row_b, sequence in zip(rows_a, rows_b, sequences):
+        version_a = Version(population_a.universe, np.flatnonzero(row_a))
+        version_b = Version(population_b.universe, np.flatnonzero(row_b))
+        suite = TestSuite(profile.space, sequence)
         for index, n in enumerate(sizes):
             prefix = suite.prefix(int(n))
             outcome_a, outcome_b = back_to_back_testing(
@@ -248,6 +253,67 @@ class TestBackToBackBlockEquivalence:
             rng=3,
         )
         assert curves["perfect"].dominates(curves["system"], tolerance=1e-12)
+
+    @pytest.mark.parametrize("distinct_b", [False, True], ids=["same", "forced"])
+    def test_perfect_curve_within_exact_band(self, distinct_b):
+        """The common-random-numbers "perfect" curve on e14's model lies
+        within a 99.9% family-wise band (Bonferroni over the effort levels)
+        of the exact same-suite system pfd.  The band's standard errors come
+        from the per-replication values, recomputed here from the same block
+        draws; the curve must be their mean."""
+        from statistics import NormalDist
+
+        from repro.analytic import BernoulliExactEngine
+        from repro.mc import apply_testing_batch
+        from repro.rng import as_generator, spawn_many
+        from repro.testing import OperationalSuiteGenerator
+
+        space = DemandSpace(120)
+        profile = uniform_profile(space)
+        universe = zipf_sized_universe(
+            space, n_faults=15, max_region_size=24, exponent=1.0, rng=0
+        )
+        population = BernoulliFaultPopulation.uniform(universe, 0.35)
+        population_b = (
+            BernoulliFaultPopulation(universe, np.linspace(0.1, 0.6, len(universe)))
+            if distinct_b
+            else population
+        )
+        sizes = [0, 5, 10, 20, 40, 80, 160]
+        n_replications, seed = 2000, 1401
+        perfect = back_to_back_growth_curves(
+            population,
+            profile,
+            sizes,
+            shared_fault_outputs(),
+            population_b=population_b,
+            n_replications=n_replications,
+            rng=seed,
+        )["perfect"].values
+
+        streams = spawn_many(as_generator(seed), 3)
+        rows_a = population.sample_fault_matrix(n_replications, streams[0])
+        rows_b = population_b.sample_fault_matrix(n_replications, streams[1])
+        sequences = OperationalSuiteGenerator(
+            profile, sizes[-1]
+        ).sample_demand_sequences(n_replications, streams[2])
+        values = np.empty((len(sizes), n_replications))
+        for index, n in enumerate(sizes):
+            masks = np.zeros((n_replications, space.size), dtype=bool)
+            np.put_along_axis(masks, sequences[:, :n], True, axis=1)
+            joint = universe.failure_matrix(
+                apply_testing_batch(rows_a, masks, universe)
+            ) & universe.failure_matrix(apply_testing_batch(rows_b, masks, universe))
+            values[index] = joint @ profile.probabilities
+        np.testing.assert_allclose(perfect, values.mean(axis=1), rtol=0, atol=1e-12)
+
+        engine = BernoulliExactEngine(universe, profile)
+        exact = np.array(
+            [engine.system_pfd_same_suite(population, n, population_b) for n in sizes]
+        )
+        z = NormalDist().inv_cdf(1 - 0.001 / (2 * len(sizes)))
+        band = z * values.std(axis=1, ddof=1) / np.sqrt(n_replications)
+        assert np.all(np.abs(perfect - exact) <= band), (perfect, exact, band)
 
     def test_population_b_space_validated(self, growth_population):
         population, profile = growth_population

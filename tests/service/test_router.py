@@ -133,9 +133,10 @@ class TestRouting:
         catalog = cluster["client"].experiments()
         assert any(entry["id"] == "a2" for entry in catalog["experiments"])
 
-    def test_shard_429_relays_verbatim(self, tmp_path):
+    def test_shard_429_relays_verbatim(self, tmp_path, hold):
         # a single tiny-queue shard: fill the worker + queue, then expect
         # the router to relay the shard's 429 untouched
+        release = hold("e02")
         shard = ThreadedServer(
             store_path=tmp_path / "s0", procs=0, name="s0", queue_limit=1
         )
@@ -153,6 +154,7 @@ class TestRouting:
             assert excinfo.value.status == 429
             assert "queue is full" in str(excinfo.value)
         finally:
+            release.set()
             client.close()
             router.stop()
             shard.stop()

@@ -16,13 +16,16 @@ number is visible to the reviewer.
 
 Snapshots are ``ExperimentResult.to_payload()`` serialized with sorted
 keys and repr-stable floats, so regeneration on any platform produces
-byte-identical files for identical results.
+byte-identical files for identical results.  A regenerated float that
+agrees with the committed one within the golden tolerance keeps the
+committed value, so last-ulp BLAS noise never shows in the diff.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 
@@ -38,6 +41,12 @@ GOLDEN_DIR = (
 GOLDEN_SEED = 0
 GOLDEN_FAST = True
 
+#: floats agreeing within these tolerances are the same golden value; the
+#: golden test compares with them, and regeneration keeps committed floats
+#: that pass
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+
 
 def snapshot_path(experiment_id: str) -> pathlib.Path:
     """The checked-in snapshot file for one experiment id."""
@@ -49,6 +58,33 @@ def render_snapshot(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def keep_committed(fresh, committed):
+    """``fresh`` with every float that agrees with its committed counterpart
+    (same place in the payload) within the golden tolerance replaced by the
+    committed float."""
+    if isinstance(fresh, float) and isinstance(committed, float):
+        agree = math.isclose(fresh, committed, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+        return committed if agree else fresh
+    if isinstance(fresh, list) and isinstance(committed, list):
+        if len(fresh) != len(committed):
+            return fresh
+        return [keep_committed(a, b) for a, b in zip(fresh, committed)]
+    if isinstance(fresh, dict) and isinstance(committed, dict):
+        return {
+            key: keep_committed(value, committed[key]) if key in committed else value
+            for key, value in fresh.items()
+        }
+    return fresh
+
+
+def regenerated_snapshot(payload: dict, path: pathlib.Path) -> str:
+    """Snapshot content for ``payload``, keeping the floats of the committed
+    file at ``path`` (if any) that agree within the golden tolerance."""
+    if path.exists():
+        payload = keep_committed(payload, json.loads(path.read_text()))
+    return render_snapshot(payload)
+
+
 def update(experiment_ids) -> int:
     from repro.experiments import run_experiment
 
@@ -56,7 +92,7 @@ def update(experiment_ids) -> int:
     for experiment_id in experiment_ids:
         result = run_experiment(experiment_id, seed=GOLDEN_SEED, fast=GOLDEN_FAST)
         path = snapshot_path(experiment_id)
-        content = render_snapshot(result.to_payload())
+        content = regenerated_snapshot(result.to_payload(), path)
         changed = not path.exists() or path.read_text() != content
         path.write_text(content)
         status = "updated" if changed else "unchanged"
