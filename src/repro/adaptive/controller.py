@@ -44,7 +44,7 @@ from ..mc.batch import (
     _DEFAULT_CHUNK,
     _chunk_tested_joint,
     _chunk_untested_joint,
-    _require_plan,
+    _testing_plan,
 )
 from ..rng import as_generator, spawn_many
 from ..types import SeedLike
@@ -579,7 +579,7 @@ def adaptive_version_pfd(
     exact untested mean ``E_Q[θ]``, post-stratified on the version's fault
     count when the population's pmf is exact.
     """
-    plan = _require_plan(oracle, fixing)
+    plan = _testing_plan(oracle, fixing)
     population.space.require_same(profile.space)
     target = target.with_defaults(budget=default_budget)
     weights = fault_count_pmf(population)
@@ -668,7 +668,7 @@ def adaptive_marginal_system_pfd(
     Control variate: the *untested* joint pfd of the same drawn pair,
     whose exact mean is ``E_Q[θ_A θ_B]``; strata: pair fault count.
     """
-    plan = _require_plan(oracle, fixing)
+    plan = _testing_plan(oracle, fixing)
     population_b = population_b if population_b is not None else population_a
     population_a.space.require_same(profile.space)
     target = target.with_defaults(budget=default_budget)
@@ -727,7 +727,7 @@ def adaptive_campaign_pfd(
     if not campaign.supports_batch:
         raise ModelError(
             "adaptive campaign estimation needs every activity to support "
-            "the batch path; run the fixed-n scalar estimator instead"
+            "the batch path; run the fixed-n estimator instead"
         )
     population_b = population_b if population_b is not None else population_a
     population_a.space.require_same(profile.space)
@@ -825,7 +825,7 @@ def adaptive_joint_on_demand(
     A proportion metric on the fixed-n tested-pair chunk, bound to the one
     demand.
     """
-    plan = _require_plan(oracle, fixing)
+    plan = _testing_plan(oracle, fixing)
     population_b = population_b if population_b is not None else population_a
     demand = population_a.space.validate_demand(demand)
     kernel = partial(

@@ -42,14 +42,15 @@ from ..errors import ModelError, NotEnumerableError
 from ..mc.batch import (
     _apply_plan_batch,
     _joint_failures,
-    _plan_needs_counts,
+    _plan_sequenced,
+    _plan_suites,
     _tested_pair_block,
     _tested_version_block,
 )
 from ..populations import BernoulliFaultPopulation, VersionPopulation
 from ..rng import as_generator, inverse_cdf_indices, spawn_many
 from ..testing import OperationalSuiteGenerator
-from ..testing.generators import _suite_runs, _SuiteRuns
+from ..testing.generators import _suite_runs
 from .accumulators import BivariateMoments, moments_of
 from .targets import VR_MODES
 
@@ -177,14 +178,13 @@ def _wants_strata(vr: str) -> bool:
 
 def _antithetic_suite_blocks(
     generator: OperationalSuiteGenerator, n_pairs: int, rng
-) -> Tuple[_SuiteRuns, _SuiteRuns]:
-    """A coupled pair of suite blocks (``u`` vs ``1 − u``) as demand runs."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A coupled pair of suite blocks (``u`` vs ``1 − u``) as demand
+    sequences."""
     cdf = np.cumsum(generator.profile.probabilities)
     uniforms = as_generator(rng).random((n_pairs, generator.size))
     return tuple(
-        _suite_runs(
-            inverse_cdf_indices(cdf, None, uniforms=block), generator.space.size
-        )
+        inverse_cdf_indices(cdf, None, uniforms=block)
         for block in (uniforms, 1.0 - uniforms)
     )
 
@@ -228,14 +228,18 @@ def version_pfd_chunk(
         faults_a, faults_b = _antithetic_fault_blocks(
             population, n_pairs, streams[0]
         )
-        runs_a, runs_b = _antithetic_suite_blocks(generator, n_pairs, streams[1])
-        if _plan_needs_counts(plan):
+        n_demands = generator.space.size
+        seqs_a, seqs_b = _antithetic_suite_blocks(generator, n_pairs, streams[1])
+        if _plan_sequenced(plan):
             test_a, test_b = spawn_many(streams[2], 2)
-            tested_a = _apply_plan_batch(plan, faults_a, runs_a, universe, test_a)
-            tested_b = _apply_plan_batch(plan, faults_b, runs_b, universe, test_b)
+            suites_a = _plan_suites(plan, seqs_a, n_demands)
+            suites_b = _plan_suites(plan, seqs_b, n_demands)
         else:
-            tested_a = _apply_plan_batch(plan, faults_a, runs_a.masks(), universe)
-            tested_b = _apply_plan_batch(plan, faults_b, runs_b.masks(), universe)
+            test_a = test_b = None
+            suites_a = _suite_runs(seqs_a, n_demands).masks()
+            suites_b = _suite_runs(seqs_b, n_demands).masks()
+        tested_a = _apply_plan_batch(plan, faults_a, suites_a, universe, test_a)
+        tested_b = _apply_plan_batch(plan, faults_b, suites_b, universe, test_b)
         y_a = universe.failure_matrix(tested_a) @ profile.probabilities
         y_b = universe.failure_matrix(tested_b) @ profile.probabilities
         values = 0.5 * (y_a + y_b)

@@ -15,17 +15,16 @@ does not improve system reliability at all").
 These bounds are verified by simulation: the measured quantity must lie in
 the analytic envelope.  :class:`BoundsReport` packages one such check.
 
-The measured quantities route through the Monte-Carlo layer's engine
-seam (:func:`repro.mc.experiments.resolve_engine`, which takes any of
-``engine="auto" | "batch" | "scalar"``): imperfect oracles and fixing
-run on the vectorized §4.1 kernel of :mod:`repro.mc.batch`, and
-back-to-back testing on its demand-ordered block kernel, with the scalar
-per-replication loop kept as an explicit escape hatch and reference.
+The measured quantities run on the Monte-Carlo layer's replication
+blocks: imperfect oracles and fixing on the vectorized §4.1 kernel of
+:mod:`repro.mc.batch`, and back-to-back testing on its demand-ordered
+block kernel, with a per-replication loop for custom fixing policies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..demand import UsageProfile
 from ..populations import VersionPopulation
@@ -160,7 +159,6 @@ def imperfect_testing_bounds(
     n_replications: int = _DEFAULT_REPLICATIONS,
     n_suites: int = _DEFAULT_SUITE_SAMPLES,
     rng: SeedLike = None,
-    engine: str = "auto",
     chunk_size: int | None = None,
     n_jobs: int = 1,
 ) -> BoundsReport:
@@ -168,9 +166,9 @@ def imperfect_testing_bounds(
 
     The measured value averages, over random (version, suite) pairs, the
     pfd of the version after testing with the given imperfect oracle and
-    fixing policy — estimated by :func:`repro.mc.simulate_version_pfd` on
-    the requested engine (the vectorized §4.1 kernel under ``"auto"`` /
-    ``"batch"``).  The envelope is ``[E_Q[ζ(X)], E_Q[θ(X)]]``.
+    fixing policy — estimated by :func:`repro.mc.simulate_version_pfd`
+    (the vectorized §4.1 kernel for the built-in policies).  The envelope
+    is ``[E_Q[ζ(X)], E_Q[θ(X)]]``.
     """
     from ..mc.experiments import _check_replications, simulate_version_pfd
 
@@ -191,7 +189,6 @@ def imperfect_testing_bounds(
         rng=sim_stream,
         oracle=oracle,
         fixing=fixing,
-        engine=engine,
         chunk_size=chunk_size,
         n_jobs=n_jobs,
     ).mean
@@ -214,7 +211,6 @@ def imperfect_system_bounds(
     n_replications: int = _DEFAULT_REPLICATIONS,
     n_suites: int = _DEFAULT_SUITE_SAMPLES,
     rng: SeedLike = None,
-    engine: str = "auto",
     chunk_size: int | None = None,
     n_jobs: int = 1,
 ) -> BoundsReport:
@@ -223,8 +219,7 @@ def imperfect_system_bounds(
     Envelope: perfect-testing system pfd of the regime (eqs. (22)–(25)) as
     the lower bound, untested system pfd (eq. (6)/(9)) as the upper bound.
     The measurement routes through
-    :func:`repro.mc.simulate_marginal_system_pfd` (Rao–Blackwellised) on
-    the requested engine.
+    :func:`repro.mc.simulate_marginal_system_pfd` (Rao–Blackwellised).
     """
     from ..mc.experiments import _check_replications
     from ..mc.experiments import simulate_marginal_system_pfd as simulate_marginal
@@ -253,7 +248,6 @@ def imperfect_system_bounds(
         rng=sim_stream,
         oracle=oracle,
         fixing=fixing,
-        engine=engine,
         chunk_size=chunk_size,
         n_jobs=n_jobs,
     ).mean
@@ -346,7 +340,6 @@ def back_to_back_envelope(
     fixing: FixingPolicy | None = None,
     n_replications: int = _DEFAULT_REPLICATIONS,
     rng: SeedLike = None,
-    engine: str = "auto",
     chunk_size: int | None = None,
     n_jobs: int = 1,
 ) -> BackToBackEnvelope:
@@ -357,36 +350,36 @@ def back_to_back_envelope(
     shared-fault comparators) plus a perfect-oracle same-suite run, all on
     identical inputs, so the envelope comparisons are paired.
 
-    With ``engine="auto"`` (default) or ``"batch"`` the whole envelope runs
-    on the vectorized block kernel of :mod:`repro.mc.batch`; ``"scalar"``
-    keeps the per-replication reference loop, which is also the automatic
-    fallback for custom fixing policies.  The name resolves through
-    :func:`repro.mc.experiments.resolve_engine`.
+    The whole envelope runs on the vectorized block kernel of
+    :mod:`repro.mc.batch`; a custom fixing policy
+    (:func:`repro.mc.back_to_back_supported` false) runs on the
+    per-replication loop below instead, which keeps one fixing stream per
+    comparator.
     """
-    from ..mc.batch import back_to_back_supported
-    from ..mc.experiments import _check_replications, _twin, resolve_engine
-
-    choice = resolve_engine(
-        engine,
-        back_to_back_supported(fixing),
-        model=f"back-to-back testing with {type(fixing).__name__} fixing",
+    from ..mc.batch import (
+        _chunk_back_to_back_envelope,
+        _run_budget,
+        back_to_back_supported,
     )
-    twin = _twin("back_to_back_envelope", choice)
-    if twin is not None:
-        return twin(
-            population_a,
-            generator,
-            profile,
-            population_b,
-            fixing=fixing,
-            n_replications=n_replications,
-            rng=rng,
-            chunk_size=chunk_size,
-            n_jobs=n_jobs,
-        )
+    from ..mc.experiments import _check_replications
+
     _check_replications(n_replications)
     population_b = population_b if population_b is not None else population_a
     population_a.space.require_same(profile.space)
+    if back_to_back_supported(fixing):
+        kernel = partial(
+            _chunk_back_to_back_envelope,
+            population_a,
+            population_b,
+            generator,
+            profile,
+            fixing,
+        )
+        results = _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
+        merged = [sum(column) for column in zip(*(sums for _n, sums in results))]
+        return BackToBackEnvelope.from_sums(
+            merged, sum(count for count, _sums in results)
+        )
     rng = as_generator(rng)
 
     comparators = {

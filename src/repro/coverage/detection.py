@@ -15,14 +15,14 @@ probability, independently per fault and per execution.  Independence
 across faults is a deliberate simplification (the same one §4.1 makes for
 imperfect fixing): it keeps each fault's removal a geometric process,
 which is exactly what the batch engine vectorizes
-(:func:`repro.mc.batch.apply_coverage_testing_batch`) with scalar parity
-in distribution.
+(:func:`repro.mc.batch.apply_coverage_testing_batch`), equal in
+distribution to the demand-ordered process.
 
-The pair is recognised *structurally* by the batch planner — both
-members expose the same ``fault_detection_probs`` tuple — so
-:mod:`repro.mc.batch` never needs to import this package (the same
-pattern as the blind-spot pairs of :mod:`repro.extensions.mistakes`).
-Mismatched or half-supplied pairs fall back to the scalar path.
+The batch planner spots the pair by its ``fault_detection_probs``
+attribute and imports this module only then (the same pattern as the
+blind-spot pairs of :mod:`repro.extensions.mistakes`).  Only the exact
+pair with equal tuples runs the vectorized closure; subclasses,
+mismatched or half-supplied pairs run on the per-row plan.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ class CoverageOracle(Oracle):
     Every failure is *observed* (``detects`` is always True — a wrong
     output is visibly wrong); which causing faults get *diagnosed* is the
     matched :class:`CoverageFixing`'s per-fault decision.  Splitting the
-    model this way keeps the scalar engine's oracle-then-fixing contract
-    intact while the pair jointly realises "each fault detected and
-    fixed with its coverage probability".
+    model this way keeps :func:`~repro.testing.apply_testing`'s
+    oracle-then-fixing contract intact while the pair jointly realises
+    "each fault detected and fixed with its coverage probability".
     """
 
     fault_detection_probs: Tuple[float, ...]
@@ -150,7 +150,7 @@ def coverage_testing_pair(
     """The matched (oracle, fixing) pair for one model + coverage matrix.
 
     Pass both to the testing engine together; the batch planner
-    recognises the pair structurally and runs the vectorized closure.
+    recognises the exact pair and runs the vectorized closure.
     """
     probs = tuple(float(p) for p in fault_detection_probs(model, matrix))
     return CoverageOracle(probs), CoverageFixing(probs)

@@ -49,7 +49,6 @@ import sys
 from typing import List
 
 from ..errors import ModelError
-from ..mc.experiments import ENGINES
 from .base import set_engine_config
 from .registry import all_experiment_ids, run_experiment
 from .report import format_result, format_summary
@@ -86,22 +85,13 @@ def validate_ids(ids: List[str]) -> None:
     )
 
 
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="auto",
-        help="Monte-Carlo engine for simulation-driven experiments: "
-        "'auto' (default) vectorizes whenever the testing process "
-        "supports it, 'batch' fails loudly when it cannot, 'scalar' "
-        "forces the per-replication reference loops",
-    )
+def _add_n_jobs_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--n-jobs",
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for batch-engine chunk sharding (default 1; "
+        help="worker processes for Monte-Carlo chunk sharding (default 1; "
         "results are bit-identical for any value)",
     )
 
@@ -234,7 +224,7 @@ def run_main(argv: List[str]) -> int:
         "scoring) into each result's provenance and print a profile "
         "line per experiment",
     )
-    _add_engine_arguments(parser)
+    _add_n_jobs_argument(parser)
     _add_precision_arguments(parser)
     _add_logging_arguments(parser)
     args = parser.parse_args(argv)
@@ -257,7 +247,7 @@ def run_main(argv: List[str]) -> int:
                 "running those fixed-n",
                 file=sys.stderr,
             )
-    previous = set_engine_config(engine=args.engine, n_jobs=args.n_jobs)
+    previous = set_engine_config(n_jobs=args.n_jobs)
     try:
         results = []
         for experiment_id in ids:
@@ -278,9 +268,7 @@ def run_main(argv: List[str]) -> int:
                     )
                 # provenance rides the result only when asked for:
                 # golden outputs stay byte-identical on unprofiled runs
-                result.extra["timings"] = timer.payload(
-                    engine=args.engine, n_jobs=args.n_jobs
-                )
+                result.extra["timings"] = timer.payload(n_jobs=args.n_jobs)
             else:
                 result = run_experiment(
                     experiment_id, seed=args.seed, fast=not args.full,
@@ -297,7 +285,7 @@ def run_main(argv: List[str]) -> int:
             else EXIT_CLAIM_FAILURES
         )
     finally:
-        set_engine_config(engine=previous.engine, n_jobs=previous.n_jobs)
+        set_engine_config(n_jobs=previous.n_jobs)
 
 
 def sweep_main(argv: List[str]) -> int:
@@ -343,19 +331,19 @@ def sweep_main(argv: List[str]) -> int:
         "--procs becomes the number of concurrent requests and records "
         "are mirrored into --out",
     )
-    _add_engine_arguments(parser)
+    _add_n_jobs_argument(parser)
     _add_logging_arguments(parser)
     args = parser.parse_args(argv)
     _configure_logging(args)
 
     spec = load_grid(args.grid)
     store = ResultStore(args.out)
-    sweep = Sweep(spec, store, engine=args.engine, n_jobs=args.n_jobs)
+    sweep = Sweep(spec, store, n_jobs=args.n_jobs)
     if args.dry_run:
         cached, pending = sweep.partition()
-        cached_keys = {point.cache_key(engine=args.engine) for point in cached}
+        cached_keys = {point.cache_key() for point in cached}
         for point in sweep.effective_points():
-            key = point.cache_key(engine=args.engine)
+            key = point.cache_key()
             status = "cached" if key in cached_keys else "pending"
             print(f"{status:<8} {point.label()}")
         if spec.precision is not None and spec.precision.budget_total:

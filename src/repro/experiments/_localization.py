@@ -6,8 +6,7 @@ measured corpus target, ``c2`` sweeps synthetic coverage structure, and
 ``c3`` swaps a measured kill matrix for a density-matched synthetic one.
 They share the measured-target setup (mutation fit → Bernoulli population,
 mutant lines → component model, kill records → coverage matrix) and the
-mapping from the run-wide engine configuration onto the workload's
-``vectorized`` / ``n_jobs`` switches.
+run-wide worker count.
 """
 
 from __future__ import annotations
@@ -25,20 +24,6 @@ from .base import engine_kwargs
 
 #: demand-space size shared with the m-family measured experiments
 SPACE_SIZE = 120
-
-
-def workload_engine_kwargs() -> dict:
-    """The run-wide engine configuration as workload arguments.
-
-    ``--engine scalar`` selects the workload's per-replication reference
-    path (identical draws, so integer outcomes match the vectorized path
-    exactly).
-    """
-    config = engine_kwargs()
-    return {
-        "vectorized": config["engine"] != "scalar",
-        "n_jobs": config["n_jobs"],
-    }
 
 
 def measured_setup(
@@ -72,7 +57,7 @@ def run_policy_pair(
     paired comparison of the fix policies alone.
     """
     common = dict(workload_knobs)
-    common.update(workload_engine_kwargs())
+    common.update(engine_kwargs())
     sbfl = simulate_localized_growth(
         population, profile, matrix, model,
         policy="sbfl", rng=seed, **common,

@@ -1,4 +1,4 @@
-"""Common result types and run-wide engine configuration for experiments."""
+"""Common result types and the run-wide worker count for experiments."""
 
 from __future__ import annotations
 
@@ -9,78 +9,55 @@ from typing import Dict, List, Mapping, Sequence
 import numpy as np
 
 from ..errors import ModelError
-from ..mc.experiments import check_engine
 
 __all__ = [
     "Claim",
     "ExperimentResult",
     "EngineConfig",
     "canonical_cell",
-    "engine_config",
     "engine_kwargs",
-    "require_batch_engine",
     "set_engine_config",
 ]
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Monte-Carlo engine selection shared by every experiment in one run.
+    """Monte-Carlo settings shared by every experiment in one run.
 
     Experiment runners keep the registry signature ``(seed, fast)``; the
-    CLI's ``--engine`` / ``--n-jobs`` flags are communicated to them
-    through this process-wide configuration instead, which the simulation-
-    driven experiments read via :func:`engine_kwargs` and pass down to the
+    CLI's ``--n-jobs`` flag is communicated to them through this
+    process-wide configuration instead, which the simulation-driven
+    experiments read via :func:`engine_kwargs` and pass down to the
     ``simulate_*`` / bounds / campaign drivers.
 
     Attributes
     ----------
-    engine:
-        ``"auto"`` (default — batch whenever the testing process supports
-        it), ``"batch"`` (fail loudly if it cannot), or ``"scalar"`` (the
-        reference per-replication loops).
     n_jobs:
-        Worker processes for chunk sharding on the batch path.
+        Worker processes for chunk sharding; results are bit-identical
+        for any value.
     """
 
-    engine: str = "auto"
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
-        check_engine(self.engine, self.n_jobs)
+        if self.n_jobs < 1:
+            raise ModelError(f"n_jobs must be >= 1, got {self.n_jobs}")
 
 
 _ENGINE_CONFIG = EngineConfig()
 
 
-def set_engine_config(engine: str = "auto", n_jobs: int = 1) -> EngineConfig:
-    """Install the run-wide engine configuration; returns the previous one."""
+def set_engine_config(n_jobs: int = 1) -> EngineConfig:
+    """Install the run-wide configuration; returns the previous one."""
     global _ENGINE_CONFIG
     previous = _ENGINE_CONFIG
-    _ENGINE_CONFIG = EngineConfig(engine=engine, n_jobs=n_jobs)
+    _ENGINE_CONFIG = EngineConfig(n_jobs=n_jobs)
     return previous
 
 
-def engine_config() -> EngineConfig:
-    """The currently installed run-wide engine configuration."""
-    return _ENGINE_CONFIG
-
-
 def engine_kwargs() -> dict:
-    """The configuration as keyword arguments for engine-aware drivers."""
-    return {"engine": _ENGINE_CONFIG.engine, "n_jobs": _ENGINE_CONFIG.n_jobs}
-
-
-def require_batch_engine(context: str) -> None:
-    """Reject a run-wide non-batch engine for batch-only paths.
-
-    The adaptive precision engine rides the batch kernels exclusively; an
-    experiment honouring a ``precision`` knob calls this so an explicit
-    ``--engine scalar`` fails loudly instead of being silently bypassed —
-    the same contract the ``simulate_*`` drivers enforce for
-    ``precision=``.
-    """
-    check_engine(_ENGINE_CONFIG.engine, batch_only=context)
+    """The configuration as keyword arguments for the simulation drivers."""
+    return {"n_jobs": _ENGINE_CONFIG.n_jobs}
 
 
 # Non-finite floats are not valid JSON; canonical payloads spell them out

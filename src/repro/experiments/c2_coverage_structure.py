@@ -20,8 +20,7 @@ from ..coverage.workload import simulate_localized_growth
 from ..demand import DemandSpace, zipf_profile
 from ..faults import clustered_universe
 from ..populations import BernoulliFaultPopulation
-from ._localization import workload_engine_kwargs
-from .base import Claim, ExperimentResult
+from .base import Claim, ExperimentResult, engine_kwargs
 from .registry import register
 
 
@@ -72,7 +71,7 @@ def run(
                 target_fraction=target_fraction,
                 n_replications=n_replications,
                 rng=seed,
-                **workload_engine_kwargs(),
+                **engine_kwargs(),
             )
             monotone &= bool(np.all(np.diff(result.mean_pfd) <= 1e-12))
             effort[(density, n_tests)] = result.mean_rounds_to_target

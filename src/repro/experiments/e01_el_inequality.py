@@ -17,7 +17,7 @@ from ..faults import clustered_universe, disjoint_universe, uniform_random_unive
 from ..mc.estimator import MeanEstimator
 from ..populations import BernoulliFaultPopulation
 from ..rng import as_generator, spawn, spawn_many
-from .base import Claim, ExperimentResult, require_batch_engine
+from .base import Claim, ExperimentResult
 from .registry import register
 
 
@@ -58,8 +58,6 @@ def run(
     from ..adaptive import PrecisionTarget
 
     target = PrecisionTarget.coerce(precision)
-    if target is not None:
-        require_batch_engine("precision-targeted e01")
     n_replications = 2000 if fast else 20000
     space = DemandSpace(80)
     profile = uniform_profile(space)

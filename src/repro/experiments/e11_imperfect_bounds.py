@@ -9,7 +9,7 @@ and should degrade monotonically as the testing process gets worse.
 
 Catalog entry: ``e11`` in docs/experiments.md.  The imperfect-testing
 measurements run on the batch engine's §4.1 binomial-detection kernel
-(:mod:`repro.mc.batch`) under the CLI's ``--engine auto``/``batch``.
+(:mod:`repro.mc.batch`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from ..core.bounds import (
 )
 from ..testing import ImperfectFixing, ImperfectOracle
 from ..rng import as_generator, spawn, spawn_many
-from .base import Claim, ExperimentResult, engine_kwargs, require_batch_engine
+from .base import Claim, ExperimentResult, engine_kwargs
 from .models import standard_scenario
 from .registry import register
 
@@ -47,8 +47,6 @@ def run(
     from ..adaptive import PrecisionTarget
 
     target = PrecisionTarget.coerce(precision)
-    if target is not None:
-        require_batch_engine("precision-targeted e11")
     n_replications = 300 if fast else 3000
     scenario = standard_scenario(seed)
     rng = as_generator(seed + 1100)
@@ -223,7 +221,6 @@ def _adaptive_point(scenario, regime, oracle, fixing, target, rng, envelopes):
     """
     from ..adaptive import adaptive_marginal_system_pfd, adaptive_version_pfd
 
-    config = engine_kwargs()
     full_budget = 3000
     (version_envelope, system_envelope) = envelopes
     version_run = adaptive_version_pfd(
@@ -234,7 +231,7 @@ def _adaptive_point(scenario, regime, oracle, fixing, target, rng, envelopes):
         oracle=oracle,
         fixing=fixing,
         rng=spawn(rng),
-        n_jobs=config["n_jobs"],
+        **engine_kwargs(),
         default_budget=full_budget,
     )
     version_metric = version_run.only
@@ -254,7 +251,7 @@ def _adaptive_point(scenario, regime, oracle, fixing, target, rng, envelopes):
         oracle=oracle,
         fixing=fixing,
         rng=spawn(rng),
-        n_jobs=config["n_jobs"],
+        **engine_kwargs(),
         default_budget=full_budget,
     )
     lower, upper = system_envelope

@@ -18,8 +18,9 @@ Three checks:
 
 Catalog entry: ``e12`` in docs/experiments.md.  The envelope simulation
 runs on the batch engine's demand-ordered back-to-back kernel
-(:func:`repro.mc.back_to_back_batch`) under ``--engine auto``/``batch``;
-the fixpoint check stays on the scalar pair engine by construction.
+(:func:`repro.mc.back_to_back_batch`); the fixpoint check iterates
+:func:`repro.testing.back_to_back_testing` on one version pair by
+construction.
 """
 
 from __future__ import annotations

@@ -85,9 +85,6 @@ def format_result(result: ExperimentResult) -> str:
         chunks = timings.get("chunks", 0)
         if chunks:
             profile += f", {chunks} chunk(s)"
-        engine = timings.get("engine")
-        if engine:
-            profile += f", engine={engine}"
         lines.append(profile)
     lines.append("")
     lines.append(_format_table(result.columns, result.rows))

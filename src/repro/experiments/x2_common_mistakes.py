@@ -13,8 +13,7 @@ sharing the misconception (blind to the mandated behaviour).  Checks:
 
 Catalog entry: ``x2`` in docs/experiments.md.  The blind-oracle estimate
 runs on the batch engine's blind-spot closure
-(:func:`repro.mc.apply_blind_testing_batch`) under ``--engine
-auto``/``batch``.
+(:func:`repro.mc.apply_blind_testing_batch`).
 """
 
 from __future__ import annotations

@@ -13,9 +13,8 @@ budget and compares the delivered systems:
 
 Catalog entry: ``x3`` in docs/experiments.md.  The campaign averages run
 on the batch engine — every built-in activity transforms whole
-fault-matrix blocks (:meth:`repro.extensions.Activity.apply_batch`) —
-under ``--engine auto``/``batch``; the single illustrative trajectory
-stays scalar.
+fault-matrix blocks (:meth:`repro.extensions.Activity.apply_batch`); the
+single illustrative trajectory runs version by version.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from ..extensions import (
 )
 from ..testing import BackToBackComparator, OperationalSuiteGenerator
 from ..versions import shared_fault_outputs
-from .base import Claim, ExperimentResult, engine_kwargs, require_batch_engine
+from .base import Claim, ExperimentResult, engine_kwargs
 from .models import standard_scenario
 from .registry import register
 
@@ -68,8 +67,6 @@ def run(
     from ..adaptive import PrecisionTarget
 
     target = PrecisionTarget.coerce(precision)
-    if target is not None:
-        require_batch_engine("precision-targeted x3")
     # an explicit n_replications is the user's budget; otherwise adaptive
     # runs may escalate up to the full-mode count
     adaptive_budget = n_replications if n_replications is not None else 1500
@@ -118,7 +115,6 @@ def run(
         if target is not None:
             from ..adaptive import adaptive_campaign_pfd
 
-            config = engine_kwargs()
             theta = scenario.population.difficulty()
             report = adaptive_campaign_pfd(
                 campaign,
@@ -126,7 +122,7 @@ def run(
                 scenario.profile,
                 target,
                 rng=seed + 3000,
-                n_jobs=config["n_jobs"],
+                **engine_kwargs(),
                 default_budget=adaptive_budget,
                 scale=float(scenario.profile.expectation(theta * theta)),
             )

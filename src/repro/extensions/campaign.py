@@ -18,9 +18,10 @@ runs on the batch Monte-Carlo engine by default: every built-in activity
 also implements :meth:`Activity.apply_batch`, transforming whole
 fault-matrix blocks with the kernels of :mod:`repro.mc.batch`, so a
 campaign sweep costs a handful of matrix operations per activity instead
-of a Python loop per version pair.  Custom activities without a batch form
-(or testing stages with custom oracle/fixing policies) automatically fall
-back to the scalar trajectory loop.
+of a Python loop per version pair.  Testing stages with custom
+oracle/fixing policies run on the batch blocks' per-row plan; custom
+activities without a batch form automatically fall back to the
+per-replication trajectory loop.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ..demand import UsageProfile
 from ..errors import ModelError
 from ..mc import batch as _batch
 from ..mc.estimator import MeanEstimator
-from ..mc.experiments import _check_replications, resolve_engine
+from ..mc.experiments import _check_replications
 from ..rng import as_generator, spawn_many
 from ..testing import (
     BackToBackComparator,
@@ -88,8 +89,8 @@ class Activity(abc.ABC):
         """True iff :meth:`apply_batch` is implemented for this activity.
 
         Campaign drivers check this before choosing the vectorized path;
-        custom activities default to False and keep campaigns on the scalar
-        trajectory loop.
+        custom activities default to False and keep campaigns on the
+        per-replication trajectory loop.
         """
         return False
 
@@ -105,13 +106,13 @@ class Activity(abc.ABC):
 
         The block counterpart of :meth:`apply`: row ``r`` of the two
         matrices is replication ``r``'s version pair.  Implementations must
-        preserve the scalar activity's randomness *structure* (what is
+        preserve :meth:`apply`'s randomness *structure* (what is
         shared between channels vs drawn independently), not its exact
         stream consumption.
         """
         raise ModelError(
-            f"{type(self).__name__} has no batch implementation; run the "
-            "campaign with engine='scalar'"
+            f"{type(self).__name__} has no batch implementation; campaigns "
+            "with it run on the per-replication trajectory loop"
         )
 
 
@@ -153,12 +154,10 @@ class _TestingActivity(Activity):
 
     @property
     def supports_batch(self) -> bool:
-        return _batch._testing_plan(self._oracle, self._fixing) is not None
+        return True
 
     def apply_batch(self, faults_a, faults_b, universe_a, universe_b, rng):
         plan = _batch._testing_plan(self._oracle, self._fixing)
-        if plan is None:
-            return super().apply_batch(faults_a, faults_b, universe_a, universe_b, rng)
         suite_streams, test_a, test_b = self._streams(rng)
         suites = [
             _batch._draw_plan_suites(plan, self._generator, faults_a.shape[0], stream)
@@ -447,7 +446,6 @@ class DevelopmentCampaign(object):
         population_b: VersionPopulation | None = None,
         n_replications: int = 200,
         rng: SeedLike = None,
-        engine: str = "auto",
         chunk_size: int | None = None,
         n_jobs: int = 1,
     ):
@@ -457,31 +455,15 @@ class DevelopmentCampaign(object):
         records and experiment tables can report confidence half-widths
         for campaign comparisons, not just point values.
 
-        With ``engine="auto"`` (default) or ``"batch"`` and a fully
-        batch-capable plan (:attr:`supports_batch`), the whole average is
-        computed on fault-matrix blocks — each activity transforms the
-        entire replication block at once.  ``"scalar"`` (or any custom
-        activity in the plan, under ``"auto"``) keeps the per-pair
-        trajectory loop.
+        With a fully batch-capable plan (:attr:`supports_batch`), the whole
+        average is computed on fault-matrix blocks — each activity
+        transforms the entire replication block at once.  A custom
+        activity without a batch form keeps the per-pair trajectory loop.
         """
-        unsupported = [
-            activity.kind
-            for activity in self._activities
-            if not activity.supports_batch
-        ]
-        choice = resolve_engine(
-            engine,
-            batch_ok=not unsupported,
-            model=(
-                f"campaigns with activities {unsupported}"
-                if unsupported
-                else "campaigns"
-            ),
-        )
         _check_replications(n_replications)
         population_b = population_b if population_b is not None else population_a
         rng = as_generator(rng)
-        if choice == "batch":
+        if self.supports_batch:
             kernel = partial(
                 _campaign_chunk, self, population_a, population_b, profile
             )
@@ -504,7 +486,6 @@ class DevelopmentCampaign(object):
         population_b: VersionPopulation | None = None,
         n_replications: int = 200,
         rng: SeedLike = None,
-        engine: str = "auto",
         chunk_size: int | None = None,
         n_jobs: int = 1,
     ) -> float:
@@ -519,7 +500,6 @@ class DevelopmentCampaign(object):
             population_b=population_b,
             n_replications=n_replications,
             rng=rng,
-            engine=engine,
             chunk_size=chunk_size,
             n_jobs=n_jobs,
         ).mean
@@ -535,7 +515,7 @@ def _campaign_block(
     """Draw ``count`` version pairs and run the whole campaign on them.
 
     Returns ``(faults_a, faults_b, evolved_a, evolved_b)``: the drawn and
-    the delivered fault blocks.  Mirrors the scalar randomness structure:
+    the delivered fault blocks.  Mirrors the per-pair randomness structure:
     one child of ``root`` per channel's version block, then one child
     stream per activity in plan order.
     """

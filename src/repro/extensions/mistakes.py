@@ -177,7 +177,6 @@ def mistake_effect(
     n_replications: int = 300,
     n_suites: int = 512,
     rng: SeedLike = None,
-    engine: str = "auto",
     chunk_size: int | None = None,
     n_jobs: int = 1,
 ) -> MistakeEffect:
@@ -188,8 +187,7 @@ def mistake_effect(
     quantity needs simulation because blind detection depends on which
     *other* faults each realised version contains.  The simulation routes
     through :func:`repro.mc.simulate_marginal_system_pfd` — the matched
-    blind oracle/fixing pair runs on the batch engine's blind-spot closure
-    under ``engine="auto"``/``"batch"``.
+    blind oracle/fixing pair runs on the batch engine's blind-spot closure.
     """
     from ..mc.experiments import simulate_marginal_system_pfd
     from ..rng import spawn_many
@@ -213,7 +211,6 @@ def mistake_effect(
         rng=streams[2],
         oracle=mistake.blind_oracle(),
         fixing=mistake.blind_fixing(),
-        engine=engine,
         chunk_size=chunk_size,
         n_jobs=n_jobs,
     ).mean

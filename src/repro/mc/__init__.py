@@ -21,7 +21,6 @@ from .batch import (
     apply_testing_batch,
     back_to_back_batch,
     back_to_back_supported,
-    batch_supported,
     run_tasks,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "apply_coverage_testing_batch",
     "back_to_back_batch",
     "back_to_back_supported",
-    "batch_supported",
     "run_tasks",
 ]

@@ -1,9 +1,8 @@
 """Vectorized batch Monte-Carlo engine.
 
-The scalar drivers in :mod:`repro.mc.experiments` replicate the paper's
-generative story one replication at a time: sample a version, draw a suite,
-test, score.  This module runs the *same* story as matrix kernels over a
-whole block of replications at once:
+Every ``simulate_*`` driver in :mod:`repro.mc.experiments` runs the paper's
+generative story here, as matrix kernels over a whole block of
+replications at once:
 
 * an ``(R, F)`` boolean **fault matrix** — row ``r`` marks the faults of
   version ``r``, drawn in one block from the population
@@ -11,16 +10,21 @@ whole block of replications at once:
 * an ``(R, D)`` boolean **suite mask** block — row ``r`` is the demand
   membership of replication ``r``'s suite, drawn with the regime's coupling
   (:meth:`~repro.core.regimes.TestingRegime.draw_suite_masks`) — or, for
-  imperfect testing, the same suites drawn as demand sequences and sorted
-  into ``(row, demand, count)`` **runs**, because each execution of a
-  failing demand is a fresh detection opportunity;
-* the **testing closure**, evaluated only at the present ``(r, f)`` pairs:
-  a region hit test for the perfect-oracle case
+  the plans that test demand by demand, the same suites drawn as ``-1``
+  padded demand sequences, sorted into ``(row, demand, count)`` **runs**
+  for the §4.1 kernels, because each execution of a failing demand is a
+  fresh detection opportunity;
+* the **testing closure**, chosen by the oracle/fixing pair's testing plan
+  (:func:`_testing_plan`): a region hit test for the perfect-oracle case
   (:func:`apply_testing_batch`), binomial detection counts plus per-fault
   Bernoulli survival draws for the §4.1 imperfect-oracle/imperfect-fixing
-  case (:func:`apply_imperfect_testing_batch`), and a demand-ordered masked
-  update loop for §4.2 back-to-back testing (:func:`back_to_back_batch`) —
-  the only genuinely sequential axis in the paper's testing processes;
+  case (:func:`apply_imperfect_testing_batch`), the blind-spot and
+  coverage closures for their matched pairs, and for every other pair the
+  **per-row plan**, which runs the pair's own
+  :func:`~repro.testing.apply_testing` on each row of the drawn blocks;
+  §4.2 back-to-back testing has its own demand-ordered masked update loop
+  (:func:`back_to_back_batch`) — the only genuinely sequential axis in the
+  paper's testing processes;
 * **scoring**: post-test failure masks
   (:meth:`~repro.faults.FaultUniverse.failure_matrix`), then one
   matrix-vector product against the usage profile.
@@ -30,14 +34,9 @@ kernels, sparse or dense by one size rule, with bit-identical blocks.
 
 Chunk results stream into the existing :class:`ProportionEstimator` /
 :class:`MeanEstimator` via their ``add_many`` merges, so confidence-interval
-semantics are unchanged.  Every public function is a drop-in counterpart of
-its scalar namesake; :class:`~repro.testing.ImperfectOracle` and
-:class:`~repro.testing.ImperfectFixing` (and matched blind-spot pairs) run
-on the vectorized path — only *custom* oracle/fixing policies, whose
-dynamics the engine cannot introspect, are rejected (use
-``engine="scalar"`` for those).
+semantics are unchanged.
 
-Why imperfect testing vectorizes at all: although the scalar engine
+Why imperfect testing vectorizes at all: although :func:`apply_testing`
 processes demands in suite order, the §4.1 process is order-independent *in
 distribution*.  Couple every occurrence ``o`` with an oracle coin and every
 ``(o, fault)`` pair with a fixing coin; a fault is removed iff some
@@ -61,7 +60,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from functools import partial
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -71,11 +69,19 @@ from ..errors import IncompatibleSpaceError, ModelError
 from ..faults.universe import _packed_rows, _unpacked_rows
 from ..populations import VersionPopulation
 from ..rng import as_generator, spawn, spawn_many
-from ..testing import BackToBackComparator, FixingPolicy, Oracle, SuiteGenerator
+from ..testing import (
+    BackToBackComparator,
+    FixingPolicy,
+    Oracle,
+    SuiteGenerator,
+    TestSuite,
+    apply_testing,
+)
 from ..testing.fixing import ImperfectFixing, PerfectFixing
 from ..testing.generators import _suite_runs, _SuiteRuns
 from ..testing.oracle import ImperfectOracle, PerfectOracle
 from ..types import SeedLike
+from ..versions import Version
 from ..versions.outputs import (
     OPTIMISTIC,
     PESSIMISTIC,
@@ -83,7 +89,6 @@ from ..versions.outputs import (
     FailureOutputModel,
 )
 from ..core.regimes import TestingRegime
-from . import experiments as _scalar
 from .estimator import MeanEstimator, ProportionEstimator
 
 __all__ = [
@@ -93,7 +98,6 @@ __all__ = [
     "apply_coverage_testing_batch",
     "back_to_back_batch",
     "back_to_back_supported",
-    "batch_supported",
     "run_tasks",
 ]
 
@@ -104,95 +108,70 @@ _PERFECT = "perfect"
 _BERNOULLI = "bernoulli"
 _BLIND = "blind"
 _COVERAGE = "coverage"
+_ROWS = "rows"
+#: every kind, in docs/kernels.md's table order
+_PLAN_KINDS = (_PERFECT, _BERNOULLI, _BLIND, _COVERAGE, _ROWS)
 
 
-def _testing_plan(
-    oracle: Oracle | None, fixing: FixingPolicy | None
-) -> tuple | None:
-    """Resolve an (oracle, fixing) pair to a batch execution plan.
+def _matched_classes(attribute: str) -> tuple:
+    """The exact (oracle, fixing) classes of the matched pair whose members
+    expose ``attribute``.  Imported only once an attribute shows the pair's
+    module is in use."""
+    if attribute == "blind_fault_ids":
+        from ..extensions.mistakes import BlindSpotFixing, BlindSpotOracle
+
+        return BlindSpotOracle, BlindSpotFixing
+    from ..coverage.detection import CoverageFixing, CoverageOracle
+
+    return CoverageOracle, CoverageFixing
+
+
+def _testing_plan(oracle: Oracle | None, fixing: FixingPolicy | None) -> tuple:
+    """Resolve an (oracle, fixing) pair to its batch execution plan.
 
     Returns ``(kind, detection_p, fix_p, extra)`` where ``kind`` is one
     of ``"perfect"`` (set-wise mask closure), ``"bernoulli"`` (the §4.1
     binomial-detection kernel), ``"blind"`` (perfect closure restricted to
-    faults outside a shared blind spot) or ``"coverage"`` (per-fault
+    faults outside a shared blind spot), ``"coverage"`` (per-fault
     detection probabilities derived from a coverage matrix — see
-    :mod:`repro.coverage.detection`), or ``None`` when the pair is a
-    custom policy the engine cannot model.  ``extra`` carries the blind
-    fault ids or the per-fault probability tuple for those two kinds.
+    :mod:`repro.coverage.detection`) or ``"rows"`` (the per-row plan: the
+    pair's own :func:`~repro.testing.apply_testing` on every row).
+    ``extra`` carries the blind fault ids, the per-fault probability tuple
+    or, for the per-row plan, the ``(oracle, fixing)`` pair.
 
-    Blind-spot and coverage pairs are recognised structurally — both
-    members expose the same ``blind_fault_ids`` (resp.
-    ``fault_detection_probs``) — so neither :mod:`repro.extensions.mistakes`
-    nor :mod:`repro.coverage` needs to be imported here.  Each pair is only
-    vectorizable *together*: a half-supplied or mismatched pair falls back
-    to the scalar path.
+    Kernels serve exact types only: a *subclass* may override the
+    per-demand behaviour arbitrarily, so it runs on the per-row plan.  A
+    blind-spot or coverage pair is vectorizable only *together*, with
+    equal fault data; a half-supplied or mismatched pair runs per row too.
     """
+    rows = (_ROWS, 1.0, 1.0, (oracle, fixing))
     for attribute, kind, cast in (
         ("blind_fault_ids", _BLIND, int),
         ("fault_detection_probs", _COVERAGE, float),
     ):
-        of_oracle = getattr(oracle, attribute, None)
-        of_fixing = getattr(fixing, attribute, None)
-        if of_oracle is None and of_fixing is None:
+        if not (hasattr(oracle, attribute) or hasattr(fixing, attribute)):
             continue
-        if of_oracle is None or of_fixing is None:
-            return None
-        extra = tuple(cast(value) for value in of_oracle)
-        if extra != tuple(cast(value) for value in of_fixing):
-            return None
+        if (type(oracle), type(fixing)) != _matched_classes(attribute):
+            return rows
+        extra = tuple(cast(value) for value in getattr(oracle, attribute))
+        if extra != tuple(cast(value) for value in getattr(fixing, attribute)):
+            return rows
         return (kind, 1.0, 1.0, extra)
-    # exact type matches only: a *subclass* may override the per-demand
-    # behaviour arbitrarily, so it must take the scalar path
     if oracle is None or type(oracle) is PerfectOracle:
         detection_p = 1.0
     elif type(oracle) is ImperfectOracle:
         detection_p = float(oracle.detection_probability)
     else:
-        return None
+        return rows
     if fixing is None or type(fixing) is PerfectFixing:
         fix_p = 1.0
     elif type(fixing) is ImperfectFixing:
         fix_p = float(fixing.fix_probability)
     else:
-        return None
+        return rows
     if detection_p == 1.0 and fix_p == 1.0:
         return (_PERFECT, 1.0, 1.0, None)
     return (_BERNOULLI, detection_p, fix_p, None)
-
-
-def batch_supported(
-    oracle: Oracle | None = None, fixing: FixingPolicy | None = None
-) -> bool:
-    """True iff the testing process runs on the vectorized path.
-
-    The batch engine models the paper's §3 perfect process (one matrix
-    product), the §4.1 :class:`~repro.testing.ImperfectOracle` /
-    :class:`~repro.testing.ImperfectFixing` relaxations (binomial detection
-    counts + Bernoulli survival masks — see the module docstring for why
-    that matches the demand-ordered scalar process in distribution),
-    matched blind-spot oracle/fixing pairs from
-    :mod:`repro.extensions.mistakes`, and matched coverage pairs from
-    :mod:`repro.coverage.detection` (per-fault Bernoulli survival under
-    coverage-derived detection probabilities).  Only custom policy
-    classes, whose per-demand dynamics the engine cannot introspect,
-    return False.
-    """
-    return _testing_plan(oracle, fixing) is not None
-
-
-def _require_plan(
-    oracle: Oracle | None, fixing: FixingPolicy | None
-) -> tuple:
-    plan = _testing_plan(oracle, fixing)
-    if plan is None:
-        raise ModelError(
-            "the batch engine cannot model custom oracle/fixing policies "
-            f"({type(oracle).__name__}/{type(fixing).__name__}); supported: "
-            "Perfect/Imperfect oracles and fixing, and matched blind-spot "
-            "or coverage pairs.  Use engine='scalar' (or engine='auto' for "
-            "automatic fallback) for custom policies"
-        )
-    return plan
 
 
 def back_to_back_supported(fixing: FixingPolicy | None = None) -> bool:
@@ -200,9 +179,9 @@ def back_to_back_supported(fixing: FixingPolicy | None = None) -> bool:
 
     The §4.2 comparator itself is always expressible (all three output
     models reduce to boolean cause-mask algebra); only the follow-up fixing
-    policy can force the scalar path, exactly as in :func:`batch_supported`
-    — including its exact-type rule: a *subclass* may override
-    ``faults_removed`` arbitrarily, so it must take the scalar path.
+    policy can force :func:`repro.core.back_to_back_envelope` onto its
+    per-replication loop, with :func:`_testing_plan`'s exact-type rule: a
+    *subclass* may override ``faults_removed`` arbitrarily.
     """
     return fixing is None or type(fixing) in (PerfectFixing, ImperfectFixing)
 
@@ -282,11 +261,11 @@ def apply_imperfect_testing_batch(
     then survives independently (given ``K``) with probability
     ``(1 - fix_p) ** (K @ cover.T)`` — each detecting occurrence of a
     covering demand is one independent chance to remove it, and the shared
-    ``K`` reproduces the cross-fault correlation of the scalar process's
-    shared per-demand oracle decisions.  This equals the demand-ordered
-    scalar process in distribution (see the module docstring); it is not
-    bit-identical to it because the scalar engine consumes randomness
-    conditionally.
+    ``K`` reproduces the cross-fault correlation of the demand-ordered
+    process's shared per-demand oracle decisions.  This equals
+    :func:`~repro.testing.apply_testing` in distribution (see the module
+    docstring); it is not bit-identical to it because the demand-ordered
+    process consumes randomness conditionally.
     """
     runs = _as_runs(suite_counts)
     fault_matrix = _checked_faults(fault_matrix, runs.shape, universe)
@@ -326,7 +305,7 @@ def apply_coverage_testing_batch(
     chance only with its coverage-derived probability ``q_f``
     (:func:`repro.coverage.fault_detection_probs`), so it survives with
     probability ``(1 - q_f) ** chances``.  Matches the demand-ordered
-    scalar :class:`~repro.coverage.CoverageOracle` /
+    :class:`~repro.coverage.CoverageOracle` /
     :class:`~repro.coverage.CoverageFixing` process in distribution by
     the same memoryless-geometric argument as §4.1 — each fault's removal
     depends only on its own independent per-execution draws.
@@ -375,27 +354,6 @@ def apply_blind_testing_batch(
     return (fault_matrix & ~visible) | universe._cleared(fault_matrix & visible, masks)
 
 
-def _identical_cause_rows(causes_a: np.ndarray, causes_b: np.ndarray) -> np.ndarray:
-    """Row-wise equality of two cause-mask blocks as fault-*id* sets.
-
-    Mirrors the scalar shared-fault model, which compares the two versions'
-    ``faults_causing_failure`` id arrays: when the universes differ in size
-    the narrower mask is padded with absent faults.  The dense reference
-    kernel :func:`repro.mc.kernels.back_to_back_counter` uses it;
-    :func:`back_to_back_batch` compares bitset words instead.
-    """
-    width = max(causes_a.shape[1], causes_b.shape[1])
-
-    def _pad(block: np.ndarray) -> np.ndarray:
-        if block.shape[1] == width:
-            return block
-        padded = np.zeros((block.shape[0], width), dtype=bool)
-        padded[:, : block.shape[1]] = block
-        return padded
-
-    return (_pad(causes_a) == _pad(causes_b)).all(axis=1)
-
-
 def back_to_back_batch(
     fault_matrix_a: np.ndarray,
     fault_matrix_b: np.ndarray,
@@ -419,7 +377,9 @@ def back_to_back_batch(
     :meth:`~repro.faults.FaultUniverse._cover_table` and updates ``(R, W)``
     words, ``W`` the wider universe's fault count in 64-bit words.
     Imperfect fixing draws ``(R, F_A)`` then ``(R, F_B)`` uniforms at every
-    position that holds a demand.
+    position that holds a demand.  Comparing the packed words compares the
+    two channels' causes as fault-*id* sets, the test the dense reference
+    :func:`repro.mc.kernels.back_to_back_counter` makes on padded masks.
 
     Returns the post-test ``(R, F_A)`` and ``(R, F_B)`` fault matrices.
     The inputs are not modified.
@@ -432,7 +392,8 @@ def back_to_back_batch(
     else:
         raise ModelError(
             "back-to-back batch kernel cannot model custom fixing policy "
-            f"{type(fixing).__name__}; use the scalar path"
+            f"{type(fixing).__name__}; back_to_back_envelope runs it on its "
+            "per-replication loop"
         )
     faults_a = np.asarray(fault_matrix_a, dtype=bool)
     faults_b = np.asarray(fault_matrix_b, dtype=bool)
@@ -494,6 +455,38 @@ def back_to_back_batch(
     )
 
 
+def _test_rows(
+    fault_matrix: np.ndarray,
+    sequences: np.ndarray,
+    universe,
+    oracle: Oracle | None,
+    fixing: FixingPolicy | None,
+    rng: SeedLike = None,
+) -> np.ndarray:
+    """The per-row plan: :func:`~repro.testing.apply_testing` on every row.
+
+    Row ``r`` becomes a :class:`~repro.versions.Version` of its fault row
+    and is tested on its demand-sequence row with the ``-1`` padding
+    stripped, with child ``r`` of ``rng`` as its testing stream.  This is
+    the reference form of every closure above, and the one plan that runs
+    custom oracle and fixing policies.
+    """
+    sequences = np.asarray(sequences, dtype=np.int64)
+    fault_matrix = _checked_faults(
+        fault_matrix, (sequences.shape[0], universe.space.size), universe
+    )
+    tested = np.zeros(fault_matrix.shape, dtype=bool)
+    streams = spawn_many(as_generator(rng), fault_matrix.shape[0])
+    for row, (present, demands, stream) in enumerate(
+        zip(fault_matrix, sequences, streams)
+    ):
+        version = Version(universe, np.flatnonzero(present))
+        suite = TestSuite(universe.space, demands[demands >= 0])
+        after = apply_testing(version, suite, oracle, fixing, rng=stream).after
+        tested[row, after.fault_ids] = True
+    return tested
+
+
 def _apply_plan_batch(
     plan: tuple,
     fault_matrix: np.ndarray,
@@ -503,9 +496,9 @@ def _apply_plan_batch(
 ) -> np.ndarray:
     """Dispatch one channel's testing closure according to its plan.
 
-    ``suite_block`` is a mask block for the perfect/blind kinds and sorted
-    demand runs for the bernoulli/coverage kinds (see
-    :func:`_plan_needs_counts`).
+    ``suite_block`` is a mask block for the perfect/blind kinds, sorted
+    demand runs for the bernoulli/coverage kinds and the ``-1`` padded
+    sequence block for the per-row plan (see :func:`_plan_suites`).
     """
     kind, detection_p, fix_p, extra = plan
     if kind == _PERFECT:
@@ -518,13 +511,25 @@ def _apply_plan_batch(
         return apply_coverage_testing_batch(
             fault_matrix, suite_block, universe, extra, rng
         )
+    if kind == _ROWS:
+        return _test_rows(fault_matrix, suite_block, universe, *extra, rng)
     return apply_imperfect_testing_batch(
         fault_matrix, suite_block, universe, detection_p, fix_p, rng
     )
 
 
-def _plan_needs_counts(plan: tuple) -> bool:
-    return plan[0] in (_BERNOULLI, _COVERAGE)
+def _plan_sequenced(plan: tuple) -> bool:
+    """True for the plans that test demand sequences and draw a testing
+    stream; the perfect and blind closures need only membership masks."""
+    return plan[0] in (_BERNOULLI, _COVERAGE, _ROWS)
+
+
+def _plan_suites(plan: tuple, sequences: np.ndarray, n_demands: int):
+    """A sequenced plan's suite block from ``-1`` padded sequences: the
+    sequences themselves for the per-row plan, sorted runs otherwise."""
+    if plan[0] == _ROWS:
+        return sequences
+    return _suite_runs(sequences, n_demands)
 
 
 def _draw_plan_suites(
@@ -532,12 +537,14 @@ def _draw_plan_suites(
 ) -> np.ndarray:
     """``count`` suites from ``generator`` in the representation ``plan`` tests.
 
-    Sorted demand runs for the bernoulli/coverage kinds, membership masks
-    for the perfect/blind kinds (see :func:`_apply_plan_batch`).
+    Both representations consume ``rng`` alike, so the perfect and the
+    sequenced plans draw the same suites from the same stream.
     """
-    if _plan_needs_counts(plan):
-        return _suite_runs(
-            generator.sample_demand_sequences(count, rng), generator.space.size
+    if _plan_sequenced(plan):
+        return _plan_suites(
+            plan,
+            generator.sample_demand_sequences(count, rng),
+            generator.space.size,
         )
     return generator.sample_demand_masks(count, rng)
 
@@ -558,10 +565,10 @@ def _tested_version_block(
     """Draw ``count`` versions and suites, test them: ``(faults, tested)``.
 
     Spawns children of ``root`` for the fault block and the suite block,
-    plus a testing stream for the plans whose closure draws randomness.
+    plus a testing stream for the sequenced plans.
     """
-    needs_counts = _plan_needs_counts(plan)
-    streams = spawn_many(root, 3 if needs_counts else 2)
+    sequenced = _plan_sequenced(plan)
+    streams = spawn_many(root, 3 if sequenced else 2)
     faults = population.sample_fault_matrix(count, streams[0])
     suites = _draw_plan_suites(plan, generator, count, streams[1])
     tested = _apply_plan_batch(
@@ -569,7 +576,7 @@ def _tested_version_block(
         faults,
         suites,
         population.universe,
-        streams[2] if needs_counts else None,
+        streams[2] if sequenced else None,
     )
     return faults, tested
 
@@ -586,21 +593,21 @@ def _tested_pair_block(
 
     Returns ``(faults_a, faults_b, tested_a, tested_b)``.  Children of
     ``root``: faults A, faults B and the regime's suite pair, then one
-    testing stream per channel for the plans whose closure draws
-    randomness.  The perfect/blind layout is the original three-stream
-    one, so perfect-path results are bit-identical to earlier releases.
+    testing stream per channel for the sequenced plans.  The perfect/blind
+    layout is the original three-stream one, so perfect-path results are
+    bit-identical to earlier releases.
     """
-    needs_counts = _plan_needs_counts(plan)
-    streams = spawn_many(root, 5 if needs_counts else 3)
+    sequenced = _plan_sequenced(plan)
+    streams = spawn_many(root, 5 if sequenced else 3)
     faults_a = population_a.sample_fault_matrix(count, streams[0])
     faults_b = population_b.sample_fault_matrix(count, streams[1])
-    if needs_counts:
+    if sequenced:
         first, second = regime._draw_suite_sequences(count, streams[2])
-        suites_a = _suite_runs(first, population_a.universe.space.size)
+        suites_a = _plan_suites(plan, first, population_a.universe.space.size)
         suites_b = (
             suites_a
             if second is first
-            else _suite_runs(second, population_b.universe.space.size)
+            else _plan_suites(plan, second, population_b.universe.space.size)
         )
         test_a, test_b = streams[3], streams[4]
     else:
@@ -727,7 +734,8 @@ def _chunk_back_to_back_envelope(
     ``sums`` holds the nine envelope accumulators in the field order of
     :class:`repro.core.bounds.BackToBackEnvelope`.  All modes reuse the same
     fault-matrix and suite draws, so the envelope comparisons stay paired
-    exactly as in the scalar driver.
+    exactly as in the per-replication loop of
+    :func:`repro.core.back_to_back_envelope`.
     """
     count, seed = task
     streams = spawn_many(as_generator(seed), 4)
@@ -931,190 +939,3 @@ def _accumulate_proportion(results: List[Tuple[int, int]]) -> ProportionEstimato
 
 def _accumulate_mean(results: List[Tuple[int, float, float]]) -> MeanEstimator:
     return _accumulate(MeanEstimator(), "add_moments", results)
-
-
-# ---------------------------------------------------------------------------
-# public batched drop-in counterparts
-# ---------------------------------------------------------------------------
-
-
-def _simulate_untested_joint_on_demand_batch(
-    population_a: VersionPopulation,
-    demand: int,
-    population_b: VersionPopulation | None = None,
-    n_replications: int = _scalar._DEFAULT_REPLICATIONS,
-    rng: SeedLike = None,
-    chunk_size: int | None = None,
-    n_jobs: int = 1,
-) -> ProportionEstimator:
-    """Batched ``P(both untested versions fail on x)`` — eq. (4) check.
-
-    Vectorized drop-in for
-    :func:`repro.mc.simulate_untested_joint_on_demand`: version pairs are
-    drawn as two fault-matrix blocks and scored on the fixed demand by one
-    boolean gather each.  The analytic prediction is ``θ_A(x) θ_B(x)``
-    (and ``E[Θ²] ≥ E[Θ]²``, the Eckhardt–Lee inequality of eqs. (6)–(7)).
-    """
-    _scalar._check_replications(n_replications)
-    population_b = population_b if population_b is not None else population_a
-    demand = population_a.space.validate_demand(demand)
-    kernel = partial(_chunk_untested_joint, population_a, population_b, demand)
-    return _accumulate_proportion(
-        _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
-    )
-
-
-def _simulate_joint_on_demand_batch(
-    regime: TestingRegime,
-    population_a: VersionPopulation,
-    demands: List[int],
-    population_b: VersionPopulation | None = None,
-    n_replications: int = _scalar._DEFAULT_REPLICATIONS,
-    rng: SeedLike = None,
-    oracle: Oracle | None = None,
-    fixing: FixingPolicy | None = None,
-    chunk_size: int | None = None,
-    n_jobs: int = 1,
-) -> Tuple[ProportionEstimator, ...]:
-    """Batched ``P(both tested versions fail on x)`` — eqs. (16)–(21) check.
-
-    Vectorized backend of :func:`repro.mc.simulate_joint_on_demand`.  Each
-    chunk draws a fault-matrix block per channel, a coupled suite block
-    from the regime (shared for :class:`~repro.core.SameSuite`, independent
-    otherwise — precisely the coupling that separates eqs. (20)/(21) from
-    (16)–(19)), applies the testing closure for the supplied oracle/fixing
-    pair (§3 mask closure, §4.1 binomial-detection kernel, or blind-spot
-    closure) and scores each of ``demands``.  Custom policies raise
-    :class:`~repro.errors.ModelError`; use ``engine="scalar"`` for those.
-    """
-    plan = _require_plan(oracle, fixing)
-    _scalar._check_replications(n_replications)
-    population_b = population_b if population_b is not None else population_a
-    kernel = partial(
-        _chunk_tested_joint, regime, population_a, population_b, demands, plan
-    )
-    results = _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
-    columns = [[(hits[j], n) for hits, n in results] for j in range(len(demands))]
-    return tuple(_accumulate_proportion(column) for column in columns)
-
-
-def _simulate_marginal_system_pfd_batch(
-    regime: TestingRegime,
-    population_a: VersionPopulation,
-    profile: UsageProfile,
-    population_b: VersionPopulation | None = None,
-    n_replications: int = _scalar._DEFAULT_REPLICATIONS,
-    rng: SeedLike = None,
-    oracle: Oracle | None = None,
-    fixing: FixingPolicy | None = None,
-    rao_blackwell: bool = True,
-    chunk_size: int | None = None,
-    n_jobs: int = 1,
-) -> MeanEstimator:
-    """Batched marginal 1-out-of-2 system pfd — eqs. (22)–(25) check.
-
-    Vectorized drop-in for :func:`repro.mc.simulate_marginal_system_pfd`.
-    Per chunk, both channels' post-test failure matrices come from two
-    matrix products; their conjunction is the joint failure mask, and with
-    ``rao_blackwell=True`` the random demand is integrated out exactly by
-    one matrix-vector product against ``Q`` (estimating
-    ``E[Θ_T]² + Var(Θ_T) + E_Q[...]`` of eqs. (22)/(23), resp. the
-    forced-diversity forms (24)/(25)).  Imperfect oracles/fixing run on the
-    §4.1 binomial-detection kernel; custom policies raise
-    :class:`~repro.errors.ModelError`.
-    """
-    plan = _require_plan(oracle, fixing)
-    _scalar._check_replications(n_replications)
-    population_b = population_b if population_b is not None else population_a
-    population_a.space.require_same(profile.space)
-    kernel = partial(
-        _chunk_marginal,
-        regime,
-        population_a,
-        population_b,
-        profile,
-        rao_blackwell,
-        plan,
-    )
-    return _accumulate_mean(
-        _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
-    )
-
-
-def _simulate_version_pfd_batch(
-    population: VersionPopulation,
-    generator: SuiteGenerator,
-    profile: UsageProfile,
-    n_replications: int = _scalar._DEFAULT_REPLICATIONS,
-    rng: SeedLike = None,
-    oracle: Oracle | None = None,
-    fixing: FixingPolicy | None = None,
-    chunk_size: int | None = None,
-    n_jobs: int = 1,
-) -> MeanEstimator:
-    """Batched mean post-test pfd of one tested version — ``E_Q[ζ(X)]``.
-
-    Vectorized drop-in for :func:`repro.mc.simulate_version_pfd`,
-    estimating the usage-weighted tested difficulty ``ζ(x)`` of eq. (14):
-    each chunk tests a fault-matrix block against a suite block and scores
-    the survivors against ``Q`` in one matrix-vector product.  Imperfect
-    oracles/fixing run on the §4.1 binomial-detection kernel; custom
-    policies raise :class:`~repro.errors.ModelError`.
-    """
-    plan = _require_plan(oracle, fixing)
-    _scalar._check_replications(n_replications)
-    population.space.require_same(profile.space)
-    kernel = partial(_chunk_version_pfd, population, generator, profile, plan)
-    return _accumulate_mean(
-        _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
-    )
-
-
-def _back_to_back_envelope_batch(
-    population_a: VersionPopulation,
-    generator: SuiteGenerator,
-    profile: UsageProfile,
-    population_b: VersionPopulation | None = None,
-    fixing: FixingPolicy | None = None,
-    n_replications: int = 400,
-    rng: SeedLike = None,
-    chunk_size: int | None = None,
-    n_jobs: int = 1,
-):
-    """Batched §4.2 envelope — back-to-back testing under all output models.
-
-    Vectorized drop-in for :func:`repro.core.bounds.back_to_back_envelope`:
-    every chunk draws one fault-matrix block per channel and one shared
-    demand-sequence block, then runs the three back-to-back comparators
-    plus the perfect-oracle closure on identical inputs, so the envelope
-    comparisons are paired exactly as in the scalar driver — in particular
-    the optimistic model reproduces the perfect closure *identically* per
-    replication, not just statistically.
-
-    Returns a :class:`repro.core.bounds.BackToBackEnvelope`.
-    """
-    from ..core.bounds import BackToBackEnvelope
-
-    _scalar._check_replications(n_replications)
-    if not back_to_back_supported(fixing):
-        raise ModelError(
-            "back-to-back batch kernel cannot model custom fixing policy "
-            f"{type(fixing).__name__}; use engine='scalar'"
-        )
-    population_b = population_b if population_b is not None else population_a
-    population_a.space.require_same(profile.space)
-    kernel = partial(
-        _chunk_back_to_back_envelope,
-        population_a,
-        population_b,
-        generator,
-        profile,
-        fixing,
-    )
-    results = _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
-    total = sum(count for count, _sums in results)
-    merged = [0.0] * 9
-    for count, sums in results:
-        for index, value in enumerate(sums):
-            merged[index] += value
-    return BackToBackEnvelope.from_sums(merged, total)

@@ -4,7 +4,7 @@ Three numpy kernels that state the paper's testing closures in their
 plainest dense form: the §3 perfect closure, the §4.1 closure from
 explicit detection and survival uniforms, and the §4.2 back-to-back
 block kernel with fixing coins keyed by
-:func:`repro.rng.counter_uniforms`.  No engine runs them; the tests pin
+:func:`repro.rng.counter_uniforms`.  No driver runs them; the tests pin
 them against the batch engine's kernels (:mod:`repro.mc.batch`), which
 they equal wherever the two share their draws.  ``perfbench``'s tracer
 names all three, so they stay importable under these names.
@@ -17,13 +17,31 @@ from typing import Tuple
 import numpy as np
 
 from ..rng import counter_uniforms
-from .batch import _identical_cause_rows
 
 __all__ = ["back_to_back_counter", "imperfect_closure", "perfect_closure"]
 
 # back-to-back output-model modes as kernel-friendly integers
 _MODE_OPTIMISTIC = 0
 _MODE_PESSIMISTIC = 1
+
+
+def _identical_cause_rows(causes_a: np.ndarray, causes_b: np.ndarray) -> np.ndarray:
+    """Row-wise equality of two cause-mask blocks as fault-*id* sets.
+
+    Mirrors the shared-fault output model, which compares the two
+    versions' ``faults_causing_failure`` id arrays: when the universes
+    differ in size the narrower mask is padded with absent faults.
+    """
+    width = max(causes_a.shape[1], causes_b.shape[1])
+
+    def _pad(block: np.ndarray) -> np.ndarray:
+        if block.shape[1] == width:
+            return block
+        padded = np.zeros((block.shape[0], width), dtype=bool)
+        padded[:, : block.shape[1]] = block
+        return padded
+
+    return (_pad(causes_a) == _pad(causes_b)).all(axis=1)
 
 
 def perfect_closure(

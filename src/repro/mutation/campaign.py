@@ -221,10 +221,10 @@ class MutationCampaign:
     def _record_for(
         self, mutant_id: str, outcome: Optional[MutantOutcome]
     ) -> Dict[str, object]:
-        from ..store.records import make_record
+        from ..store.records import _identity
 
-        record = make_record(
-            experiment_id=self.experiment_id,
+        record = _identity(
+            self.experiment_id,
             # pinned, not self.seed: the seed only picks the subsample,
             # never a mutant's outcome, so a pilot campaign under one
             # seed must hit the cache of a full campaign under another
@@ -232,7 +232,7 @@ class MutationCampaign:
             fast=True,
             params=self._identity_params(mutant_id),
             version=MUTATOR_VERSION,
-            engine="mutation",
+            tag="mutation",
         )
         if outcome is not None:
             record["mutation"] = outcome.to_payload()

@@ -176,7 +176,6 @@ class ServiceClient:
         seed: int = 0,
         fast: bool = True,
         params: Optional[Mapping[str, object]] = None,
-        engine: str = "auto",
         n_jobs: int = 1,
         priority: int = 0,
         wait: bool = False,
@@ -191,7 +190,6 @@ class ServiceClient:
             "experiment_id": experiment_id,
             "seed": seed,
             "fast": fast,
-            "engine": engine,
             "n_jobs": n_jobs,
             "priority": priority,
             "wait": wait,
@@ -206,7 +204,6 @@ class ServiceClient:
         seed: int = 0,
         fast: bool = True,
         params: Optional[Mapping[str, object]] = None,
-        engine: str = "auto",
         n_jobs: int = 1,
         priority: int = 0,
         timeout: float = 600.0,
@@ -224,7 +221,6 @@ class ServiceClient:
             seed=seed,
             fast=fast,
             params=params,
-            engine=engine,
             n_jobs=n_jobs,
             priority=priority,
             wait=True,

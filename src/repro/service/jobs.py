@@ -52,7 +52,6 @@ from ..errors import ModelError
 from ..experiments import run_experiment, validate_params
 from ..experiments.__main__ import validate_ids
 from ..experiments.base import canonical_cell, set_engine_config
-from ..mc.experiments import check_engine
 from ..obs import (
     TraceContext,
     capture_spans,
@@ -109,15 +108,14 @@ _PROGRESS_QUEUE = None  # set per worker process by _worker_init
 #: the blocking drain thread wakes up and exits
 _PROGRESS_STOP = "__progress_stop__"
 
-#: ``(job_id, experiment_id, seed, fast, params, engine, n_jobs,
-#: trace_id, parent_span_id)`` — the last two are None untraced
+#: ``(job_id, experiment_id, seed, fast, params, n_jobs, trace_id,
+#: parent_span_id)`` — the last two are None untraced
 _JobTask = Tuple[
     str,
     str,
     int,
     bool,
     Tuple[Tuple[str, object], ...],
-    str,
     int,
     Optional[str],
     Optional[str],
@@ -146,7 +144,7 @@ def _execute_job(
 ) -> Tuple[dict, dict]:
     """Run one job in a worker; returns ``(store_record, obs_payload)``.
 
-    Installs the job's engine configuration and a round observer for the
+    Installs the job's worker count and a round observer for the
     duration of the run.  In a pool worker that state is private to the
     worker; on the thread path the previous values are restored afterwards
     (the observer is thread-local, so concurrent thread jobs cannot cross).
@@ -165,7 +163,6 @@ def _execute_job(
         seed,
         fast,
         params,
-        engine,
         n_jobs,
         trace_id,
         parent_span_id,
@@ -188,7 +185,7 @@ def _execute_job(
     job_registry = MetricsRegistry()
     previous_registry = set_default_registry(job_registry)
     previous_trace = set_trace_context(trace)
-    previous_engine = set_engine_config(engine=engine, n_jobs=n_jobs)
+    previous_config = set_engine_config(n_jobs=n_jobs)
     previous_observer = set_round_observer(observe)
     try:
         with capture_spans(exclusive=True) as spans, \
@@ -201,12 +198,10 @@ def _execute_job(
                 result = run_experiment(
                     experiment_id, seed=seed, fast=fast, params=dict(params)
                 )
-        timings = timer.payload(engine=engine, n_jobs=n_jobs)
+        timings = timer.payload(n_jobs=n_jobs)
     finally:
         set_round_observer(previous_observer)
-        set_engine_config(
-            engine=previous_engine.engine, n_jobs=previous_engine.n_jobs
-        )
+        set_engine_config(n_jobs=previous_config.n_jobs)
         set_trace_context(previous_trace)
         set_default_registry(previous_registry)
     record = make_record(
@@ -215,7 +210,6 @@ def _execute_job(
         fast=fast,
         params=dict(params),
         result=result,
-        engine=engine,
     )
     obs_payload = {
         "spans": spans if trace is not None else [],
@@ -232,7 +226,7 @@ def _execute_job(
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One run request's identity: what to compute, on which engine.
+    """One run request's identity: what to compute, with how many workers.
 
     ``params`` is a name-sorted tuple of pairs (hashable, insertion-order
     independent) exactly like :class:`~repro.sweeps.SweepPoint`; the cache
@@ -244,11 +238,11 @@ class JobSpec:
     seed: int = 0
     fast: bool = True
     params: Tuple[Tuple[str, object], ...] = ()
-    engine: str = "auto"
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
-        check_engine(self.engine, self.n_jobs)
+        if self.n_jobs < 1:
+            raise ModelError(f"n_jobs must be >= 1, got {self.n_jobs}")
 
     @property
     def params_dict(self) -> Dict[str, object]:
@@ -258,12 +252,7 @@ class JobSpec:
     def cache_key(self, version: str = __version__) -> str:
         """The store key this spec's record lives under."""
         return cache_key(
-            self.experiment_id,
-            self.seed,
-            self.fast,
-            self.params_dict,
-            version,
-            self.engine,
+            self.experiment_id, self.seed, self.fast, self.params_dict, version
         )
 
     def label(self) -> str:
@@ -272,8 +261,6 @@ class JobSpec:
         parts += [f"{name}={value}" for name, value in self.params]
         if not self.fast:
             parts.append("full")
-        if self.engine != "auto":
-            parts.append(f"engine={self.engine}")
         return " ".join(parts)
 
     @classmethod
@@ -293,7 +280,6 @@ class JobSpec:
             "seed",
             "fast",
             "params",
-            "engine",
             "n_jobs",
             "priority",
             "wait",
@@ -319,9 +305,6 @@ class JobSpec:
         if not isinstance(params, Mapping):
             raise ModelError(f"params must be an object, got {params!r}")
         validate_params(experiment_id, params)
-        engine = body.get("engine", "auto")
-        if not isinstance(engine, str):
-            raise ModelError(f"engine must be a string, got {engine!r}")
         n_jobs = body.get("n_jobs", 1)
         if isinstance(n_jobs, bool) or not isinstance(n_jobs, int):
             raise ModelError(f"n_jobs must be an integer, got {n_jobs!r}")
@@ -330,7 +313,6 @@ class JobSpec:
             seed=seed,
             fast=fast,
             params=tuple(sorted(params.items())),
-            engine=engine,
             n_jobs=n_jobs,
         )
 
@@ -384,7 +366,6 @@ class Job:
             spec.seed,
             spec.fast,
             spec.params,
-            spec.engine,
             spec.n_jobs,
             self.trace.trace_id if self.trace is not None else None,
             self.trace.span_id if self.trace is not None else None,
@@ -400,7 +381,6 @@ class Job:
             "seed": spec.seed,
             "fast": spec.fast,
             "params": canonical_params(spec.params_dict),
-            "engine": spec.engine,
             "n_jobs": spec.n_jobs,
             "priority": self.priority,
             "key": self.key,

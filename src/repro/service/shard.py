@@ -2,7 +2,7 @@
 
 Sharding the service splits the cache-key space across N independent
 instances so that every request for the *same* point — same experiment
-id, knobs, seed, mode, engine, version — always lands on the *same*
+id, knobs, seed, mode, version — always lands on the *same*
 shard.  That single property is what makes the cluster behave like one
 big server: request coalescing (N identical in-flight requests cost one
 computation) and the two-tier cache both key on the sweep layer's cache

@@ -10,12 +10,14 @@ A *record* is one completed experiment run:
       "seed":          0,
       "fast":          true,
       "params":        {"presence_prob": 0.3},
+      "engine":        "auto",
       "version":       "1.0.0",
       "result":        { ... ExperimentResult.to_payload() ... }
     }
 
 The **cache key** hashes the run *identity* — ``(experiment_id, params,
-seed, fast, version)`` — never the result, so a stored record answers "has
+seed, fast, version)`` plus the constant ``engine`` field, which earlier
+releases let vary — never the result, so a stored record answers "has
 this exact point already been computed by this code?".  Identity fields are
 serialized with :func:`canonical_json` (sorted keys, no whitespace,
 ``repr``-stable floats), which makes the key independent of dict insertion
@@ -44,6 +46,11 @@ __all__ = [
     "record_result",
     "validate_record",
 ]
+
+#: the ``engine`` identity field of every experiment record: constant
+#: since the Monte-Carlo drivers have one engine, so the keys of runs
+#: stored when it was the default still hit
+_ENGINE = "auto"
 
 _REQUIRED_FIELDS = (
     "key",
@@ -81,27 +88,39 @@ def cache_key(
     fast: bool = True,
     params: Optional[Mapping[str, object]] = None,
     version: str = __version__,
-    engine: str = "auto",
 ) -> str:
     """The content hash identifying one sweep point.
 
     Two calls with the same identity produce the same key regardless of the
     ``params`` dict's insertion order; any change to the experiment id, a
-    knob value, the seed, the mode, the engine or the package version
-    changes the key (so results computed by older code — or by a different
-    Monte-Carlo engine, whose stream layout differs — are never served as
-    cache hits).  ``n_jobs`` is deliberately *not* part of the identity:
-    results are bit-identical for any worker count.
+    knob value, the seed, the mode or the package version changes the key
+    (so results computed by older code are never served as cache hits).
+    ``n_jobs`` is deliberately *not* part of the identity: results are
+    bit-identical for any worker count.
     """
-    identity = {
+    return _identity(experiment_id, seed, fast, params, version)["key"]
+
+
+def _identity(
+    experiment_id, seed, fast, params, version, tag: str = _ENGINE
+) -> Dict[str, object]:
+    """A record's identity fields under their ``key``.
+
+    ``tag`` fills the ``engine`` field: the constant ``"auto"`` for
+    experiment runs, ``"mutation"`` for mutation-campaign records, and
+    whatever a record written when the engine was a choice holds, so its
+    stored key still validates.
+    """
+    identity: Dict[str, object] = {
         "experiment_id": str(experiment_id),
         "seed": int(seed),
         "fast": bool(fast),
         "params": canonical_params(params),
-        "engine": str(engine),
+        "engine": str(tag),
         "version": str(version),
     }
-    return hashlib.sha256(canonical_json(identity).encode("utf-8")).hexdigest()
+    key = hashlib.sha256(canonical_json(identity).encode("utf-8")).hexdigest()
+    return {"key": key, **identity}
 
 
 def make_record(
@@ -111,18 +130,9 @@ def make_record(
     params: Optional[Mapping[str, object]] = None,
     result: Optional[ExperimentResult] = None,
     version: str = __version__,
-    engine: str = "auto",
 ) -> Dict[str, object]:
     """Build a store record for one completed run."""
-    record: Dict[str, object] = {
-        "key": cache_key(experiment_id, seed, fast, params, version, engine),
-        "experiment_id": str(experiment_id),
-        "seed": int(seed),
-        "fast": bool(fast),
-        "params": canonical_params(params),
-        "engine": str(engine),
-        "version": str(version),
-    }
+    record = _identity(experiment_id, seed, fast, params, version)
     if result is not None:
         if result.experiment_id != experiment_id:
             raise ModelError(
@@ -156,14 +166,14 @@ def validate_record(record: Mapping[str, object]) -> None:
     missing = [field for field in _REQUIRED_FIELDS if field not in record]
     if missing:
         raise ModelError(f"record is missing field(s): {', '.join(missing)}")
-    expected = cache_key(
+    expected = _identity(
         record["experiment_id"],
         record["seed"],
         record["fast"],
         record["params"],
         record["version"],
         record["engine"],
-    )
+    )["key"]
     if record["key"] != expected:
         raise ModelError(
             f"record key {record['key']!r} does not match its identity "

@@ -9,8 +9,8 @@ sweep killed mid-flight resumes exactly where it stopped: re-running the
 same command skips every point that reached disk.
 
 Inside each point the experiment runs with the sweep's
-:class:`~repro.experiments.base.EngineConfig` (``engine``/``n_jobs``)
-installed, mirroring the single-run CLI.  Point-level workers
+:class:`~repro.experiments.base.EngineConfig` (``n_jobs``) installed,
+mirroring the single-run CLI.  Point-level workers
 (``n_procs``) and chunk-level workers (``n_jobs``) compose; results are
 bit-identical for any combination because every point derives its
 randomness from its own ``(seed, fast, params)`` identity alone.
@@ -43,7 +43,6 @@ from ..errors import ModelError
 from ..experiments import run_experiment
 from ..experiments.base import set_engine_config
 from ..mc.batch import run_tasks
-from ..mc.experiments import check_engine
 from ..obs import get_logger
 from ..store import ResultStore, make_record
 from .spec import SweepPoint, SweepSpec
@@ -66,32 +65,31 @@ def _log_point(point: SweepPoint, status: str, **fields: object) -> None:
         )
 
 # one sweep-point task: everything a worker process needs, all picklable
-_PointTask = Tuple[str, int, bool, Tuple[Tuple[str, object], ...], str, int]
+_PointTask = Tuple[str, int, bool, Tuple[Tuple[str, object], ...], int]
 
 
 def _execute_point(task: _PointTask) -> dict:
     """Run one grid point and return its store record (worker kernel).
 
     Module level so process pools can pickle it.  Installs the sweep's
-    engine configuration for the duration of the run — in a pool worker
+    worker count for the duration of the run — in a pool worker
     that process-global state is private to the worker; on the serial path
     the previous configuration is restored afterwards.
     """
-    experiment_id, seed, fast, params, engine, n_jobs = task
-    previous = set_engine_config(engine=engine, n_jobs=n_jobs)
+    experiment_id, seed, fast, params, n_jobs = task
+    previous = set_engine_config(n_jobs=n_jobs)
     try:
         result = run_experiment(
             experiment_id, seed=seed, fast=fast, params=dict(params)
         )
     finally:
-        set_engine_config(engine=previous.engine, n_jobs=previous.n_jobs)
+        set_engine_config(n_jobs=previous.n_jobs)
     return make_record(
         experiment_id,
         seed=seed,
         fast=fast,
         params=dict(params),
         result=result,
-        engine=engine,
     )
 
 
@@ -218,21 +216,18 @@ class SweepReport:
 
 
 class Sweep:
-    """A declarative grid bound to a result store and an engine config."""
+    """A declarative grid bound to a result store and a worker count."""
 
     def __init__(
         self,
         spec: SweepSpec,
         store: ResultStore,
-        engine: str = "auto",
         n_jobs: int = 1,
     ) -> None:
-        check_engine(
-            engine, n_jobs, None if spec.precision is None else "a [precision] sweep"
-        )
+        if n_jobs < 1:
+            raise ModelError(f"n_jobs must be >= 1, got {n_jobs}")
         self.spec = spec
         self.store = store
-        self.engine = engine
         self.n_jobs = n_jobs
 
     # -- precision plumbing -------------------------------------------------
@@ -292,7 +287,7 @@ class Sweep:
         cached: List[SweepPoint] = []
         pending: List[SweepPoint] = []
         for point in points:
-            record = self.store.get(point.cache_key(engine=self.engine))
+            record = self.store.get(point.cache_key())
             is_hit = record is not None and "result" in record
             (cached if is_hit else pending).append(point)
         return cached, pending
@@ -309,7 +304,7 @@ class Sweep:
         report.total += len(cached) + len(pending)
         report.cached += len(cached)
         for point in cached:
-            key = point.cache_key(engine=self.engine)
+            key = point.cache_key()
             record = self.store.get(key)
             if not record["result"]["passed"]:
                 report.failed_keys.append(key)
@@ -325,14 +320,11 @@ class Sweep:
                 point.seed,
                 point.fast,
                 point.params,
-                self.engine,
                 self.n_jobs,
             )
             for point in pending
         ]
-        point_by_key = {
-            point.cache_key(engine=self.engine): point for point in pending
-        }
+        point_by_key = {point.cache_key(): point for point in pending}
 
         def persist(record: dict) -> None:
             # invoked in completion order (out of task order when
@@ -367,8 +359,8 @@ class Sweep:
         computes is mirrored into the local store, so a later offline
         ``aggregate`` or re-run needs no service at all.
 
-        Points run with this sweep's ``engine``/``n_jobs`` (part of the
-        cache identity / forwarded per request), and ``n_procs`` becomes
+        Points run with this sweep's ``n_jobs`` (forwarded per request),
+        and ``n_procs`` becomes
         the number of concurrent client threads — the service's own queue
         and worker pool bound actual compute concurrency.  A
         ``[precision]`` plan's per-point targets flow through like any
@@ -395,7 +387,7 @@ class Sweep:
         report.total = len(cached) + len(pending)
         report.cached = len(cached)
         for point in cached:
-            key = point.cache_key(engine=self.engine)
+            key = point.cache_key()
             if not self.store.get(key)["result"]["passed"]:
                 report.failed_keys.append(key)
             report.outcomes.append((point, "cached"))
@@ -414,7 +406,6 @@ class Sweep:
                 seed=point.seed,
                 fast=point.fast,
                 params=point.params_dict or None,
-                engine=self.engine,
                 n_jobs=self.n_jobs,
             )
 
@@ -482,7 +473,7 @@ class Sweep:
         sigmas = {}
         metric_counts = {}
         for point in capable:
-            key = point.cache_key(engine=self.engine)
+            key = point.cache_key()
             record = self.store.get(key)
             sigmas[key] = record_sigma(record) if record is not None else 0.0
             metric_counts[key] = _record_metric_count(record)
@@ -490,7 +481,7 @@ class Sweep:
             sigmas, total=plan.budget_total, floor=plan.target.initial
         )
         point_by_key = {
-            point.cache_key(engine=self.engine): point for point in capable
+            point.cache_key(): point for point in capable
         }
         final_points = []
         for key, budget in budgets.items():
@@ -513,6 +504,6 @@ class Sweep:
             per_metric = max(budget // metric_counts[key], 1)
             final = self._with_precision(raw, per_metric)
             final_points.append(final)
-            report.allocations[final.cache_key(engine=self.engine)] = budget
+            report.allocations[final.cache_key()] = budget
         self._run_points(final_points, report, n_procs, progress)
         return report

@@ -138,21 +138,10 @@ class SweepPoint:
         """The knobs as a plain dict."""
         return dict(self.params)
 
-    def cache_key(
-        self, version: str = __version__, engine: str = "auto"
-    ) -> str:
-        """The store key this point's record lives under.
-
-        The engine is part of the identity — scalar and batch stream
-        layouts differ, so their results must never share a cache slot.
-        """
+    def cache_key(self, version: str = __version__) -> str:
+        """The store key this point's record lives under."""
         return cache_key(
-            self.experiment_id,
-            self.seed,
-            self.fast,
-            self.params_dict,
-            version,
-            engine,
+            self.experiment_id, self.seed, self.fast, self.params_dict, version
         )
 
     def label(self) -> str:

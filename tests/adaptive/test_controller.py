@@ -19,7 +19,19 @@ from repro.core import ELModel, SameSuite
 from repro.errors import ModelError
 from repro.experiments.models import standard_scenario
 from repro.mc import simulate_version_pfd
-from repro.testing import ImperfectFixing, ImperfectOracle
+from repro.testing import ImperfectFixing, ImperfectOracle, PerfectOracle
+from repro.testing.oracle import Oracle
+
+
+class _RowOracle(PerfectOracle):
+    """The perfect oracle, on the per-row plan."""
+
+
+class _NeverOracle(Oracle):
+    """An oracle that never sees a failure."""
+
+    def detects(self, version, demand, rng=None):
+        return False
 
 
 def _noise_kernel(task):
@@ -226,24 +238,38 @@ class TestAdaptersAgainstFixedN:
         assert metric.converged
         assert 0.0 < metric.estimate.mean < 1.0
 
-    def test_custom_policy_rejected(self):
-        from repro.testing.oracle import Oracle
-
-        class WeirdOracle(Oracle):
-            def detects(self, version, demand, rng=None):
-                return False
-
+    def test_custom_policy_runs_on_the_per_row_plan(self):
+        """A custom oracle rides the same adaptive chunks on the per-row
+        plan: a trivial perfect-oracle subclass reproduces the kernel's
+        report bit for bit, and a blind oracle leaves every version
+        untested."""
         scenario = standard_scenario(0)
         target = PrecisionTarget(rel_hw=0.1, budget=1000)
-        with pytest.raises(ModelError):
+        runs = [
             adaptive_version_pfd(
                 scenario.population,
                 scenario.generator,
                 scenario.profile,
                 target,
-                oracle=WeirdOracle(),
+                oracle=oracle,
                 rng=0,
-            )
+            ).only
+            for oracle in (None, _RowOracle())
+        ]
+        assert runs[0].replications == runs[1].replications
+        assert runs[0].estimate.mean == runs[1].estimate.mean
+        assert runs[0].estimate.half_width == runs[1].estimate.half_width
+        never = adaptive_version_pfd(
+            scenario.population,
+            scenario.generator,
+            scenario.profile,
+            target,
+            oracle=_NeverOracle(),
+            rng=0,
+        ).only
+        assert never.estimate.mean == pytest.approx(
+            scenario.population.pfd(scenario.profile), rel=0.1
+        )
 
 
 class TestSimulatePrecisionKwarg:
@@ -272,7 +298,7 @@ class TestSimulatePrecisionKwarg:
 
     def test_scalar_engine_rejected_with_precision(self):
         scenario = standard_scenario(0)
-        with pytest.raises(ModelError, match="scalar"):
+        with pytest.raises(TypeError, match="engine"):
             simulate_version_pfd(
                 scenario.population,
                 scenario.generator,

@@ -159,17 +159,32 @@ class TestBackToBackEnvelope:
         self, bernoulli_population, operational_generator, profile
     ):
         """Each comparator's fixing draws from its own child of the
-        replication stream, so a fixed seed gives one envelope."""
+        replication stream, so a fixed seed gives one envelope.  A trivial
+        fixing subclass takes the per-replication loop; the pinned values
+        are that loop's draws when it ran as ``engine="scalar"``."""
+
+        class LoopFixing(ImperfectFixing):
+            pass
+
         envelopes = [
             back_to_back_envelope(
                 bernoulli_population,
                 operational_generator,
                 profile,
-                fixing=ImperfectFixing(0.5),
+                fixing=LoopFixing(0.5),
                 n_replications=200,
                 rng=9,
-                engine="scalar",
             )
             for _ in range(2)
         ]
         assert envelopes[0] == envelopes[1]
+        pinned = (0.0705, 0.116, 0.112, 0.16325, 0.20025, 0.195)
+        got = (
+            envelopes[0].optimistic_system_pfd,
+            envelopes[0].pessimistic_system_pfd,
+            envelopes[0].shared_fault_system_pfd,
+            envelopes[0].optimistic_version_pfd,
+            envelopes[0].pessimistic_version_pfd,
+            envelopes[0].shared_fault_version_pfd,
+        )
+        assert got == pytest.approx(pinned, abs=1e-12)

@@ -1,8 +1,9 @@
 """Tests for the coverage oracle/fixing pair and its engine integration.
 
-The pair must (a) behave correctly on the scalar path and (b) be
-recognised structurally by the batch planner with scalar/batch
-statistical parity.
+The pair must (a) behave correctly under the demand-ordered
+:func:`~repro.testing.apply_testing` and (b) be recognised by the batch
+planner, with the vectorized closure and the per-row plan in statistical
+parity.
 """
 
 import numpy as np
@@ -20,7 +21,8 @@ from repro.coverage import (
 from repro.demand import DemandSpace, zipf_profile
 from repro.errors import ModelError, ProbabilityError
 from repro.faults import clustered_universe
-from repro.mc import batch_supported, simulate_marginal_system_pfd
+from repro.mc import simulate_marginal_system_pfd
+from repro.mc.batch import _testing_plan
 from repro.populations import BernoulliFaultPopulation
 from repro.rng import as_generator
 from repro.testing import (
@@ -104,16 +106,30 @@ def test_scalar_engine_runs_the_pair(model):
     assert outcome.after.fault_ids.size <= version.fault_ids.size
 
 
+class _RowCoverageOracle(CoverageOracle):
+    """The coverage oracle, on the per-row plan."""
+
+
+class _RowCoverageFixing(CoverageFixing):
+    """The coverage fixing, on the per-row plan."""
+
+
 def test_batch_supported_truth_table(model):
     _profile, universe, _population, _generator, components, matrix = model
     oracle, fixing = coverage_testing_pair(components, matrix)
-    assert batch_supported(oracle, fixing)
-    # half-supplied or mismatched pairs fall back to scalar
-    assert not batch_supported(oracle, None)
-    assert not batch_supported(None, fixing)
-    assert not batch_supported(oracle, ImperfectFixing(0.5))
+
+    def kind(oracle, fixing):
+        return _testing_plan(oracle, fixing)[0]
+
+    assert kind(oracle, fixing) == "coverage"
+    # half-supplied, mismatched or subclassed pairs run per row
+    assert kind(oracle, None) == "rows"
+    assert kind(None, fixing) == "rows"
+    assert kind(oracle, ImperfectFixing(0.5)) == "rows"
     other = CoverageFixing((0.5,) * len(universe))
-    assert not batch_supported(oracle, other)
+    assert kind(oracle, other) == "rows"
+    probs = oracle.fault_detection_probs
+    assert kind(_RowCoverageOracle(probs), _RowCoverageFixing(probs)) == "rows"
 
 
 def test_scalar_and_batch_engines_agree(model):
@@ -122,10 +138,17 @@ def test_scalar_and_batch_engines_agree(model):
     regime = SameSuite(generator)
     kwargs = dict(oracle=oracle, fixing=fixing, n_replications=2000, rng=61)
     scalar = simulate_marginal_system_pfd(
-        regime, population, profile, engine="scalar", **kwargs
+        regime,
+        population,
+        profile,
+        **dict(
+            kwargs,
+            oracle=_RowCoverageOracle(oracle.fault_detection_probs),
+            fixing=_RowCoverageFixing(fixing.fault_detection_probs),
+        ),
     )
     batch = simulate_marginal_system_pfd(
-        regime, population, profile, engine="batch", **kwargs
+        regime, population, profile, **kwargs
     )
     assert _overlap(scalar, batch)
 
@@ -137,11 +160,11 @@ def test_coverage_testing_weaker_than_perfect(model):
     oracle, fixing = coverage_testing_pair(components, matrix)
     regime = SameSuite(generator)
     limited = simulate_marginal_system_pfd(
-        regime, population, profile, engine="batch",
+        regime, population, profile,
         oracle=oracle, fixing=fixing, n_replications=4000, rng=61,
     )
     perfect = simulate_marginal_system_pfd(
-        regime, population, profile, engine="batch",
+        regime, population, profile,
         n_replications=4000, rng=61,
     )
     assert limited.mean >= perfect.mean

@@ -1,5 +1,7 @@
 """Tests for the python -m repro.experiments CLI (default run path)."""
 
+import pytest
+
 from repro.experiments.__main__ import main
 
 
@@ -36,18 +38,19 @@ class TestCli:
         assert main(["a5", "--seed", "3", "--summary-only"]) == 0
 
     def test_engine_flags_accepted(self, capsys):
-        assert main(["a5", "--engine", "scalar", "--summary-only"]) == 0
-        assert (
-            main(["a5", "--engine", "batch", "--n-jobs", "2", "--summary-only"])
-            == 0
-        )
+        """``--n-jobs`` is the one engine flag left; the retired
+        ``--engine`` is an unknown flag."""
+        assert main(["a5", "--n-jobs", "2", "--summary-only"]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["a5", "--engine", "batch", "--summary-only"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_engine_config_restored_after_run(self):
-        from repro.experiments.base import engine_config
+        from repro.experiments.base import engine_kwargs
 
-        main(["a5", "--engine", "scalar", "--summary-only"])
-        assert engine_config().engine == "auto"
-        assert engine_config().n_jobs == 1
+        main(["a5", "--n-jobs", "2", "--summary-only"])
+        assert engine_kwargs() == {"n_jobs": 1}
 
 
 class TestCliPrecisionFlags:

@@ -167,20 +167,21 @@ class TestServeExitCodes:
 
 class TestEngineFlagPaths:
     def test_scalar_and_batch_agree_on_verdict(self, capsys):
-        assert main(["e12", "--engine", "scalar", "--summary-only"]) == EXIT_OK
-        scalar_out = capsys.readouterr().out
-        assert main(["e12", "--engine", "batch", "--summary-only"]) == EXIT_OK
-        batch_out = capsys.readouterr().out
-        assert "PASS" in scalar_out and "PASS" in batch_out
+        """The one engine path is invariant to its worker count: serial and
+        sharded runs print the same report."""
+        assert main(["e12", "--n-jobs", "1"]) == EXIT_OK
+        serial_out = capsys.readouterr().out
+        assert main(["e12", "--n-jobs", "2"]) == EXIT_OK
+        sharded_out = capsys.readouterr().out
+        assert "PASS" in serial_out and serial_out == sharded_out
 
     def test_scalar_engine_rejects_precision_runs(self, capsys):
-        # the adaptive engine rides the batch kernels; --engine scalar
-        # with a precision target must fail loudly, not silently ignore
-        code = main(
-            ["e01", "--engine", "scalar", "--target-rel-hw", "0.5"]
-        )
-        assert code == EXIT_USAGE
-        assert "scalar" in capsys.readouterr().err
+        # --engine is retired: with a precision target it must fail
+        # loudly as an unknown flag, not silently run
+        with pytest.raises(SystemExit) as exit_info:
+            main(["e01", "--engine", "scalar", "--target-rel-hw", "0.5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine scalar" in capsys.readouterr().err
 
     def test_multiple_unknown_ids_reported_together(self, capsys):
         assert main(["e99", "zzz", "a5"]) == EXIT_USAGE

@@ -50,3 +50,17 @@ def test_no_stale_or_duplicate_catalog_rows(checker, catalog_text):
 
 def test_checker_script_passes(checker, capsys):
     assert checker.main() == 0
+
+
+def test_kernels_doc_check_gates_on_plan_kinds(checker, tmp_path, monkeypatch):
+    """The engine page must list exactly the plan kinds the batch planner
+    returns: a dropped row and a stale row are both reported."""
+    text = (_REPO_ROOT / "docs" / "kernels.md").read_text()
+    edited = tmp_path / "kernels.md"
+    edited.write_text(
+        text.replace("| `rows` |", "| `scalar` |")
+    )
+    monkeypatch.setattr(checker, "KERNELS_DOC", edited)
+    problems = checker.check_kernels_doc()
+    assert len(problems) == 2
+    assert "['rows']" in problems[0] and "['scalar']" in problems[1]

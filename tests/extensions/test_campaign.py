@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.extensions import (
+    Activity,
     BackToBackActivity,
     ClarificationActivity,
     ClarificationProcess,
@@ -130,6 +131,15 @@ class TestMeanFinalPfd:
             )
 
 
+class _LoopOnly(Activity):
+    """A do-nothing activity without a batch form."""
+
+    kind = "loop only"
+
+    def apply(self, version_a, version_b, rng):
+        return version_a, version_b
+
+
 class TestBatchPath:
     @pytest.fixture
     def full_campaign(self, generator, space):
@@ -154,10 +164,14 @@ class TestBatchPath:
         self, full_campaign, bernoulli_population, profile
     ):
         batch = full_campaign.mean_final_system_pfd(
-            bernoulli_population, profile, n_replications=600, rng=7, engine="batch"
+            bernoulli_population, profile, n_replications=600, rng=7
         )
-        scalar = full_campaign.mean_final_system_pfd(
-            bernoulli_population, profile, n_replications=600, rng=7, engine="scalar"
+        # one activity without a batch form sends the whole campaign to
+        # the per-replication trajectory loop
+        looped = DevelopmentCampaign(full_campaign.activities + [_LoopOnly()])
+        assert not looped.supports_batch
+        scalar = looped.mean_final_system_pfd(
+            bernoulli_population, profile, n_replications=600, rng=7
         )
         assert batch == pytest.approx(scalar, abs=0.03)
 
@@ -183,22 +197,21 @@ class TestBatchPath:
 
         campaign = DevelopmentCampaign([NoOpActivity(generator)])
         assert not campaign.supports_batch
-        # auto silently takes the scalar loop; forcing batch is an error
+        # the campaign silently takes the per-replication loop
         value = campaign.mean_final_system_pfd(
             bernoulli_population, profile, n_replications=20, rng=13
         )
         assert 0.0 <= value <= 1.0
-        with pytest.raises(ModelError, match="engine='batch'"):
-            campaign.mean_final_system_pfd(
-                bernoulli_population, profile, n_replications=20, engine="batch"
-            )
+        assert value == campaign.mean_final_system_pfd(
+            bernoulli_population, profile, n_replications=20, rng=13
+        )
 
     def test_compiled_engine_rejected(
         self, full_campaign, bernoulli_population, profile
     ):
-        # the retired name fails like any unknown one
-        for engine in ("compiled", "gpu"):
-            with pytest.raises(ModelError, match="engine must be one of"):
+        # engine= is retired: every name is an unknown keyword
+        for engine in ("compiled", "gpu", "scalar"):
+            with pytest.raises(TypeError, match="engine"):
                 full_campaign.mean_final_system_pfd(
                     bernoulli_population, profile, n_replications=20, engine=engine
                 )

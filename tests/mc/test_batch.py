@@ -3,14 +3,17 @@
 Three layers of assurance:
 
 * **property tests** — the batched perfect-oracle testing closure agrees
-  row-for-row with the scalar :func:`repro.testing.apply_testing` on
+  row-for-row with :func:`repro.testing.apply_testing` on
   hypothesis-generated universes, versions and suites;
-* **statistical agreement** — batched and scalar ``simulate_*`` paths give
-  estimates with overlapping 95% confidence intervals on a shared model;
+* **agreement with the per-row plan** — a trivial :class:`PerfectOracle`
+  subclass sends a driver down the per-row plan, which runs
+  :func:`~repro.testing.apply_testing` on every row of the blocks the
+  kernel draws; its estimates equal the kernel's, or overlap them at 95%
+  where the two plans draw different streams;
 * **execution semantics** — batched runs are deterministic under a seed,
-  invariant to ``n_jobs`` at fixed chunking, and reject custom
-  oracle/fixing policies (imperfect oracles/fixing run vectorized; see
-  tests/mc/test_batch_imperfect.py for their agreement suite).
+  invariant to ``n_jobs`` at fixed chunking, and run custom oracle/fixing
+  policies on the per-row plan (imperfect oracles/fixing run vectorized;
+  see tests/mc/test_batch_imperfect.py for their agreement suite).
 """
 
 import numpy as np
@@ -24,24 +27,68 @@ from repro.errors import ModelError
 from repro.faults import FaultUniverse, clustered_universe
 from repro.mc import (
     MeanEstimator,
+    ProportionEstimator,
     apply_testing_batch,
-    batch_supported,
     simulate_joint_on_demand,
     simulate_marginal_system_pfd,
     simulate_untested_joint_on_demand,
     simulate_version_pfd,
 )
+from repro.mc.batch import _testing_plan
 from repro.populations import BernoulliFaultPopulation
 from repro.rng import as_generator, spawn_many
 from repro.testing import (
     ImperfectFixing,
     ImperfectOracle,
     OperationalSuiteGenerator,
+    PerfectFixing,
+    PerfectOracle,
     SuiteGenerator,
     TestSuite,
     apply_testing,
 )
 from repro.versions import Version
+
+
+class _RowOracle(PerfectOracle):
+    """The perfect oracle, on the per-row plan (the planner serves exact
+    types only)."""
+
+
+class _RowImperfectOracle(ImperfectOracle):
+    """The §4.1 oracle, on the per-row plan."""
+
+
+class _RowImperfectFixing(ImperfectFixing):
+    """The §4.1 fixing, on the per-row plan."""
+
+
+def _on_rows(testing):
+    """The per-row twin of a testing-kwargs dict: every policy swapped for
+    its trivial subclass (a perfect oracle when none is given)."""
+    oracle = testing.get("oracle")
+    fixing = testing.get("fixing")
+    return {
+        "oracle": (
+            _RowOracle()
+            if oracle is None
+            else _RowImperfectOracle(oracle.detection_probability)
+        ),
+        "fixing": (
+            None if fixing is None else _RowImperfectFixing(fixing.fix_probability)
+        ),
+    }
+
+
+def _same(first, second):
+    """Bit-identical estimators."""
+    if hasattr(first, "successes"):
+        return (first.successes, first.count) == (second.successes, second.count)
+    return (first.count, first.mean, first.variance) == (
+        second.count,
+        second.mean,
+        second.variance,
+    )
 
 
 def _overlap(first, second, confidence=0.95):
@@ -135,21 +182,27 @@ def test_fault_matrix_rows_are_valid_versions(seed, count):
 
 
 # ---------------------------------------------------------------------------
-# statistical agreement between engines
+# agreement between the kernels and the per-row plan
 # ---------------------------------------------------------------------------
 
 
 def test_untested_joint_engines_agree(model):
+    """No testing plan here: the reference is a per-replication loop of
+    version pairs drawn one at a time."""
     _space, _profile, _universe, population, _generator = model
     demand = 2
-    scalar = simulate_untested_joint_on_demand(
-        population, demand, n_replications=3000, rng=11, engine="scalar"
-    )
+    reference = ProportionEstimator()
+    for stream in spawn_many(as_generator(11), 3000):
+        first, second = spawn_many(stream, 2)
+        reference.add(
+            population.sample(first).fails_on(demand)
+            and population.sample(second).fails_on(demand)
+        )
     batch = simulate_untested_joint_on_demand(
-        population, demand, n_replications=3000, rng=11, engine="batch"
+        population, demand, n_replications=3000, rng=11
     )
-    assert batch.count == scalar.count == 3000
-    assert _overlap(scalar, batch)
+    assert batch.count == reference.count == 3000
+    assert _overlap(reference, batch)
     theta = population.difficulty()[demand]
     assert batch.contains(float(theta**2), confidence=0.999)
 
@@ -159,38 +212,41 @@ def test_tested_joint_engines_agree(model, regime_cls):
     _space, _profile, _universe, population, generator = model
     regime = regime_cls(generator)
     demand = 2
-    scalar = simulate_joint_on_demand(
-        regime, population, demand, n_replications=3000, rng=13, engine="scalar"
+    rows = simulate_joint_on_demand(
+        regime, population, demand, n_replications=3000, rng=13, oracle=_RowOracle()
     )
     batch = simulate_joint_on_demand(
-        regime, population, demand, n_replications=3000, rng=13, engine="batch"
+        regime, population, demand, n_replications=3000, rng=13
     )
-    assert _overlap(scalar, batch)
+    assert _same(rows, batch)
 
 
 def test_marginal_engines_agree(model):
     _space, profile, _universe, population, generator = model
     regime = SameSuite(generator)
-    scalar = simulate_marginal_system_pfd(
-        regime, population, profile, n_replications=1500, rng=17, engine="scalar"
+    rows = simulate_marginal_system_pfd(
+        regime, population, profile, n_replications=1500, rng=17, oracle=_RowOracle()
     )
     batch = simulate_marginal_system_pfd(
-        regime, population, profile, n_replications=1500, rng=17, engine="batch"
+        regime, population, profile, n_replications=1500, rng=17
     )
-    assert _overlap(scalar, batch)
+    assert _same(rows, batch)
 
 
 def test_marginal_raw_demand_engines_agree(model):
+    """The per-row plan draws the raw demands from the §4.1 layout's sixth
+    stream, the perfect kernel from its fourth: they agree in
+    distribution."""
     _space, profile, _universe, population, generator = model
     regime = SameSuite(generator)
-    scalar = simulate_marginal_system_pfd(
+    rows = simulate_marginal_system_pfd(
         regime,
         population,
         profile,
         n_replications=4000,
         rng=19,
         rao_blackwell=False,
-        engine="scalar",
+        oracle=_RowOracle(),
     )
     batch = simulate_marginal_system_pfd(
         regime,
@@ -199,20 +255,19 @@ def test_marginal_raw_demand_engines_agree(model):
         n_replications=4000,
         rng=19,
         rao_blackwell=False,
-        engine="batch",
     )
-    assert _overlap(scalar, batch)
+    assert _overlap(rows, batch)
 
 
 def test_version_pfd_engines_agree(model):
     _space, profile, _universe, population, generator = model
-    scalar = simulate_version_pfd(
-        population, generator, profile, n_replications=1500, rng=23, engine="scalar"
+    rows = simulate_version_pfd(
+        population, generator, profile, n_replications=1500, rng=23, oracle=_RowOracle()
     )
     batch = simulate_version_pfd(
-        population, generator, profile, n_replications=1500, rng=23, engine="batch"
+        population, generator, profile, n_replications=1500, rng=23
     )
-    assert _overlap(scalar, batch)
+    assert _same(rows, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +279,10 @@ def test_batch_deterministic_under_seed(model):
     _space, profile, _universe, population, generator = model
     regime = SameSuite(generator)
     first = simulate_marginal_system_pfd(
-        regime, population, profile, n_replications=500, rng=29, engine="batch"
+        regime, population, profile, n_replications=500, rng=29
     )
     second = simulate_marginal_system_pfd(
-        regime, population, profile, n_replications=500, rng=29, engine="batch"
+        regime, population, profile, n_replications=500, rng=29
     )
     assert first.mean == second.mean
     assert first.variance == second.variance
@@ -238,7 +293,6 @@ def test_chunked_run_covers_full_budget(model):
     regime = SameSuite(generator)
     estimator = simulate_marginal_system_pfd(
         regime, population, profile, n_replications=1001, rng=31, chunk_size=100,
-        engine="batch",
     )
     assert estimator.count == 1001
 
@@ -254,7 +308,6 @@ def test_n_jobs_invariant_at_fixed_chunking(model):
         rng=37,
         chunk_size=100,
         n_jobs=1,
-        engine="batch",
     )
     sharded = simulate_marginal_system_pfd(
         regime,
@@ -264,7 +317,6 @@ def test_n_jobs_invariant_at_fixed_chunking(model):
         rng=37,
         chunk_size=100,
         n_jobs=2,
-        engine="batch",
     )
     assert sharded.count == serial.count
     assert sharded.mean == serial.mean
@@ -276,11 +328,9 @@ def test_proportion_n_jobs_invariant(model):
     regime = IndependentSuites(generator)
     serial = simulate_joint_on_demand(
         regime, population, 2, n_replications=400, rng=41, chunk_size=100, n_jobs=1,
-        engine="batch",
     )
     sharded = simulate_joint_on_demand(
         regime, population, 2, n_replications=400, rng=41, chunk_size=100, n_jobs=2,
-        engine="batch",
     )
     assert (sharded.successes, sharded.count) == (serial.successes, serial.count)
 
@@ -321,8 +371,7 @@ def _joint_runs(model, design, plan, demands, **kwargs):
         demands,
         population_b,
         rng=23,
-        **_PLANS[plan],
-        **kwargs,
+        **{**_PLANS[plan], **kwargs},
     )
 
 
@@ -338,21 +387,25 @@ def _assert_columns_match(model, design, plan, sequence_kwargs, single_kwargs):
         )
 
 
+#: "batch" runs the plan's kernel; "scalar" (the label of the retired
+#: per-replication engine) runs the same testing on the per-row plan
 @pytest.mark.parametrize(
-    "engine, n_replications", [("batch", 2000), ("scalar", 120)]
+    "path, n_replications", [("batch", 2000), ("scalar", 120)]
 )
 @pytest.mark.parametrize("plan", sorted(_PLANS))
 @pytest.mark.parametrize("design", sorted(_DESIGNS))
 def test_demand_sequence_equals_single_demand_runs(
-    model, design, plan, engine, n_replications
+    model, design, plan, path, n_replications
 ):
-    kwargs = dict(engine=engine, n_replications=n_replications)
+    kwargs = dict(n_replications=n_replications)
+    if path == "scalar":
+        kwargs.update(_on_rows(_PLANS[plan]))
     _assert_columns_match(model, design, plan, kwargs, kwargs)
 
 
 @pytest.mark.parametrize("plan", sorted(_PLANS))
 def test_sharded_demand_sequence_equals_single_demand_runs(model, plan):
-    kwargs = dict(engine="batch", n_replications=400, chunk_size=100)
+    kwargs = dict(n_replications=400, chunk_size=100)
     _assert_columns_match(
         model, "forced_design", plan, dict(kwargs, n_jobs=2), kwargs
     )
@@ -370,7 +423,7 @@ def test_demand_sequence_rejects_precision(model):
 
 
 class _CustomOracle(ImperfectOracle):
-    """An oracle the batch engine cannot introspect (custom subclass)."""
+    """An oracle the batch kernels cannot introspect (custom subclass)."""
 
     def detects(self, version, demand, rng):
         return super().detects(version, demand, rng)
@@ -388,9 +441,9 @@ class _SampleOnlyGenerator(SuiteGenerator):
 
 def test_sample_only_generator_runs_on_batch(model):
     """The base-class block draws loop ``sample`` on the same spawned
-    streams, so a subclass defining only ``sample`` runs on
-    ``engine="batch"``, in the perfect (masks) and §4.1 (sequences)
-    closures alike, and agrees with the scalar loop."""
+    streams, so a subclass defining only ``sample`` runs on the batch
+    blocks, in the perfect (masks) and §4.1 (sequences) closures alike,
+    and agrees with the per-row plan."""
     space, profile, _universe, population, _generator = model
     custom = _SampleOnlyGenerator(space)
     suites = [custom.sample(stream) for stream in spawn_many(as_generator(5), 40)]
@@ -407,69 +460,75 @@ def test_sample_only_generator_runs_on_batch(model):
         {"oracle": ImperfectOracle(0.6), "fixing": ImperfectFixing(0.5)},
     ):
         batch = simulate_version_pfd(
-            population, custom, profile, n_replications=3000, rng=11,
-            engine="batch", **testing,
+            population, custom, profile, n_replications=3000, rng=11, **testing,
         )
-        scalar = simulate_version_pfd(
+        rows = simulate_version_pfd(
             population, custom, profile, n_replications=400, rng=11,
-            engine="scalar", **testing,
+            **_on_rows(testing),
         )
-        assert _overlap(batch, scalar), (batch.mean, scalar.mean)
+        assert _overlap(batch, rows), (batch.mean, rows.mean)
 
 
 def test_custom_oracle_not_batch_supported(model):
+    """A custom oracle gets no kernel: the default call runs it on the
+    per-row plan, the same run as forcing that plan with the oracle's
+    trivial-subclass twin."""
     _space, profile, _universe, population, generator = model
     oracle = _CustomOracle(0.6)
-    assert not batch_supported(oracle=oracle)
-    # engine='auto' transparently falls back to the scalar loop
+    assert _testing_plan(oracle, None)[0] == "rows"
     regime = SameSuite(generator)
-    auto = simulate_marginal_system_pfd(
+    custom = simulate_marginal_system_pfd(
         regime, population, profile, n_replications=50, rng=43, oracle=oracle
     )
-    scalar = simulate_marginal_system_pfd(
+    rows = simulate_marginal_system_pfd(
         regime,
         population,
         profile,
         n_replications=50,
         rng=43,
-        oracle=oracle,
-        engine="scalar",
+        oracle=_RowImperfectOracle(0.6),
     )
-    assert auto.mean == scalar.mean
-    assert auto.variance == scalar.variance
+    assert _same(custom, rows)
 
 
 def test_imperfect_oracle_runs_on_batch_path(model):
     _space, profile, _universe, population, generator = model
     regime = SameSuite(generator)
     oracle = ImperfectOracle(0.6)
-    assert batch_supported(oracle=oracle)
+    assert _testing_plan(oracle, None)[0] == "bernoulli"
     batch = simulate_marginal_system_pfd(
         regime, population, profile, n_replications=2000, rng=43, oracle=oracle,
-        engine="batch",
     )
-    scalar = simulate_marginal_system_pfd(
+    rows = simulate_marginal_system_pfd(
         regime,
         population,
         profile,
         n_replications=2000,
         rng=43,
-        oracle=oracle,
-        engine="scalar",
+        oracle=_CustomOracle(0.6),
     )
-    assert _overlap(scalar, batch)
+    assert _overlap(rows, batch)
 
 
 def test_auto_engine_matches_forced_batch(model):
+    """With the engine knob gone, the default call and an explicitly
+    passed perfect pair resolve to the same kernel plan, bit for bit."""
     _space, profile, _universe, population, generator = model
     regime = SameSuite(generator)
-    auto = simulate_marginal_system_pfd(
+    default = simulate_marginal_system_pfd(
         regime, population, profile, n_replications=300, rng=47
     )
-    forced = simulate_marginal_system_pfd(
-        regime, population, profile, n_replications=300, rng=47, engine="batch"
+    explicit = simulate_marginal_system_pfd(
+        regime,
+        population,
+        profile,
+        n_replications=300,
+        rng=47,
+        oracle=PerfectOracle(),
+        fixing=PerfectFixing(),
     )
-    assert auto.mean == forced.mean
+    assert _testing_plan(PerfectOracle(), PerfectFixing())[0] == "perfect"
+    assert _same(default, explicit)
 
 
 def test_n_jobs_invariant_at_default_chunking(model):
@@ -477,30 +536,33 @@ def test_n_jobs_invariant_at_default_chunking(model):
     # 10001 replications span two default-size chunks
     _space, _profile, _universe, population, _generator = model
     serial = simulate_untested_joint_on_demand(
-        population, 2, n_replications=10001, rng=53, n_jobs=1, engine="batch"
+        population, 2, n_replications=10001, rng=53, n_jobs=1
     )
     sharded = simulate_untested_joint_on_demand(
-        population, 2, n_replications=10001, rng=53, n_jobs=2, engine="batch"
+        population, 2, n_replications=10001, rng=53, n_jobs=2
     )
     assert (sharded.successes, sharded.count) == (serial.successes, serial.count)
 
 
 def test_explicit_batch_engine_rejects_custom_oracle(model):
+    """``engine=`` is retired: naming it, even as ``"batch"``, is an
+    unknown keyword, while the custom oracle itself runs per row."""
     _space, profile, _universe, population, generator = model
-    with pytest.raises(ModelError, match="engine='batch'"):
-        simulate_marginal_system_pfd(
-            SameSuite(generator),
-            population,
-            profile,
-            n_replications=10,
-            oracle=_CustomOracle(0.5),
-            engine="batch",
-        )
+    call = dict(
+        regime=SameSuite(generator),
+        population_a=population,
+        profile=profile,
+        n_replications=10,
+        oracle=_CustomOracle(0.5),
+    )
+    with pytest.raises(TypeError, match="engine"):
+        simulate_marginal_system_pfd(**call, engine="batch")
+    assert simulate_marginal_system_pfd(**call).count == 10
 
 
 def test_unknown_engine_rejected(model):
     _space, profile, _universe, population, generator = model
-    with pytest.raises(ModelError):
+    with pytest.raises(TypeError, match="engine"):
         simulate_marginal_system_pfd(
             SameSuite(generator),
             population,
@@ -514,7 +576,7 @@ def test_invalid_replications_rejected_on_batch_path(model):
     _space, _profile, _universe, population, _generator = model
     with pytest.raises(ModelError):
         simulate_untested_joint_on_demand(
-            population, 0, n_replications=0, engine="batch"
+            population, 0, n_replications=0
         )
 
 

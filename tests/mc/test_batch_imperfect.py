@@ -1,18 +1,18 @@
 """Tests for the imperfect-regime and back-to-back batch kernels.
 
-Mirrors tests/mc/test_batch.py for the regimes PR 1 left on the scalar
-path:
+Mirrors tests/mc/test_batch.py for the §4.1 and §4.2 regimes:
 
 * **property / exactness** — the §4.1 kernel degenerates to the perfect
-  closure at ``p = q = 1``; the back-to-back kernel matches the scalar
+  closure at ``p = q = 1``; the back-to-back kernel matches
   :func:`repro.testing.back_to_back_testing` row for row (it is
-  deterministic under perfect fixing); the blind-spot closure matches the
-  scalar blind oracle/fixing pair exactly;
-* **statistical agreement** — batch and scalar engines give estimates with
+  deterministic under perfect fixing);
+* **statistical agreement** — the kernels and the demand-ordered per-row
+  plan (reached through trivial policy subclasses) give estimates with
   overlapping 99% confidence intervals for ``ImperfectOracle``,
-  ``ImperfectFixing``, their combination, and the back-to-back envelope;
+  ``ImperfectFixing``, their combination and the blind-spot pair, and the
+  back-to-back envelope agrees with its per-replication loop;
 * **execution semantics** — seed determinism and ``n_jobs`` invariance for
-  the new kernels, engine dispatch, and the suite representations
+  the new kernels, plan dispatch, and the suite representations
   (ordered sequences and their sorted demand runs) they are built on.
 """
 
@@ -23,6 +23,7 @@ from repro.core import IndependentSuites, SameSuite
 from repro.core.bounds import back_to_back_envelope
 from repro.demand import DemandSpace, uniform_profile, zipf_profile
 from repro.errors import ModelError
+from repro.extensions.mistakes import BlindSpotFixing, BlindSpotOracle
 from repro.faults import clustered_universe
 from repro.mc import (
     apply_coverage_testing_batch,
@@ -30,11 +31,11 @@ from repro.mc import (
     apply_testing_batch,
     back_to_back_batch,
     back_to_back_supported,
-    batch_supported,
     simulate_joint_on_demand,
     simulate_marginal_system_pfd,
     simulate_version_pfd,
 )
+from repro.mc.batch import _testing_plan
 from repro.populations import BernoulliFaultPopulation
 from repro.testing import (
     BackToBackComparator,
@@ -42,6 +43,8 @@ from repro.testing import (
     ImperfectFixing,
     ImperfectOracle,
     OperationalSuiteGenerator,
+    PerfectFixing,
+    PerfectOracle,
     back_to_back_testing,
 )
 from repro.testing.generators import _suite_runs
@@ -50,6 +53,42 @@ from repro.versions import (
     pessimistic_outputs,
     shared_fault_outputs,
 )
+
+
+class _RowOracle(ImperfectOracle):
+    """The §4.1 oracle, on the per-row plan (the planner serves exact
+    types only)."""
+
+
+class _RowFixing(ImperfectFixing):
+    """The §4.1 fixing, on the per-row plan."""
+
+
+class _RowPerfectOracle(PerfectOracle):
+    """The perfect oracle, on the per-row plan."""
+
+
+class _LoopFixing(PerfectFixing):
+    """Perfect fixing that sends ``back_to_back_envelope`` to its
+    per-replication loop."""
+
+
+class _RowBlindOracle(BlindSpotOracle):
+    """The blind-spot oracle, on the per-row plan."""
+
+
+class _RowBlindFixing(BlindSpotFixing):
+    """The blind-spot fixing, on the per-row plan."""
+
+
+def _on_rows(oracle, fixing):
+    """The per-row twin of an (oracle, fixing) pair."""
+    return (
+        _RowPerfectOracle()
+        if oracle is None
+        else _RowOracle(oracle.detection_probability),
+        None if fixing is None else _RowFixing(fixing.fix_probability),
+    )
 
 
 def _overlap(first, second, confidence=0.99):
@@ -212,7 +251,6 @@ def test_exhaustive_perfect_rates_remove_everything(model):
         rng=11,
         oracle=ImperfectOracle(1.0),
         fixing=ImperfectFixing(1.0),
-        engine="batch",
     )
     assert estimator.mean == 0.0
 
@@ -227,15 +265,15 @@ def test_exhaustive_perfect_rates_remove_everything(model):
 )
 def test_version_pfd_engines_agree_imperfect(model, oracle, fixing):
     _space, profile, _universe, population, generator = model
+    row_oracle, row_fixing = _on_rows(oracle, fixing)
     scalar = simulate_version_pfd(
         population,
         generator,
         profile,
         n_replications=3000,
         rng=13,
-        oracle=oracle,
-        fixing=fixing,
-        engine="scalar",
+        oracle=row_oracle,
+        fixing=row_fixing,
     )
     batch = simulate_version_pfd(
         population,
@@ -245,7 +283,6 @@ def test_version_pfd_engines_agree_imperfect(model, oracle, fixing):
         rng=13,
         oracle=oracle,
         fixing=fixing,
-        engine="batch",
     )
     assert _overlap(scalar, batch)
 
@@ -261,10 +298,13 @@ def test_joint_engines_agree_imperfect(model, regime_cls):
         rng=17,
     )
     scalar = simulate_joint_on_demand(
-        regime, population, 2, engine="scalar", **kwargs
+        regime,
+        population,
+        2,
+        **dict(kwargs, oracle=_RowOracle(0.7), fixing=_RowFixing(0.6)),
     )
     batch = simulate_joint_on_demand(
-        regime, population, 2, engine="batch", **kwargs
+        regime, population, 2, **kwargs
     )
     assert _overlap(scalar, batch)
 
@@ -279,10 +319,13 @@ def test_marginal_engines_agree_imperfect(model):
         rng=19,
     )
     scalar = simulate_marginal_system_pfd(
-        regime, population, profile, engine="scalar", **kwargs
+        regime,
+        population,
+        profile,
+        **dict(kwargs, oracle=_RowOracle(0.6), fixing=_RowFixing(0.5)),
     )
     batch = simulate_marginal_system_pfd(
-        regime, population, profile, engine="batch", **kwargs
+        regime, population, profile, **kwargs
     )
     assert _overlap(scalar, batch)
 
@@ -300,7 +343,6 @@ def test_imperfect_estimates_bracketed_by_envelope(model):
         n_replications=4000,
         rng=23,
         oracle=ImperfectOracle(0.5),
-        engine="batch",
     ).mean
     untested = population.pfd(profile)
     slack = 0.01
@@ -308,7 +350,7 @@ def test_imperfect_estimates_bracketed_by_envelope(model):
 
 
 # ---------------------------------------------------------------------------
-# back-to-back kernel: scalar equivalence and envelope agreement
+# back-to-back kernel: row-for-row equivalence and envelope agreement
 # ---------------------------------------------------------------------------
 
 
@@ -319,7 +361,7 @@ def test_imperfect_estimates_bracketed_by_envelope(model):
 )
 def test_back_to_back_matches_scalar_rows(model, outputs):
     # perfect fixing makes back-to-back deterministic given the draws, so
-    # the kernel must reproduce the scalar engine exactly, row for row
+    # the kernel must reproduce back_to_back_testing exactly, row for row
     _space, _profile, universe, population, generator = model
     rng = np.random.default_rng(29)
     comparator = BackToBackComparator(outputs)
@@ -371,11 +413,13 @@ def test_back_to_back_inputs_not_mutated(model):
 
 def test_envelope_engines_agree(model):
     _space, profile, _universe, population, generator = model
+    # a trivial fixing subclass runs the per-replication loop
     scalar = back_to_back_envelope(
-        population, generator, profile, n_replications=600, rng=37, engine="scalar"
+        population, generator, profile, fixing=_LoopFixing(), n_replications=600,
+        rng=37,
     )
     batch = back_to_back_envelope(
-        population, generator, profile, n_replications=600, rng=37, engine="batch"
+        population, generator, profile, n_replications=600, rng=37
     )
     fields = [
         "untested_system_pfd",
@@ -398,14 +442,25 @@ def test_envelope_engines_agree(model):
 
 
 def test_envelope_auto_engine_uses_batch(model):
+    """The default envelope is the chunked block kernel's: it equals the
+    kernel's chunks merged by hand."""
+    from functools import partial
+
+    from repro.core.bounds import BackToBackEnvelope
+    from repro.mc.batch import _chunk_back_to_back_envelope, _run_budget
+
     _space, profile, _universe, population, generator = model
     auto = back_to_back_envelope(
         population, generator, profile, n_replications=200, rng=41
     )
-    forced = back_to_back_envelope(
-        population, generator, profile, n_replications=200, rng=41, engine="batch"
+    kernel = partial(
+        _chunk_back_to_back_envelope, population, population, generator, profile, None
     )
-    assert auto.pessimistic_system_pfd == forced.pessimistic_system_pfd
+    results = _run_budget(kernel, 200, 41, None, 1)
+    sums = [0.0] * 9
+    for _count, chunk in results:
+        sums = [total + value for total, value in zip(sums, chunk)]
+    assert auto == BackToBackEnvelope.from_sums(sums, 200)
 
 
 def test_envelope_imperfect_fixing_supported(model):
@@ -414,10 +469,9 @@ def test_envelope_imperfect_fixing_supported(model):
     assert back_to_back_supported(fixing)
     partial = back_to_back_envelope(
         population, generator, profile, fixing=fixing, n_replications=300, rng=43,
-        engine="batch",
     )
     full = back_to_back_envelope(
-        population, generator, profile, n_replications=300, rng=43, engine="batch"
+        population, generator, profile, n_replications=300, rng=43
     )
     # weaker fixing removes fewer faults: every post-test pfd is >= the
     # perfect-fixing one (statistically; allow MC slack)
@@ -440,7 +494,6 @@ def test_imperfect_batch_deterministic_under_seed(model):
         n_replications=500,
         rng=47,
     )
-    kwargs["engine"] = "batch"
     first = simulate_marginal_system_pfd(regime, population, profile, **kwargs)
     second = simulate_marginal_system_pfd(regime, population, profile, **kwargs)
     assert first.mean == second.mean
@@ -458,10 +511,10 @@ def test_imperfect_n_jobs_invariant_at_fixed_chunking(model):
         chunk_size=100,
     )
     serial = simulate_marginal_system_pfd(
-        regime, population, profile, n_jobs=1, **kwargs, engine="batch"
+        regime, population, profile, n_jobs=1, **kwargs
     )
     sharded = simulate_marginal_system_pfd(
-        regime, population, profile, n_jobs=2, **kwargs, engine="batch"
+        regime, population, profile, n_jobs=2, **kwargs
     )
     assert sharded.count == serial.count
     assert sharded.mean == serial.mean
@@ -478,7 +531,6 @@ def test_envelope_n_jobs_invariant_at_fixed_chunking(model):
         rng=59,
         chunk_size=100,
         n_jobs=1,
-        engine="batch",
     )
     sharded = back_to_back_envelope(
         population,
@@ -488,24 +540,30 @@ def test_envelope_n_jobs_invariant_at_fixed_chunking(model):
         rng=59,
         chunk_size=100,
         n_jobs=2,
-        engine="batch",
     )
     assert serial == sharded
 
 
 def test_batch_supported_truth_table():
-    assert batch_supported()
-    assert batch_supported(oracle=ImperfectOracle(0.3))
-    assert batch_supported(fixing=ImperfectFixing(0.3))
-    assert batch_supported(ImperfectOracle(0.3), ImperfectFixing(0.3))
+    """Which pairs get a vectorized kernel; every other pair runs on the
+    per-row plan."""
+
+    def kind(oracle=None, fixing=None):
+        return _testing_plan(oracle, fixing)[0]
+
+    assert kind() == "perfect"
+    assert kind(oracle=ImperfectOracle(0.3)) == "bernoulli"
+    assert kind(fixing=ImperfectFixing(0.3)) == "bernoulli"
+    assert kind(ImperfectOracle(0.3), ImperfectFixing(0.3)) == "bernoulli"
     from repro.extensions import SpecificationMistake
 
     mistake = SpecificationMistake((0, 2))
-    assert batch_supported(mistake.blind_oracle(), mistake.blind_fixing())
-    # mismatched blind spots are order-dependent: scalar only
+    assert kind(mistake.blind_oracle(), mistake.blind_fixing()) == "blind"
+    # mismatched blind spots are order-dependent: per row only
     other = SpecificationMistake((1,))
-    assert not batch_supported(mistake.blind_oracle(), other.blind_fixing())
-    assert not batch_supported(mistake.blind_oracle(), ImperfectFixing(0.5))
+    assert kind(mistake.blind_oracle(), other.blind_fixing()) == "rows"
+    assert kind(mistake.blind_oracle(), ImperfectFixing(0.5)) == "rows"
+    assert kind(_RowOracle(0.3)) == "rows"
 
 
 def test_blind_pair_engines_agree(model):
@@ -520,19 +578,29 @@ def test_blind_pair_engines_agree(model):
         n_replications=1500,
         rng=61,
     )
+    # the blind closure consumes no randomness, so the per-row plan on a
+    # trivial subclass of the pair reproduces it bit for bit
     scalar = simulate_marginal_system_pfd(
-        regime, population, profile, engine="scalar", **kwargs
+        regime,
+        population,
+        profile,
+        **dict(
+            kwargs,
+            oracle=_RowBlindOracle(mistake.fault_ids),
+            fixing=_RowBlindFixing(mistake.fault_ids),
+        ),
     )
     batch = simulate_marginal_system_pfd(
-        regime, population, profile, engine="batch", **kwargs
+        regime, population, profile, **kwargs
     )
     assert _overlap(scalar, batch)
+    assert (scalar.mean, scalar.variance) == (batch.mean, batch.variance)
 
 
 def test_engine_batch_accepts_imperfect_oracle(model):
-    # the old scalar fallback is gone: engine='batch' now really runs
-    # imperfect oracles on the vectorized path
+    # imperfect oracles run on the vectorized §4.1 kernel
     _space, profile, _universe, population, generator = model
+    assert _testing_plan(ImperfectOracle(0.5), None)[0] == "bernoulli"
     estimator = simulate_marginal_system_pfd(
         SameSuite(generator),
         population,
@@ -540,14 +608,13 @@ def test_engine_batch_accepts_imperfect_oracle(model):
         n_replications=50,
         rng=67,
         oracle=ImperfectOracle(0.5),
-        engine="batch",
     )
     assert estimator.count == 50
 
 
 def test_envelope_unknown_engine_rejected(model):
     _space, profile, _universe, population, generator = model
-    with pytest.raises(ModelError):
+    with pytest.raises(TypeError, match="engine"):
         back_to_back_envelope(
             population, generator, profile, n_replications=10, engine="gpu"
         )
@@ -563,16 +630,20 @@ def test_custom_fixing_subclass_takes_scalar_envelope_path(model):
     _space, profile, _universe, population, generator = model
     fixing = NeverFixing(0.9)
     assert not back_to_back_supported(fixing)
-    with pytest.raises(ModelError, match="engine='batch'"):
-        back_to_back_envelope(
-            population,
-            generator,
-            profile,
-            fixing=fixing,
-            n_replications=10,
-            engine="batch",
+    sequences = generator.sample_demand_sequences(4, rng=70)
+    faults = population.sample_fault_matrix(4, rng=70)
+    with pytest.raises(ModelError, match="per-replication loop"):
+        back_to_back_batch(
+            faults,
+            faults,
+            sequences,
+            population.universe,
+            population.universe,
+            BackToBackComparator(optimistic_outputs()),
+            fixing,
         )
-    # auto falls back to the scalar loop, which honours the override:
+    # the envelope falls back to its per-replication loop, which honours
+    # the override:
     # repair never happens, so the post-test version pfd stays untested
     envelope = back_to_back_envelope(
         population, generator, profile, fixing=fixing, n_replications=50, rng=71

@@ -8,7 +8,8 @@ import pytest
 
 from repro.core import IndependentSuites, SameSuite, joint_failure_probability
 from repro.errors import ModelError
-from repro.mc.experiments import ENGINES, resolve_engine
+from repro.mc.batch import _testing_plan
+from repro.testing import PerfectFixing, PerfectOracle
 from repro.mc import (
     simulate_joint_on_demand,
     simulate_marginal_system_pfd,
@@ -149,16 +150,28 @@ class TestVersionPfd:
         assert estimator.contains(expected, confidence=0.999)
 
 
+class _RowOracle(PerfectOracle):
+    """The perfect oracle, on the per-row plan."""
+
+
+#: the former engine names, as the testing pairs that now pick the path:
+#: the default pair, an explicit kernel pair, and the per-row plan
+_PATHS = {
+    "auto": {},
+    "batch": {"oracle": PerfectOracle(), "fixing": PerfectFixing()},
+    "scalar": {"oracle": _RowOracle()},
+}
+
+
 class TestPopulationSpaceValidation:
-    @pytest.mark.parametrize(
-        "engine", ["auto", "batch", "scalar"]
-    )
+    @pytest.mark.parametrize("engine", ["auto", "batch", "scalar"])
     def test_population_b_on_another_space_rejected(
         self, bernoulli_population, enumerable_generator, profile, engine
     ):
         """A channel-B population over a different demand space fails up
-        front with IncompatibleSpaceError on every engine (not a numpy
-        broadcast error or a suite-mask shape complaint mid-run)."""
+        front with IncompatibleSpaceError on the kernel plans and the
+        per-row plan alike (not a numpy broadcast error or a suite-mask
+        shape complaint mid-run)."""
         from repro.demand import DemandSpace
         from repro.errors import IncompatibleSpaceError
         from repro.faults import FaultUniverse
@@ -176,26 +189,32 @@ class TestPopulationSpaceValidation:
                 population_b=other,
                 n_replications=50,
                 rng=0,
-                engine=engine,
+                **_PATHS[engine],
             )
 
 
 class TestResolveEngine:
-    """The one engine seam: every name × batch-support combination.  Its
-    answer depends on nothing else: neither the retired
-    ``REPRO_COMPILED_FALLBACK`` variable nor an importable ``numba``
-    module changes it."""
+    """The engine knob is retired: every former or unknown engine name is
+    an unknown keyword, and the plan a testing pair runs on depends on the
+    pair alone — neither the retired ``REPRO_COMPILED_FALLBACK`` variable
+    nor an importable ``numba`` module changes it."""
 
     @pytest.mark.parametrize("numba_importable", [False, True])
     @pytest.mark.parametrize("fallback_env", [False, True])
     @pytest.mark.parametrize("batch_ok", [False, True])
-    # "fastest" and "compiled" are retired names: they must fail like any
-    # unknown name
     @pytest.mark.parametrize(
         "engine", ("auto", "batch", "compiled", "fastest", "gpu", "scalar")
     )
     def test_table(
-        self, engine, batch_ok, fallback_env, numba_importable, monkeypatch
+        self,
+        engine,
+        batch_ok,
+        fallback_env,
+        numba_importable,
+        monkeypatch,
+        bernoulli_population,
+        enumerable_generator,
+        profile,
     ):
         if fallback_env:
             monkeypatch.setenv("REPRO_COMPILED_FALLBACK", "1")
@@ -203,27 +222,27 @@ class TestResolveEngine:
             monkeypatch.delenv("REPRO_COMPILED_FALLBACK", raising=False)
         if numba_importable:
             monkeypatch.setitem(sys.modules, "numba", types.ModuleType("numba"))
-        if engine not in ENGINES:
-            expected = "engine must be one of"
-        elif engine == "batch":
-            expected = "batch" if batch_ok else f"engine='{engine}' runs on the batch"
-        elif engine == "auto":
-            expected = "batch" if batch_ok else "scalar"
-        else:
-            expected = "scalar"
-        if expected in ("batch", "scalar"):
-            assert resolve_engine(engine, batch_ok) == expected
-        else:
-            with pytest.raises(ModelError, match=expected):
-                resolve_engine(engine, batch_ok)
+        oracle = PerfectOracle() if batch_ok else _RowOracle()
+        assert _testing_plan(oracle, None)[0] == ("perfect" if batch_ok else "rows")
+        with pytest.raises(TypeError, match="engine"):
+            simulate_version_pfd(
+                bernoulli_population,
+                enumerable_generator,
+                profile,
+                n_replications=10,
+                rng=0,
+                oracle=oracle,
+                engine=engine,
+            )
 
 
 def test_retired_compiled_name_rejected_on_every_surface(
     bernoulli_population, enumerable_generator, profile, tmp_path, capsys
 ):
-    """``engine="compiled"`` is an unknown name through the drivers, the
-    §4.2 envelope, the run-wide experiment configuration, sweeps, the
-    service's job spec and the CLI's ``--engine`` choices."""
+    """``engine="compiled"``, like every engine name, is an unknown keyword
+    of the drivers, the §4.2 envelope, the run-wide experiment
+    configuration, sweeps and the service's job spec, and ``--engine`` an
+    unknown CLI flag."""
     from repro.core.bounds import back_to_back_envelope
     from repro.experiments.__main__ import main
     from repro.experiments.base import EngineConfig
@@ -231,32 +250,31 @@ def test_retired_compiled_name_rejected_on_every_surface(
     from repro.store import ResultStore
     from repro.sweeps import Sweep, SweepSpec
 
-    assert ENGINES == ("auto", "batch", "scalar")
-    unknown = r"engine must be one of \('auto', 'batch', 'scalar'\), got 'compiled'"
+    unknown = "unexpected keyword argument 'engine'"
     for call in _driver_calls(
         bernoulli_population, enumerable_generator, profile
     ).values():
-        with pytest.raises(ModelError, match=unknown):
+        with pytest.raises(TypeError, match=unknown):
             call(n_replications=10, rng=0, engine="compiled")
-    with pytest.raises(ModelError, match=unknown):
+    with pytest.raises(TypeError, match=unknown):
         back_to_back_envelope(
             bernoulli_population, enumerable_generator, profile,
             n_replications=10, rng=0, engine="compiled",
         )
-    with pytest.raises(ModelError, match=unknown):
+    with pytest.raises(TypeError, match=unknown):
         EngineConfig(engine="compiled")
-    with pytest.raises(ModelError, match=unknown):
+    with pytest.raises(TypeError, match=unknown):
         Sweep(
             SweepSpec(experiments=["a5"], seeds=[0]),
             ResultStore(tmp_path / "store.jsonl"),
             engine="compiled",
         )
-    with pytest.raises(ModelError, match=unknown):
+    with pytest.raises(TypeError, match=unknown):
         JobSpec("a5", engine="compiled")
     with pytest.raises(SystemExit) as exit_info:
         main(["a5", "--engine", "compiled"])
     assert exit_info.value.code == 2
-    assert "invalid choice: 'compiled'" in capsys.readouterr().err
+    assert "unrecognized arguments: --engine compiled" in capsys.readouterr().err
 
 
 def _driver_calls(bernoulli_population, enumerable_generator, profile):
@@ -283,12 +301,13 @@ def _driver_calls(bernoulli_population, enumerable_generator, profile):
 def test_unknown_engine_rejected_with_precision(
     driver, bernoulli_population, enumerable_generator, profile
 ):
-    """The engine name is checked before ``precision=`` routes the call to
-    the adaptive engine, so a typo cannot run silently."""
+    """A leftover ``engine=`` fails as an unknown keyword even when
+    ``precision=`` would route the call to the adaptive engine, so it
+    cannot be ignored silently."""
     call = _driver_calls(bernoulli_population, enumerable_generator, profile)[
         driver
     ]
-    with pytest.raises(ModelError, match=r"engine must be one of \('auto'"):
+    with pytest.raises(TypeError, match="engine"):
         call(
             n_replications=200,
             rng=0,

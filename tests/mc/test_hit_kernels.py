@@ -200,7 +200,6 @@ def test_imperfect_engine_rejects_padding_below_minus_one():
             n_replications=16,
             rng=0,
             oracle=ImperfectOracle(0.5),
-            engine="batch",
         )
 
 

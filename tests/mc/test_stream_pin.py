@@ -175,7 +175,6 @@ def test_driver_means_match_recorded_values(policy):
         rng=_SEED,
         oracle=oracle,
         fixing=fixing,
-        engine="batch",
     )
     system = simulate_marginal_system_pfd(
         _REGIME,
@@ -185,7 +184,6 @@ def test_driver_means_match_recorded_values(policy):
         rng=_SEED,
         oracle=oracle,
         fixing=fixing,
-        engine="batch",
     )
     assert math.isclose(version.mean, _VERSION_MEAN[policy], rel_tol=_REL_TOL)
     assert math.isclose(system.mean, _SYSTEM_MEAN[policy], rel_tol=_REL_TOL)
@@ -233,7 +231,6 @@ def test_sparse_side_driver_means_match_recorded_values(policy):
         rng=_SEED,
         oracle=oracle,
         fixing=fixing,
-        engine="batch",
     )
     system = simulate_marginal_system_pfd(
         _REGIME,
@@ -243,7 +240,6 @@ def test_sparse_side_driver_means_match_recorded_values(policy):
         rng=_SEED,
         oracle=oracle,
         fixing=fixing,
-        engine="batch",
     )
     assert math.isclose(
         version.mean, _SPARSE_VERSION_MEAN[policy], rel_tol=_REL_TOL

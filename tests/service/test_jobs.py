@@ -44,7 +44,7 @@ class TestJobSpec:
 
         spec = JobSpec("a4", seed=3, params=(("n_versions", 5),))
         assert spec.cache_key() == cache_key(
-            "a4", 3, True, {"n_versions": 5}, engine="auto"
+            "a4", 3, True, {"n_versions": 5}
         )
 
     def test_from_request_validates_id_with_suggestion(self):
@@ -70,8 +70,11 @@ class TestJobSpec:
             JobSpec.from_request(["a4"])
 
     def test_engine_and_n_jobs_validation(self):
-        with pytest.raises(ModelError, match="engine must be one of"):
+        # engine is no longer a spec field or a request field
+        with pytest.raises(TypeError, match="engine"):
             JobSpec("a4", engine="warp")
+        with pytest.raises(ModelError, match=r"unknown request field\(s\): \['engine'\]"):
+            JobSpec.from_request({"experiment_id": "a4", "engine": "auto"})
         with pytest.raises(ModelError, match="n_jobs"):
             JobSpec("a4", n_jobs=0)
 

@@ -50,7 +50,7 @@ class TestOwnership:
     def test_real_cache_keys_balance_within_bounds(self):
         ring = HashRing(["s0", "s1", "s2", "s3"])
         keys = [
-            cache_key("a2", seed, True, {"presence_prob": p}, "1.0", "auto")
+            cache_key("a2", seed, True, {"presence_prob": p}, "1.0")
             for seed in range(250)
             for p in (0.1, 0.2, 0.3, 0.4)
         ]

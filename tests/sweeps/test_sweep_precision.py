@@ -195,5 +195,5 @@ class TestPrecisionSweepRuns:
         assert resumed.cached == resumed.total
 
     def test_scalar_engine_rejected(self, tmp_path):
-        with pytest.raises(ModelError, match="scalar"):
+        with pytest.raises(TypeError, match="engine"):
             Sweep(self._spec(), ResultStore(tmp_path), engine="scalar")

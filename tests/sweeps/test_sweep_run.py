@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro import __version__
 from repro.errors import ModelError
 from repro.experiments import run_experiment
 from repro.store import ResultStore, make_record
@@ -115,23 +116,26 @@ class TestSweepRun:
         assert Sweep(spec, store).run().cached == 1
 
     def test_engine_change_is_not_a_cache_hit(self, tmp_path):
-        """Scalar and batch stream layouts differ, so their results must
-        never share a cache slot (regression: cross-engine cache hits)."""
+        """A record a retired engine wrote keeps its own key, so it is
+        never served for the current run (regression: cross-engine cache
+        hits), while the current run's rerun is its own cache hit."""
+        from repro.store.records import _identity
+
         store = ResultStore(tmp_path)
         spec = SweepSpec(experiments=["a5"], seeds=[0])
-        assert Sweep(spec, store, engine="scalar").run().executed == 1
-        batch = Sweep(spec, store, engine="batch").run()
-        assert batch.executed == 1
-        assert batch.cached == 0
-        # each engine's rerun is its own cache hit
-        assert Sweep(spec, store, engine="scalar").run().cached == 1
-        assert Sweep(spec, store, engine="batch").run().cached == 1
+        result = run_experiment("a5", seed=0, fast=True)
+        scalar = _identity("a5", 0, True, None, __version__, tag="scalar")
+        store.put(dict(scalar, result=result.to_payload()))
+        current = Sweep(spec, store).run()
+        assert current.executed == 1
+        assert current.cached == 0
+        assert Sweep(spec, store).run().cached == 1
         engines = {record["engine"] for record in store}
-        assert engines == {"scalar", "batch"}
+        assert engines == {"scalar", "auto"}
 
     def test_invalid_arguments(self, completed_store):
         spec = SweepSpec(**GRID)
-        with pytest.raises(ModelError, match="engine must be one of"):
+        with pytest.raises(TypeError, match="engine"):
             Sweep(spec, completed_store, engine="warp")
         with pytest.raises(ModelError, match="n_jobs must be"):
             Sweep(spec, completed_store, n_jobs=0)

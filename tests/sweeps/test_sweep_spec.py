@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import __version__
 from repro.errors import ModelError
 from repro.sweeps import SweepPoint, SweepSpec, load_grid
 
@@ -85,10 +86,17 @@ class TestSweepSpec:
             )
 
     def test_engine_changes_point_cache_key(self):
+        """The point key hashes the constant ``engine: "auto"`` identity; a
+        record of the same point under another engine name keys apart."""
+        from repro.store.records import _identity
+
         point = SweepSpec(experiments=["a5"]).points()[0]
-        assert point.cache_key(engine="scalar") != point.cache_key(
-            engine="batch"
-        )
+        keys = {
+            tag: _identity("a5", 0, True, None, __version__, tag)["key"]
+            for tag in ("auto", "batch", "scalar")
+        }
+        assert point.cache_key() == keys["auto"]
+        assert len(set(keys.values())) == 3
 
 
 class TestLoadGrid:

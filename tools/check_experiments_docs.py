@@ -4,8 +4,9 @@ against the code.
 
 The experiment catalog must list exactly the ids returned by
 ``repro.experiments.all_experiment_ids()`` — no missing rows, no stale
-rows — the engine page (docs/kernels.md) must document exactly the engine
-names the CLI accepts, and the observability page's metric catalog and span taxonomy
+rows — the engine page (docs/kernels.md) must document exactly the
+testing-plan kinds the batch planner returns, and the observability page's
+metric catalog and span taxonomy
 must cover exactly the families and span names the code registers.
 Run from the repository root (CI runs it in the docs job)::
 
@@ -77,29 +78,28 @@ def undocumented_knobs(registered, rows, runner_params) -> dict:
 def check_kernels_doc() -> list:
     """Problems with docs/kernels.md, as printable strings.
 
-    The page's engine-matrix rows (``| `name` |``) must be exactly the
-    engine names the experiments CLI accepts, so the backend page can
-    never silently lag an engine rename or deletion.
+    The page's testing-plan rows (``| `name` |``) must be exactly the
+    plan kinds ``repro.mc.batch._testing_plan`` returns, so the engine
+    page can never silently lag a plan added, renamed or deleted.
     """
-    from repro.mc.experiments import ENGINES
+    from repro.mc.batch import _PLAN_KINDS
 
     problems = []
     if not KERNELS_DOC.exists():
         return [f"missing engine page: {KERNELS_DOC}"]
     text = KERNELS_DOC.read_text()
     documented = re.findall(r"^\|\s*`([a-z]+)`", text, re.MULTILINE)
-    engines = list(ENGINES)
-    missing = [name for name in engines if name not in documented]
-    extra = [name for name in documented if name not in engines]
+    missing = [name for name in _PLAN_KINDS if name not in documented]
+    extra = [name for name in documented if name not in _PLAN_KINDS]
     if missing:
         problems.append(
-            f"engines accepted by the CLI but missing from the "
-            f"docs/kernels.md engine matrix: {missing}"
+            f"testing plans _testing_plan returns but missing from the "
+            f"docs/kernels.md plan table: {missing}"
         )
     if extra:
         problems.append(
-            f"engine rows in docs/kernels.md the CLI does not accept: "
-            f"{extra}"
+            f"plan rows in docs/kernels.md that _testing_plan never "
+            f"returns: {extra}"
         )
     return problems
 
@@ -256,7 +256,7 @@ def main() -> int:
             f"docs/experiments.md in sync: {len(registered)} experiment "
             f"ids, {len(capable)} precision-capable"
         )
-        print("docs/kernels.md in sync: engine matrix")
+        print("docs/kernels.md in sync: testing-plan table")
         import repro.coverage
 
         print(
