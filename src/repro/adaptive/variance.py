@@ -39,9 +39,10 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import ModelError, NotEnumerableError
+from ..faults.universe import failure_masses
 from ..mc.batch import (
     _apply_plan_batch,
-    _joint_failures,
+    _joint_masses,
     _plan_sequenced,
     _plan_suites,
     _tested_pair_block,
@@ -240,16 +241,16 @@ def version_pfd_chunk(
             suites_b = _suite_runs(seqs_b, n_demands).masks()
         tested_a = _apply_plan_batch(plan, faults_a, suites_a, universe, test_a)
         tested_b = _apply_plan_batch(plan, faults_b, suites_b, universe, test_b)
-        y_a = universe.failure_matrix(tested_a) @ profile.probabilities
-        y_b = universe.failure_matrix(tested_b) @ profile.probabilities
+        y_a = failure_masses(profile.probabilities, (universe, tested_a))
+        y_b = failure_masses(profile.probabilities, (universe, tested_b))
         values = 0.5 * (y_a + y_b)
         return index, 2 * n_pairs, _stratify(values, None, None)
     faults, tested = _tested_version_block(
         population, generator, plan, count, as_generator(seed)
     )
-    values = universe.failure_matrix(tested) @ profile.probabilities
+    values = failure_masses(profile.probabilities, (universe, tested))
     controls = (
-        universe.failure_matrix(faults) @ profile.probabilities
+        failure_masses(profile.probabilities, (universe, faults))
         if _wants_control(vr)
         else None
     )
@@ -275,15 +276,11 @@ def untested_joint_pfd_chunk(
     stream_a, stream_b = spawn_many(as_generator(seed), 2)
     faults_a = population_a.sample_fault_matrix(count, stream_a)
     faults_b = population_b.sample_fault_matrix(count, stream_b)
-    fail_a = population_a.universe.failure_matrix(faults_a)
-    fail_b = population_b.universe.failure_matrix(faults_b)
-    values = (fail_a & fail_b) @ profile.probabilities
-    controls = (
-        0.5
-        * (fail_a @ profile.probabilities + fail_b @ profile.probabilities)
-        if _wants_control(vr)
-        else None
-    )
+    control = _wants_control(vr)
+    blocks = (population_a.universe, faults_a), (population_b.universe, faults_b)
+    masses = failure_masses(profile.probabilities, *blocks, marginals=control)
+    values = masses[0] if control else masses
+    controls = 0.5 * (masses[1] + masses[2]) if control else None
     strata = (
         faults_a.sum(axis=1) + faults_b.sum(axis=1)
         if _wants_strata(vr)
@@ -312,8 +309,7 @@ def marginal_system_pfd_chunk(
     faults_a, faults_b, tested_a, tested_b = _tested_pair_block(
         regime, population_a, population_b, plan, count, as_generator(seed)
     )
-    joint = _joint_failures(population_a, population_b, tested_a, tested_b)
-    values = joint @ profile.probabilities
+    values = _joint_masses(profile, population_a, population_b, tested_a, tested_b)
     return index, count, _pair_moments(
         population_a, population_b, profile, vr, values, faults_a, faults_b
     )
@@ -341,8 +337,7 @@ def campaign_pfd_chunk(
     faults_a, faults_b, evolved_a, evolved_b = _campaign_block(
         campaign, population_a, population_b, count, as_generator(seed)
     )
-    joint = _joint_failures(population_a, population_b, evolved_a, evolved_b)
-    values = joint @ profile.probabilities
+    values = _joint_masses(profile, population_a, population_b, evolved_a, evolved_b)
     return index, count, _pair_moments(
         population_a, population_b, profile, vr, values, faults_a, faults_b
     )
@@ -355,8 +350,7 @@ def _pair_moments(
     *untested* pair: its joint pfd (exact mean ``E_Q[θ_A θ_B]``) and its
     total fault count."""
     controls = (
-        _joint_failures(population_a, population_b, faults_a, faults_b)
-        @ profile.probabilities
+        _joint_masses(profile, population_a, population_b, faults_a, faults_b)
         if _wants_control(vr)
         else None
     )

@@ -203,7 +203,7 @@ def _chunk_localized_growth(spec: dict, task: Tuple[int, int]):
                 if contrib.any():
                     failing[test] = True
                     detected |= contrib
-            repairable = coverage_hits(detected, one_hot(assignment, n_comp))
+            repairable = coverage_hits(detected[None], one_hot(assignment, n_comp))[0]
             if policy == "sbfl":
                 scores = suspiciousness(
                     metric, *spectrum_counts(failing, covered)

@@ -14,6 +14,7 @@ import numpy as np
 from ..core import ELModel
 from ..demand import DemandSpace, uniform_profile
 from ..faults import clustered_universe, disjoint_universe, uniform_random_universe
+from ..faults.universe import failure_masses
 from ..mc.estimator import MeanEstimator
 from ..populations import BernoulliFaultPopulation
 from ..rng import as_generator, spawn, spawn_many
@@ -25,19 +26,16 @@ def _marginal_joint_mc(population, profile, n_replications, rng) -> MeanEstimato
     """Rao-Blackwellised MC of P(both untested versions fail on X).
 
     Vectorized through the batch engine's kernels: both channels'
-    replication blocks are fault matrices, the joint failure mask is one
-    boolean conjunction, and the usage integration is a matrix-vector
-    product against ``Q``.
+    replication blocks are fault matrices, and each row's joint failure
+    mass against ``Q`` is one slabbed reduction
+    (:func:`~repro.faults.universe.failure_masses`).
     """
-    stream_a, stream_b = spawn_many(as_generator(rng), 2)
-    universe = population.universe
-    joint = universe.failure_matrix(
-        population.sample_fault_matrix(n_replications, stream_a)
-    ) & universe.failure_matrix(
-        population.sample_fault_matrix(n_replications, stream_b)
-    )
+    blocks = [
+        (population.universe, population.sample_fault_matrix(n_replications, stream))
+        for stream in spawn_many(as_generator(rng), 2)
+    ]
     estimator = MeanEstimator()
-    estimator.add_many(joint @ profile.probabilities)
+    estimator.add_many(failure_masses(profile.probabilities, *blocks))
     return estimator
 
 

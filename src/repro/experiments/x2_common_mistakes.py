@@ -18,8 +18,6 @@ runs on the batch engine's blind-spot closure
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..extensions import SpecificationMistake, mistake_effect
 from ..analytic import BernoulliExactEngine
 from .base import Claim, ExperimentResult, engine_kwargs

@@ -550,5 +550,6 @@ def _campaign_chunk(
     _faults_a, _faults_b, evolved_a, evolved_b = _campaign_block(
         campaign, population_a, population_b, count, as_generator(seed)
     )
-    joint = _batch._joint_failures(population_a, population_b, evolved_a, evolved_b)
-    return _batch._reduce_values(joint @ profile.probabilities)
+    return _batch._reduce_values(
+        _batch._joint_masses(profile, population_a, population_b, evolved_a, evolved_b)
+    )

@@ -25,7 +25,6 @@ Two consequences follow and are both implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

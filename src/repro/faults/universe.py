@@ -8,6 +8,8 @@ closure) operate on, and the batch engine's closure and scoring kernels:
 sparse ones over the present faults' regions and dense float32 products,
 chosen by :meth:`FaultUniverse._sparse_pays` (``docs/architecture.md``),
 plus the per-demand cover bitsets of the §4.2 back-to-back kernel.
+Every kernel, and the one scoring reduction :func:`failure_masses`, works
+through its block in cache-sized slabs, with the whole block's results.
 """
 
 from __future__ import annotations
@@ -29,14 +31,56 @@ __all__ = ["FaultUniverse"]
 #: kernels against the BLAS products on 300–2000-demand blocks.
 _GATHER_COST = 256
 
+#: Elements per slab of the closure and scoring kernels: the measured
+#: optimum (2-core AVX-512 host, no numba) on 2000-demand blocks, and below
+#: OpenBLAS's ``dgemv`` threading threshold (about 460k elements there).
+_SLAB_ELEMENTS = 1 << 18
+
+
+def _slabs(count: int, width: int) -> List[slice]:
+    """Slices of ``count`` items of ``width`` elements, ``_SLAB_ELEMENTS`` a
+    slab, starting on 4-row groups, a lone last item joined to the one before:
+    each row of a slabbed float64 product takes its whole-block ``dgemv`` kernel."""
+    step = max(4, _SLAB_ELEMENTS // max(width, 1) // 4 * 4)
+    bounds = list(range(0, max(count - 1, 1), step)) + [count]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
 
 def coverage_hits(rows: np.ndarray, coverage: np.ndarray) -> np.ndarray:
-    """Boolean ``rows @ coverage > 0`` for 0/1 operands, on float32 BLAS.
+    """Boolean ``rows @ coverage > 0`` for 0/1 operands, on float32 BLAS slabs.
 
     Exact at any size: each entry sums 0/1 terms, and a float32 sum of
     non-negative terms is positive iff one of them is.
     """
-    return rows.astype(np.float32) @ coverage.astype(np.float32, copy=False) > 0.5
+    cast = coverage.astype(np.float32, copy=False)
+    hits = np.empty((rows.shape[0], cast.shape[1]), dtype=bool)
+    for slab in _slabs(rows.shape[0], rows.shape[1] + cast.shape[1]):
+        np.greater(rows[slab].astype(np.float32) @ cast, 0.5, out=hits[slab])
+    return hits
+
+
+def failure_masses(
+    probabilities: np.ndarray, *blocks: tuple, marginals: bool = False
+) -> np.ndarray:
+    """Each row's failure mass ``Σ_x Q(x)·Π_k fail_k(r, x)`` over one or
+    two ``(universe, presence)`` blocks: a version's pfd, or a pair's joint
+    failure mass.  ``marginals`` adds each block's own mass, from the same
+    pass, as rows 1.. of a ``(1 + k, R)`` array under the joint in row 0.
+    Per slab, :meth:`FaultUniverse.failure_matrix` is copied to float64 and
+    multiplied by ``probabilities``: each row's dot product is bit for bit
+    the whole block's on one BLAS thread (:func:`_slabs`)."""
+    n_rows, width = blocks[0][1].shape[0], blocks[0][0].space.size
+    masses = np.empty((1 + len(blocks) if marginals else 1, n_rows))
+    for rows in _slabs(n_rows, width):
+        fails = [universe.failure_matrix(block[rows]) for universe, block in blocks]
+        # after the failure block: allocated first, it faulted ~480 pages a call
+        slab = np.empty((rows.stop - rows.start, width))
+        for mass, fail in zip(masses[1:], fails):
+            np.copyto(slab, fail)
+            np.matmul(slab, probabilities, out=mass[rows])
+        np.logical_and(fails[0], fails[-1], out=slab)  # one block: with itself
+        np.matmul(slab, probabilities, out=masses[0, rows])
+    return masses if marginals else masses[0]
 
 
 def _packed_rows(rows: np.ndarray, words: int) -> np.ndarray:
@@ -268,26 +312,30 @@ class FaultUniverse:
         gathered = int(n_present) * self._region_table(False).shape[1]
         return gathered * _GATHER_COST < n_rows * len(self.faults) * self.space.size
 
-    def _region_index(self, present: np.ndarray, sentinel: bool) -> np.ndarray:
-        """``(len(present), W)`` flat indices of each pair's region in its row
-        of an ``(R, D)`` block, or of an ``(R, D + 1)`` one for ``sentinel``."""
-        rows, faults = np.divmod(present, len(self.faults))
-        index = self._region_table(sentinel)[faults]
-        index += (rows * (self.space.size + int(sentinel)))[:, None]
-        return index
+    def _region_slabs(self, present: np.ndarray, sentinel: bool) -> Iterator:
+        """Per slab of the ``present`` pairs: its slice, and each pair's region
+        as flat indices into an ``(R, D)`` block (``(R, D + 1)`` if ``sentinel``)."""
+        table = self._region_table(sentinel)
+        for pairs in _slabs(present.size, table.shape[1]):
+            rows, faults = np.divmod(present[pairs], len(self.faults))
+            index = table[faults]
+            index += (rows * (self.space.size + int(sentinel)))[:, None]
+            yield pairs, index
 
     def _region_any(self, present: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """Sparse :meth:`triggered_matrix` at the ``present`` pairs."""
-        gathered = masks.ravel()[self._region_index(present, False)]
+        flat = masks.ravel()
         hit = np.zeros(present.size, dtype=np.uint32)
-        for column in gathered.view(np.uint32).T:
-            hit |= column
+        for pairs, index in self._region_slabs(present, False):
+            for column in flat[index].view(np.uint32).T:
+                hit[pairs] |= column
         return hit != 0
 
     def _region_scatter(self, present: np.ndarray, n_rows: int) -> np.ndarray:
         """Sparse :meth:`failure_matrix` of a block with ``present`` pairs."""
         failures = np.zeros(n_rows * self.space.size, dtype=bool)
-        failures[self._region_index(present, False)] = True
+        for _pairs, index in self._region_slabs(present, False):
+            failures[index] = True
         return failures.reshape(n_rows, self.space.size)
 
     def _region_sums(
@@ -300,8 +348,11 @@ class FaultUniverse:
         )
         block[flat + flat // self.space.size] = values
         dtype = _sum_dtype(values)
-        gathered = block[self._region_index(present, True)].astype(dtype)
-        return (gathered @ np.ones(gathered.shape[1], dtype=dtype)).astype(np.float64)
+        ones = np.ones(self._region_table(True).shape[1], dtype=dtype)
+        sums = np.empty(present.size)
+        for pairs, index in self._region_slabs(present, True):
+            sums[pairs] = block[index].astype(dtype) @ ones
+        return sums
 
     def _coverage_sums(
         self, n_rows: int, flat: np.ndarray, values: np.ndarray

@@ -17,6 +17,7 @@ import numpy as np
 from ..analytic.bernoulli_exact import BernoulliExactEngine
 from ..demand import UsageProfile
 from ..errors import ModelError
+from ..faults.universe import failure_masses
 from ..mc.batch import apply_testing_batch, back_to_back_batch
 from ..populations import BernoulliFaultPopulation, VersionPopulation
 from ..rng import as_generator, spawn_many
@@ -199,10 +200,10 @@ def back_to_back_growth_curves(
 
     def mean_pfds(block_a: np.ndarray, block_b: np.ndarray) -> tuple:
         """Replication-mean (system, version) pfd of a tested pair block."""
-        fails_a = universe_a.failure_matrix(block_a)
-        fails_b = universe_b.failure_matrix(block_b)
-        version_pfd = 0.5 * (fails_a @ probabilities + fails_b @ probabilities)
-        return ((fails_a & fails_b) @ probabilities).mean(), version_pfd.mean()
+        joint, pfd_a, pfd_b = failure_masses(
+            probabilities, (universe_a, block_a), (universe_b, block_b), marginals=True
+        )
+        return joint.mean(), (0.5 * (pfd_a + pfd_b)).mean()
 
     faults_a, faults_b = untested_a, untested_b
     masks = np.zeros((n_replications, profile.space.size), dtype=bool)

@@ -26,8 +26,8 @@ replications at once:
   (:func:`back_to_back_batch`) — the only genuinely sequential axis in the
   paper's testing processes;
 * **scoring**: post-test failure masks
-  (:meth:`~repro.faults.FaultUniverse.failure_matrix`), then one
-  matrix-vector product against the usage profile.
+  (:meth:`~repro.faults.FaultUniverse.failure_matrix`) reduced against the
+  usage profile a slab at a time (:func:`~repro.faults.universe.failure_masses`).
 
 Closure and scoring run on :class:`~repro.faults.FaultUniverse`'s region
 kernels, sparse or dense by one size rule, with bit-identical blocks.
@@ -66,7 +66,7 @@ import numpy as np
 
 from ..demand import UsageProfile
 from ..errors import IncompatibleSpaceError, ModelError
-from ..faults.universe import _packed_rows, _unpacked_rows
+from ..faults.universe import _packed_rows, _unpacked_rows, failure_masses
 from ..populations import VersionPopulation
 from ..rng import as_generator, spawn, spawn_many
 from ..testing import (
@@ -622,16 +622,10 @@ def _tested_pair_block(
     return faults_a, faults_b, tested_a, tested_b
 
 
-def _joint_failures(
-    population_a: VersionPopulation,
-    population_b: VersionPopulation,
-    block_a: np.ndarray,
-    block_b: np.ndarray,
-) -> np.ndarray:
-    """``(R, D)`` mask of demands on which both channels' versions fail."""
-    return population_a.universe.failure_matrix(
-        block_a
-    ) & population_b.universe.failure_matrix(block_b)
+def _joint_masses(profile, population_a, population_b, block_a, block_b) -> np.ndarray:
+    """Each row's joint failure mass under ``profile`` (:func:`failure_masses`)."""
+    blocks = (population_a.universe, block_a), (population_b.universe, block_b)
+    return failure_masses(profile.probabilities, *blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -694,14 +688,15 @@ def _chunk_marginal(
     _faults_a, _faults_b, tested_a, tested_b = _tested_pair_block(
         regime, population_a, population_b, plan, count, root
     )
-    joint = _joint_failures(population_a, population_b, tested_a, tested_b)
     if rao_blackwell:
-        values = joint @ profile.probabilities
+        values = _joint_masses(profile, population_a, population_b, tested_a, tested_b)
     else:
         # spawn continues root's child index, so the raw demands draw
         # from child 3 (masks) or 5 (counts), as they always have
         demands = profile.sample(spawn(root), size=count)
-        values = joint[np.arange(count), demands].astype(np.float64)
+        fails_a = (tested_a & population_a.universe.coverage.T[demands]).any(axis=1)
+        fails_b = (tested_b & population_b.universe.coverage.T[demands]).any(axis=1)
+        values = (fails_a & fails_b).astype(np.float64)
     return _reduce_values(values)
 
 
@@ -717,7 +712,7 @@ def _chunk_version_pfd(
     _faults, tested = _tested_version_block(
         population, generator, plan, count, as_generator(seed)
     )
-    values = population.universe.failure_matrix(tested) @ profile.probabilities
+    values = failure_masses(profile.probabilities, (population.universe, tested))
     return _reduce_values(values)
 
 
@@ -747,20 +742,18 @@ def _chunk_back_to_back_envelope(
     universe_b = population_b.universe
     probabilities = profile.probabilities
 
-    def system_sum(block_a: np.ndarray, block_b: np.ndarray) -> float:
-        joint = _joint_failures(population_a, population_b, block_a, block_b)
-        return float((joint @ probabilities).sum())
+    def sums(block_a: np.ndarray, block_b: np.ndarray) -> tuple:
+        joint, pfd_a, pfd_b = failure_masses(
+            probabilities, (universe_a, block_a), (universe_b, block_b), marginals=True
+        )
+        return float(joint.sum()), float(0.5 * (pfd_a.sum() + pfd_b.sum()))
 
-    def version_sum(block_a: np.ndarray, block_b: np.ndarray) -> float:
-        pfd_a = universe_a.failure_matrix(block_a) @ probabilities
-        pfd_b = universe_b.failure_matrix(block_b) @ probabilities
-        return float(0.5 * (pfd_a.sum() + pfd_b.sum()))
-
-    untested_system = system_sum(faults_a, faults_b)
-    untested_version = version_sum(faults_a, faults_b)
+    untested_system, untested_version = sums(faults_a, faults_b)
     perfect_a = apply_testing_batch(faults_a, masks, universe_a)
     perfect_b = apply_testing_batch(faults_b, masks, universe_b)
-    perfect_system = system_sum(perfect_a, perfect_b)
+    perfect_system = float(
+        _joint_masses(profile, population_a, population_b, perfect_a, perfect_b).sum()
+    )
 
     mode_sums = {}
     for mode in (OPTIMISTIC, PESSIMISTIC, SHARED_FAULT):
@@ -775,10 +768,7 @@ def _chunk_back_to_back_envelope(
             fixing,
             rng=spawn_many(streams[3], 1)[0],
         )
-        mode_sums[mode] = (
-            system_sum(after_a, after_b),
-            version_sum(after_a, after_b),
-        )
+        mode_sums[mode] = sums(after_a, after_b)
     sums = (
         untested_system,
         perfect_system,

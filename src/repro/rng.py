@@ -59,20 +59,29 @@ def inverse_cdf_indices(cdf: np.ndarray, rng: SeedLike, size=None, uniforms=None
     keeping this single definition of the search-and-clamp.
     """
     if uniforms is not None:
-        return _guided_search(cdf, np.asarray(uniforms))
+        uniforms = np.asarray(uniforms)
+        return _guided_search(cdf, uniforms, np.empty(uniforms.shape, np.int64))
     generator = as_generator(rng)
     if size is None:
         index = int(np.searchsorted(cdf, generator.random(), side="right"))
         return min(index, len(cdf) - 1)
-    return _guided_search(cdf, generator.random(size))
+    indices = np.empty(size, dtype=np.int64)
+    for start in range(0, indices.size, _DRAW_SLAB):
+        part = indices.reshape(-1)[start : start + _DRAW_SLAB]
+        _guided_search(cdf, generator.random(part.size), out=part)
+    return indices
 
 
 # widest bucket span the guide table serves; more skewed profiles bisect
 _MAX_GUIDE_STEPS = 8
+# uniforms drawn and searched per slab, the stream of one whole-block draw:
+# whole-block temporaries made glibc trim and re-fault the heap every chunk
+_DRAW_SLAB = 1 << 16
 
 
-def _guided_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``min(searchsorted(cdf, u, "right"), len(cdf) − 1)``, ``u`` in [0, 1].
+def _guided_search(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``min(searchsorted(cdf, u, "right"), len(cdf) − 1)`` into the int64
+    ``out``, ``u`` in [0, 1].
 
     A bit-identical guide-table search (Chen & Asau 1974), ``K = 4·len(cdf)``
     buckets.  Bucket ``c`` starts at the count of entries ``<= (c − 1)/K``,
@@ -91,9 +100,8 @@ def _guided_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
             indices = start[(u * buckets).astype(np.intp)]
             for _ in range(steps):
                 indices += padded[indices] <= u
-            return np.minimum(indices, len(cdf) - 1).astype(np.int64)
-    indices = np.searchsorted(cdf, u, side="right")
-    return np.minimum(indices, len(cdf) - 1).astype(np.int64)
+            return np.minimum(indices, len(cdf) - 1, out=out)
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1, out=out)
 
 
 def spawn(rng: np.random.Generator) -> np.random.Generator:

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import IndependentSuites, SameSuite
-from repro.demand import DemandSpace, uniform_profile, zipf_profile
+from repro.demand import DemandSpace, zipf_profile
 from repro.errors import ModelError
 from repro.faults import FaultUniverse, clustered_universe
 from repro.mc import (

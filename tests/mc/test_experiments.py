@@ -3,7 +3,6 @@
 import sys
 import types
 
-import numpy as np
 import pytest
 
 from repro.core import IndependentSuites, SameSuite, joint_failure_probability

@@ -17,8 +17,14 @@ float32 kernels, before the sparse ones existed, so they hold both sides
 to the same streams.
 
 The driver means go through the float64 ``failure @ Q`` reduction, whose
-summation order belongs to the BLAS build, so they are compared at the
-golden suite's relative tolerance rather than pinned bit for bit.
+summation order belongs to the BLAS build, so across hosts they are
+compared at the golden suite's relative tolerance rather than pinned bit
+for bit.  On one host they are exact: ``failure_masses`` scores a block a
+slab of rows at a time, and the drivers on a 2000-demand model, whose
+chunks span several slabs, equal bit for bit the same chunk kernels run
+with the whole-block reduction.  Those chunks hold multiples of 8 rows,
+so a threaded whole-block ``dgemv`` splits them between two threads on
+its 4-row groups, as the slabs are cut.
 """
 
 import hashlib
@@ -27,9 +33,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import IndependentSuites
+from repro.adaptive import PrecisionTarget
+from repro.core import IndependentSuites, SameSuite, back_to_back_envelope
 from repro.coverage import CoverageFixing, CoverageOracle
-from repro.demand import DemandSpace, zipf_profile
+from repro.demand import DemandSpace, uniform_profile, zipf_profile
 from repro.faults import clustered_universe
 from repro.mc import simulate_marginal_system_pfd, simulate_version_pfd
 from repro.mc.batch import _tested_pair_block, _tested_version_block, _testing_plan
@@ -247,3 +254,100 @@ def test_sparse_side_driver_means_match_recorded_values(policy):
     assert math.isclose(
         system.mean, _SPARSE_SYSTEM_MEAN[policy], rel_tol=_REL_TOL
     )
+
+
+# -- slabbed scoring against the whole-block reduction, on this host
+
+_LARGE_SPACE = DemandSpace(2000)
+_LARGE_PROFILE = uniform_profile(_LARGE_SPACE)
+_LARGE_UNIVERSE = clustered_universe(
+    _LARGE_SPACE, n_faults=200, region_size=20, rng=0
+)
+_LARGE_POPULATION = BernoulliFaultPopulation.uniform(_LARGE_UNIVERSE, 0.1)
+_LARGE_GENERATOR = OperationalSuiteGenerator(_LARGE_PROFILE, 100)
+_LARGE_CHUNK = 1024
+
+
+def _whole_block_masses(probabilities, *blocks, marginals=False):
+    """The reduction ``failure_masses`` replaced: whole ``(R, D)`` failure
+    blocks, each cast to float64 for one product against ``Q``."""
+    fails = [universe.failure_matrix(block) for universe, block in blocks]
+    joint = (fails[0] & fails[-1]) @ probabilities
+    if not marginals:
+        return joint
+    return np.stack([joint] + [fail @ probabilities for fail in fails])
+
+
+def _whole_block_twin(monkeypatch, run):
+    """``run()`` once slabbed, then again on the whole-block reduction."""
+    slabbed = run()
+    for module in ("repro.mc.batch", "repro.adaptive.variance"):
+        monkeypatch.setattr(f"{module}.failure_masses", _whole_block_masses)
+    return slabbed, run()
+
+
+def test_large_model_chunks_span_several_slabs():
+    from repro.faults.universe import _slabs
+
+    assert len(_slabs(_LARGE_CHUNK, _LARGE_SPACE.size)) > 4
+    assert _LARGE_CHUNK % 8 == 0
+
+
+@pytest.mark.parametrize("policy", ["perfect", "imperfect"])
+def test_slabbed_driver_means_equal_the_whole_block_reduction(policy, monkeypatch):
+    oracle, fixing = _POLICIES[policy]
+
+    def run():
+        kwargs = dict(
+            n_replications=2 * _LARGE_CHUNK,
+            chunk_size=_LARGE_CHUNK,
+            rng=_SEED,
+            oracle=oracle,
+            fixing=fixing,
+        )
+        version = simulate_version_pfd(
+            _LARGE_POPULATION, _LARGE_GENERATOR, _LARGE_PROFILE, **kwargs
+        )
+        system = simulate_marginal_system_pfd(
+            SameSuite(_LARGE_GENERATOR), _LARGE_POPULATION, _LARGE_PROFILE, **kwargs
+        )
+        return version.moments, system.moments
+
+    slabbed, whole = _whole_block_twin(monkeypatch, run)
+    assert slabbed == whole
+
+
+def test_slabbed_envelope_equals_the_whole_block_reduction(monkeypatch):
+    def run():
+        return back_to_back_envelope(
+            _LARGE_POPULATION,
+            _LARGE_GENERATOR,
+            _LARGE_PROFILE,
+            n_replications=256,
+            rng=_SEED,
+        )
+
+    slabbed, whole = _whole_block_twin(monkeypatch, run)
+    assert slabbed == whole
+
+
+def test_slabbed_adaptive_run_equals_the_whole_block_reduction(monkeypatch):
+    # an unreachable target runs whole growth rounds to the budget:
+    # 256, then 768, then 3072 replications
+    target = PrecisionTarget(rel_hw=1e-6, budget=4096, vr="stratified+control")
+
+    def run():
+        estimate = simulate_version_pfd(
+            _LARGE_POPULATION,
+            _LARGE_GENERATOR,
+            _LARGE_PROFILE,
+            rng=_SEED,
+            precision=target,
+            chunk_size=_LARGE_CHUNK,
+        )
+        report = estimate.adaptive
+        return estimate.mean, estimate.std_error(), report.rounds, report.replications
+
+    slabbed, whole = _whole_block_twin(monkeypatch, run)
+    assert slabbed == whole
+    assert slabbed[3] == 4096
