@@ -24,9 +24,11 @@ to ``target_fraction`` of its initial value (censored runs count as
 Randomness is **counter-based** (:func:`repro.rng.counter_uniforms`,
 keyed by ``(seed, replication_index)`` with a fixed lane layout), and all
 reductions use shape-stable pairwise sums, so results are bit-identical
-for every ``chunk_size`` / ``n_jobs``.  ``vectorized=False`` runs the
-identical draws through a per-replication reference loop (the benchmark
-baseline and parity witness).
+for every ``chunk_size`` / ``n_jobs``.  The vectorized path draws a
+chunk's lanes in a few round blocks and runs each round on uint64 fault
+bitsets; ``vectorized=False`` runs the identical draws through a
+per-replication reference loop (the benchmark baseline and parity
+witness), and the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from ..demand import UsageProfile
 from ..errors import ModelError
-from ..faults.universe import coverage_hits
+from ..faults.universe import _packed_rows, _unpacked_rows, coverage_hits
 from ..rng import counter_key, counter_uniforms, inverse_cdf_indices
 from ..types import SeedLike
 from .components import ComponentModel
@@ -50,6 +52,10 @@ __all__ = ["LocalizedGrowthResult", "simulate_localized_growth"]
 
 _POLICIES = ("sbfl", "random")
 _DEFAULT_CHUNK = 4096
+# uniforms per counter draw of the vectorized path: a chunk draws its lanes
+# in blocks of whole rounds (the first led by the fault lanes) of at most
+# this many elements, splitting the chunk's rows when one round overflows
+_UNIFORM_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -122,6 +128,18 @@ def _chunk_localized_growth(spec: dict, task: Tuple[int, int]):
     of how the replication range was chunked.
     """
     start, count = task
+    if spec["vectorized"]:
+        row_lanes = spec["presence_probs"].shape[0] + spec["covered"].shape[0] + 1
+        group = max(1, _UNIFORM_BLOCK // row_lanes)
+        parts = [
+            _localized_rows(spec, first, min(group, start + count - first))
+            for first in range(start, start + count, group)
+        ]
+        return (
+            np.concatenate([r for r, _t in parts]),
+            np.concatenate([t for _r, t in parts], axis=0),
+        )
+
     key = spec["key"]
     presence = spec["presence_probs"]
     coverage = spec["coverage"]
@@ -149,38 +167,6 @@ def _chunk_localized_growth(spec: dict, task: Tuple[int, int]):
     threshold = target_fraction * trajectories[:, 0]
     rounds_to_target = np.full(count, rounds + 1, dtype=np.int64)
     rounds_to_target[trajectories[:, 0] <= threshold] = 0
-
-    if spec["vectorized"]:
-        for round_index in range(rounds):
-            base = n_faults + round_index * lane_stride
-            demand_lanes = base + np.arange(n_tests, dtype=np.uint64)[None, :]
-            demand_u = counter_uniforms(key, streams, demand_lanes)
-            demands = inverse_cdf_indices(cdf, None, uniforms=demand_u)
-            # contrib[r, t, f]: fault f made test t fail this round
-            hit = coverage[:, demands].transpose(1, 2, 0)
-            contrib = faults[:, None, :] & hit & test_sees[None, :, :]
-            failing = contrib.any(axis=2)
-            detected = contrib.any(axis=1)
-            # the inspection walk stops at the first component (in policy
-            # order) holding a detected fault — the round's repair site
-            repairable = coverage_hits(detected, one_hot(assignment, n_comp))
-            if policy == "sbfl":
-                scores = suspiciousness(
-                    metric, *spectrum_counts(failing, covered)
-                )
-                top = np.argmax(
-                    np.where(repairable, scores, -np.inf), axis=1
-                )
-            else:
-                pick_lane = np.uint64(base + n_tests)
-                pick_u = counter_uniforms(key, streams, pick_lane)[:, 0]
-                top = _select_random(repairable, pick_u)
-            faults &= ~(detected & (assignment[None, :] == top[:, None]))
-            pfd = _row_pfd(faults, coverage, probabilities)
-            trajectories[:, round_index + 1] = pfd
-            newly = (pfd <= threshold) & (rounds_to_target > rounds)
-            rounds_to_target[newly] = round_index + 1
-        return rounds_to_target, trajectories
 
     # reference path: identical draws, per-replication python loops
     for row in range(count):
@@ -228,6 +214,121 @@ def _chunk_localized_growth(spec: dict, task: Tuple[int, int]):
     return rounds_to_target, trajectories
 
 
+def _localized_rows(spec: dict, start: int, count: int):
+    """The vectorized rounds of replications ``[start, start + count)``.
+
+    A row's lanes are its fault-presence lanes, then per round its demand
+    lanes and its pick lane.  They are drawn in blocks of whole rounds of
+    at most ``_UNIFORM_BLOCK`` uniforms, one counter call and one demand
+    search a block.  Each round runs on the rows' uint64 fault bitsets:
+    the faults that fail test ``t`` are ``bits & cover[demand] & sees[t]``.
+    Only rows that lost a fault get their pfd recomputed, and each row's
+    pfd is a function of that row alone, so the values equal the
+    reference path's bit for bit.
+    """
+    key = spec["key"]
+    presence = spec["presence_probs"]
+    coverage = spec["coverage"]
+    probabilities = spec["probabilities"]
+    covered = spec["covered"]
+    cover_bits, sees_bits, component_bits = spec["fault_bits"]
+    rounds = spec["rounds"]
+    n_faults = presence.shape[0]
+    n_tests = covered.shape[0]
+    lane_stride = n_tests + 1  # per-round lanes: demands then policy pick
+    streams = np.arange(start, start + count, dtype=np.uint64)[:, None]
+    per_block = max(1, (_UNIFORM_BLOCK // count - n_faults) // lane_stride)
+
+    trajectories = np.empty((count, rounds + 1), dtype=np.float64)
+    rounds_to_target = np.full(count, rounds + 1, dtype=np.int64)
+    for first in range(0, rounds, per_block):
+        last = min(first + per_block, rounds)
+        low = n_faults + first * lane_stride if first else 0
+        lanes = np.arange(low, n_faults + last * lane_stride, dtype=np.uint64)
+        uniforms = counter_uniforms(key, streams, lanes[None, :])
+        if not first:
+            faults = uniforms[:, :n_faults] < presence[None, :]
+            bits = _packed_rows(faults, cover_bits.shape[1])
+            trajectories[:, 0] = _row_pfd(faults, coverage, probabilities)
+            threshold = spec["target_fraction"] * trajectories[:, 0]
+            rounds_to_target[trajectories[:, 0] <= threshold] = 0
+            uniforms = uniforms[:, n_faults:]
+        uniforms = uniforms.reshape(count, last - first, lane_stride)
+        demands = inverse_cdf_indices(
+            spec["cdf"], None, uniforms=uniforms[:, :, :n_tests]
+        )
+        for offset, round_index in enumerate(range(first, last)):
+            # contrib[r, t]: the faults of row r that made test t fail
+            contrib = cover_bits[demands[:, offset]]
+            contrib &= sees_bits
+            contrib &= bits[:, None, :]
+            # only rows with a detected fault repair, and each repairs one
+            active = np.flatnonzero(contrib.any(axis=(1, 2)))
+            contrib = contrib[active]
+            detected = np.bitwise_or.reduce(contrib, axis=1)
+            # the inspection walk stops at the first component (in policy
+            # order) holding a detected fault — the round's repair site
+            repairable = (detected[:, None, :] & component_bits).any(axis=2)
+            if spec["policy"] == "sbfl":
+                failing = contrib.any(axis=2)
+                scores = suspiciousness(
+                    spec["metric"], *spectrum_counts(failing, covered)
+                )
+                top = np.argmax(np.where(repairable, scores, -np.inf), axis=1)
+            else:
+                pick_u = uniforms[active, offset, n_tests]
+                top = _select_random(repairable, pick_u)
+            removed = detected & component_bits[top]
+            # removed faults are a subset of the row, so xor clears them
+            bits[active] ^= removed
+            changed = active[removed.any(axis=1)]
+            column = trajectories[:, round_index + 1]
+            column[:] = trajectories[:, round_index]
+            pfd = _row_pfd(
+                _unpacked_rows(bits[changed], n_faults), coverage, probabilities
+            )
+            column[changed] = pfd
+            newly = changed[
+                (pfd <= threshold[changed]) & (rounds_to_target[changed] > rounds)
+            ]
+            rounds_to_target[newly] = round_index + 1
+    return rounds_to_target, trajectories
+
+
+def _workload_spec(
+    population, profile, matrix, model, policy, metric, rounds,
+    target_fraction, rng, vectorized,
+) -> dict:
+    """The chunk kernels' shared, picklable inputs (validated upstream)."""
+    coverage = population.universe.coverage
+    covered = matrix.covered
+    assignment = model.assignment
+    n_faults = coverage.shape[0]
+    words = max(1, -(-n_faults // 64))
+    components = np.arange(covered.shape[1])[:, None] == assignment[None, :]
+    probabilities = np.asarray(profile.probabilities, dtype=np.float64)
+    return {
+        "key": counter_key(rng),
+        "presence_probs": np.asarray(population.presence_probs, dtype=np.float64),
+        "coverage": coverage,
+        "probabilities": probabilities,
+        "cdf": np.cumsum(probabilities),
+        "covered": covered,
+        "assignment": assignment,
+        # faults covering each demand, seen by each test, in each component
+        "fault_bits": (
+            _packed_rows(coverage.T, words),
+            _packed_rows(covered[:, assignment], words),
+            _packed_rows(components, words),
+        ),
+        "metric": metric,
+        "policy": policy,
+        "rounds": int(rounds),
+        "target_fraction": float(target_fraction),
+        "vectorized": bool(vectorized),
+    }
+
+
 def simulate_localized_growth(
     population,
     profile: UsageProfile,
@@ -248,10 +349,8 @@ def simulate_localized_growth(
     ``population`` must be a Bernoulli population (per-fault presence
     probabilities) over ``model.universe``'s demand space.  Results are
     bit-identical for every ``chunk_size`` / ``n_jobs`` and between the
-    vectorized and reference paths up to float reduction order (the
-    integer effort outcomes match exactly); pair two calls on the same
-    seed with different ``policy`` values for a common-random-numbers
-    comparison.
+    vectorized and reference paths; pair two calls on the same seed with
+    different ``policy`` values for a common-random-numbers comparison.
     """
     from ..mc.batch import run_tasks
 
@@ -298,20 +397,10 @@ def simulate_localized_growth(
     if chunk_size < 1:
         raise ModelError(f"chunk_size must be >= 1, got {chunk_size}")
 
-    spec = {
-        "key": counter_key(rng),
-        "presence_probs": np.asarray(presence, dtype=np.float64),
-        "coverage": universe.coverage,
-        "probabilities": np.asarray(profile.probabilities, dtype=np.float64),
-        "cdf": np.cumsum(np.asarray(profile.probabilities, dtype=np.float64)),
-        "covered": matrix.covered,
-        "assignment": model.assignment,
-        "metric": metric,
-        "policy": policy,
-        "rounds": int(rounds),
-        "target_fraction": float(target_fraction),
-        "vectorized": bool(vectorized),
-    }
+    spec = _workload_spec(
+        population, profile, matrix, model, policy, metric, rounds,
+        target_fraction, rng, vectorized,
+    )
     tasks = [
         (start, min(chunk_size, n_replications - start))
         for start in range(0, n_replications, chunk_size)

@@ -232,6 +232,15 @@ def philox_uniform(key: np.uint64, stream: np.uint64, lane: np.uint64) -> float:
     return float(bits >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
+# elements per Philox slab: six uint64 buffers of it stay in L2 across the
+# ten rounds; whole-block temporaries made every round a trip to memory
+_PHILOX_SLAB = 1 << 13
+_PHILOX_M0 = np.uint64(0xD2511F53)
+_PHILOX_M1 = np.uint64(0xCD9E8D57)
+_PHILOX_W0 = np.uint64(0x9E3779B9)
+_PHILOX_W1 = np.uint64(0xBB67AE85)
+
+
 def counter_uniforms(key: int, streams, lanes) -> np.ndarray:
     """Uniforms in ``[0, 1)`` keyed by ``(key, stream, lane)`` — vectorized.
 
@@ -240,35 +249,59 @@ def counter_uniforms(key: int, streams, lanes) -> np.ndarray:
     Callers use it as
     ``counter_uniforms(key, replication_ids[:, None], lane_ids[None, :])``
     to materialise a whole ``(replications, lanes)`` block in one shot.
+    The cipher runs in place on ``_PHILOX_SLAB``-element slabs of the
+    broadcast, with the ten round keys computed once per call.
     """
+    lanes_b, streams_b = np.broadcast_arrays(
+        np.asarray(lanes, dtype=np.uint64), np.asarray(streams, dtype=np.uint64)
+    )
+    out = np.empty(lanes_b.shape, dtype=np.float64)
+    if out.size == 0:
+        return out
     mask = np.uint64(0xFFFFFFFF)
     shift = np.uint64(32)
-    streams_arr = np.asarray(streams, dtype=np.uint64)
-    lanes_arr = np.asarray(lanes, dtype=np.uint64)
-    lanes_b, streams_b = np.broadcast_arrays(lanes_arr, streams_arr)
-    c0 = lanes_b & mask
-    c1 = (lanes_b >> shift) & mask
-    c2 = streams_b & mask
-    c3 = (streams_b >> shift) & mask
-    key64 = np.uint64(int(key) & _U64_MASK)
-    k0 = key64 & mask
-    k1 = (key64 >> shift) & mask
-    m0 = np.uint64(0xD2511F53)
-    m1 = np.uint64(0xCD9E8D57)
-    w0 = np.uint64(0x9E3779B9)
-    w1 = np.uint64(0xBB67AE85)
-    for _round in range(10):
-        p0 = m0 * c0
-        p1 = m1 * c2
-        n0 = (p1 >> shift) ^ c1 ^ k0
-        n1 = p1 & mask
-        n2 = (p0 >> shift) ^ c3 ^ k1
-        n3 = p0 & mask
-        c0, c1, c2, c3 = n0, n1, n2, n3
-        k0 = (k0 + w0) & mask
-        k1 = (k1 + w1) & mask
-    bits = (c0 << shift) | c1
-    return (bits >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    key64 = int(key) & _U64_MASK
+    rounds = np.arange(10, dtype=np.uint64)
+    schedule = list(
+        zip(
+            (np.uint64(key64 & 0xFFFFFFFF) + rounds * _PHILOX_W0) & mask,
+            (np.uint64(key64 >> 32) + rounds * _PHILOX_W1) & mask,
+        )
+    )
+    buffers = np.empty((6, min(out.size, _PHILOX_SLAB)), dtype=np.uint64)
+    slabs = np.nditer(
+        [lanes_b, streams_b, out],
+        flags=["external_loop", "buffered"],
+        op_flags=[["readonly"], ["readonly"], ["writeonly"]],
+        buffersize=_PHILOX_SLAB,
+        order="C",
+    )
+    with slabs:
+        for lane, stream_id, dest in slabs:
+            # the 128-bit counter (lane, stream) as four 32-bit words x0..x3
+            x0, x1, x2, x3, q0, q1 = buffers[:, : lane.shape[0]]
+            np.bitwise_and(lane, mask, out=x0)
+            np.right_shift(lane, shift, out=x1)
+            np.bitwise_and(stream_id, mask, out=x2)
+            np.right_shift(stream_id, shift, out=x3)
+            for k0, k1 in schedule:
+                np.multiply(x0, _PHILOX_M0, out=q0)
+                np.multiply(x2, _PHILOX_M1, out=q1)
+                # x0' = hi(q1) ^ x1 ^ k0, x1' = lo(q1); likewise x2', x3'
+                np.right_shift(q1, shift, out=x0)
+                np.bitwise_xor(x0, x1, out=x0)
+                np.bitwise_xor(x0, k0, out=x0)
+                np.bitwise_and(q1, mask, out=x1)
+                np.right_shift(q0, shift, out=x2)
+                np.bitwise_xor(x2, x3, out=x2)
+                np.bitwise_xor(x2, k1, out=x2)
+                np.bitwise_and(q0, mask, out=x3)
+            # the top 53 bits of (x0 << 32) | x1, scaled into [0, 1)
+            np.left_shift(x0, np.uint64(21), out=x0)
+            np.right_shift(x1, np.uint64(11), out=x1)
+            np.bitwise_or(x0, x1, out=x0)
+            np.multiply(x0, 1.0 / 9007199254740992.0, out=dest)
+    return out
 
 
 def stream(seed: SeedLike = None) -> Iterator[np.random.Generator]:

@@ -315,3 +315,92 @@ class TestPhiloxUniform:
         block = counter_uniforms(key, np.arange(500)[:, None], np.arange(20))
         assert abs(block.mean() - 0.5) < 0.01
         assert abs((block < 0.25).mean() - 0.25) < 0.01
+
+
+def _whole_array_philox(key, streams, lanes):
+    """The former ``counter_uniforms``: each round on whole-array
+    temporaries, key schedule advanced inside the loop."""
+    mask = np.uint64(0xFFFFFFFF)
+    shift = np.uint64(32)
+    lanes_b, streams_b = np.broadcast_arrays(
+        np.asarray(lanes, dtype=np.uint64), np.asarray(streams, dtype=np.uint64)
+    )
+    c0 = lanes_b & mask
+    c1 = (lanes_b >> shift) & mask
+    c2 = streams_b & mask
+    c3 = (streams_b >> shift) & mask
+    key64 = np.uint64(int(key) & ((1 << 64) - 1))
+    k0 = key64 & mask
+    k1 = (key64 >> shift) & mask
+    for _round in range(10):
+        p0 = np.uint64(0xD2511F53) * c0
+        p1 = np.uint64(0xCD9E8D57) * c2
+        c0, c1, c2, c3 = (
+            (p1 >> shift) ^ c1 ^ k0,
+            p1 & mask,
+            (p0 >> shift) ^ c3 ^ k1,
+            p0 & mask,
+        )
+        k0 = (k0 + np.uint64(0x9E3779B9)) & mask
+        k1 = (k1 + np.uint64(0xBB67AE85)) & mask
+    bits = (c0 << shift) | c1
+    return (bits >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+class TestCounterUniformSlabs:
+    SLAB = repro.rng._PHILOX_SLAB
+
+    def _check(self, key, streams, lanes, samples=16):
+        block = counter_uniforms(key, streams, lanes)
+        expected = _whole_array_philox(key, streams, lanes)
+        assert block.shape == expected.shape
+        assert np.array_equal(block, expected)
+        lanes_b, streams_b = np.broadcast_arrays(
+            np.asarray(lanes, dtype=np.uint64), np.asarray(streams, dtype=np.uint64)
+        )
+        flat = np.linspace(0, block.size - 1, min(samples, block.size)).astype(int)
+        for position in flat:
+            where = np.unravel_index(position, block.shape)
+            assert block[where] == philox_uniform(
+                np.uint64(key), streams_b[where], lanes_b[where]
+            )
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_around_one_slab(self, offset):
+        size = self.SLAB + offset
+        self._check(counter_key(4), np.uint64(9), np.arange(size, dtype=np.uint64))
+
+    def test_several_slabs_and_a_ragged_tail(self):
+        size = 3 * self.SLAB + 7
+        self._check(counter_key(6), np.arange(size, dtype=np.uint64) % 17, np.arange(size))
+
+    def test_two_dimensional_block_crossing_slabs(self):
+        streams = np.arange(2 * self.SLAB // 97 + 3, dtype=np.uint64)[:, None]
+        lanes = np.arange(97, dtype=np.uint64)[None, :]
+        self._check(counter_key(1), streams, lanes)
+
+    def test_counters_at_or_above_two_to_the_32(self):
+        high = np.uint64(2**32)
+        streams = high - np.uint64(1) + np.arange(5, dtype=np.uint64)[:, None]
+        lanes = np.uint64(2**63) + high + np.arange(self.SLAB // 3, dtype=np.uint64)
+        self._check(2**64 - 1, streams, lanes[None, :])
+
+    def test_scalar_broadcast(self):
+        key = counter_key(2)
+        self._check(key, 2**40, 3)
+        assert counter_uniforms(key, 2**40, 3).shape == ()
+        assert counter_uniforms(key, 2**40, 3) == philox_uniform(
+            np.uint64(key), np.uint64(2**40), np.uint64(3)
+        )
+        self._check(key, np.arange(self.SLAB + 5), 2**33)
+
+    def test_empty_input(self):
+        key = counter_key(3)
+        for streams, lanes in (
+            (np.arange(0), 5),
+            (np.arange(4)[:, None], np.arange(0)[None, :]),
+        ):
+            block = counter_uniforms(key, streams, lanes)
+            assert block.dtype == np.float64
+            assert block.shape == _whole_array_philox(key, streams, lanes).shape
+            assert block.size == 0
