@@ -39,8 +39,8 @@ from repro.versions import shared_fault_outputs
 
 
 # trivial subclasses: the planner serves kernels to exact types only, so
-# these run the reference paths — the per-row plan (apply_testing on every
-# row of the drawn blocks) and the envelope's per-replication loop
+# these run the per-row plan (apply_testing, or back_to_back_testing, on
+# every row of the drawn blocks)
 class _RowOracle(PerfectOracle):
     pass
 
@@ -53,7 +53,7 @@ class _RowImperfectFixing(ImperfectFixing):
     pass
 
 
-class _LoopFixing(PerfectFixing):
+class _RowFixing(PerfectFixing):
     pass
 
 
@@ -250,10 +250,10 @@ def test_kernel_e11_imperfect_speedup(benchmark, imperfect_model):
 
 
 def test_kernel_e12_back_to_back_speedup(benchmark, imperfect_model):
-    """Acceptance check: the §4.2 envelope >= 10x its per-replication loop
-    (e12 model), which a trivial fixing subclass selects.
+    """Acceptance check: the §4.2 envelope's block kernel >= 10x its
+    per-row plan (e12 model), which a trivial fixing subclass selects.
 
-    Records the loop-vs-batch ratio in the benchmark JSON, mirroring the
+    Records the rows-vs-kernel ratio in the benchmark JSON, mirroring the
     e11 check; the bar drops to 3x on shared CI runners.
     """
     min_speedup = 3.0 if os.environ.get("CI") else 10.0
@@ -263,7 +263,7 @@ def test_kernel_e12_back_to_back_speedup(benchmark, imperfect_model):
         population, generator, profile, n_replications=10, rng=7
     )
     back_to_back_envelope(
-        population, generator, profile, fixing=_LoopFixing(), n_replications=10,
+        population, generator, profile, fixing=_RowFixing(), n_replications=10,
         rng=7,
     )
     scalar_elapsed = _timed(
@@ -271,7 +271,7 @@ def test_kernel_e12_back_to_back_speedup(benchmark, imperfect_model):
         population,
         generator,
         profile,
-        fixing=_LoopFixing(),
+        fixing=_RowFixing(),
         n_replications=n_replications,
         rng=7,
     )

@@ -718,17 +718,13 @@ def adaptive_campaign_pfd(
 ) -> AdaptiveReport:
     """Adaptive mean final system pfd of a development campaign (§5).
 
-    Requires a fully batch-capable campaign
-    (:attr:`repro.extensions.DevelopmentCampaign.supports_batch`).
-    ``scale`` anchors relative targets for campaigns whose delivered pfd
-    sits near zero — ``x3`` passes the exact untested system pfd, so
-    ``rel_hw`` reads as "this fraction of the untested baseline".
+    Any campaign runs: its activities transform the chunk's fault-matrix
+    blocks, custom ones on the blocks' per-row plan
+    (:meth:`repro.extensions.Activity.apply_batch`).  ``scale`` anchors
+    relative targets for campaigns whose delivered pfd sits near zero —
+    ``x3`` passes the exact untested system pfd, so ``rel_hw`` reads as
+    "this fraction of the untested baseline".
     """
-    if not campaign.supports_batch:
-        raise ModelError(
-            "adaptive campaign estimation needs every activity to support "
-            "the batch path; run the fixed-n estimator instead"
-        )
     population_b = population_b if population_b is not None else population_a
     population_a.space.require_same(profile.space)
     target = target.with_defaults(budget=default_budget)

@@ -18,7 +18,7 @@ the analytic envelope.  :class:`BoundsReport` packages one such check.
 The measured quantities run on the Monte-Carlo layer's replication
 blocks: imperfect oracles and fixing on the vectorized §4.1 kernel of
 :mod:`repro.mc.batch`, and back-to-back testing on its demand-ordered
-block kernel, with a per-replication loop for custom fixing policies.
+block kernel; custom policies run on the same blocks' per-row plan.
 """
 
 from __future__ import annotations
@@ -29,20 +29,8 @@ from functools import partial
 from ..demand import UsageProfile
 from ..populations import VersionPopulation
 from ..rng import as_generator, spawn_many
-from ..testing import (
-    BackToBackComparator,
-    FixingPolicy,
-    Oracle,
-    SuiteGenerator,
-    apply_testing,
-    back_to_back_testing,
-)
+from ..testing import FixingPolicy, Oracle, SuiteGenerator
 from ..types import SeedLike
-from ..versions import (
-    optimistic_outputs,
-    pessimistic_outputs,
-    shared_fault_outputs,
-)
 from .regimes import TestingRegime
 from .marginal import marginal_system_pfd
 from .tested import TestedPopulationView
@@ -350,83 +338,28 @@ def back_to_back_envelope(
     shared-fault comparators) plus a perfect-oracle same-suite run, all on
     identical inputs, so the envelope comparisons are paired.
 
-    The whole envelope runs on the vectorized block kernel of
-    :mod:`repro.mc.batch`; a custom fixing policy
-    (:func:`repro.mc.back_to_back_supported` false) runs on the
-    per-replication loop below instead, which keeps one fixing stream per
-    comparator.
+    The whole envelope runs on the chunked replication blocks of
+    :mod:`repro.mc.batch`: its demand-ordered block kernel, or for a custom
+    fixing policy the per-row plan of
+    :func:`repro.mc.batch.back_to_back_batch`, with one fixing stream per
+    comparator either way.
     """
-    from ..mc.batch import (
-        _chunk_back_to_back_envelope,
-        _run_budget,
-        back_to_back_supported,
-    )
+    from ..mc.batch import _chunk_back_to_back_envelope, _run_budget
     from ..mc.experiments import _check_replications
 
     _check_replications(n_replications)
     population_b = population_b if population_b is not None else population_a
     population_a.space.require_same(profile.space)
-    if back_to_back_supported(fixing):
-        kernel = partial(
-            _chunk_back_to_back_envelope,
-            population_a,
-            population_b,
-            generator,
-            profile,
-            fixing,
-        )
-        results = _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
-        merged = [sum(column) for column in zip(*(sums for _n, sums in results))]
-        return BackToBackEnvelope.from_sums(
-            merged, sum(count for count, _sums in results)
-        )
-    rng = as_generator(rng)
-
-    comparators = {
-        "optimistic": BackToBackComparator(optimistic_outputs()),
-        "pessimistic": BackToBackComparator(pessimistic_outputs()),
-        "shared": BackToBackComparator(shared_fault_outputs()),
-    }
-    sums = {
-        "untested_system": 0.0,
-        "perfect_system": 0.0,
-        "optimistic_system": 0.0,
-        "pessimistic_system": 0.0,
-        "shared_system": 0.0,
-        "untested_version": 0.0,
-        "optimistic_version": 0.0,
-        "pessimistic_version": 0.0,
-        "shared_version": 0.0,
-    }
-
-    def system_pfd(first, second) -> float:
-        mask = first.failure_mask & second.failure_mask
-        return float(profile.probabilities[mask].sum())
-
-    for replication_stream in spawn_many(rng, n_replications):
-        # children 0-2 draw the versions and the suite; 3-5 drive the three
-        # comparators' fixing (spawning six keeps children 0-2 unchanged)
-        streams = spawn_many(replication_stream, 6)
-        version_a = population_a.sample(streams[0])
-        version_b = population_b.sample(streams[1])
-        suite = generator.sample(streams[2])
-
-        sums["untested_system"] += system_pfd(version_a, version_b)
-        sums["untested_version"] += 0.5 * (
-            version_a.pfd(profile) + version_b.pfd(profile)
-        )
-
-        perfect_a = apply_testing(version_a, suite).after
-        perfect_b = apply_testing(version_b, suite).after
-        sums["perfect_system"] += system_pfd(perfect_a, perfect_b)
-
-        for (mode, comparator), stream in zip(comparators.items(), streams[3:]):
-            outcome_a, outcome_b = back_to_back_testing(
-                version_a, version_b, suite, comparator, fixing, rng=stream
-            )
-            sums[f"{mode}_system"] += system_pfd(outcome_a.after, outcome_b.after)
-            sums[f"{mode}_version"] += 0.5 * (
-                outcome_a.after.pfd(profile) + outcome_b.after.pfd(profile)
-            )
-
-    return BackToBackEnvelope.from_sums(sums.values(), n_replications)
+    kernel = partial(
+        _chunk_back_to_back_envelope,
+        population_a,
+        population_b,
+        generator,
+        profile,
+        fixing,
+    )
+    results = _run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
+    merged = [sum(column) for column in zip(*(sums for _n, sums in results))]
+    return BackToBackEnvelope.from_sums(
+        merged, sum(count for count, _sums in results)
+    )

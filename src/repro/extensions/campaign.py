@@ -14,14 +14,12 @@ and system reliability, making the interplay the paper asks about directly
 observable; averaging over version pairs gives the population view.
 
 The population view (:meth:`DevelopmentCampaign.mean_final_system_pfd`)
-runs on the batch Monte-Carlo engine by default: every built-in activity
-also implements :meth:`Activity.apply_batch`, transforming whole
-fault-matrix blocks with the kernels of :mod:`repro.mc.batch`, so a
-campaign sweep costs a handful of matrix operations per activity instead
-of a Python loop per version pair.  Testing stages with custom
-oracle/fixing policies run on the batch blocks' per-row plan; custom
-activities without a batch form automatically fall back to the
-per-replication trajectory loop.
+runs on the batch Monte-Carlo engine: every built-in activity implements
+:meth:`Activity.apply_batch`, transforming whole fault-matrix blocks with
+the kernels of :mod:`repro.mc.batch`, so a campaign sweep costs a handful
+of matrix operations per activity instead of a Python loop per version
+pair.  Testing stages with custom oracle/fixing policies, and custom
+activities, run on the blocks' per-row plan.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import numpy as np
 from ..demand import UsageProfile
 from ..errors import ModelError
 from ..mc import batch as _batch
-from ..mc.estimator import MeanEstimator
 from ..mc.experiments import _check_replications
 from ..rng import as_generator, spawn_many
 from ..testing import (
@@ -84,16 +81,6 @@ class Activity(abc.ABC):
     ) -> Tuple[Version, Version]:
         """Run the activity; return the evolved version pair."""
 
-    @property
-    def supports_batch(self) -> bool:
-        """True iff :meth:`apply_batch` is implemented for this activity.
-
-        Campaign drivers check this before choosing the vectorized path;
-        custom activities default to False and keep campaigns on the
-        per-replication trajectory loop.
-        """
-        return False
-
     def apply_batch(
         self,
         faults_a: np.ndarray,
@@ -105,14 +92,20 @@ class Activity(abc.ABC):
         """Run the activity on whole ``(R, F)`` fault-matrix blocks.
 
         The block counterpart of :meth:`apply`: row ``r`` of the two
-        matrices is replication ``r``'s version pair.  Implementations must
+        matrices is replication ``r``'s version pair.  Overrides must
         preserve :meth:`apply`'s randomness *structure* (what is
         shared between channels vs drawn independently), not its exact
-        stream consumption.
+        stream consumption.  The default is the per-row plan
+        (:func:`repro.mc.batch._per_row`): :meth:`apply` on each row's
+        version pair, with child ``r`` of ``rng``.
         """
-        raise ModelError(
-            f"{type(self).__name__} has no batch implementation; campaigns "
-            "with it run on the per-replication trajectory loop"
+        return _batch._per_row(
+            lambda _row, stream, version_a, version_b: self.apply(
+                version_a, version_b, stream
+            ),
+            (faults_a, faults_b),
+            (universe_a, universe_b),
+            rng,
         )
 
 
@@ -151,10 +144,6 @@ class _TestingActivity(Activity):
             version_b, suites[-1], self._oracle, self._fixing, rng=test_b
         ).after
         return after_a, after_b
-
-    @property
-    def supports_batch(self) -> bool:
-        return True
 
     def apply_batch(self, faults_a, faults_b, universe_a, universe_b, rng):
         plan = _batch._testing_plan(self._oracle, self._fixing)
@@ -219,10 +208,6 @@ class BackToBackActivity(Activity):
         )
         return outcome_a.after, outcome_b.after
 
-    @property
-    def supports_batch(self) -> bool:
-        return _batch.back_to_back_supported(self._fixing)
-
     def apply_batch(self, faults_a, faults_b, universe_a, universe_b, rng):
         streams = spawn_many(rng, 2)
         sequences = self._generator.sample_demand_sequences(
@@ -255,10 +240,6 @@ class ClarificationActivity(Activity):
         after_a = apply_testing(version_a, suite).after
         after_b = apply_testing(version_b, suite).after
         return after_a, after_b
-
-    @property
-    def supports_batch(self) -> bool:
-        return True
 
     def apply_batch(self, faults_a, faults_b, universe_a, universe_b, rng):
         masks = self._process.generator.sample_demand_masks(
@@ -293,10 +274,6 @@ class PerTeamClarificationActivity(Activity):
         after_b = apply_testing(version_b, suite_b).after
         return after_a, after_b
 
-    @property
-    def supports_batch(self) -> bool:
-        return True
-
     def apply_batch(self, faults_a, faults_b, universe_a, universe_b, rng):
         streams = spawn_many(rng, 2)
         masks_a = self._process.generator.sample_demand_masks(
@@ -324,10 +301,6 @@ class MistakeActivity(Activity):
     def apply(self, version_a, version_b, rng):
         ids = np.asarray(self._mistake.fault_ids, dtype=np.int64)
         return version_a.with_faults(ids), version_b.with_faults(ids)
-
-    @property
-    def supports_batch(self) -> bool:
-        return True
 
     def apply_batch(self, faults_a, faults_b, universe_a, universe_b, rng):
         after_a = np.array(faults_a, dtype=bool)
@@ -434,11 +407,6 @@ class DevelopmentCampaign(object):
             steps.append(snapshot(index, activity.kind, current_a, current_b))
         return CampaignTrajectory(tuple(steps))
 
-    @property
-    def supports_batch(self) -> bool:
-        """True iff every activity in the plan has a batch implementation."""
-        return all(activity.supports_batch for activity in self._activities)
-
     def mean_final_system_pfd_estimator(
         self,
         population_a: VersionPopulation,
@@ -449,35 +417,23 @@ class DevelopmentCampaign(object):
         chunk_size: int | None = None,
         n_jobs: int = 1,
     ):
-        """The final-system-pfd average as a full :class:`MeanEstimator`.
+        """The final-system-pfd average as a full
+        :class:`~repro.mc.MeanEstimator`.
 
         The estimator form carries the spread alongside the mean, so sweep
         records and experiment tables can report confidence half-widths
         for campaign comparisons, not just point values.
 
-        With a fully batch-capable plan (:attr:`supports_batch`), the whole
-        average is computed on fault-matrix blocks — each activity
-        transforms the entire replication block at once.  A custom
-        activity without a batch form keeps the per-pair trajectory loop.
+        The whole average is computed on fault-matrix blocks — each
+        activity transforms the entire replication block at once
+        (:meth:`Activity.apply_batch`).
         """
         _check_replications(n_replications)
         population_b = population_b if population_b is not None else population_a
-        rng = as_generator(rng)
-        if self.supports_batch:
-            kernel = partial(
-                _campaign_chunk, self, population_a, population_b, profile
-            )
-            return _batch._accumulate_mean(
-                _batch._run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
-            )
-        estimator = MeanEstimator()
-        for replication in spawn_many(rng, n_replications):
-            streams = spawn_many(replication, 3)
-            version_a = population_a.sample(streams[0])
-            version_b = population_b.sample(streams[1])
-            trajectory = self.run(version_a, version_b, profile, streams[2])
-            estimator.add(trajectory.final.system_pfd)
-        return estimator
+        kernel = partial(_campaign_chunk, self, population_a, population_b, profile)
+        return _batch._accumulate_mean(
+            _batch._run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
+        )
 
     def mean_final_system_pfd(
         self,

@@ -20,7 +20,6 @@ from .batch import (
     apply_imperfect_testing_batch,
     apply_testing_batch,
     back_to_back_batch,
-    back_to_back_supported,
     run_tasks,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "apply_blind_testing_batch",
     "apply_coverage_testing_batch",
     "back_to_back_batch",
-    "back_to_back_supported",
     "run_tasks",
 ]

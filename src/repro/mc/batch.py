@@ -24,7 +24,8 @@ replications at once:
   :func:`~repro.testing.apply_testing` on each row of the drawn blocks;
   §4.2 back-to-back testing has its own demand-ordered masked update loop
   (:func:`back_to_back_batch`) — the only genuinely sequential axis in the
-  paper's testing processes;
+  paper's testing processes — and the same per-row plan for custom
+  comparators and fixing policies;
 * **scoring**: post-test failure masks
   (:meth:`~repro.faults.FaultUniverse.failure_matrix`) reduced against the
   usage profile a slab at a time (:func:`~repro.faults.universe.failure_masses`).
@@ -76,6 +77,7 @@ from ..testing import (
     SuiteGenerator,
     TestSuite,
     apply_testing,
+    back_to_back_testing,
 )
 from ..testing.fixing import ImperfectFixing, PerfectFixing
 from ..testing.generators import _suite_runs, _SuiteRuns
@@ -97,7 +99,6 @@ __all__ = [
     "apply_blind_testing_batch",
     "apply_coverage_testing_batch",
     "back_to_back_batch",
-    "back_to_back_supported",
     "run_tasks",
 ]
 
@@ -172,18 +173,6 @@ def _testing_plan(oracle: Oracle | None, fixing: FixingPolicy | None) -> tuple:
     if detection_p == 1.0 and fix_p == 1.0:
         return (_PERFECT, 1.0, 1.0, None)
     return (_BERNOULLI, detection_p, fix_p, None)
-
-
-def back_to_back_supported(fixing: FixingPolicy | None = None) -> bool:
-    """True iff back-to-back testing with ``fixing`` runs on the batch path.
-
-    The §4.2 comparator itself is always expressible (all three output
-    models reduce to boolean cause-mask algebra); only the follow-up fixing
-    policy can force :func:`repro.core.back_to_back_envelope` onto its
-    per-replication loop, with :func:`_testing_plan`'s exact-type rule: a
-    *subclass* may override ``faults_removed`` arbitrarily.
-    """
-    return fixing is None or type(fixing) in (PerfectFixing, ImperfectFixing)
 
 
 def apply_testing_batch(
@@ -381,20 +370,17 @@ def back_to_back_batch(
     two channels' causes as fault-*id* sets, the test the dense reference
     :func:`repro.mc.kernels.back_to_back_counter` makes on padded masks.
 
+    The kernel serves exact types only, as :func:`_testing_plan` does: a
+    :class:`~repro.testing.BackToBackComparator` with a
+    :class:`~repro.versions.FailureOutputModel`, and no, perfect or
+    imperfect fixing.  A subclass may override the per-demand behaviour
+    arbitrarily, so every other pair runs on the per-row plan:
+    :func:`~repro.testing.back_to_back_testing` on each row's version pair
+    and its ``-1``-stripped sequence row, with child ``r`` of ``rng``.
+
     Returns the post-test ``(R, F_A)`` and ``(R, F_B)`` fault matrices.
     The inputs are not modified.
     """
-    mode = comparator.output_model.mode
-    if fixing is None or type(fixing) is PerfectFixing:
-        fix_probability = 1.0
-    elif type(fixing) is ImperfectFixing:
-        fix_probability = float(fixing.fix_probability)
-    else:
-        raise ModelError(
-            "back-to-back batch kernel cannot model custom fixing policy "
-            f"{type(fixing).__name__}; back_to_back_envelope runs it on its "
-            "per-replication loop"
-        )
     faults_a = np.asarray(fault_matrix_a, dtype=bool)
     faults_b = np.asarray(fault_matrix_b, dtype=bool)
     seqs = np.asarray(sequences, dtype=np.int64)
@@ -415,6 +401,27 @@ def back_to_back_batch(
                 "sequence block contains demands outside space of size "
                 f"{space_limit} (or invalid padding < -1)"
             )
+    exact = (
+        type(comparator) is BackToBackComparator
+        and type(comparator.output_model) is FailureOutputModel
+    )
+    if exact and (fixing is None or type(fixing) is PerfectFixing):
+        fix_probability = 1.0
+    elif exact and type(fixing) is ImperfectFixing:
+        fix_probability = float(fixing.fix_probability)
+    else:
+
+        def test_pair(row, stream, version_a, version_b):
+            suite = _row_suite(universe_a.space, seqs[row])
+            outcome_a, outcome_b = back_to_back_testing(
+                version_a, version_b, suite, comparator, fixing, rng=stream
+            )
+            return outcome_a.after, outcome_b.after
+
+        return _per_row(
+            test_pair, (faults_a, faults_b), (universe_a, universe_b), rng
+        )
+    mode = comparator.output_model.mode
     generator = as_generator(rng) if fix_probability < 1.0 else None
     # fault rows as bitsets over one common width, so that "identical
     # causes" (fault-id set equality across universes) is word equality
@@ -455,6 +462,33 @@ def back_to_back_batch(
     )
 
 
+def _per_row(row_plan, blocks, universes, rng: SeedLike = None) -> tuple:
+    """The per-row plan: a scalar process on every row of fault blocks.
+
+    Row ``r`` of each ``(R, F)`` block in ``blocks`` becomes a
+    :class:`~repro.versions.Version` of its universe in ``universes``, and
+    ``row_plan(r, stream, *versions)`` returns the row's evolved versions,
+    ``stream`` being child ``r`` of ``rng``.  Returns the evolved blocks.
+    This is how the blocks run custom oracles, fixing policies,
+    comparators and campaign activities.
+    """
+    evolved = tuple(np.zeros(np.shape(block), dtype=bool) for block in blocks)
+    streams = spawn_many(as_generator(rng), len(blocks[0]))
+    for row, stream in enumerate(streams):
+        versions = (
+            Version(universe, np.flatnonzero(block[row]))
+            for universe, block in zip(universes, blocks)
+        )
+        for out, after in zip(evolved, row_plan(row, stream, *versions)):
+            out[row, after.fault_ids] = True
+    return evolved
+
+
+def _row_suite(space, demands: np.ndarray) -> TestSuite:
+    """The suite of one ``-1`` padded demand-sequence row."""
+    return TestSuite(space, demands[demands >= 0])
+
+
 def _test_rows(
     fault_matrix: np.ndarray,
     sequences: np.ndarray,
@@ -463,27 +497,22 @@ def _test_rows(
     fixing: FixingPolicy | None,
     rng: SeedLike = None,
 ) -> np.ndarray:
-    """The per-row plan: :func:`~repro.testing.apply_testing` on every row.
+    """:func:`~repro.testing.apply_testing` on every row (:func:`_per_row`).
 
-    Row ``r`` becomes a :class:`~repro.versions.Version` of its fault row
-    and is tested on its demand-sequence row with the ``-1`` padding
-    stripped, with child ``r`` of ``rng`` as its testing stream.  This is
-    the reference form of every closure above, and the one plan that runs
-    custom oracle and fixing policies.
+    Row ``r`` is tested on its demand-sequence row.  This is the reference
+    form of every closure above, and the one plan that runs custom oracle
+    and fixing policies.
     """
     sequences = np.asarray(sequences, dtype=np.int64)
     fault_matrix = _checked_faults(
         fault_matrix, (sequences.shape[0], universe.space.size), universe
     )
-    tested = np.zeros(fault_matrix.shape, dtype=bool)
-    streams = spawn_many(as_generator(rng), fault_matrix.shape[0])
-    for row, (present, demands, stream) in enumerate(
-        zip(fault_matrix, sequences, streams)
-    ):
-        version = Version(universe, np.flatnonzero(present))
-        suite = TestSuite(universe.space, demands[demands >= 0])
-        after = apply_testing(version, suite, oracle, fixing, rng=stream).after
-        tested[row, after.fault_ids] = True
+
+    def test_row(row, stream, version):
+        suite = _row_suite(universe.space, sequences[row])
+        return (apply_testing(version, suite, oracle, fixing, rng=stream).after,)
+
+    (tested,) = _per_row(test_row, (fault_matrix,), (universe,), rng)
     return tested
 
 
@@ -728,9 +757,10 @@ def _chunk_back_to_back_envelope(
 
     ``sums`` holds the nine envelope accumulators in the field order of
     :class:`repro.core.bounds.BackToBackEnvelope`.  All modes reuse the same
-    fault-matrix and suite draws, so the envelope comparisons stay paired
-    exactly as in the per-replication loop of
-    :func:`repro.core.back_to_back_envelope`.
+    fault-matrix and suite draws, so the envelope comparisons are paired;
+    each mode's fixing draws from its own child of the fourth stream, on
+    the kernel or, for a custom fixing policy, on the per-row plan of
+    :func:`back_to_back_batch`.
     """
     count, seed = task
     streams = spawn_many(as_generator(seed), 4)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.adaptive import (
     PrecisionTarget,
+    adaptive_campaign_pfd,
     adaptive_marginal_system_pfd,
     adaptive_untested_joint_pfd,
     adaptive_version_pfd,
@@ -18,6 +19,7 @@ from repro.adaptive.controller import MetricSpec
 from repro.core import ELModel, SameSuite
 from repro.errors import ModelError
 from repro.experiments.models import standard_scenario
+from repro.extensions import Activity, DevelopmentCampaign, SharedTestingActivity
 from repro.mc import simulate_version_pfd
 from repro.testing import ImperfectFixing, ImperfectOracle, PerfectOracle
 from repro.testing.oracle import Oracle
@@ -32,6 +34,15 @@ class _NeverOracle(Oracle):
 
     def detects(self, version, demand, rng=None):
         return False
+
+
+class _Idle(Activity):
+    """A do-nothing custom campaign activity."""
+
+    kind = "idle"
+
+    def apply(self, version_a, version_b, rng):
+        return version_a, version_b
 
 
 def _noise_kernel(task):
@@ -270,6 +281,28 @@ class TestAdaptersAgainstFixedN:
         assert never.estimate.mean == pytest.approx(
             scenario.population.pfd(scenario.profile), rel=0.1
         )
+
+    def test_campaign_with_custom_activity_runs_adaptively(self):
+        """Precision runs accept every campaign: a custom activity runs on
+        the chunk blocks' per-row plan, and a do-nothing one appended
+        leaves the report bit for bit as it was, with and without VR."""
+        scenario = standard_scenario(0)
+        plan = [SharedTestingActivity(scenario.generator)]
+        for vr in ("none", "stratified+control"):
+            target = PrecisionTarget(rel_hw=0.1, budget=2000, initial=256, vr=vr)
+            runs = [
+                adaptive_campaign_pfd(
+                    DevelopmentCampaign(activities),
+                    scenario.population,
+                    scenario.profile,
+                    target,
+                    rng=3,
+                ).only
+                for activities in (plan, plan + [_Idle()])
+            ]
+            assert runs[0].replications == runs[1].replications
+            assert runs[0].estimate.mean == runs[1].estimate.mean
+            assert runs[0].estimate.half_width == runs[1].estimate.half_width
 
 
 class TestSimulatePrecisionKwarg:

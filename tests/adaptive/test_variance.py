@@ -18,6 +18,7 @@ from repro.adaptive import (
 from repro.demand import DemandSpace, uniform_profile
 from repro.errors import ModelError
 from repro.experiments.models import standard_scenario, tiny_enumerable_scenario
+from repro.extensions import Activity
 from repro.faults import uniform_random_universe
 from repro.populations import BernoulliFaultPopulation
 from repro.testing import ImperfectFixing, ImperfectOracle
@@ -220,7 +221,19 @@ def _marginal_chunks(regime_name, plan_kind, count, seed):
     return batch, adaptive
 
 
-def _campaign_chunks(count, seed):
+class _CoinRepair(Activity):
+    """A custom campaign activity: a fair coin per pair decides whether
+    channel A is rewritten fault-free."""
+
+    kind = "coin repair"
+
+    def apply(self, version_a, version_b, rng):
+        if rng.random() < 0.5:
+            return version_a.without_faults(version_a.fault_ids), version_b
+        return version_a, version_b
+
+
+def _campaign_chunks(custom, count, seed):
     from repro.adaptive.variance import campaign_pfd_chunk
     from repro.extensions import (
         BackToBackActivity,
@@ -246,8 +259,8 @@ def _campaign_chunks(count, seed):
                 generator, BackToBackComparator(shared_fault_outputs())
             ),
         ]
+        + ([_CoinRepair()] if custom else [])
     )
-    assert campaign.supports_batch
     batch = _campaign_chunk(campaign, population, other, profile, (count, seed))
     adaptive = campaign_pfd_chunk(
         campaign, population, other, profile, "none", (0, count, seed)
@@ -265,7 +278,10 @@ _IDENTITY_CASES = (
         for regime in ("same", "independent", "forced")
         for kind in ("perfect", "bernoulli")
     ]
-    + [pytest.param(_campaign_chunks, (), id="campaign")]
+    + [
+        pytest.param(_campaign_chunks, (False,), id="campaign"),
+        pytest.param(_campaign_chunks, (True,), id="campaign-custom"),
+    ]
 )
 
 

@@ -11,9 +11,26 @@ from repro.core.bounds import (
     imperfect_testing_bounds,
 )
 from repro.errors import ModelError
+from repro.faults.universe import failure_masses
+from repro.mc import MeanEstimator, back_to_back_batch
 from repro.populations import FinitePopulation
-from repro.testing import ImperfectFixing, ImperfectOracle, PerfectFixing, PerfectOracle
-from repro.versions import Version
+from repro.testing import (
+    BackToBackComparator,
+    ImperfectFixing,
+    ImperfectOracle,
+    PerfectFixing,
+    PerfectOracle,
+)
+from repro.versions import (
+    Version,
+    optimistic_outputs,
+    pessimistic_outputs,
+    shared_fault_outputs,
+)
+
+
+class _RowImperfectFixing(ImperfectFixing):
+    """Imperfect fixing, on the per-row plan (kernels serve exact types)."""
 
 
 class TestBoundsReport:
@@ -158,33 +175,59 @@ class TestBackToBackEnvelope:
     def test_scalar_imperfect_fixing_is_seeded(
         self, bernoulli_population, operational_generator, profile
     ):
-        """Each comparator's fixing draws from its own child of the
-        replication stream, so a fixed seed gives one envelope.  A trivial
-        fixing subclass takes the per-replication loop; the pinned values
-        are that loop's draws when it ran as ``engine="scalar"``."""
+        """A custom fixing policy runs on the envelope's per-row plan, each
+        comparator's fixing on its own stream: a fixed seed gives one
+        envelope for any worker count, and the plan agrees with the
+        ``ImperfectFixing`` kernel in distribution."""
 
-        class LoopFixing(ImperfectFixing):
-            pass
-
-        envelopes = [
-            back_to_back_envelope(
+        def envelope(**kwargs):
+            return back_to_back_envelope(
                 bernoulli_population,
                 operational_generator,
                 profile,
-                fixing=LoopFixing(0.5),
+                fixing=_RowImperfectFixing(0.5),
                 n_replications=200,
                 rng=9,
+                chunk_size=50,
+                **kwargs,
             )
-            for _ in range(2)
-        ]
-        assert envelopes[0] == envelopes[1]
-        pinned = (0.0705, 0.116, 0.112, 0.16325, 0.20025, 0.195)
-        got = (
-            envelopes[0].optimistic_system_pfd,
-            envelopes[0].pessimistic_system_pfd,
-            envelopes[0].shared_fault_system_pfd,
-            envelopes[0].optimistic_version_pfd,
-            envelopes[0].pessimistic_version_pfd,
-            envelopes[0].shared_fault_version_pfd,
+
+        serial = envelope()
+        assert serial == envelope()
+        assert serial == envelope(n_jobs=2)
+        assert serial.ordering_holds
+
+        # one drawn block, tested by the kernel and by the per-row plan:
+        # only the fixing draws differ, so each row's difference in joint
+        # and per-channel failure mass has mean 0, inside its 99.9% interval
+        universe = bernoulli_population.universe
+        blocks = (
+            bernoulli_population.sample_fault_matrix(4000, rng=1),
+            bernoulli_population.sample_fault_matrix(4000, rng=2),
+            operational_generator.sample_demand_sequences(4000, rng=3),
+            universe,
+            universe,
         )
-        assert got == pytest.approx(pinned, abs=1e-12)
+        for outputs in (optimistic_outputs, pessimistic_outputs, shared_fault_outputs):
+            comparator = BackToBackComparator(outputs())
+            kernel = back_to_back_batch(
+                *blocks, comparator, ImperfectFixing(0.5), rng=4
+            )
+            rows = back_to_back_batch(
+                *blocks, comparator, _RowImperfectFixing(0.5), rng=5
+            )
+            masses = [
+                failure_masses(
+                    profile.probabilities,
+                    (universe, after_a),
+                    (universe, after_b),
+                    marginals=True,
+                )
+                for after_a, after_b in (kernel, rows)
+            ]
+            assert not np.array_equal(*masses)
+            for difference in masses[0] - masses[1]:
+                estimator = MeanEstimator()
+                estimator.add_many(difference)
+                low, high = estimator.normal_interval(0.999)
+                assert low <= 0.0 <= high, outputs.__name__

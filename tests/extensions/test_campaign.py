@@ -131,12 +131,31 @@ class TestMeanFinalPfd:
             )
 
 
-class _LoopOnly(Activity):
-    """A do-nothing activity without a batch form."""
+class _Idle(Activity):
+    """A do-nothing custom activity: it runs on the per-row plan."""
 
-    kind = "loop only"
+    kind = "idle"
 
     def apply(self, version_a, version_b, rng):
+        return version_a, version_b
+
+
+class _SilentComparator(BackToBackComparator):
+    """A comparator that never flags a demand."""
+
+    def mismatch(self, first, second, demand):
+        return False
+
+
+class _CoinRepair(Activity):
+    """A custom activity: a fair coin per pair decides whether channel A
+    is rewritten fault-free."""
+
+    kind = "coin repair"
+
+    def apply(self, version_a, version_b, rng):
+        if rng.random() < 0.5:
+            return version_a.without_faults(version_a.fault_ids), version_b
         return version_a, version_b
 
 
@@ -158,22 +177,25 @@ class TestBatchPath:
         )
 
     def test_all_builtin_activities_support_batch(self, full_campaign):
-        assert full_campaign.supports_batch
+        # every built-in activity has its own block form; only custom
+        # activities take the per-row default
+        for activity in full_campaign.activities:
+            assert type(activity).apply_batch is not Activity.apply_batch
 
     def test_batch_agrees_with_scalar(
         self, full_campaign, bernoulli_population, profile
     ):
-        batch = full_campaign.mean_final_system_pfd(
-            bernoulli_population, profile, n_replications=600, rng=7
-        )
-        # one activity without a batch form sends the whole campaign to
-        # the per-replication trajectory loop
-        looped = DevelopmentCampaign(full_campaign.activities + [_LoopOnly()])
-        assert not looped.supports_batch
-        scalar = looped.mean_final_system_pfd(
-            bernoulli_population, profile, n_replications=600, rng=7
-        )
-        assert batch == pytest.approx(scalar, abs=0.03)
+        # an appended custom activity runs on the per-row plan with the
+        # next child stream: the activities before it draw the same bits
+        idled = DevelopmentCampaign(full_campaign.activities + [_Idle()])
+        for kwargs in (dict(), dict(chunk_size=70, n_jobs=2)):
+            batch, rows = (
+                campaign.mean_final_system_pfd(
+                    bernoulli_population, profile, n_replications=600, rng=7, **kwargs
+                )
+                for campaign in (full_campaign, idled)
+            )
+            assert batch == rows, kwargs
 
     def test_batch_deterministic_and_n_jobs_invariant(
         self, full_campaign, bernoulli_population, profile
@@ -187,24 +209,38 @@ class TestBatchPath:
         )
         assert serial == sharded
 
-    def test_custom_activity_falls_back_to_scalar(
+    def test_custom_activity_runs_per_row(self, bernoulli_population, profile):
+        # each pair's apply draws from its own child stream: the result is
+        # seeded, worker-count invariant, and about half the pairs (those
+        # whose channel A was rewritten) deliver a system pfd of 0
+        kwargs = dict(n_replications=400, rng=13, chunk_size=50)
+        campaign = DevelopmentCampaign([_CoinRepair()])
+        value = campaign.mean_final_system_pfd(
+            bernoulli_population, profile, **kwargs
+        )
+        assert value == campaign.mean_final_system_pfd(
+            bernoulli_population, profile, n_jobs=2, **kwargs
+        )
+        untested = DevelopmentCampaign([_Idle()]).mean_final_system_pfd(
+            bernoulli_population, profile, **kwargs
+        )
+        assert 0.3 * untested < value < 0.7 * untested
+
+    def test_back_to_back_comparator_subclass_honoured(
         self, generator, bernoulli_population, profile
     ):
-        class NoOpActivity(SharedTestingActivity):
-            @property
-            def supports_batch(self):
-                return False
-
-        campaign = DevelopmentCampaign([NoOpActivity(generator)])
-        assert not campaign.supports_batch
-        # the campaign silently takes the per-replication loop
-        value = campaign.mean_final_system_pfd(
-            bernoulli_population, profile, n_replications=20, rng=13
+        # the block path models only the exact comparator from its output
+        # model; a subclass runs per row, as it does in run()
+        kwargs = dict(n_replications=200, rng=17)
+        silent = DevelopmentCampaign(
+            [BackToBackActivity(generator, _SilentComparator(shared_fault_outputs()))]
         )
-        assert 0.0 <= value <= 1.0
-        assert value == campaign.mean_final_system_pfd(
-            bernoulli_population, profile, n_replications=20, rng=13
+        untested = DevelopmentCampaign([_Idle()]).mean_final_system_pfd(
+            bernoulli_population, profile, **kwargs
         )
+        assert silent.mean_final_system_pfd(
+            bernoulli_population, profile, **kwargs
+        ) == untested
 
     def test_compiled_engine_rejected(
         self, full_campaign, bernoulli_population, profile

@@ -9,8 +9,9 @@ Mirrors tests/mc/test_batch.py for the §4.1 and §4.2 regimes:
 * **statistical agreement** — the kernels and the demand-ordered per-row
   plan (reached through trivial policy subclasses) give estimates with
   overlapping 99% confidence intervals for ``ImperfectOracle``,
-  ``ImperfectFixing``, their combination and the blind-spot pair, and the
-  back-to-back envelope agrees with its per-replication loop;
+  ``ImperfectFixing``, their combination and the blind-spot pair; the
+  back-to-back envelope's per-row plan equals its kernel under perfect
+  fixing, at every chunking;
 * **execution semantics** — seed determinism and ``n_jobs`` invariance for
   the new kernels, plan dispatch, and the suite representations
   (ordered sequences and their sorted demand runs) they are built on.
@@ -30,7 +31,6 @@ from repro.mc import (
     apply_imperfect_testing_batch,
     apply_testing_batch,
     back_to_back_batch,
-    back_to_back_supported,
     simulate_joint_on_demand,
     simulate_marginal_system_pfd,
     simulate_version_pfd,
@@ -68,9 +68,26 @@ class _RowPerfectOracle(PerfectOracle):
     """The perfect oracle, on the per-row plan."""
 
 
-class _LoopFixing(PerfectFixing):
-    """Perfect fixing that sends ``back_to_back_envelope`` to its
-    per-replication loop."""
+class _RowPerfectFixing(PerfectFixing):
+    """Perfect fixing, on ``back_to_back_batch``'s per-row plan."""
+
+
+class _RowComparator(BackToBackComparator):
+    """The §4.2 comparator, on ``back_to_back_batch``'s per-row plan."""
+
+
+class _SilentComparator(BackToBackComparator):
+    """A comparator that never flags a demand."""
+
+    def mismatch(self, first, second, demand):
+        return False
+
+
+class _NeverFixing(ImperfectFixing):
+    """Fixing that never removes a fault, whatever its probability."""
+
+    def faults_removed(self, version, demand, rng):
+        return np.empty(0, dtype=np.int64)
 
 
 class _RowBlindOracle(BlindSpotOracle):
@@ -412,33 +429,48 @@ def test_back_to_back_inputs_not_mutated(model):
 
 
 def test_envelope_engines_agree(model):
+    """Perfect fixing is deterministic, so the per-row plan a trivial
+    fixing subclass takes equals the kernel bit for bit, at every chunking
+    and worker count."""
     _space, profile, _universe, population, generator = model
-    # a trivial fixing subclass runs the per-replication loop
-    scalar = back_to_back_envelope(
-        population, generator, profile, fixing=_LoopFixing(), n_replications=600,
-        rng=37,
-    )
-    batch = back_to_back_envelope(
-        population, generator, profile, n_replications=600, rng=37
-    )
-    fields = [
-        "untested_system_pfd",
-        "perfect_system_pfd",
-        "optimistic_system_pfd",
-        "pessimistic_system_pfd",
-        "shared_fault_system_pfd",
-        "untested_version_pfd",
-        "optimistic_version_pfd",
-        "pessimistic_version_pfd",
-        "shared_fault_version_pfd",
-    ]
-    for field in fields:
-        # generous statistical tolerance: both are ~600-replication means of
-        # values in [0, 0.4]; disagreement beyond this is a kernel bug
-        assert abs(getattr(scalar, field) - getattr(batch, field)) < 0.03, field
-    assert batch.optimistic_matches_perfect
-    assert batch.ordering_holds
-    assert batch.n_replications == 600
+    for kwargs in (dict(), dict(chunk_size=70), dict(chunk_size=70, n_jobs=2)):
+        rows = back_to_back_envelope(
+            population,
+            generator,
+            profile,
+            fixing=_RowPerfectFixing(),
+            n_replications=600,
+            rng=37,
+            **kwargs,
+        )
+        batch = back_to_back_envelope(
+            population, generator, profile, n_replications=600, rng=37, **kwargs
+        )
+        assert rows == batch, kwargs
+        assert batch.optimistic_matches_perfect
+        assert batch.ordering_holds
+        assert batch.n_replications == 600
+
+
+@pytest.mark.parametrize(
+    "outputs", [optimistic_outputs, pessimistic_outputs, shared_fault_outputs]
+)
+def test_back_to_back_comparator_subclass_runs_per_row(model, outputs):
+    """A trivial comparator subclass runs on the per-row plan, which equals
+    the kernel under perfect fixing; an overriding one is honoured."""
+    _space, _profile, universe, population, generator = model
+    faults_a = population.sample_fault_matrix(80, rng=74)
+    faults_b = population.sample_fault_matrix(80, rng=75)
+    sequences = generator.sample_demand_sequences(80, rng=76)
+    args = (faults_a, faults_b, sequences, universe, universe)
+    kernel = back_to_back_batch(*args, BackToBackComparator(outputs()))
+    rows = back_to_back_batch(*args, _RowComparator(outputs()))
+    assert all(np.array_equal(k, r) for k, r in zip(kernel, rows))
+    assert not np.array_equal(kernel[0], faults_a)
+    # a comparator that never flags leaves both blocks untested
+    silent = back_to_back_batch(*args, _SilentComparator(outputs()))
+    assert np.array_equal(silent[0], faults_a)
+    assert np.array_equal(silent[1], faults_b)
 
 
 def test_envelope_auto_engine_uses_batch(model):
@@ -466,7 +498,6 @@ def test_envelope_auto_engine_uses_batch(model):
 def test_envelope_imperfect_fixing_supported(model):
     _space, profile, _universe, population, generator = model
     fixing = ImperfectFixing(0.5)
-    assert back_to_back_supported(fixing)
     partial = back_to_back_envelope(
         population, generator, profile, fixing=fixing, n_replications=300, rng=43,
     )
@@ -622,34 +653,41 @@ def test_envelope_unknown_engine_rejected(model):
 
 def test_custom_fixing_subclass_takes_scalar_envelope_path(model):
     # a subclass may override faults_removed arbitrarily, so the batch
-    # kernel must not model it from its fix_probability field alone
-    class NeverFixing(ImperfectFixing):
-        def faults_removed(self, version, demand, rng):
-            return np.empty(0, dtype=np.int64)
-
+    # kernel must not model it from its fix_probability field alone: the
+    # per-row plan runs the override
     _space, profile, _universe, population, generator = model
-    fixing = NeverFixing(0.9)
-    assert not back_to_back_supported(fixing)
+    fixing = _NeverFixing(0.9)
     sequences = generator.sample_demand_sequences(4, rng=70)
     faults = population.sample_fault_matrix(4, rng=70)
-    with pytest.raises(ModelError, match="per-replication loop"):
-        back_to_back_batch(
-            faults,
-            faults,
-            sequences,
-            population.universe,
-            population.universe,
-            BackToBackComparator(optimistic_outputs()),
-            fixing,
-        )
-    # the envelope falls back to its per-replication loop, which honours
-    # the override:
-    # repair never happens, so the post-test version pfd stays untested
-    envelope = back_to_back_envelope(
-        population, generator, profile, fixing=fixing, n_replications=50, rng=71
+    after_a, after_b = back_to_back_batch(
+        faults,
+        faults[::-1],
+        sequences,
+        population.universe,
+        population.universe,
+        BackToBackComparator(optimistic_outputs()),
+        fixing,
     )
-    assert envelope.optimistic_version_pfd == pytest.approx(
-        envelope.untested_version_pfd
+    assert np.array_equal(after_a, faults)
+    assert np.array_equal(after_b, faults[::-1])
+    # repair never happens, so the post-test version pfd stays untested,
+    # at any worker count
+    envelopes = [
+        back_to_back_envelope(
+            population,
+            generator,
+            profile,
+            fixing=fixing,
+            n_replications=50,
+            rng=71,
+            chunk_size=20,
+            n_jobs=n_jobs,
+        )
+        for n_jobs in (1, 2)
+    ]
+    assert envelopes[0] == envelopes[1]
+    assert envelopes[0].optimistic_version_pfd == pytest.approx(
+        envelopes[0].untested_version_pfd
     )
 
 
