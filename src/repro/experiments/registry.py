@@ -17,6 +17,7 @@ from __future__ import annotations
 import inspect
 from typing import Callable, Dict, List, Mapping, Optional
 
+from .._blas import one_blas_thread
 from ..errors import ModelError
 from .base import ExperimentResult
 
@@ -134,9 +135,8 @@ def run_experiment(
     """
     runner = get_runner(experiment_id)
     validate_params(experiment_id, params)
-    if params:
-        return runner(seed, fast, **dict(params))
-    return runner(seed, fast)
+    with one_blas_thread():
+        return runner(seed, fast, **dict(params or {}))
 
 
 def all_experiment_ids() -> List[str]:

@@ -65,6 +65,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
+from .._blas import one_blas_thread
 from ..demand import UsageProfile
 from ..errors import IncompatibleSpaceError, ModelError
 from ..faults.universe import _packed_rows, _unpacked_rows, failure_masses
@@ -905,26 +906,28 @@ def run_tasks(
     traced = current_trace() is not None
 
     def _execute() -> List[object]:
-        if n_jobs == 1 or len(tasks) == 1:
-            results: List[object] = []
-            for task in tasks:
-                result = kernel(task)
-                if on_result is not None:
-                    on_result(result)
-                results.append(result)
-            return results
-        slots: List[object] = [None] * len(tasks)
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            futures = {
-                pool.submit(kernel, task): index
-                for index, task in enumerate(tasks)
-            }
-            for future in as_completed(futures):
-                result = future.result()
-                if on_result is not None:
-                    on_result(result)
-                slots[futures[future]] = result
-        return slots
+        # the count is process-wide, and forked pool workers inherit it
+        with one_blas_thread():
+            if n_jobs == 1 or len(tasks) == 1:
+                results: List[object] = []
+                for task in tasks:
+                    result = kernel(task)
+                    if on_result is not None:
+                        on_result(result)
+                    results.append(result)
+                return results
+            slots: List[object] = [None] * len(tasks)
+            with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
+                futures = {
+                    pool.submit(kernel, task): index
+                    for index, task in enumerate(tasks)
+                }
+                for future in as_completed(futures):
+                    result = future.result()
+                    if on_result is not None:
+                        on_result(result)
+                    slots[futures[future]] = result
+            return slots
 
     if timer is None and not traced:
         return _execute()

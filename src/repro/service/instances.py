@@ -115,6 +115,8 @@ class ShardProcess:
                 self.log_format,
             ]
         env = dict(os.environ)
+        # OpenBLAS helpers spin at load, before any runtime call can set 1
+        env.setdefault("OPENBLAS_NUM_THREADS", "1")
         src = str(Path(__file__).resolve().parents[2])
         existing = env.get("PYTHONPATH", "")
         if src not in existing.split(os.pathsep):
