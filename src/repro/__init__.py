@@ -37,7 +37,6 @@ from .errors import (
 from .demand import (
     DemandSpace,
     UsageProfile,
-    custom_profile,
     mixture_profile,
     uniform_profile,
     zipf_profile,
@@ -115,7 +114,6 @@ __all__ = [
     "UsageProfile",
     "uniform_profile",
     "zipf_profile",
-    "custom_profile",
     "mixture_profile",
     # faults
     "Fault",

@@ -7,7 +7,7 @@ confidence-interval half-width meets a declarative
 :class:`~repro.adaptive.targets.PrecisionTarget` (or a hard budget runs
 out), with variance-reduction kernels (control variates anchored on the
 analytic layer's exact means, post-stratification on exact fault-count
-pmfs, antithetic pairing) cutting the replications-to-target further.
+pmfs) cutting the replications-to-target further.
 
 Layers, bottom up:
 

@@ -102,22 +102,6 @@ class BivariateMoments:
             return 0.0
         return max(self.m2_y, 0.0) / (self.count - 1)
 
-    def to_payload(self) -> Tuple:
-        return (
-            int(self.count),
-            float(self.mean_y),
-            float(self.m2_y),
-            float(self.mean_c),
-            float(self.m2_c),
-            float(self.cross),
-        )
-
-    @classmethod
-    def from_payload(cls, payload) -> "BivariateMoments":
-        count, mean_y, m2_y, mean_c, m2_c, cross = payload
-        return cls(int(count), mean_y, m2_y, mean_c, m2_c, cross)
-
-
 _EMPTY = BivariateMoments(0, 0.0, 0.0)
 
 #: a control sample counts as degenerate when its per-observation standard
@@ -182,8 +166,7 @@ class Estimate:
     half_width:
         ``z(confidence) * std_error``.
     count:
-        Observations behind the estimate (pairs count once under
-        antithetic pairing; see the controller's replication accounting).
+        Observations behind the estimate.
     confidence:
         The confidence level ``half_width`` was computed at.
     """
@@ -193,16 +176,6 @@ class Estimate:
     half_width: float
     count: int
     confidence: float
-
-    def interval(self) -> Tuple[float, float]:
-        """The symmetric confidence interval around the mean."""
-        return self.mean - self.half_width, self.mean + self.half_width
-
-    def contains(self, value: float) -> bool:
-        """True iff ``value`` lies inside :meth:`interval`."""
-        low, high = self.interval()
-        return low <= value <= high
-
 
 def _estimate(
     mean: float, variance_of_mean: float, count: int, confidence: float
@@ -241,16 +214,6 @@ class ProportionAccumulator:
         if index in self._chunks:
             raise ModelError(f"chunk index {index} already recorded")
         self._chunks[int(index)] = (int(successes), int(count))
-
-    def merge(self, other: "ProportionAccumulator") -> None:
-        """Union another accumulator's chunks into this one."""
-        overlap = set(self._chunks) & set(other._chunks)
-        if overlap:
-            raise ModelError(
-                f"cannot merge: chunk index(es) {sorted(overlap)} present "
-                "in both accumulators"
-            )
-        self._chunks.update(other._chunks)
 
     @property
     def count(self) -> int:
@@ -318,26 +281,12 @@ class MeanAccumulator:
             moments = moments_of(values, controls)
         self._chunks[int(index)] = moments
 
-    def merge(self, other: "MeanAccumulator") -> None:
-        """Union another accumulator's chunks into this one."""
-        overlap = set(self._chunks) & set(other._chunks)
-        if overlap:
-            raise ModelError(
-                f"cannot merge: chunk index(es) {sorted(overlap)} present "
-                "in both accumulators"
-            )
-        self._chunks.update(other._chunks)
-
     def reduced(self) -> BivariateMoments:
         """Moments of the pooled sample (deterministic fold order)."""
         total = _EMPTY
         for index in sorted(self._chunks):
             total = total.merge(self._chunks[index])
         return total
-
-    @property
-    def count(self) -> int:
-        return sum(moments.count for moments in self._chunks.values())
 
     def estimate(
         self, confidence: float = 0.99, anchor: Optional[float] = None
@@ -401,16 +350,6 @@ class StratifiedAccumulator:
                 int(stratum), MeanAccumulator()
             )
             accumulator.add_chunk(index, moments)
-
-    def merge(self, other: "StratifiedAccumulator") -> None:
-        """Union another accumulator's chunks into this one."""
-        for stratum, accumulator in other._strata.items():
-            mine = self._strata.setdefault(stratum, MeanAccumulator())
-            mine.merge(accumulator)
-
-    @property
-    def count(self) -> int:
-        return sum(acc.count for acc in self._strata.values())
 
     def _collapsed(
         self, weights: Mapping[int, float]

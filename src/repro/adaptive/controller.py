@@ -143,9 +143,6 @@ class MetricSpec:
         arbitrarily close to zero.
     vr:
         The resolved variance-reduction technique (for reporting).
-    reps_per_obs:
-        Replications consumed per recorded observation (2 under
-        antithetic pairing, else 1).
     """
 
     name: str
@@ -155,16 +152,11 @@ class MetricSpec:
     anchor: Optional[float] = None
     scale: Optional[float] = None
     vr: str = "none"
-    reps_per_obs: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in ("mean", "proportion"):
             raise ModelError(
                 f"metric kind must be 'mean' or 'proportion', got {self.kind!r}"
-            )
-        if self.reps_per_obs < 1:
-            raise ModelError(
-                f"reps_per_obs must be >= 1, got {self.reps_per_obs}"
             )
 
 
@@ -253,9 +245,6 @@ class AdaptiveReport:
     def replications(self) -> int:
         """Total replications spent across all metrics."""
         return sum(metric.replications for metric in self.metrics.values())
-
-    def __getitem__(self, name: str) -> MetricReport:
-        return self.metrics[name]
 
     @property
     def only(self) -> MetricReport:
@@ -362,10 +351,9 @@ def _round_allotment(
 
             spread = estimate.std_error * math.sqrt(max(estimate.count, 1))
             if spread > 0.0:
-                needed_obs = replications_for_half_width(
+                needed = replications_for_half_width(
                     spread, threshold, estimate.confidence
                 )
-                needed = needed_obs * state.spec.reps_per_obs
                 allotment = math.ceil(1.1 * needed) - state.replications
         if allotment is None or allotment <= 0:
             allotment = state.replications  # geometric fallback: double
@@ -375,15 +363,7 @@ def _round_allotment(
         allotment = max(allotment, min(_MIN_ROUND, cap))
     if allotment > remaining:
         allotment = int(remaining)
-    allotment = int(allotment)
-    if state.spec.reps_per_obs > 1:
-        multiple = state.spec.reps_per_obs
-        allotment = max(
-            multiple, (allotment + multiple - 1) // multiple * multiple
-        )
-        if not math.isinf(remaining):
-            allotment = min(allotment, int(remaining) // multiple * multiple)
-    return max(allotment, 0)
+    return max(int(allotment), 0)
 
 
 def _round_payload(
@@ -485,15 +465,8 @@ def run_adaptive(
                 continue
             state.rounds += 1
             remaining = allotment
-            multiple = state.spec.reps_per_obs
             while remaining > 0:
                 step = min(chunk_size, remaining)
-                if multiple > 1:
-                    # paired sampling: every chunk must be a whole number
-                    # of pairs, or the kernel would run more/fewer
-                    # replications than the budget accounting records
-                    step = max(multiple, step - step % multiple)
-                    step = min(step, remaining)
                 seed = int(
                     state.stream.integers(0, 2**63 - 1, dtype="int64")
                 )
@@ -550,15 +523,6 @@ def run_adaptive(
 # ---------------------------------------------------------------------------
 
 
-def _antithetic_ok(population, generator) -> bool:
-    from ..populations import BernoulliFaultPopulation
-    from ..testing import OperationalSuiteGenerator
-
-    return isinstance(population, BernoulliFaultPopulation) and isinstance(
-        generator, OperationalSuiteGenerator
-    )
-
-
 def adaptive_version_pfd(
     population,
     generator,
@@ -583,12 +547,7 @@ def adaptive_version_pfd(
     population.space.require_same(profile.space)
     target = target.with_defaults(budget=default_budget)
     weights = fault_count_pmf(population)
-    vr = resolve_vr(
-        target.vr,
-        has_strata=weights is not None,
-        has_anchor=True,
-        antithetic_ok=_antithetic_ok(population, generator),
-    )
+    vr = resolve_vr(target.vr, has_strata=weights is not None, has_anchor=True)
     spec = MetricSpec(
         name=name,
         kernel=partial(
@@ -601,7 +560,6 @@ def adaptive_version_pfd(
             else None
         ),
         vr=vr,
-        reps_per_obs=2 if vr == "antithetic" else 1,
     )
     return run_adaptive(
         [spec], target, rng=rng, n_jobs=n_jobs, chunk_size=chunk_size

@@ -41,7 +41,6 @@ __all__ = ["PrecisionTarget", "VR_MODES"]
 VR_MODES = (
     "auto",
     "none",
-    "antithetic",
     "stratified",
     "control",
     "stratified+control",

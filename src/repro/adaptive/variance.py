@@ -18,18 +18,13 @@ technique here can be expressed in:
   ``profile.expectation``), enabling the regression control-variate
   estimator at reduction time;
 * ``"stratified+control"`` — both, with a common β chosen to minimise the
-  stratified variance;
-* ``"antithetic"`` — replications are drawn in negatively-coupled pairs
-  (fault-presence and suite-demand uniforms ``u`` / ``1 − u``), and each
-  pair's average is one observation.
+  stratified variance.
 
 ``"auto"`` resolves per sampler to the strongest technique its model
 supports (:func:`resolve_vr`): ``stratified+control`` when the population
 exposes an exact fault-count pmf, else ``control`` (the untested anchor is
 always computable), falling back to ``none`` only for metrics with no
-analytic anchor at all.  Antithetic pairing is never auto-selected — it is
-incompatible with stratification (a pair straddles strata) and exists as
-an explicitly-requested alternative.
+analytic anchor at all.
 """
 
 from __future__ import annotations
@@ -40,18 +35,9 @@ import numpy as np
 
 from ..errors import ModelError, NotEnumerableError
 from ..faults.universe import failure_masses
-from ..mc.batch import (
-    _apply_plan_batch,
-    _joint_masses,
-    _plan_sequenced,
-    _plan_suites,
-    _tested_pair_block,
-    _tested_version_block,
-)
+from ..mc.batch import _joint_masses, _tested_pair_block, _tested_version_block
 from ..populations import BernoulliFaultPopulation, VersionPopulation
-from ..rng import as_generator, inverse_cdf_indices, spawn_many
-from ..testing import OperationalSuiteGenerator
-from ..testing.generators import _suite_runs
+from ..rng import as_generator, spawn_many
 from .accumulators import BivariateMoments, moments_of
 from .targets import VR_MODES
 
@@ -114,7 +100,6 @@ def resolve_vr(
     vr: str,
     has_strata: bool,
     has_anchor: bool,
-    antithetic_ok: bool = False,
 ) -> str:
     """Resolve the ``vr`` knob to a concrete technique for one sampler.
 
@@ -142,11 +127,6 @@ def resolve_vr(
         raise ModelError(
             f"vr={vr!r} needs an analytic control anchor, which this "
             "metric does not define; use vr='none'"
-        )
-    if vr == "antithetic" and not antithetic_ok:
-        raise ModelError(
-            "vr='antithetic' is only available for single-version metrics "
-            "over Bernoulli populations with operational suite generation"
         )
     return vr
 
@@ -177,28 +157,6 @@ def _wants_strata(vr: str) -> bool:
     return vr in ("stratified", "stratified+control")
 
 
-def _antithetic_suite_blocks(
-    generator: OperationalSuiteGenerator, n_pairs: int, rng
-) -> Tuple[np.ndarray, np.ndarray]:
-    """A coupled pair of suite blocks (``u`` vs ``1 − u``) as demand
-    sequences."""
-    cdf = np.cumsum(generator.profile.probabilities)
-    uniforms = as_generator(rng).random((n_pairs, generator.size))
-    return tuple(
-        inverse_cdf_indices(cdf, None, uniforms=block)
-        for block in (uniforms, 1.0 - uniforms)
-    )
-
-
-def _antithetic_fault_blocks(
-    population: BernoulliFaultPopulation, n_pairs: int, rng
-) -> Tuple[np.ndarray, np.ndarray]:
-    """A coupled pair of fault-matrix blocks (``u < p`` vs ``1 − u < p``)."""
-    probs = population.presence_probs
-    uniforms = as_generator(rng).random((n_pairs, probs.size))
-    return uniforms < probs, (1.0 - uniforms) < probs
-
-
 # ---------------------------------------------------------------------------
 # chunk kernels — module level so process pools can pickle them
 # ---------------------------------------------------------------------------
@@ -221,30 +179,6 @@ def version_pfd_chunk(
     """
     index, count, seed = task
     universe = population.universe
-    if vr == "antithetic":
-        # the controller dispatches whole pairs; round a stray odd count
-        # up so the reported replications always equal the work done
-        n_pairs = max((count + 1) // 2, 1)
-        streams = spawn_many(as_generator(seed), 3)
-        faults_a, faults_b = _antithetic_fault_blocks(
-            population, n_pairs, streams[0]
-        )
-        n_demands = generator.space.size
-        seqs_a, seqs_b = _antithetic_suite_blocks(generator, n_pairs, streams[1])
-        if _plan_sequenced(plan):
-            test_a, test_b = spawn_many(streams[2], 2)
-            suites_a = _plan_suites(plan, seqs_a, n_demands)
-            suites_b = _plan_suites(plan, seqs_b, n_demands)
-        else:
-            test_a = test_b = None
-            suites_a = _suite_runs(seqs_a, n_demands).masks()
-            suites_b = _suite_runs(seqs_b, n_demands).masks()
-        tested_a = _apply_plan_batch(plan, faults_a, suites_a, universe, test_a)
-        tested_b = _apply_plan_batch(plan, faults_b, suites_b, universe, test_b)
-        y_a = failure_masses(profile.probabilities, (universe, tested_a))
-        y_b = failure_masses(profile.probabilities, (universe, tested_b))
-        values = 0.5 * (y_a + y_b)
-        return index, 2 * n_pairs, _stratify(values, None, None)
     faults, tested = _tested_version_block(
         population, generator, plan, count, as_generator(seed)
     )
@@ -327,9 +261,9 @@ def campaign_pfd_chunk(
 
     ``y`` is the delivered system's pfd after every campaign activity ran
     on the fault-matrix blocks (the block
-    :meth:`repro.extensions.DevelopmentCampaign.mean_final_system_pfd`
-    draws); ``c`` the *untested* joint pfd of the same drawn pair (exact
-    mean ``E_Q[θ_A θ_B]``); the stratum the pair's total fault count.
+    ``DevelopmentCampaign.mean_final_system_pfd_estimator`` draws); ``c``
+    the *untested* joint pfd of the same drawn pair (exact mean
+    ``E_Q[θ_A θ_B]``); the stratum the pair's total fault count.
     """
     from ..extensions.campaign import _campaign_block
 

@@ -94,16 +94,6 @@ class BernoulliExactEngine(object):
         # which depends on neither the coefficients' values nor on ``n``
         self._groups: dict = {}
 
-    @property
-    def universe(self) -> FaultUniverse:
-        """The fault universe the engine analyses."""
-        return self._universe
-
-    @property
-    def profile(self) -> UsageProfile:
-        """The usage profile driving suite draws and marginals."""
-        return self._profile
-
     def _expected_product(
         self, coefficients: np.ndarray, n_tests: int
     ) -> np.ndarray:

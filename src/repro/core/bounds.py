@@ -81,12 +81,6 @@ class BoundsReport:
         """
         return self.lower - slack <= self.measured <= self.upper + slack
 
-    @property
-    def width(self) -> float:
-        """Envelope width ``upper − lower``."""
-        return self.upper - self.lower
-
-
 def imperfect_version_envelope(
     population: VersionPopulation,
     generator: SuiteGenerator,

@@ -67,11 +67,6 @@ class JointFailureDecomposition:
         return float(self.joint[demand])
 
     @property
-    def max_excess(self) -> float:
-        """Largest per-demand dependence excess."""
-        return float(self.excess.max(initial=0.0))
-
-    @property
     def conditional_independence_holds(self) -> bool:
         """True iff the excess vanishes on every demand (within tolerance)."""
         return bool(np.all(np.abs(self.excess) <= 1e-12))

@@ -80,7 +80,7 @@ class LMModel:
     @classmethod
     def from_pair(cls, pair: MethodologyPair, profile: UsageProfile) -> "LMModel":
         """Build the model from a forced-diversity methodology pair."""
-        pair.universe.space.require_same(profile.space)
+        pair.first.population.universe.space.require_same(profile.space)
         theta_a, theta_b = pair.difficulties()
         return cls(theta_a, theta_b, profile)
 

@@ -25,6 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .._hooks import honour_scalar
 from ..errors import ModelError
 from ..rng import as_generator, spawn_many
 from ..testing import SuiteGenerator, TestSuite
@@ -43,6 +44,10 @@ class TestingRegime(abc.ABC):
     """How the two channels' test suites are generated and shared."""
 
     __test__ = False  # prevent pytest collection (library class)
+
+    def __init_subclass__(cls) -> None:
+        blocks = ("draw_suite_masks", "_draw_suite_sequences")
+        honour_scalar(cls, TestingRegime, "draw_suites", *blocks)
 
     @abc.abstractmethod
     def draw_suites(self, rng: SeedLike = None) -> Tuple[TestSuite, TestSuite]:

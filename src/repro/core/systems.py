@@ -69,11 +69,6 @@ class OneOutOfTwoSystem:
         pfd_a, pfd_b = self.channel_pfds(profile)
         return min(pfd_a, pfd_b) - self.pfd(profile)
 
-    def with_channels(self, first: Version, second: Version) -> "OneOutOfTwoSystem":
-        """A new system with replaced channels (e.g. after testing)."""
-        return OneOutOfTwoSystem(first, second)
-
-
 @dataclass(frozen=True)
 class OneOutOfNSystem:
     """An ``n``-channel 1-out-of-n system: fails iff every channel fails.

@@ -131,16 +131,6 @@ class TestedPopulationView(object):
         self._population = population
         self._generator = generator
 
-    @property
-    def population(self) -> VersionPopulation:
-        """The underlying development measure ``S``."""
-        return self._population
-
-    @property
-    def generator(self) -> SuiteGenerator:
-        """The underlying suite measure ``M``."""
-        return self._generator
-
     # ------------------------------------------------------------------
     # the paper's per-object quantities
     # ------------------------------------------------------------------

@@ -183,13 +183,3 @@ class ComponentModel:
             out[component] = float(probabilities[mask].sum())
         return out
 
-    def describe(self) -> str:
-        sizes = self.component_sizes()
-        return (
-            f"ComponentModel({self._n_components} components over "
-            f"{len(self._universe)} faults, sizes "
-            f"{int(sizes.min())}..{int(sizes.max())})"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return self.describe()

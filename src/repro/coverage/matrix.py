@@ -76,16 +76,6 @@ class CoverageMatrix:
         """Per-component fraction of tests covering it, length ``K``."""
         return self._covered.mean(axis=0)
 
-    def describe(self) -> str:
-        return (
-            f"CoverageMatrix({self.n_tests} tests x {self.n_components} "
-            f"components, density {self.density:.3f})"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return self.describe()
-
-
 def synthetic_coverage(
     n_tests: int,
     n_components: int,

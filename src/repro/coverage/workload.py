@@ -46,7 +46,12 @@ from ..rng import counter_key, counter_uniforms, inverse_cdf_indices
 from ..types import SeedLike
 from .components import ComponentModel
 from .matrix import CoverageMatrix
-from .sbfl import SBFL_METRICS, spectrum_counts, suspiciousness
+from .sbfl import (
+    SBFL_METRICS,
+    spectrum_counts,
+    suspiciousness,
+    top_component,
+)
 
 __all__ = ["LocalizedGrowthResult", "simulate_localized_growth"]
 
@@ -194,7 +199,7 @@ def _chunk_localized_growth(spec: dict, task: Tuple[int, int]):
                 scores = suspiciousness(
                     metric, *spectrum_counts(failing, covered)
                 )
-                top = int(np.argmax(np.where(repairable, scores, -np.inf)))
+                top = int(top_component(np.where(repairable, scores, -np.inf)))
             else:
                 pick_u = counter_uniforms(
                     key, stream, np.uint64(base + n_tests)
@@ -274,7 +279,7 @@ def _localized_rows(spec: dict, start: int, count: int):
                 scores = suspiciousness(
                     spec["metric"], *spectrum_counts(failing, covered)
                 )
-                top = np.argmax(np.where(repairable, scores, -np.inf), axis=1)
+                top = top_component(np.where(repairable, scores, -np.inf))
             else:
                 pick_u = uniforms[active, offset, n_tests]
                 top = _select_random(repairable, pick_u)

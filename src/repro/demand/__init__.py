@@ -11,7 +11,6 @@ marginal result of the paper.
 from .space import DemandSpace
 from .profile import (
     UsageProfile,
-    custom_profile,
     mixture_profile,
     uniform_profile,
     zipf_profile,
@@ -22,6 +21,5 @@ __all__ = [
     "UsageProfile",
     "uniform_profile",
     "zipf_profile",
-    "custom_profile",
     "mixture_profile",
 ]

@@ -23,7 +23,6 @@ __all__ = [
     "UsageProfile",
     "uniform_profile",
     "zipf_profile",
-    "custom_profile",
     "mixture_profile",
 ]
 
@@ -179,13 +178,6 @@ def zipf_profile(space: DemandSpace, exponent: float = 1.0) -> UsageProfile:
         raise ProbabilityError(f"zipf exponent must be >= 0, got {exponent}")
     ranks = np.arange(1, space.size + 1, dtype=np.float64)
     return UsageProfile.normalised(space, ranks**-exponent)
-
-
-def custom_profile(
-    space: DemandSpace, weights: Sequence[float] | np.ndarray
-) -> UsageProfile:
-    """Profile from arbitrary non-negative weights (normalised)."""
-    return UsageProfile.normalised(space, weights)
 
 
 def mixture_profile(

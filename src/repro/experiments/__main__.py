@@ -48,6 +48,7 @@ import os
 import sys
 from typing import List
 
+from ..adaptive.targets import VR_MODES
 from ..errors import ModelError
 from .base import set_engine_config
 from .registry import all_experiment_ids, run_experiment
@@ -154,14 +155,7 @@ def _add_precision_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--vr",
-        choices=(
-            "auto",
-            "none",
-            "antithetic",
-            "stratified",
-            "control",
-            "stratified+control",
-        ),
+        choices=VR_MODES,
         default="auto",
         help="variance-reduction technique for adaptive runs (default "
         "'auto': the strongest the model supports)",

@@ -13,8 +13,9 @@ injections.  Running a campaign yields a step-by-step trajectory of channel
 and system reliability, making the interplay the paper asks about directly
 observable; averaging over version pairs gives the population view.
 
-The population view (:meth:`DevelopmentCampaign.mean_final_system_pfd`)
-runs on the batch Monte-Carlo engine: every built-in activity implements
+The population view
+(:meth:`DevelopmentCampaign.mean_final_system_pfd_estimator`) runs on the
+batch Monte-Carlo engine: every built-in activity implements
 :meth:`Activity.apply_batch`, transforming whole fault-matrix blocks with
 the kernels of :mod:`repro.mc.batch`, so a campaign sweep costs a handful
 of matrix operations per activity instead of a Python loop per version
@@ -31,6 +32,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .._hooks import honour_scalar
+from ..core.systems import OneOutOfTwoSystem
 from ..demand import UsageProfile
 from ..errors import ModelError
 from ..mc import batch as _batch
@@ -66,6 +69,9 @@ __all__ = [
 
 class Activity(abc.ABC):
     """One step of a development campaign, acting on a version pair."""
+
+    def __init_subclass__(cls) -> None:
+        honour_scalar(cls, Activity, "apply", "apply_batch")
 
     @property
     @abc.abstractmethod
@@ -335,21 +341,6 @@ class CampaignTrajectory:
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __getitem__(self, index: int) -> CampaignStep:
-        return self.steps[index]
-
-    @property
-    def final(self) -> CampaignStep:
-        """State after the last activity."""
-        return self.steps[-1]
-
-    def system_pfds(self) -> np.ndarray:
-        """System pfd by step."""
-        return np.array([step.system_pfd for step in self.steps])
-
     def degrading_steps(self) -> List[CampaignStep]:
         """Steps that made the *system* worse (only mistakes can)."""
         out = []
@@ -387,13 +378,14 @@ class DevelopmentCampaign(object):
         rng = as_generator(rng)
 
         def snapshot(step: int, kind: str, a: Version, b: Version) -> CampaignStep:
-            joint = a.failure_mask & b.failure_mask
+            system = OneOutOfTwoSystem(a, b)
+            pfd_a, pfd_b = system.channel_pfds(profile)
             return CampaignStep(
                 step=step,
                 kind=kind,
-                pfd_a=a.pfd(profile),
-                pfd_b=b.pfd(profile),
-                system_pfd=float(profile.probabilities[joint].sum()),
+                pfd_a=pfd_a,
+                pfd_b=pfd_b,
+                system_pfd=system.pfd(profile),
                 faults_a=a.n_faults,
                 faults_b=b.n_faults,
             )
@@ -434,32 +426,6 @@ class DevelopmentCampaign(object):
         return _batch._accumulate_mean(
             _batch._run_budget(kernel, n_replications, rng, chunk_size, n_jobs)
         )
-
-    def mean_final_system_pfd(
-        self,
-        population_a: VersionPopulation,
-        profile: UsageProfile,
-        population_b: VersionPopulation | None = None,
-        n_replications: int = 200,
-        rng: SeedLike = None,
-        chunk_size: int | None = None,
-        n_jobs: int = 1,
-    ) -> float:
-        """Average final system pfd over random version pairs.
-
-        Point-value form of :meth:`mean_final_system_pfd_estimator` (same
-        randomness: a given ``rng`` yields the identical mean).
-        """
-        return self.mean_final_system_pfd_estimator(
-            population_a,
-            profile,
-            population_b=population_b,
-            n_replications=n_replications,
-            rng=rng,
-            chunk_size=chunk_size,
-            n_jobs=n_jobs,
-        ).mean
-
 
 def _campaign_block(
     campaign: DevelopmentCampaign,

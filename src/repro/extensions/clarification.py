@@ -80,11 +80,6 @@ class ClarificationProcess(object):
         )
 
     @property
-    def space(self) -> DemandSpace:
-        """The demand space clarifications act on."""
-        return self._space
-
-    @property
     def generator(self) -> EnumerableSuiteGenerator:
         """The clarification process as an (enumerable) suite measure."""
         return self._generator

@@ -52,9 +52,7 @@ class Fault:
         if self.identifier < 0:
             raise ModelError(f"fault identifier must be >= 0, got {self.identifier}")
         object.__setattr__(self, "region", region)
-        mask = np.zeros(self.space.size, dtype=bool)
-        mask[region] = True
-        object.__setattr__(self, "_mask", mask)
+        object.__setattr__(self, "_mask", self.space.indicator(region))
 
     @property
     def mask(self) -> np.ndarray:

@@ -165,12 +165,6 @@ class FaultUniverse:
     def __len__(self) -> int:
         return len(self.faults)
 
-    def __iter__(self) -> Iterator[Fault]:
-        return iter(self.faults)
-
-    def __getitem__(self, index: int) -> Fault:
-        return self.faults[index]
-
     @property
     def coverage(self) -> np.ndarray:
         """Boolean matrix ``[n_faults, n_demands]``; row ``f`` is fault ``f``'s region."""
@@ -437,11 +431,6 @@ class FaultUniverse:
         ids = self.validate_fault_ids(fault_ids)
         regions = [self.faults[int(i)].region for i in ids]
         return FaultUniverse.from_regions(self.space, regions)
-
-    def overlap_matrix(self) -> np.ndarray:
-        """Pairwise region-overlap counts ``[n_faults, n_faults]``."""
-        cov = self._coverage.astype(np.int64)
-        return cov @ cov.T
 
     def describe(self) -> str:
         """One-line human summary used by example scripts."""

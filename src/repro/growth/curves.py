@@ -72,11 +72,6 @@ class GrowthCurve:
         """pfd at the smallest effort level."""
         return float(self.values[0])
 
-    @property
-    def final(self) -> float:
-        """pfd at the largest effort level."""
-        return float(self.values[-1])
-
     def is_nonincreasing(self, tolerance: float = 1e-9) -> bool:
         """True iff the curve never rises by more than ``tolerance``.
 

@@ -15,6 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..core.systems import OneOutOfTwoSystem
 from ..demand import UsageProfile
 from ..errors import ModelError
 from ..rng import as_generator, spawn_many
@@ -63,22 +64,6 @@ class TestingTrajectory:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __getitem__(self, index: int) -> StageRecord:
-        return self.records[index]
-
-    @property
-    def initial(self) -> StageRecord:
-        """State before any testing."""
-        return self.records[0]
-
-    @property
-    def final(self) -> StageRecord:
-        """State after the last stage."""
-        return self.records[-1]
 
     def system_pfds(self) -> np.ndarray:
         """System pfd per stage, as an array."""
@@ -134,12 +119,13 @@ def run_staged_testing(
     rng = as_generator(rng)
 
     def record(stage: int, a: Version, b: Version, da: int, db: int) -> StageRecord:
-        joint = a.failure_mask & b.failure_mask
+        system = OneOutOfTwoSystem(a, b)
+        pfd_a, pfd_b = system.channel_pfds(profile)
         return StageRecord(
             stage=stage,
-            pfd_a=a.pfd(profile),
-            pfd_b=b.pfd(profile),
-            system_pfd=float(profile.probabilities[joint].sum()),
+            pfd_a=pfd_a,
+            pfd_b=pfd_b,
+            system_pfd=system.pfd(profile),
             faults_a=a.n_faults,
             faults_b=b.n_faults,
             detected_a=da,

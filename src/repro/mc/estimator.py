@@ -35,12 +35,6 @@ class ProportionEstimator(object):
         self._successes = 0
         self._count = 0
 
-    def add(self, outcome: bool) -> None:
-        """Record one Bernoulli observation."""
-        self._count += 1
-        if outcome:
-            self._successes += 1
-
     def add_many(self, successes: int, count: int) -> None:
         """Record a batch of ``count`` observations with ``successes`` hits."""
         if count < 0 or successes < 0 or successes > count:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -184,23 +184,11 @@ class SizeBiasedMultinomialFit:
     degenerate: bool
 
     @property
-    def n_mutants(self) -> int:
-        return self.data.n_mutants
-
-    @property
-    def n_tests(self) -> int:
-        return self.data.n_tests
-
-    @property
     def mean_detection_prob(self) -> float:
         """The pooled per-(mutant, test) detection probability."""
         return self.data.total_detections / (
             self.data.n_mutants * self.data.n_tests
         )
-
-    def sorted_weights(self) -> Tuple[float, ...]:
-        """Shares in decreasing order — the order-invariant size profile."""
-        return tuple(sorted(self.weights, reverse=True))
 
     def fitted_count_pmf(self) -> np.ndarray:
         """Pmf of a random mutant's detection count under the rank–Zipf fit.
@@ -223,19 +211,6 @@ class SizeBiasedMultinomialFit:
         n = self.data.n_tests
         pooled = np.array([self.mean_detection_prob])
         return _binomial_mixture_pmf(pooled, n)
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "alpha": self.alpha,
-            "loglik": self.loglik,
-            "mutation_score": self.mutation_score,
-            "degenerate": self.degenerate,
-            "n_mutants": self.n_mutants,
-            "n_tests": self.n_tests,
-            "weights": list(self.weights),
-            "detection_probs": list(self.detection_probs),
-        }
-
 
 def _water_fill(shares: np.ndarray, budget: float) -> np.ndarray:
     """Probabilities ``p_r = min(1, c·shares_r)`` with ``Σ p_r = budget``.

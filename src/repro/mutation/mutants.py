@@ -153,13 +153,6 @@ def _constant_description(value: object) -> Optional[Tuple[str, object]]:
     return None
 
 
-def _set_child(parent: ast.AST, field: str, index: Optional[int], new: ast.AST) -> None:
-    if index is None:
-        setattr(parent, field, new)
-    else:
-        getattr(parent, field)[index] = new
-
-
 def _node_options(
     node: ast.AST,
     parent: Optional[ast.AST],
@@ -207,24 +200,21 @@ def _node_options(
             ("flip-boolop", f"replace '{old}' with '{new}'", apply_boolop)
         )
     elif isinstance(node, ast.UnaryOp) and parent is not None and field is not None:
+
+        def apply_drop_unary(target, target_parent, target_field, target_index):
+            operand = target.operand
+            if target_index is None:
+                setattr(target_parent, target_field, operand)
+            else:
+                getattr(target_parent, target_field)[target_index] = operand
+
         if isinstance(node.op, ast.Not):
-
-            def apply_drop_not(target, target_parent, target_field, target_index):
-                _set_child(
-                    target_parent, target_field, target_index, target.operand
-                )
-
-            options.append(("drop-not", "drop 'not'", apply_drop_not))
+            options.append(("drop-not", "drop 'not'", apply_drop_unary))
         elif isinstance(node.op, ast.USub) and not isinstance(
             node.operand, ast.Constant
         ):
-            def apply_drop_negate(target, target_parent, target_field, target_index):
-                _set_child(
-                    target_parent, target_field, target_index, target.operand
-                )
-
             options.append(
-                ("drop-negate", "drop unary '-'", apply_drop_negate)
+                ("drop-negate", "drop unary '-'", apply_drop_unary)
             )
     elif isinstance(node, ast.Constant):
         mutated = _constant_description(node.value)

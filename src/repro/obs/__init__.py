@@ -41,7 +41,6 @@ from .metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
     default_registry,
-    merge_snapshots,
     parse_prometheus_text,
     render_prometheus,
     set_default_registry,
@@ -86,7 +85,6 @@ __all__ = [
     "format_trace_header",
     "get_logger",
     "logging_config",
-    "merge_snapshots",
     "new_trace_context",
     "parse_prometheus_text",
     "parse_trace_header",

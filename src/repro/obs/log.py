@@ -162,10 +162,6 @@ class ObsLogger:
     def warning(self, event: str, **fields: object) -> None:
         self._emit("warning", event, fields)
 
-    def error(self, event: str, **fields: object) -> None:
-        self._emit("error", event, fields)
-
-
 _LOGGERS: Dict[str, ObsLogger] = {}
 
 

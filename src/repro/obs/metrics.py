@@ -1,18 +1,18 @@
 """Process-wide metrics registry with Prometheus text exposition.
 
 Three instrument kinds — :class:`Counter` (monotonic), :class:`Gauge`
-(set/inc/dec), :class:`Histogram` (fixed buckets + sum + count) — each
+(set), :class:`Histogram` (fixed buckets + sum + count) — each
 optionally labelled.  Increments are a single short critical section
 (one ``threading.Lock`` per instrument), cheap enough for the request
 hot path; scrapes take a consistent snapshot without stopping writers.
 
 Snapshots are plain JSON-safe dicts and **mergeable**:
-:func:`merge_snapshots` sums counters, gauges and histogram buckets
-element-wise, so worker processes can ship their registry deltas back
-to the parent over the existing manager-queue/result channel and the
-parent folds them in.  The merge is associative and commutative with
+:meth:`MetricsRegistry.merge` sums counters, gauges and histogram
+buckets element-wise, so worker processes can ship their registry deltas
+back to the parent over the existing manager-queue/result channel and
+the parent folds them in.  The merge is associative and commutative with
 the empty snapshot as identity (property-tested in
-``tests/obs/test_metrics_merge.py``).
+``tests/obs/test_merge_properties.py``).
 
 Exposition: :func:`render_prometheus` renders a registry (or snapshot)
 as Prometheus text format 0.0.4 — ``# HELP``/``# TYPE`` lines, escaped
@@ -37,7 +37,6 @@ __all__ = [
     "NULL_REGISTRY",
     "default_registry",
     "histogram_summary",
-    "merge_snapshots",
     "parse_prometheus_text",
     "render_prometheus",
     "set_default_registry",
@@ -141,24 +140,6 @@ class _BoundCounter:
             return float(instrument._samples.get(self._key, 0.0))
 
 
-class _BoundGauge(_BoundCounter):
-    """A Gauge pinned to one label-value tuple."""
-
-    def set(self, value: float) -> None:
-        instrument = self._instrument
-        with instrument._lock:
-            instrument._samples[self._key] = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        instrument = self._instrument
-        with instrument._lock:
-            samples = instrument._samples
-            samples[self._key] = samples.get(self._key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-
 class _BoundHistogram:
     """A Histogram pinned to one label-value tuple."""
 
@@ -191,28 +172,15 @@ class Counter(_Instrument):
             return float(self._samples.get(self._labelvalues(labels), 0.0))
 
 
-class Gauge(_Instrument):
-    """A value that can go up and down (queue depth, half-width, ...)."""
+class Gauge(Counter):
+    """A value that is set (queue depth, half-width, ...)."""
 
     kind = "gauge"
-    _BOUND = _BoundGauge
 
     def set(self, value: float, **labels: object) -> None:
         key = self._labelvalues(labels)
         with self._lock:
             self._samples[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._labelvalues(labels)
-        with self._lock:
-            self._samples[key] = self._samples.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
-
-    def value(self, **labels: object) -> float:
-        with self._lock:
-            return float(self._samples.get(self._labelvalues(labels), 0.0))
 
 
 class Histogram(_Instrument):
@@ -434,17 +402,10 @@ class MetricsRegistry:
 class _NullInstrument:
     """An instrument that records nothing (the uninstrumented path)."""
 
-    def inc(self, *args, **kwargs) -> None:
+    def _drop(self, *args, **kwargs) -> None:
         pass
 
-    def dec(self, *args, **kwargs) -> None:
-        pass
-
-    def set(self, *args, **kwargs) -> None:
-        pass
-
-    def observe(self, *args, **kwargs) -> None:
-        pass
+    inc = set = observe = _drop
 
     def value(self, *args, **kwargs) -> float:
         return 0.0
@@ -472,9 +433,6 @@ class NullRegistry(MetricsRegistry):
         self, name, help="", labelnames=(), buckets=DEFAULT_BUCKETS
     ):
         return self._NULL
-
-    def snapshot(self) -> Dict[str, dict]:
-        return {}
 
     def merge(self, snapshot) -> None:
         pass
@@ -507,21 +465,6 @@ def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
 # ---------------------------------------------------------------------------
 # merge (pure function form, for the property tests and worker channel)
 # ---------------------------------------------------------------------------
-
-
-def merge_snapshots(
-    left: Mapping[str, dict], right: Mapping[str, dict]
-) -> Dict[str, dict]:
-    """Merge two registry snapshots into a new one (both unchanged).
-
-    Counters, gauges and histogram bucket/sum/count all add, so the
-    operation is associative and commutative, with ``{}`` as identity —
-    per-worker snapshots can be folded in any arrival order.
-    """
-    registry = MetricsRegistry()
-    registry.merge(left)
-    registry.merge(right)
-    return registry.snapshot()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from .._hooks import honour_scalar
 from ..demand import DemandSpace
 from ..errors import IncompatibleSpaceError, ModelError, NotEnumerableError
 from ..faults import FaultUniverse
@@ -34,6 +35,9 @@ class VersionPopulation(abc.ABC):
 
     def __init__(self, universe: FaultUniverse) -> None:
         self._universe = universe
+
+    def __init_subclass__(cls) -> None:
+        honour_scalar(cls, VersionPopulation, "sample", "sample_fault_matrix")
 
     @property
     def universe(self) -> FaultUniverse:
@@ -73,9 +77,8 @@ class VersionPopulation(abc.ABC):
         if count < 0:
             raise ModelError(f"count must be non-negative, got {count}")
         matrix = np.zeros((count, len(self._universe)), dtype=bool)
-        generator = as_generator(rng)
-        for row, stream in enumerate(spawn_many(generator, count)):
-            matrix[row, self.sample(stream).fault_ids] = True
+        for row, version in enumerate(self.sample_many(count, rng)):
+            matrix[row, version.fault_ids] = True
         return matrix
 
     @abc.abstractmethod

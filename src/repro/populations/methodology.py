@@ -73,11 +73,6 @@ class MethodologyPair:
         return cls(methodology, methodology)
 
     @property
-    def universe(self):
-        """The shared fault universe."""
-        return self.first.population.universe
-
-    @property
     def is_homogeneous(self) -> bool:
         """True iff both channels use the same measure object."""
         return self.first.population is self.second.population

@@ -9,7 +9,7 @@ independent child streams for parallel or multi-component simulations.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "philox_uniform",
     "spawn",
     "spawn_many",
-    "stream",
 ]
 
 
@@ -54,9 +53,9 @@ def inverse_cdf_indices(cdf: np.ndarray, rng: SeedLike, size=None, uniforms=None
     clamp cannot drift out of sync.
 
     ``uniforms`` supplies the uniform draws instead of consuming ``rng``
-    (``size`` is then ignored) — how the antithetic variance-reduction
-    kernel shares one uniform block between a ``u`` / ``1 − u`` pair while
-    keeping this single definition of the search-and-clamp.
+    (``size`` is then ignored) — how the c-family workload maps the
+    counter-based uniforms it draws itself to demands while keeping this
+    single definition of the search-and-clamp.
     """
     if uniforms is not None:
         uniforms = np.asarray(uniforms)
@@ -302,19 +301,3 @@ def counter_uniforms(key: int, streams, lanes) -> np.ndarray:
             np.bitwise_or(x0, x1, out=x0)
             np.multiply(x0, 1.0 / 9007199254740992.0, out=dest)
     return out
-
-
-def stream(seed: SeedLike = None) -> Iterator[np.random.Generator]:
-    """Yield an unbounded sequence of independent generators.
-
-    Convenient for experiment drivers that need one fresh stream per
-    replication::
-
-        gens = stream(seed=42)
-        for replication in range(1000):
-            rng = next(gens)
-            ...
-    """
-    root = as_generator(seed)
-    while True:
-        yield spawn(root)

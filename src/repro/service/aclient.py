@@ -157,28 +157,6 @@ class AsyncHttpClient:
             parsed = {"value": parsed}
         return status, parsed, headers
 
-    async def metrics(self, format: str = "json") -> Union[dict, str]:
-        """Fetch ``GET /metrics`` in either exposition format.
-
-        ``"json"`` returns the parsed legacy snapshot; ``"prometheus"``
-        returns the strict-parsed ``{family: ...}`` mapping (use
-        :func:`repro.obs.parse_prometheus_text` directly for raw text).
-        """
-        if format == "json":
-            _, body, _ = await self.request("GET", "/metrics")
-            return body
-        if format != "prometheus":
-            raise ServiceError(
-                f"unknown metrics format {format!r} (use 'json' or "
-                f"'prometheus')"
-            )
-        from ..obs import parse_prometheus_text
-
-        _, text, _ = await self.request(
-            "GET", "/metrics?format=prometheus", parse_json=False
-        )
-        return parse_prometheus_text(text)
-
     async def close(self) -> None:
         """Close every pooled connection."""
         while self._idle:

@@ -66,17 +66,13 @@ class TwoTierCache:
 
     # -- reading ---------------------------------------------------------
 
-    def get(self, key: str) -> Optional[dict]:
-        """The complete record under ``key``, or None (counted as a miss)."""
-        record, _ = self.lookup(key)
-        return record
-
     def lookup(self, key: str) -> Tuple[Optional[dict], Optional[str]]:
-        """Like :meth:`get`, also reporting which tier answered.
+        """The complete record under ``key`` and the tier that answered.
 
         Returns ``(record, source)`` with source ``"memory"``, ``"store"``
-        or ``None``.  Memory hits refresh the entry's recency; store hits
-        promote the record into memory so a repeat is a memory hit.
+        or ``None`` (a miss, counted).  Memory hits refresh the entry's
+        recency; store hits promote the record into memory so a repeat is
+        a memory hit.
         """
         record = self._memory.get(key)
         if record is not None:
@@ -91,14 +87,6 @@ class TwoTierCache:
                 return record, "store"
         self._misses.inc()
         return None, None
-
-    def __contains__(self, key: str) -> bool:
-        if key in self._memory:
-            return True
-        if self.store is None:
-            return False
-        record = self.store.get(key)
-        return record is not None and "result" in record
 
     # -- writing ---------------------------------------------------------
 

@@ -257,11 +257,6 @@ class BaseHttpServer:
         """The server's base URL."""
         return f"http://{self.host}:{self.port}"
 
-    @property
-    def open_connections(self) -> int:
-        """Connection-handler tasks currently alive (leak detector hook)."""
-        return len(self._connections)
-
     async def close(self) -> None:
         """Stop listening and drop open keep-alive connections."""
         if self._server is not None:

@@ -72,10 +72,6 @@ class ShardProcess:
         return f"http://{self.host}:{self.port}"
 
     @property
-    def pid(self) -> Optional[int]:
-        return self._process.pid if self._process is not None else None
-
-    @property
     def alive(self) -> bool:
         return self._process is not None and self._process.poll() is None
 

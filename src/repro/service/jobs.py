@@ -255,14 +255,6 @@ class JobSpec:
             self.experiment_id, self.seed, self.fast, self.params_dict, version
         )
 
-    def label(self) -> str:
-        """Human-readable label for logs and reports."""
-        parts = [self.experiment_id, f"seed={self.seed}"]
-        parts += [f"{name}={value}" for name, value in self.params]
-        if not self.fast:
-            parts.append("full")
-        return " ".join(parts)
-
     @classmethod
     def from_request(cls, body: Mapping[str, object]) -> "JobSpec":
         """Build a validated spec from a ``POST /run`` JSON body.

@@ -262,10 +262,6 @@ class Router:
 
     # -- forwarding ------------------------------------------------------
 
-    def owner(self, key: str) -> str:
-        """The healthy-agnostic ring owner for a cache key."""
-        return self.ring.owner(key)
-
     def _candidates(self, key: str) -> List[ShardState]:
         """Preference-ordered shards: healthy first, marked-down last.
 
@@ -643,10 +639,3 @@ class ThreadedRouter(_HostedLoop):
 
         self._host(_start, "router", "repro-router")
 
-    def check_health(self) -> Dict[str, bool]:
-        """Force one synchronous health probe (tests use this to avoid
-        sleeping through the probe interval)."""
-        future = asyncio.run_coroutine_threadsafe(
-            self.router.check_health(), self._loop
-        )
-        return future.result(timeout=30.0)

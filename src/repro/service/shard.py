@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import ModelError
 
@@ -77,19 +77,6 @@ class HashRing:
         self._points = [point for point, _ in points]
         self._owners = [shard for _, shard in points]
 
-    def __len__(self) -> int:
-        return len(self.shards)
-
-    def __contains__(self, shard: str) -> bool:
-        return shard in self.shards
-
-    def owner(self, key: str) -> str:
-        """The shard owning ``key``: first ring point clockwise of its hash."""
-        index = bisect.bisect_right(self._points, _point(key))
-        if index == len(self._points):
-            index = 0  # wrap past twelve o'clock
-        return self._owners[index]
-
     def preference(self, key: str) -> List[str]:
         """All shards in failover order for ``key``: owner first, then the
         distinct shards met walking clockwise.  Deterministic, so every
@@ -103,17 +90,3 @@ class HashRing:
                 break
         return list(seen)
 
-    def distribution(self, keys: Sequence[str]) -> Dict[str, int]:
-        """How many of ``keys`` each shard owns (balance diagnostics)."""
-        counts = {shard: 0 for shard in self.shards}
-        for key in keys:
-            counts[self.owner(key)] += 1
-        return counts
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.shards)
-
-    def __repr__(self) -> str:
-        return (
-            f"HashRing(shards={list(self.shards)}, vnodes={self.vnodes})"
-        )

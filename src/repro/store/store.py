@@ -30,7 +30,7 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ModelError
 from .records import canonical_json, validate_record
@@ -120,27 +120,14 @@ class ResultStore:
 
     # -- reading ---------------------------------------------------------
 
-    def __contains__(self, key: str) -> bool:
-        self._ensure_loaded()
-        return key in self._records
-
     def __len__(self) -> int:
         self._ensure_loaded()
         return len(self._records)
-
-    def __iter__(self) -> Iterator[dict]:
-        self._ensure_loaded()
-        return iter(list(self._records.values()))
 
     def get(self, key: str) -> Optional[dict]:
         """The record under ``key``, or None."""
         self._ensure_loaded()
         return self._records.get(key)
-
-    def keys(self) -> List[str]:
-        """All keys, in first-written order."""
-        self._ensure_loaded()
-        return list(self._records)
 
     def records(
         self, experiment_id: Optional[str] = None
@@ -151,14 +138,6 @@ class ResultStore:
         if experiment_id is not None:
             out = [r for r in out if r["experiment_id"] == experiment_id]
         return out
-
-    def experiment_ids(self) -> List[str]:
-        """Distinct experiment ids present, in first-written order."""
-        self._ensure_loaded()
-        seen: Dict[str, None] = {}
-        for record in self._records.values():
-            seen.setdefault(record["experiment_id"], None)
-        return list(seen)
 
     # -- writing ---------------------------------------------------------
 

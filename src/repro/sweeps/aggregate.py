@@ -118,7 +118,8 @@ def comparison_table(store: ResultStore, experiment_id: str) -> Table:
     """
     records = _sorted_records(store.records(experiment_id))
     if not records:
-        known = ", ".join(store.experiment_ids()) or "none"
+        ids = dict.fromkeys(r["experiment_id"] for r in store.records())
+        known = ", ".join(ids) or "none"
         raise ModelError(
             f"store {store.path} has no records for {experiment_id!r}; "
             f"stored ids: {known}"

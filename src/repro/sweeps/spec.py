@@ -249,13 +249,6 @@ class SweepSpec:
                 )
             self.precision_experiments = capable
 
-    def axes(self, experiment_id: str) -> Dict[str, List[object]]:
-        """The resolved knob axes for one experiment (copy)."""
-        return {
-            name: list(values)
-            for name, values in self._axes_by_experiment[experiment_id].items()
-        }
-
     def points(self) -> List[SweepPoint]:
         """Every grid cell, in deterministic order.
 
@@ -277,10 +270,6 @@ class SweepSpec:
                         )
                     )
         return out
-
-    def __len__(self) -> int:
-        return len(self.points())
-
 
 def _load_mapping(path: Path) -> Mapping[str, object]:
     if path.suffix == ".json":

@@ -52,22 +52,6 @@ class TestingOutcome:
     detected_failures: int
     removed_fault_ids: np.ndarray
 
-    @property
-    def faults_removed(self) -> int:
-        """Number of distinct faults removed."""
-        return int(self.removed_fault_ids.size)
-
-    @property
-    def demands_repaired(self) -> int:
-        """Demands that failed before testing and succeed after.
-
-        The paper highlights that this can exceed the number of observed
-        failures: fixing a fault repairs its whole failure region.
-        """
-        gained = self.before.failure_mask & ~self.after.failure_mask
-        return int(np.count_nonzero(gained))
-
-
 def apply_testing(
     version: Version,
     suite: TestSuite,

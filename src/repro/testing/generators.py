@@ -20,6 +20,7 @@ from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from .._hooks import honour_scalar
 from ..demand import DemandSpace, UsageProfile
 from ..errors import ModelError, NotEnumerableError, ProbabilityError
 from ..rng import as_generator, inverse_cdf_indices, spawn_many
@@ -102,6 +103,10 @@ class SuiteGenerator(abc.ABC):
     def __init__(self, space: DemandSpace) -> None:
         self._space = space
 
+    def __init_subclass__(cls) -> None:
+        blocks = ("sample_demand_masks", "sample_demand_sequences")
+        honour_scalar(cls, SuiteGenerator, "sample", *blocks)
+
     @property
     def space(self) -> DemandSpace:
         """The demand space suites are drawn from."""
@@ -133,9 +138,8 @@ class SuiteGenerator(abc.ABC):
         if count < 0:
             raise ModelError(f"count must be non-negative, got {count}")
         masks = np.zeros((count, self._space.size), dtype=bool)
-        generator = as_generator(rng)
-        for row, stream in enumerate(spawn_many(generator, count)):
-            masks[row, self.sample(stream).unique_demands] = True
+        for row, suite in enumerate(self.sample_many(count, rng)):
+            masks[row, suite.unique_demands] = True
         return masks
 
     def sample_demand_sequences(self, count: int, rng: SeedLike = None) -> np.ndarray:
@@ -151,10 +155,7 @@ class SuiteGenerator(abc.ABC):
         """
         if count < 0:
             raise ModelError(f"count must be non-negative, got {count}")
-        generator = as_generator(rng)
-        return _sequence_block(
-            [self.sample(stream) for stream in spawn_many(generator, count)]
-        )
+        return _sequence_block(self.sample_many(count, rng))
 
     def enumerate(self) -> Iterable[Tuple[TestSuite, float]]:
         """Yield ``(suite, probability)`` when the measure is enumerable.
@@ -227,11 +228,6 @@ class OperationalSuiteGenerator(SuiteGenerator):
             dtype=np.int64,
         )
 
-    def with_size(self, size: int) -> "OperationalSuiteGenerator":
-        """Same profile and type, different suite size — used by growth sweeps."""
-        return type(self)(self._profile, size)
-
-
 class WithoutReplacementGenerator(SuiteGenerator):
     """Suites of ``n`` distinct demands, weighted by a profile.
 
@@ -252,11 +248,6 @@ class WithoutReplacementGenerator(SuiteGenerator):
             )
         self._profile = profile
         self._size = size
-
-    @property
-    def size(self) -> int:
-        """Number of distinct demands per suite."""
-        return self._size
 
     def sample(self, rng: SeedLike = None) -> TestSuite:
         generator = as_generator(rng)
@@ -376,9 +367,6 @@ class EnumerableSuiteGenerator(SuiteGenerator):
         """Equal probability over the listed suites."""
         suites = list(suites)
         return cls(space, suites, np.full(len(suites), 1.0 / len(suites)))
-
-    def __len__(self) -> int:
-        return len(self._suites)
 
     def sample(self, rng: SeedLike = None) -> TestSuite:
         return self._suites[inverse_cdf_indices(self._cdf, rng)]

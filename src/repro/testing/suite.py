@@ -80,11 +80,6 @@ class TestSuite:
         """Sorted distinct demands — the suite as a set."""
         return self._unique
 
-    @property
-    def n_unique(self) -> int:
-        """Number of distinct demands exercised."""
-        return int(self._unique.size)
-
     def contains(self, demand: int) -> bool:
         """True iff ``demand`` is exercised by this suite."""
         demand = self.space.validate_demand(demand)
@@ -109,6 +104,4 @@ class TestSuite:
 
     def mask(self) -> np.ndarray:
         """Boolean demand-membership vector over the space."""
-        out = np.zeros(self.space.size, dtype=bool)
-        out[self._unique] = True
-        return out
+        return self.space.indicator(self._unique)

@@ -80,11 +80,6 @@ class Version:
         return int(self.fault_ids.size)
 
     @property
-    def is_correct(self) -> bool:
-        """True iff the version contains no faults."""
-        return self.fault_ids.size == 0
-
-    @property
     def failure_mask(self) -> np.ndarray:
         """Boolean demand mask: True where the version fails."""
         return self._failure_mask

@@ -34,8 +34,8 @@ class TestOnRound:
         ]
         assert replications == sorted(replications)
         final = rounds[-1]["metrics"]["coin"]
-        assert final["replications"] == report["coin"].replications
-        assert final["converged"] == report["coin"].converged
+        assert final["replications"] == report.metrics["coin"].replications
+        assert final["converged"] == report.metrics["coin"].converged
         assert final["half_width"] <= final["threshold"]
 
     def test_payload_shape(self):
@@ -73,9 +73,9 @@ class TestAmbientObserver:
             observed = run_adaptive([_spec()], _target(), rng=0)
         finally:
             set_round_observer(previous)
-        assert observed["coin"].replications == baseline["coin"].replications
+        assert observed.metrics["coin"].replications == baseline.metrics["coin"].replications
         assert (
-            observed["coin"].estimate.mean == baseline["coin"].estimate.mean
+            observed.metrics["coin"].estimate.mean == baseline.metrics["coin"].estimate.mean
         )
 
     def test_both_hooks_fire_together(self):

@@ -90,20 +90,17 @@ class TestResolveVr:
         assert resolve_vr("auto", True, False) == "stratified"
         assert resolve_vr("auto", False, False) == "none"
 
-    def test_auto_never_picks_antithetic(self):
-        assert resolve_vr("auto", True, True, antithetic_ok=True) != "antithetic"
-
     def test_explicit_unsupported_raises(self):
         with pytest.raises(ModelError):
             resolve_vr("stratified", has_strata=False, has_anchor=True)
         with pytest.raises(ModelError):
             resolve_vr("control", has_strata=True, has_anchor=False)
-        with pytest.raises(ModelError):
-            resolve_vr("antithetic", True, True, antithetic_ok=False)
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ModelError):
             resolve_vr("quantum", True, True)
+        with pytest.raises(ModelError):
+            resolve_vr("antithetic", True, True)  # retired
 
 
 class TestVrEffectiveness:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.analytic import BernoulliExactEngine
-from repro.demand import DemandSpace, custom_profile, uniform_profile, zipf_profile
+from repro.demand import DemandSpace, UsageProfile, uniform_profile, zipf_profile
 from repro.errors import ModelError
 from repro.faults import FaultUniverse
 from repro.populations import BernoulliFaultPopulation
@@ -77,7 +77,7 @@ def _random_model(seed):
         weights = rng.random(n_demands)
         weights[rng.random(n_demands) < 0.3] = 0.0
         weights[0] += 0.1
-        profile = custom_profile(space, weights)
+        profile = UsageProfile.normalised(space, weights)
     pa = rng.random(n_faults)
     pa[rng.random(n_faults) < 0.25] = 0.0
     pa[rng.random(n_faults) < 0.1] = 1.0

@@ -37,7 +37,6 @@ class TestBoundsReport:
     def test_holds(self):
         report = BoundsReport(0.1, 0.3, 0.2, 100, "x")
         assert report.holds()
-        assert report.width == pytest.approx(0.2)
 
     def test_violations(self):
         low = BoundsReport(0.1, 0.3, 0.05, 100, "x")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ELModel
-from repro.demand import DemandSpace, custom_profile, uniform_profile
+from repro.demand import DemandSpace, UsageProfile, uniform_profile
 from repro.errors import IncompatibleSpaceError, ProbabilityError
 
 
@@ -93,7 +93,7 @@ class TestInequality:
     def test_constancy_only_on_support(self):
         """Difficulty variation outside the usage support is irrelevant."""
         space = DemandSpace(3)
-        profile = custom_profile(space, [0.5, 0.5, 0.0])
+        profile = UsageProfile.normalised(space, [0.5, 0.5, 0.0])
         model = ELModel(np.array([0.3, 0.3, 0.9]), profile)
         assert model.is_constant_difficulty()
         assert model.variance() == pytest.approx(0.0)

@@ -32,7 +32,7 @@ class TestDecompositionStructure:
             SameSuite(enumerable_generator), bernoulli_population
         )
         assert not decomposition.conditional_independence_holds
-        assert decomposition.max_excess > 0
+        assert decomposition.excess.max() > 0
         assert np.all(decomposition.excess >= -1e-15)
 
     def test_same_suite_forced_design(self, universe, enumerable_generator):

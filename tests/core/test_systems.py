@@ -55,16 +55,6 @@ class TestOneOutOfTwo:
                 Version.correct(universe), Version.correct(other)
             )
 
-    def test_with_channels(self, universe):
-        system = OneOutOfTwoSystem(
-            Version.with_all_faults(universe), Version.with_all_faults(universe)
-        )
-        replaced = system.with_channels(
-            Version.correct(universe), Version.correct(universe)
-        )
-        assert not replaced.failure_mask.any()
-
-
 class TestOneOutOfN:
     def test_single_channel(self, universe, profile):
         version = Version(universe, np.array([0]))

@@ -89,8 +89,3 @@ def test_union_masses_bounded_by_additive_masses(universe):
     additive = model.component_masses(profile.probabilities)
     assert np.all(union <= additive + 1e-12)
     assert np.all(union >= 0.0)
-
-
-def test_describe_mentions_shape(universe):
-    text = ComponentModel.round_robin(universe, 4).describe()
-    assert "4 components" in text and "9 faults" in text

@@ -6,7 +6,6 @@ import pytest
 from repro.demand import (
     DemandSpace,
     UsageProfile,
-    custom_profile,
     mixture_profile,
     uniform_profile,
     zipf_profile,
@@ -150,13 +149,13 @@ class TestFactories:
             zipf_profile(DemandSpace(5), exponent=-1.0)
 
     def test_custom(self):
-        profile = custom_profile(DemandSpace(3), [1, 1, 2])
+        profile = UsageProfile.normalised(DemandSpace(3), [1, 1, 2])
         assert profile.probability(2) == pytest.approx(0.5)
 
     def test_mixture(self):
         space = DemandSpace(4)
-        a = custom_profile(space, [1, 0, 0, 0])
-        b = custom_profile(space, [0, 0, 0, 1])
+        a = UsageProfile.normalised(space, [1, 0, 0, 0])
+        b = UsageProfile.normalised(space, [0, 0, 0, 1])
         mixed = mixture_profile([a, b], [0.25, 0.75])
         assert mixed.probability(0) == pytest.approx(0.25)
         assert mixed.probability(3) == pytest.approx(0.75)

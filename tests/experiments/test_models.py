@@ -81,4 +81,4 @@ class TestTinyEnumerableScenario:
         decomposition = joint_failure_probability(
             SameSuite(scenario.generator), scenario.population
         )
-        assert decomposition.max_excess > 1e-6
+        assert decomposition.excess.max() > 1e-6

@@ -50,10 +50,10 @@ class TestRun:
         )
         a, b = version_pair
         trajectory = campaign.run(a, b, profile, rng=0)
-        assert len(trajectory) == 3
-        assert trajectory[0].kind == "initial"
-        assert trajectory[1].kind == "shared testing"
-        assert trajectory[2].kind == "independent testing"
+        assert len(trajectory.steps) == 3
+        assert trajectory.steps[0].kind == "initial"
+        assert trajectory.steps[1].kind == "shared testing"
+        assert trajectory.steps[2].kind == "independent testing"
 
     def test_testing_activities_never_degrade(
         self, generator, version_pair, profile, space
@@ -72,7 +72,7 @@ class TestRun:
         a, b = version_pair
         trajectory = campaign.run(a, b, profile, rng=1)
         assert not trajectory.degrading_steps()
-        pfds = trajectory.system_pfds()
+        pfds = np.array([step.system_pfd for step in trajectory.steps])
         assert np.all(np.diff(pfds) <= 1e-15)
 
     def test_mistake_degrades(self, generator, version_pair, profile, universe):
@@ -87,8 +87,8 @@ class TestRun:
         assert len(degrading) == 1
         assert degrading[0].kind == "common mistake"
         # both channels now contain the mistake fault
-        assert trajectory.final.faults_a >= 1
-        assert trajectory.final.faults_b >= 1
+        assert trajectory.steps[-1].faults_a >= 1
+        assert trajectory.steps[-1].faults_b >= 1
 
     def test_mistake_injects_into_both(self, version_pair, profile, universe):
         mistake = SpecificationMistake((2,))
@@ -104,7 +104,7 @@ class TestRun:
         a, b = version_pair
         first = campaign.run(a, b, profile, rng=5)
         second = campaign.run(a, b, profile, rng=5)
-        assert first.final == second.final
+        assert first.steps[-1] == second.steps[-1]
 
 
 class TestMeanFinalPfd:
@@ -115,20 +115,20 @@ class TestMeanFinalPfd:
         independent = DevelopmentCampaign(
             [IndependentTestingActivity(generator)]
         )
-        shared_pfd = shared.mean_final_system_pfd(
+        shared_pfd = shared.mean_final_system_pfd_estimator(
             bernoulli_population, profile, n_replications=400, rng=3
-        )
-        independent_pfd = independent.mean_final_system_pfd(
+        ).mean
+        independent_pfd = independent.mean_final_system_pfd_estimator(
             bernoulli_population, profile, n_replications=400, rng=3
-        )
+        ).mean
         assert shared_pfd >= independent_pfd - 0.01
 
     def test_replication_validation(self, bernoulli_population, generator, profile):
         campaign = DevelopmentCampaign([SharedTestingActivity(generator)])
         with pytest.raises(ModelError):
-            campaign.mean_final_system_pfd(
+            campaign.mean_final_system_pfd_estimator(
                 bernoulli_population, profile, n_replications=0
-            )
+            ).mean
 
 
 class _Idle(Activity):
@@ -190,9 +190,9 @@ class TestBatchPath:
         idled = DevelopmentCampaign(full_campaign.activities + [_Idle()])
         for kwargs in (dict(), dict(chunk_size=70, n_jobs=2)):
             batch, rows = (
-                campaign.mean_final_system_pfd(
+                campaign.mean_final_system_pfd_estimator(
                     bernoulli_population, profile, n_replications=600, rng=7, **kwargs
-                )
+                ).mean
                 for campaign in (full_campaign, idled)
             )
             assert batch == rows, kwargs
@@ -201,12 +201,12 @@ class TestBatchPath:
         self, full_campaign, bernoulli_population, profile
     ):
         kwargs = dict(n_replications=300, rng=11, chunk_size=100)
-        serial = full_campaign.mean_final_system_pfd(
+        serial = full_campaign.mean_final_system_pfd_estimator(
             bernoulli_population, profile, n_jobs=1, **kwargs
-        )
-        sharded = full_campaign.mean_final_system_pfd(
+        ).mean
+        sharded = full_campaign.mean_final_system_pfd_estimator(
             bernoulli_population, profile, n_jobs=2, **kwargs
-        )
+        ).mean
         assert serial == sharded
 
     def test_custom_activity_runs_per_row(self, bernoulli_population, profile):
@@ -215,15 +215,15 @@ class TestBatchPath:
         # whose channel A was rewritten) deliver a system pfd of 0
         kwargs = dict(n_replications=400, rng=13, chunk_size=50)
         campaign = DevelopmentCampaign([_CoinRepair()])
-        value = campaign.mean_final_system_pfd(
+        value = campaign.mean_final_system_pfd_estimator(
             bernoulli_population, profile, **kwargs
-        )
-        assert value == campaign.mean_final_system_pfd(
+        ).mean
+        assert value == campaign.mean_final_system_pfd_estimator(
             bernoulli_population, profile, n_jobs=2, **kwargs
-        )
-        untested = DevelopmentCampaign([_Idle()]).mean_final_system_pfd(
+        ).mean
+        untested = DevelopmentCampaign([_Idle()]).mean_final_system_pfd_estimator(
             bernoulli_population, profile, **kwargs
-        )
+        ).mean
         assert 0.3 * untested < value < 0.7 * untested
 
     def test_back_to_back_comparator_subclass_honoured(
@@ -235,12 +235,12 @@ class TestBatchPath:
         silent = DevelopmentCampaign(
             [BackToBackActivity(generator, _SilentComparator(shared_fault_outputs()))]
         )
-        untested = DevelopmentCampaign([_Idle()]).mean_final_system_pfd(
+        untested = DevelopmentCampaign([_Idle()]).mean_final_system_pfd_estimator(
             bernoulli_population, profile, **kwargs
-        )
-        assert silent.mean_final_system_pfd(
+        ).mean
+        assert silent.mean_final_system_pfd_estimator(
             bernoulli_population, profile, **kwargs
-        ) == untested
+        ).mean == untested
 
     def test_compiled_engine_rejected(
         self, full_campaign, bernoulli_population, profile
@@ -248,6 +248,6 @@ class TestBatchPath:
         # engine= is retired: every name is an unknown keyword
         for engine in ("compiled", "gpu", "scalar"):
             with pytest.raises(TypeError, match="engine"):
-                full_campaign.mean_final_system_pfd(
+                full_campaign.mean_final_system_pfd_estimator(
                     bernoulli_population, profile, n_replications=20, engine=engine
-                )
+                ).mean

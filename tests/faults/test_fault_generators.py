@@ -20,12 +20,12 @@ class TestUniformRandom:
     def test_counts_and_sizes(self):
         universe = uniform_random_universe(SPACE, 10, 5, rng=0)
         assert len(universe) == 10
-        assert all(fault.size == 5 for fault in universe)
+        assert all(fault.size == 5 for fault in universe.faults)
 
     def test_reproducible(self):
         a = uniform_random_universe(SPACE, 5, 3, rng=1)
         b = uniform_random_universe(SPACE, 5, 3, rng=1)
-        for fa, fb in zip(a, b):
+        for fa, fb in zip(a.faults, b.faults):
             np.testing.assert_array_equal(fa.region, fb.region)
 
     def test_zero_faults(self):
@@ -49,7 +49,7 @@ class TestClustered:
 
         def mean_spread(universe):
             spreads = []
-            for fault in universe:
+            for fault in universe.faults:
                 region = np.sort(fault.region)
                 spreads.append(region[-1] - region[0])
             return np.mean(spreads)
@@ -75,14 +75,14 @@ class TestDisjoint:
 class TestZipfSized:
     def test_sizes_decay(self):
         universe = zipf_sized_universe(SPACE, 8, max_region_size=20, exponent=1.0, rng=5)
-        sizes = [fault.size for fault in universe]
+        sizes = [fault.size for fault in universe.faults]
         assert sizes[0] == 20
         assert all(sizes[i] >= sizes[i + 1] for i in range(len(sizes) - 1))
         assert sizes[-1] >= 1
 
     def test_zero_exponent_constant_sizes(self):
         universe = zipf_sized_universe(SPACE, 5, max_region_size=10, exponent=0.0, rng=6)
-        assert all(fault.size == 10 for fault in universe)
+        assert all(fault.size == 10 for fault in universe.faults)
 
 
 class TestOverlappingPair:
@@ -105,9 +105,9 @@ class TestOverlappingPair:
             disjoint_unique_regions=True,
         )
         for fault_id in ids_a:
-            assert universe[int(fault_id)].region.max() < 50
+            assert universe.faults[int(fault_id)].region.max() < 50
         for fault_id in ids_b:
-            assert universe[int(fault_id)].region.min() >= 50
+            assert universe.faults[int(fault_id)].region.min() >= 50
 
     def test_too_small_space_rejected(self):
         with pytest.raises(ModelError):

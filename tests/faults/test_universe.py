@@ -11,7 +11,7 @@ from repro.faults import Fault, FaultUniverse
 class TestConstruction:
     def test_from_regions(self, universe):
         assert len(universe) == 3
-        assert universe[0].size == 2
+        assert universe.faults[0].size == 2
 
     def test_identifier_convention_enforced(self, space):
         wrong = Fault(space, np.array([0]), identifier=5)
@@ -98,13 +98,7 @@ class TestMasksAndIds:
     def test_restrict(self, universe):
         sub = universe.restrict([1, 2])
         assert len(sub) == 2
-        np.testing.assert_array_equal(sub[0].region, [2, 3, 4])
-
-    def test_overlap_matrix(self, universe):
-        matrix = universe.overlap_matrix()
-        assert matrix[1, 2] == 1  # share demand 4
-        assert matrix[0, 1] == 0
-        assert matrix[0, 0] == 2  # own size
+        np.testing.assert_array_equal(sub.faults[0].region, [2, 3, 4])
 
     def test_describe_mentions_counts(self, universe):
         text = universe.describe()

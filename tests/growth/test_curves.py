@@ -43,7 +43,6 @@ class TestGrowthCurve:
             "x", np.array([0, 10]), np.array([0.4, 0.1]), exact=True
         )
         assert curve.initial == pytest.approx(0.4)
-        assert curve.final == pytest.approx(0.1)
         assert curve.is_nonincreasing()
 
     def test_dominates(self):

@@ -22,7 +22,7 @@ class TestRunStagedTesting:
         trajectory = run_staged_testing(
             a, b, [(TestSuite.empty(space), TestSuite.empty(space))], profile
         )
-        initial = trajectory.initial
+        initial = trajectory.records[0]
         assert initial.stage == 0
         assert initial.pfd_a == pytest.approx(a.pfd(profile))
         assert initial.faults_a == 2
@@ -35,13 +35,13 @@ class TestRunStagedTesting:
             (TestSuite.of(space, [2]), TestSuite.of(space, [2])),
         ]
         trajectory = run_staged_testing(a, b, stages, profile)
-        assert len(trajectory) == 3
+        assert len(trajectory.records) == 3
         # stage 1: demand 0 hits fault 0 (only a has it)
-        assert trajectory[1].faults_a == 1
-        assert trajectory[1].faults_b == 2
+        assert trajectory.records[1].faults_a == 1
+        assert trajectory.records[1].faults_b == 2
         # stage 2: demand 2 hits fault 1 (both have it)
-        assert trajectory[2].faults_a == 0
-        assert trajectory[2].faults_b == 1
+        assert trajectory.records[2].faults_a == 0
+        assert trajectory.records[2].faults_b == 1
 
     def test_monotone_under_perfect_testing(self, version_pair, profile, space, rng):
         a, b = version_pair
@@ -70,8 +70,8 @@ class TestRunStagedTesting:
         trajectory = run_staged_testing(
             a, b, [(TestSuite.of(space, [0, 2]), TestSuite.of(space, [9]))], profile
         )
-        assert trajectory[1].detected_a == 2
-        assert trajectory[1].detected_b == 0
+        assert trajectory.records[1].detected_a == 2
+        assert trajectory.records[1].detected_b == 0
 
     def test_arrays(self, version_pair, profile, space):
         a, b = version_pair
@@ -95,5 +95,5 @@ class TestRunStagedTesting:
             [(TestSuite(space, space.demands), TestSuite(space, space.demands))],
             profile,
         )
-        assert trajectory.final.pfd_a == 0.0
-        assert trajectory.final.system_pfd == 0.0
+        assert trajectory.records[-1].pfd_a == 0.0
+        assert trajectory.records[-1].system_pfd == 0.0

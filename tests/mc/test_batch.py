@@ -194,9 +194,12 @@ def test_untested_joint_engines_agree(model):
     reference = ProportionEstimator()
     for stream in spawn_many(as_generator(11), 3000):
         first, second = spawn_many(stream, 2)
-        reference.add(
-            population.sample(first).fails_on(demand)
-            and population.sample(second).fails_on(demand)
+        reference.add_many(
+            int(
+                population.sample(first).fails_on(demand)
+                and population.sample(second).fails_on(demand)
+            ),
+            1,
         )
     batch = simulate_untested_joint_on_demand(
         population, demand, n_replications=3000, rng=11

@@ -13,7 +13,7 @@ class TestProportionEstimator:
     def test_mean(self):
         estimator = ProportionEstimator()
         for outcome in (True, False, True, True):
-            estimator.add(outcome)
+            estimator.add_many(int(outcome), 1)
         assert estimator.mean == pytest.approx(0.75)
         assert estimator.count == 4
         assert estimator.successes == 3
@@ -55,7 +55,7 @@ class TestProportionEstimator:
 
     def test_wilson_confidence_validation(self):
         estimator = ProportionEstimator()
-        estimator.add(True)
+        estimator.add_many(int(True), 1)
         with pytest.raises(ModelError):
             estimator.wilson_interval(1.5)
 

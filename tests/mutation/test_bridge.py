@@ -90,7 +90,7 @@ def test_measured_and_assumed_differ_only_in_the_size_profile(fit):
 def test_assumed_population_explicit_size_override(fit):
     space = DemandSpace(30)
     population = assumed_population(fit, space, presence_prob=0.2, seed=0, size=5)
-    assert [len(r) for r in _regions(population.universe)] == [5] * fit.n_mutants
+    assert [len(r) for r in _regions(population.universe)] == [5] * fit.data.n_mutants
     with pytest.raises(ModelError):
         assumed_population(fit, space, size=0)
     with pytest.raises(ModelError):

@@ -109,7 +109,7 @@ def test_sigint_mid_campaign_keeps_whole_records_and_resumes(
     assert report.cached + report.executed == report.total
     # first run + resume together executed each mutant exactly once: the
     # store holds exactly one record per mutant plus the baseline
-    assert len(ResultStore(store_path).keys()) == report.total + 1
+    assert len(ResultStore(store_path).records()) == report.total + 1
 
     # a further run is a pure cache hit
     rerun = MutationCampaign(tiny_target, store, timeout=30.0).run()

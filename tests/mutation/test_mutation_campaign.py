@@ -51,13 +51,13 @@ def test_campaign_kill_semantics(tiny_target, campaign_store):
 def test_rerun_is_a_pure_cache_hit(tiny_target, campaign_store):
     campaign = MutationCampaign(tiny_target, campaign_store, timeout=30.0)
     first = campaign.run()
-    keys_after_first = set(campaign_store.keys())
+    keys_after_first = {r["key"] for r in campaign_store.records()}
     second = MutationCampaign(tiny_target, campaign_store, timeout=30.0).run()
     assert second.executed == 0
     assert second.cached == first.total
     # exactly-once at the store level: the rerun added no records, and
     # the store holds one record per mutant plus the baseline
-    assert set(campaign_store.keys()) == keys_after_first
+    assert {r["key"] for r in campaign_store.records()} == keys_after_first
     assert len(keys_after_first) == first.total + 1
     # cached outcomes are byte-for-byte the originals
     assert [o.to_payload() for o in second.outcomes] == [
@@ -128,7 +128,7 @@ def test_red_baseline_refuses_to_measure(make_target, campaign_store):
     with pytest.raises(ModelError, match="not green"):
         MutationCampaign(target, campaign_store, timeout=30.0).run()
     # nothing was measured, nothing was stored
-    assert len(campaign_store.keys()) == 0
+    assert len(campaign_store.records()) == 0
 
 
 def test_invalid_timeout_rejected(tiny_target, campaign_store):

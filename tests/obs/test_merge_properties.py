@@ -2,7 +2,7 @@
 
 The worker→parent aggregation channel folds per-job registry snapshots
 in whatever order results arrive; correctness rests on
-:func:`repro.obs.metrics.merge_snapshots` being associative and
+:meth:`repro.obs.metrics.MetricsRegistry.merge` being associative and
 commutative with ``{}`` as identity.  Rather than trusting three unit
 cases, generate random snapshots and check the laws directly.
 """
@@ -10,7 +10,16 @@ cases, generate random snapshots and check the laws directly.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.obs.metrics import MetricsRegistry
+
+
+def merge_snapshots(left, right):
+    """Two snapshots merged into a fresh registry's snapshot."""
+    registry = MetricsRegistry()
+    registry.merge(left)
+    registry.merge(right)
+    return registry.snapshot()
+
 
 _NAMES = ("alpha_total", "beta_total", "queue_depth")
 _LABELS = ("", "a", "b")
@@ -34,7 +43,7 @@ def snapshots(draw):
         )
     gauge = registry.gauge("queue_depth")
     if draw(st.booleans()):
-        gauge.inc(draw(st.floats(-50, 50, allow_nan=False)))
+        gauge.set(draw(st.floats(-50, 50, allow_nan=False)))
     histogram = registry.histogram("lat_seconds", buckets=_BOUNDS)
     for _ in range(draw(st.integers(0, 4))):
         histogram.observe(draw(st.floats(0, 5, allow_nan=False)))

@@ -36,7 +36,7 @@ class TestSampling:
         always = BernoulliFaultPopulation(universe, [1.0, 1.0, 1.0])
         never = BernoulliFaultPopulation(universe, [0.0, 0.0, 0.0])
         assert always.sample(rng).n_faults == 3
-        assert never.sample(rng).is_correct
+        assert never.sample(rng).n_faults == 0
 
     def test_empirical_inclusion_rates(self, universe):
         population = BernoulliFaultPopulation(universe, [0.8, 0.2, 0.5])

@@ -102,7 +102,7 @@ class TestMistakeInvariants:
         mistaken = mistake.apply_to(population)
         theta_before = population.difficulty()
         theta_after = mistaken.difficulty()
-        region = universe[fault_id].mask
+        region = universe.faults[fault_id].mask
         assert np.all(theta_after >= theta_before - 1e-12)
         assert np.all(theta_after[region] == 1.0)
 

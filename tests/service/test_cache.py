@@ -22,7 +22,7 @@ class TestTwoTierCache:
     def test_miss_then_memory_hit(self, records):
         cache = TwoTierCache()
         key = records[0]["key"]
-        assert cache.get(key) is None
+        assert cache.lookup(key)[0] is None
         cache.put(records[0])
         record, source = cache.lookup(key)
         assert record["key"] == key
@@ -48,16 +48,16 @@ class TestTwoTierCache:
         cache = TwoTierCache(ResultStore(tmp_path))
         cache.put(records[0])
         # a completely fresh store handle sees the record on disk
-        assert records[0]["key"] in ResultStore(tmp_path).load()
+        assert ResultStore(tmp_path).load().get(records[0]["key"]) is not None
 
     def test_lru_eviction_order(self, records):
         cache = TwoTierCache(capacity=2)
         cache.put(records[0])
         cache.put(records[1])
-        cache.get(records[0]["key"])  # refresh 0: 1 is now least recent
+        cache.lookup(records[0]["key"])  # refresh 0: 1 is now least recent
         cache.put(records[2])
-        assert cache.get(records[1]["key"]) is None
-        assert cache.get(records[0]["key"]) is not None
+        assert cache.lookup(records[1]["key"])[0] is None
+        assert cache.lookup(records[0]["key"])[0] is not None
         assert cache.stats()["evictions"] == 1
 
     def test_identity_only_records_are_not_cacheable(self, tmp_path):
@@ -69,15 +69,14 @@ class TestTwoTierCache:
         store = ResultStore(tmp_path)
         store.put(bare)
         cache = TwoTierCache(ResultStore(tmp_path))
-        assert cache.get(bare["key"]) is None
-        assert bare["key"] not in cache
+        assert cache.lookup(bare["key"])[0] is None
 
     def test_contains_checks_both_tiers(self, tmp_path, records):
         store = ResultStore(tmp_path)
         store.put(records[0])
         cache = TwoTierCache(ResultStore(tmp_path))
-        assert records[0]["key"] in cache
-        assert "not-a-key" not in cache
+        assert cache.lookup(records[0]["key"])[0] is not None
+        assert cache.lookup("not-a-key")[0] is None
 
     def test_capacity_validation(self):
         with pytest.raises(ModelError, match="capacity"):

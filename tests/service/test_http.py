@@ -49,7 +49,7 @@ class TestEndpoints:
         assert warm["source"] in ("memory", "store")
         assert warm["record"]["key"] == job["record"]["key"]
         # the record reached the server's persistent store
-        assert job["record"]["key"] in ResultStore(server.store_dir).load()
+        assert ResultStore(server.store_dir).load().get(job["record"]["key"]) is not None
 
     def test_submit_nowait_then_poll(self, client):
         job = client.submit("x3", seed=102, wait=False)

@@ -11,7 +11,7 @@ contract that keeps a hostile or broken client from wedging a shard:
 * a client that disappears mid-body (truncated ``Content-Length``) is
   dropped silently;
 * none of the above leaks a connection-handler task: after every fuzz
-  barrage ``open_connections`` drains to zero and the server still
+  barrage the server's connection-handler tasks drain to zero and the server still
   answers a well-formed request.
 
 Raw sockets, not a client library — the point is sending exactly the
@@ -86,7 +86,7 @@ def _assert_clean_error(response: bytes, statuses=(400,)):
 
 def _assert_drained(server):
     wait_until(
-        lambda: server.server.open_connections == 0,
+        lambda: not server.server._connections,
         timeout=30.0,
         message="connection-handler task leaked",
     )

@@ -1,5 +1,7 @@
 """Unit tests for the consistent-hash ring: determinism, balance, stability."""
 
+import collections
+
 import pytest
 
 from repro.errors import ModelError
@@ -24,27 +26,29 @@ class TestConstruction:
 
     def test_membership_and_len(self):
         ring = HashRing(["s1", "s0"])
-        assert len(ring) == 2
-        assert "s0" in ring and "s1" in ring and "s2" not in ring
-        assert list(ring) == ["s0", "s1"]
+        assert ring.shards == ("s0", "s1")
+
+
+def _owner(ring, key):
+    """The shard a key routes to first: the head of its preference list."""
+    return ring.preference(key)[0]
 
 
 class TestOwnership:
     def test_single_shard_owns_everything(self):
         ring = HashRing(["only"])
-        assert all(ring.owner(key) == "only" for key in KEYS[:100])
+        assert all(_owner(ring, key) == "only" for key in KEYS[:100])
 
     def test_owner_is_deterministic_and_order_insensitive(self):
         forward = HashRing(["s0", "s1", "s2"])
         shuffled = HashRing(["s2", "s0", "s1"])
         for key in KEYS[:500]:
-            assert forward.owner(key) == shuffled.owner(key)
+            assert _owner(forward, key) == _owner(shuffled, key)
 
     def test_owner_heads_the_preference_list(self):
         ring = HashRing(["s0", "s1", "s2"])
         for key in KEYS[:200]:
             preference = ring.preference(key)
-            assert preference[0] == ring.owner(key)
             assert sorted(preference) == ["s0", "s1", "s2"]
 
     def test_real_cache_keys_balance_within_bounds(self):
@@ -54,8 +58,8 @@ class TestOwnership:
             for seed in range(250)
             for p in (0.1, 0.2, 0.3, 0.4)
         ]
-        counts = ring.distribution(keys)
-        expected = len(keys) / len(ring)
+        counts = collections.Counter(_owner(ring, key) for key in keys)
+        expected = len(keys) / len(ring.shards)
         for shard, count in counts.items():
             # 64 vnodes keeps every shard within ~2x of the fair share
             assert expected / 2 < count < expected * 2, counts
@@ -66,23 +70,23 @@ class TestOwnership:
         moved_from_survivors = sum(
             1
             for key in KEYS
-            if before.owner(key) != "s3"
-            and before.owner(key) != after.owner(key)
+            if _owner(before, key) != "s3"
+            and _owner(before, key) != _owner(after, key)
         )
         # consistency property: keys owned by survivors stay put
         assert moved_from_survivors == 0
         # and s3's share lands somewhere (everything still owned)
-        assert all(after.owner(key) in after for key in KEYS[:100])
+        assert all(_owner(after, key) in after.shards for key in KEYS[:100])
 
     def test_adding_a_shard_steals_roughly_its_fair_share(self):
         before = HashRing(["s0", "s1", "s2"])
         after = HashRing(["s0", "s1", "s2", "s3"])
         moved = sum(
-            1 for key in KEYS if before.owner(key) != after.owner(key)
+            1 for key in KEYS if _owner(before, key) != _owner(after, key)
         )
         fair = len(KEYS) / 4
         assert fair * 0.4 < moved < fair * 2.0, moved
         # every moved key moved *to* the new shard, never between old ones
         for key in KEYS:
-            if before.owner(key) != after.owner(key):
-                assert after.owner(key) == "s3"
+            if _owner(before, key) != _owner(after, key):
+                assert _owner(after, key) == "s3"

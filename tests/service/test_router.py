@@ -6,6 +6,8 @@ process-level chaos path (SIGKILL, restart, ring healing) lives in
 ``test_shard_failover.py``.
 """
 
+import asyncio
+
 import pytest
 
 from repro.errors import ModelError
@@ -18,6 +20,15 @@ from repro.service import (
 )
 
 from .conftest import wait_until
+
+
+def _probe_health(router):
+    """One synchronous health probe on a hosted router's loop, instead of
+    sleeping through the probe interval."""
+    future = asyncio.run_coroutine_threadsafe(
+        router.router.check_health(), router._loop
+    )
+    return future.result(timeout=30.0)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +77,7 @@ class TestRouting:
         router = cluster["router"].router
         job = client.run("a4", seed=11)
         spec_key = job["key"]
-        assert job["shard"] == router.owner(spec_key)
+        assert job["shard"] == router.ring.preference(spec_key)[0]
         # the job id carries the shard name, so lookups route back
         assert job["id"].startswith(job["shard"] + "-job-")
 
@@ -176,7 +187,7 @@ class TestDegradation:
                     break
             assert len(by_shard) == 2
             s1.stop()  # shard down (clean stop still refuses connections)
-            router.check_health()
+            _probe_health(router)
             health = client.healthz()
             assert health["status"] == "ok"  # degraded but serving
             assert health["shards_healthy"] == 1
@@ -189,7 +200,7 @@ class TestDegradation:
                 client.job(by_shard["s1"]["id"])
             assert excinfo.value.status == 503
             s0.stop()
-            router.check_health()
+            _probe_health(router)
             with pytest.raises(ServiceError) as excinfo:
                 client.submit("a5", seed=99, wait=True)
             assert excinfo.value.status == 503
@@ -206,7 +217,7 @@ class TestDegradation:
         client = ServiceClient(router.url)
         try:
             shard.stop()
-            router.check_health()
+            _probe_health(router)
             with pytest.raises(ServiceError) as excinfo:
                 client.healthz()
             assert excinfo.value.status == 503

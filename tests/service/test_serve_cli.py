@@ -27,4 +27,4 @@ def test_serve_with_store_backend_jsonl_starts_and_serves(tmp_path):
             if process.poll() is None:
                 process.kill()
                 process.communicate()
-    assert job["key"] in ResultStore(store_dir)
+    assert ResultStore(store_dir).get(job["key"]) is not None

@@ -48,7 +48,7 @@ class TestSigintShutdown:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no partial-line warnings
             loaded = ResultStore(store_dir).load()
-        keys = {record["key"] for record in loaded}
+        keys = {record["key"] for record in loaded.records()}
         assert running["key"] in keys
         assert queued["key"] not in keys
         # every line on disk is complete, parseable JSON

@@ -40,10 +40,10 @@ class TestCompact:
         store = ResultStore(tmp_path)
         for record in records:
             store.put(record)
-        before = {r["key"]: r for r in ResultStore(tmp_path).load()}
+        before = {r["key"]: r for r in ResultStore(tmp_path).load().records()}
         store.put(records[0])  # duplicate
         store.compact()
-        after = {r["key"]: r for r in ResultStore(tmp_path).load()}
+        after = {r["key"]: r for r in ResultStore(tmp_path).load().records()}
         assert after == before
 
     def test_keeps_newest_payloads_in_first_written_order(self, tmp_path):

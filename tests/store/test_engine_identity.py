@@ -66,7 +66,7 @@ def test_default_record_bytes_are_unchanged():
 def test_store_with_scalar_record_loads_validates_and_aggregates(store_path):
     original = store_path.read_bytes()
     store = ResultStore(store_path)
-    records = list(store)
+    records = store.records()
     assert sorted(record["engine"] for record in records) == ["auto", "scalar"]
     for record in records:
         validate_record(record)
@@ -84,5 +84,5 @@ def test_default_record_is_served_scalar_record_is_not(store_path):
     store = ResultStore(store_path)
     report = Sweep(SweepSpec(experiments=["a5"], seeds=[0]), store).run()
     assert (report.cached, report.executed) == (1, 0)
-    scalar = next(record for record in store if record["engine"] == "scalar")
+    scalar = next(record for record in store.records() if record["engine"] == "scalar")
     assert scalar["key"] != cache_key("a5", 0, True)

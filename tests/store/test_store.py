@@ -58,12 +58,11 @@ class TestResultStore:
         store = ResultStore(tmp_path)
         record = make_record("a5", seed=0, result=a5_result)
         key = store.put(record)
-        assert key in store
+        assert store.get(key) is not None
         assert store.get(key) == record
         assert len(store) == 1
-        assert list(store) == [record]
-        assert store.keys() == [key]
-        assert store.experiment_ids() == ["a5"]
+        assert store.records() == [record]
+        assert [r["key"] for r in store.records()] == [key]
 
     def test_fresh_instance_reads_what_was_written(self, tmp_path, a5_result):
         record = make_record(
@@ -93,9 +92,8 @@ class TestResultStore:
     def test_missing_file_is_empty_store(self, tmp_path):
         store = ResultStore(tmp_path / "nowhere")
         assert len(store) == 0
-        assert store.keys() == []
+        assert store.records() == []
         assert store.get("no-such-key") is None
-        assert "no-such-key" not in store
 
     @pytest.mark.parametrize("name", ["notastore", "records.sqlite"])
     def test_existing_file_without_jsonl_suffix_is_rejected(
@@ -119,7 +117,7 @@ class TestResultStore:
         with pytest.warns(UserWarning, match="skipping unreadable record"):
             reread = ResultStore(tmp_path).load()
         assert len(reread) == 1
-        assert cache_key("a5", 0, True) in reread
+        assert reread.get(cache_key("a5", 0, True)) is not None
 
     def test_append_after_truncated_tail_starts_a_fresh_line(
         self, tmp_path, a5_result
@@ -143,7 +141,7 @@ class TestResultStore:
         with pytest.warns(UserWarning):
             healed = ResultStore(tmp_path).load()
         assert len(healed) == 2
-        assert cache_key("a5", 1, True) in healed
+        assert healed.get(cache_key("a5", 1, True)) is not None
 
     def test_duplicate_keys_resolve_last_wins(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -178,7 +176,7 @@ class TestResultStore:
             handle.write(json.dumps(bogus) + "\n")
         with pytest.warns(UserWarning, match="skipping unreadable record"):
             reread = ResultStore(tmp_path).load()
-        assert reread.keys() == [cache_key("a5", 0, True)]
+        assert [r["key"] for r in reread.records()] == [cache_key("a5", 0, True)]
 
     def test_records_filter_by_experiment(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -192,7 +190,6 @@ class TestResultStore:
         assert store.records("a5") == [first, second]
         assert store.records("a4") == [other]
         assert store.records() == [first, other, second]
-        assert store.experiment_ids() == ["a5", "a4"]  # first-written order
 
 
 GOLDEN_GRID = dict(

@@ -28,13 +28,13 @@ def test_examples_ship_grids():
 )
 def test_grid_loads_and_validates(path):
     spec = load_grid(path)
-    assert len(spec) > 0
+    assert len(spec.points()) > 0
     # load_grid already rejects unknown ids and knobs; double-check the
     # axes resolve against each runner's signature so a default-value
     # rename cannot slip through either
     for experiment_id in spec.experiments:
         known = set(runner_params(experiment_id)) | {"precision"}
-        for name, values in spec.axes(experiment_id).items():
+        for name, values in spec._axes_by_experiment[experiment_id].items():
             assert name in known, (
                 f"{path.name}: {experiment_id} has no knob {name!r}"
             )
@@ -44,5 +44,5 @@ def test_grid_loads_and_validates(path):
 def test_coverage_grid_covers_the_c_family():
     spec = load_grid(GRIDS_DIR / "coverage.toml")
     assert set(spec.experiments) == {"c1", "c2", "c3"}
-    assert "metric" in spec.axes("c1")
-    assert "target" in spec.axes("c3")
+    assert "metric" in spec._axes_by_experiment["c1"]
+    assert "target" in spec._axes_by_experiment["c3"]

@@ -68,7 +68,7 @@ class TestSweepRun:
         assert report.cached == 8
         assert report.executed == 1
         assert sorted(statuses.values()).count("executed") == 1
-        assert sorted(store.keys()) == sorted(completed_store.keys())
+        assert sorted(_keys(store)) == sorted(_keys(completed_store))
 
     def test_partial_grid_then_superset_resumes(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -83,8 +83,8 @@ class TestSweepRun:
         parallel_store = ResultStore(tmp_path)
         report = Sweep(SweepSpec(**GRID), parallel_store).run(n_procs=3)
         assert report.executed == 9
-        assert sorted(parallel_store.keys()) == sorted(completed_store.keys())
-        for key in completed_store.keys():
+        assert sorted(_keys(parallel_store)) == sorted(_keys(completed_store))
+        for key in _keys(completed_store):
             assert parallel_store.get(key) == completed_store.get(key)
 
     def test_double_interrupt_resume_converges(self, completed_store, tmp_path):
@@ -130,7 +130,7 @@ class TestSweepRun:
         assert current.executed == 1
         assert current.cached == 0
         assert Sweep(spec, store).run().cached == 1
-        engines = {record["engine"] for record in store}
+        engines = {record["engine"] for record in store.records()}
         assert engines == {"scalar", "auto"}
 
     def test_invalid_arguments(self, completed_store):
@@ -209,3 +209,8 @@ class TestAggregate:
         store.put(make_record("a4", seed=99, result=None))
         columns, rows = summary_table(store)
         assert len(rows) == 1  # the identity-only record has nothing to report
+
+
+def _keys(store):
+    """The stored keys, in first-written order."""
+    return [record["key"] for record in store.records()]

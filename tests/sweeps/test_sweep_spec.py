@@ -53,8 +53,8 @@ class TestSweepSpec:
         )
         points = spec.points()
         assert len(points) == 1 + 2  # a4 bare, a2 twice
-        assert spec.axes("a4") == {}
-        assert spec.axes("a2") == {"presence_prob": [0.2, 0.3]}
+        assert spec._axes_by_experiment["a4"] == {}
+        assert spec._axes_by_experiment["a2"] == {"presence_prob": [0.2, 0.3]}
 
     def test_experiment_params_for_absent_id_rejected(self):
         with pytest.raises(ModelError, match="not in the sweep"):

@@ -34,7 +34,7 @@ class TestRunViaService:
         # records mirrored into the local store, identical keys
         local = ResultStore(tmp_path / "local").load()
         for point in spec.points():
-            assert point.cache_key() in local
+            assert local.get(point.cache_key()) is not None
 
     def test_second_run_is_local_cache_hits(self, server, spec, tmp_path):
         store = ResultStore(tmp_path / "local")

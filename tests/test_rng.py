@@ -14,7 +14,6 @@ from repro.rng import (
     philox_uniform,
     spawn,
     spawn_many,
-    stream,
 )
 
 
@@ -212,19 +211,6 @@ class TestSpawn:
             np.testing.assert_array_equal(left.random(4), right.random(4))
         draws = [tuple(child.random(3)) for child in children_a]
         assert len(set(draws)) == 3
-
-
-class TestStream:
-    def test_stream_yields_independent_generators(self):
-        generators = stream(11)
-        first = next(generators)
-        second = next(generators)
-        assert not np.array_equal(first.random(4), second.random(4))
-
-    def test_stream_reproducible(self):
-        a = next(stream(13)).random(4)
-        b = next(stream(13)).random(4)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestCounterKey:

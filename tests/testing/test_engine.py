@@ -32,8 +32,7 @@ class TestPerfectTesting:
         version = Version(universe, np.array([1]))  # fails on {2,3,4}
         suite = TestSuite.of(space, [2])
         outcome = apply_testing(version, suite)
-        assert outcome.after.is_correct
-        assert outcome.demands_repaired == 3  # 2, 3 and 4 all fixed
+        assert outcome.after.n_faults == 0
         assert outcome.detected_failures == 1
 
     def test_miss_changes_nothing(self, universe, space):
@@ -42,14 +41,12 @@ class TestPerfectTesting:
         outcome = apply_testing(version, suite)
         assert outcome.after == version
         assert outcome.detected_failures == 0
-        assert outcome.faults_removed == 0
 
     def test_repeated_demand_counts_twice(self, universe, space):
         version = Version(universe, np.array([0]))
         suite = TestSuite.of(space, [0, 0])
         outcome = apply_testing(version, suite)
         assert outcome.detected_failures == 2
-        assert outcome.faults_removed == 1
 
     def test_score_monotonicity(self, universe, space, rng):
         """The fundamental inequality: scores never increase under testing."""
@@ -72,7 +69,7 @@ class TestPerfectTesting:
         version = Version.with_all_faults(universe)
         suite = TestSuite(space, space.demands)
         outcome = apply_testing(version, suite)
-        assert outcome.after.is_correct
+        assert outcome.after.n_faults == 0
 
 
 class TestImperfectTesting:
@@ -120,7 +117,7 @@ class TestImperfectTesting:
                 ImperfectOracle(0.5),
                 rng=np.random.default_rng(i),
             )
-            if outcome.after.is_correct:
+            if outcome.after.n_faults == 0:
                 caught += 1
         # P(caught) = 1 - 0.5^3 = 0.875
         assert caught / trials == pytest.approx(0.875, abs=0.06)
@@ -146,8 +143,8 @@ class TestBackToBack:
         outcome_a, outcome_b = back_to_back_testing(
             failing, correct, TestSuite.of(space, [0]), comparator
         )
-        assert outcome_a.after.is_correct
-        assert outcome_b.after.is_correct
+        assert outcome_a.after.n_faults == 0
+        assert outcome_b.after.n_faults == 0
 
     def test_pessimistic_coincident_failure_silent(self, universe, space):
         comparator = BackToBackComparator(pessimistic_outputs())
@@ -166,8 +163,8 @@ class TestBackToBack:
         outcome_a, outcome_b = back_to_back_testing(
             via_f1, via_f2, TestSuite.of(space, [4]), comparator
         )
-        assert outcome_a.after.is_correct
-        assert outcome_b.after.is_correct
+        assert outcome_a.after.n_faults == 0
+        assert outcome_b.after.n_faults == 0
 
     def test_optimistic_equals_perfect_oracle(self, universe, space, rng):
         """§4.2: optimistic back-to-back = perfect oracle, per realisation."""
@@ -211,5 +208,4 @@ class TestBackToBack:
             a, b, TestSuite.of(space, [0, 1]), comparator
         )
         assert outcome_a.detected_failures == 1  # fixed after first hit
-        assert outcome_a.faults_removed == 1
         assert outcome_b.detected_failures == 0

@@ -16,7 +16,7 @@ class TestConstruction:
     def test_empty(self, space):
         suite = TestSuite.empty(space)
         assert len(suite) == 0
-        assert suite.n_unique == 0
+        assert suite.unique_demands.size == 0
 
     def test_out_of_range_rejected(self, space):
         with pytest.raises(ModelError):
@@ -31,7 +31,7 @@ class TestSetView:
     def test_unique_demands_sorted_dedup(self, space):
         suite = TestSuite.of(space, [4, 2, 4, 2, 7])
         np.testing.assert_array_equal(suite.unique_demands, [2, 4, 7])
-        assert suite.n_unique == 3
+        assert suite.unique_demands.size == 3
         assert len(suite) == 5
 
     def test_contains(self, space):

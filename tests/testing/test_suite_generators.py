@@ -6,7 +6,6 @@ import pytest
 from repro.demand import (
     DemandSpace,
     UsageProfile,
-    custom_profile,
     uniform_profile,
 )
 from repro.errors import ModelError, NotEnumerableError, ProbabilityError
@@ -35,16 +34,10 @@ class TestOperational:
             OperationalSuiteGenerator(profile, -1)
 
     def test_draws_follow_profile(self, space):
-        profile = custom_profile(space, [10, 0, 0, 0, 0, 0, 0, 0, 0, 0])
+        profile = UsageProfile.normalised(space, [10, 0, 0, 0, 0, 0, 0, 0, 0, 0])
         generator = OperationalSuiteGenerator(profile, 5)
         suite = generator.sample(np.random.default_rng(0))
         assert set(suite) == {0}
-
-    def test_with_size(self, profile):
-        generator = OperationalSuiteGenerator(profile, 3)
-        resized = generator.with_size(7)
-        assert resized.size == 7
-        assert resized.profile is profile
 
     def test_not_enumerable(self, operational_generator):
         with pytest.raises(NotEnumerableError):
@@ -59,14 +52,14 @@ class TestWithoutReplacement:
     def test_distinct_demands(self, profile, rng):
         generator = WithoutReplacementGenerator(profile, 8)
         suite = generator.sample(rng)
-        assert suite.n_unique == 8
+        assert suite.unique_demands.size == 8
 
     def test_size_cap(self, profile):
         with pytest.raises(ModelError):
             WithoutReplacementGenerator(profile, 11)
 
     def test_support_cap(self, space):
-        profile = custom_profile(space, [1, 1, 0, 0, 0, 0, 0, 0, 0, 0])
+        profile = UsageProfile.normalised(space, [1, 1, 0, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(ModelError):
             WithoutReplacementGenerator(profile, 3)
 
@@ -89,7 +82,7 @@ class TestExhaustive:
     def test_covers_everything(self, space, rng):
         generator = ExhaustiveSuiteGenerator(space)
         suite = generator.sample(rng)
-        assert suite.n_unique == 10
+        assert suite.unique_demands.size == 10
 
     def test_enumerable(self, space):
         generator = ExhaustiveSuiteGenerator(space)

@@ -11,7 +11,6 @@ from repro.versions import Version
 class TestConstruction:
     def test_correct_version(self, universe):
         version = Version.correct(universe)
-        assert version.is_correct
         assert version.n_faults == 0
         assert not version.failure_mask.any()
 

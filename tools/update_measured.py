@@ -49,7 +49,7 @@ corpus program or its tests change without re-measuring.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..errors import ModelError
 from .estimators import DetectionData
@@ -57,7 +57,6 @@ from .estimators import DetectionData
 __all__ = [
     "MEASURED",
     "measured_detection_data",
-    "measured_kills",
     "measured_target_names",
 ]
 
@@ -86,24 +85,6 @@ def measured_detection_data(target: str) -> DetectionData:
         n_tests=int(entry["n_tests"]),
         labels=tuple(str(m["id"]) for m in mutants),
     )
-
-
-def measured_kills(target: str) -> Tuple[Tuple[int, ...], ...]:
-    """Per-mutant killing-test indices for one bundled target.
-
-    One tuple per mutant (in ``MEASURED`` order) holding the sorted
-    indices — into the target's sorted baseline nodeid list — of the
-    tests that detected the mutant.  Timeout/error mutants count every
-    test, matching how ``detected`` is tallied by the campaign.
-    """
-    try:
-        entry = MEASURED[target]
-    except KeyError:
-        known = ", ".join(measured_target_names()) or "<none>"
-        raise ModelError(
-            f"no committed measurement for target {target!r} (known: {known})"
-        ) from None
-    return tuple(tuple(m["kills"]) for m in entry["mutants"])
 '''
 
 
