@@ -139,14 +139,14 @@ def _stratify(
     """Reduce a chunk's observations to per-stratum bivariate moments."""
     if strata is None:
         return {POOLED: moments_of(values, controls)}
-    payload: Dict[int, BivariateMoments] = {}
-    for stratum in np.unique(strata):
-        selector = strata == stratum
-        payload[int(stratum)] = moments_of(
-            values[selector],
-            None if controls is None else controls[selector],
-        )
-    return payload
+    # a stable sort keeps each stratum's observations in chunk order, so its
+    # run of the order is the selection a boolean mask per stratum makes
+    order = np.argsort(strata, kind="stable")
+    keys, starts = np.unique(strata[order], return_index=True)
+    return {
+        int(key): moments_of(values[run], None if controls is None else controls[run])
+        for key, run in zip(keys, np.split(order, starts[1:]))
+    }
 
 
 def _wants_control(vr: str) -> bool:

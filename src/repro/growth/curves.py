@@ -22,6 +22,7 @@ from ..mc.batch import apply_testing_batch, back_to_back_batch
 from ..populations import BernoulliFaultPopulation, VersionPopulation
 from ..rng import as_generator, spawn_many
 from ..testing import BackToBackComparator, OperationalSuiteGenerator
+from ..testing.generators import _scatter_rows
 from ..types import SeedLike
 from ..versions import FailureOutputModel
 
@@ -210,7 +211,7 @@ def back_to_back_growth_curves(
             faults_a, faults_b, segment, universe_a, universe_b, comparator
         )
         system[index], version[index] = mean_pfds(faults_a, faults_b)
-        np.put_along_axis(masks, segment, True, axis=1)
+        _scatter_rows(masks, segment)
         perfect[index], _ = mean_pfds(
             apply_testing_batch(untested_a, masks, universe_a),
             apply_testing_batch(untested_b, masks, universe_b),

@@ -16,16 +16,17 @@ replications at once:
   fresh detection opportunity;
 * the **testing closure**, chosen by the oracle/fixing pair's testing plan
   (:func:`_testing_plan`): a region hit test for the perfect-oracle case
-  (:func:`apply_testing_batch`), binomial detection counts plus per-fault
-  Bernoulli survival draws for the §4.1 imperfect-oracle/imperfect-fixing
-  case (:func:`apply_imperfect_testing_batch`), the blind-spot and
-  coverage closures for their matched pairs, and for every other pair the
+  (:func:`apply_testing_batch`), binomial detection counts from one
+  uniform block plus per-fault Bernoulli survival draws for the §4.1
+  imperfect-oracle/imperfect-fixing case
+  (:func:`apply_imperfect_testing_batch`), the blind-spot and coverage
+  closures for their matched pairs, and for every other pair the
   **per-row plan**, which runs the pair's own
   :func:`~repro.testing.apply_testing` on each row of the drawn blocks;
   §4.2 back-to-back testing has its own demand-ordered masked update loop
   (:func:`back_to_back_batch`) — the only genuinely sequential axis in the
-  paper's testing processes — and the same per-row plan for custom
-  comparators and fixing policies;
+  paper's testing processes, one loop for all its output models — and the
+  same per-row plan for custom comparators and fixing policies;
 * **scoring**: post-test failure masks
   (:meth:`~repro.faults.FaultUniverse.failure_matrix`) reduced against the
   usage profile a slab at a time (:func:`~repro.faults.universe.failure_masses`).
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from functools import partial
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -70,7 +72,7 @@ from ..demand import UsageProfile
 from ..errors import IncompatibleSpaceError, ModelError
 from ..faults.universe import _packed_rows, _unpacked_rows, failure_masses
 from ..populations import VersionPopulation
-from ..rng import as_generator, spawn, spawn_many
+from ..rng import _inversion_binomial, as_generator, spawn, spawn_many
 from ..testing import (
     BackToBackComparator,
     FixingPolicy,
@@ -247,7 +249,9 @@ def apply_imperfect_testing_batch(
     passes the same suites as sorted demand runs.
 
     The kernel draws, per ``(r, x)``, the binomial number of *detecting*
-    occurrences ``K[r, x] ~ Binomial(counts[r, x], detection_p)``; a fault
+    occurrences ``K[r, x] ~ Binomial(counts[r, x], detection_p)``, bit for
+    bit numpy's draw, from one uniform block
+    (:func:`~repro.rng._inversion_binomial`); a fault
     then survives independently (given ``K``) with probability
     ``(1 - fix_p) ** (K @ cover.T)`` — each detecting occurrence of a
     covering demand is one independent chance to remove it, and the shared
@@ -266,7 +270,7 @@ def apply_imperfect_testing_batch(
     if detection_probability < 1.0:
         # binomial(0, p) is 0 and consumes no randomness, so drawing only
         # at the runs (the non-zero counts in C order) is the dense draw
-        detecting = generator.binomial(detecting, detection_probability)
+        detecting = _inversion_binomial(generator, detecting, detection_probability)
     present = np.flatnonzero(fault_matrix)
     # chances at each present (r, f): detecting occurrences covering f
     chances = universe._sums_at(present, runs.shape[0], runs.flat, detecting)
@@ -381,6 +385,10 @@ def back_to_back_batch(
 
     Returns the post-test ``(R, F_A)`` and ``(R, F_B)`` fault matrices.
     The inputs are not modified.
+
+    ``comparator`` may also be a list or tuple of comparators: the result
+    is then the list of what a call per comparator ``i``, with child ``i``
+    of ``rng``, returns, while one position loop advances all their models.
     """
     faults_a = np.asarray(fault_matrix_a, dtype=bool)
     faults_b = np.asarray(fault_matrix_b, dtype=bool)
@@ -402,35 +410,39 @@ def back_to_back_batch(
                 "sequence block contains demands outside space of size "
                 f"{space_limit} (or invalid padding < -1)"
             )
-    exact = (
-        type(comparator) is BackToBackComparator
-        and type(comparator.output_model) is FailureOutputModel
-    )
-    if exact and (fixing is None or type(fixing) is PerfectFixing):
+    several = isinstance(comparator, (list, tuple))
+    comparators = list(comparator) if several else [comparator]
+    streams = spawn_many(as_generator(rng), len(comparators)) if several else [rng]
+    if fixing is None or type(fixing) is PerfectFixing:
         fix_probability = 1.0
-    elif exact and type(fixing) is ImperfectFixing:
+    elif type(fixing) is ImperfectFixing:
         fix_probability = float(fixing.fix_probability)
     else:
-
-        def test_pair(row, stream, version_a, version_b):
-            suite = _row_suite(universe_a.space, seqs[row])
-            outcome_a, outcome_b = back_to_back_testing(
-                version_a, version_b, suite, comparator, fixing, rng=stream
-            )
-            return outcome_a.after, outcome_b.after
-
-        return _per_row(
-            test_pair, (faults_a, faults_b), (universe_a, universe_b), rng
-        )
-    mode = comparator.output_model.mode
-    generator = as_generator(rng) if fix_probability < 1.0 else None
+        fix_probability = None
+    exact = [
+        index
+        for index, each in enumerate(comparators)
+        if fix_probability is not None
+        and type(each) is BackToBackComparator
+        and type(each.output_model) is FailureOutputModel
+    ]
+    # the exact comparators' models advance as slices of (M, R, W) blocks
+    modes = [comparators[index].output_model.mode for index in exact]
+    generators = []
+    if exact and fix_probability < 1.0:
+        generators = [as_generator(streams[index]) for index in exact]
     # fault rows as bitsets over one common width, so that "identical
     # causes" (fault-id set equality across universes) is word equality
     words = max(1, -(-max(faults_a.shape[1], faults_b.shape[1]) // 64))
     cover_a = universe_a._cover_table(words)
     cover_b = universe_b._cover_table(words)
-    bits_a = _packed_rows(faults_a, words)
-    bits_b = _packed_rows(faults_b, words)
+    bits_a = np.repeat(_packed_rows(faults_a, words)[None], len(modes), axis=0)
+    bits_b = np.repeat(_packed_rows(faults_b, words)[None], len(modes), axis=0)
+
+    def nonzero(bits):
+        # a single-word row is non-zero iff its word is
+        return bits[..., 0] != 0 if words == 1 else bits.any(axis=-1)
+
     for position in range(seqs.shape[1]):
         demands = seqs[:, position]
         if demands.max(initial=-1) < 0:
@@ -438,29 +450,42 @@ def back_to_back_batch(
         # -1 gathers the tables' zero last row: padding covers nothing
         causes_a = bits_a & cover_a[demands]
         causes_b = bits_b & cover_b[demands]
-        fails_a = causes_a.any(axis=1)
-        fails_b = causes_b.any(axis=1)
-        if mode == OPTIMISTIC:
-            flagged = fails_a | fails_b
-        elif mode == PESSIMISTIC:
-            flagged = fails_a ^ fails_b
-        else:  # SHARED_FAULT
-            identical = (causes_a == causes_b).all(axis=1)
-            flagged = (fails_a | fails_b) & ~identical
-        if generator is not None:
-            causes_a &= _packed_rows(
-                generator.random(faults_a.shape) < fix_probability, words
-            )
-            causes_b &= _packed_rows(
+        fails_a = nonzero(causes_a)
+        fails_b = nonzero(causes_b)
+        flagged = fails_a | fails_b
+        for model, mode in enumerate(modes):
+            if mode == PESSIMISTIC:
+                flagged[model] = fails_a[model] ^ fails_b[model]
+            elif mode == SHARED_FAULT:
+                # a failure whose causes differ; differing causes are never
+                # both empty
+                flagged[model] = nonzero(causes_a[model] ^ causes_b[model])
+        for model, generator in enumerate(generators):
+            keep_a = generator.random(faults_a.shape) < fix_probability
+            causes_a[model] &= _packed_rows(keep_a, words)
+            causes_b[model] &= _packed_rows(
                 generator.random(faults_b.shape) < fix_probability, words
             )
         # causes are a subset of the row, so xor clears the removed faults
-        bits_a ^= causes_a * (fails_a & flagged)[:, None]
-        bits_b ^= causes_b * (fails_b & flagged)[:, None]
-    return (
-        _unpacked_rows(bits_a, faults_a.shape[1]),
-        _unpacked_rows(bits_b, faults_b.shape[1]),
-    )
+        bits_a ^= causes_a * (fails_a & flagged)[..., None]
+        bits_b ^= causes_b * (fails_b & flagged)[..., None]
+    tested = [
+        (_unpacked_rows(a, faults_a.shape[1]), _unpacked_rows(b, faults_b.shape[1]))
+        for a, b in zip(bits_a, bits_b)
+    ]
+
+    def test_pair(each, row, stream, version_a, version_b):
+        suite = _row_suite(universe_a.space, seqs[row])
+        outcome_a, outcome_b = back_to_back_testing(
+            version_a, version_b, suite, each, fixing, rng=stream
+        )
+        return outcome_a.after, outcome_b.after
+
+    blocks = (faults_a, faults_b), (universe_a, universe_b)
+    for index, (each, stream) in enumerate(zip(comparators, streams)):
+        if index not in exact:  # ascending, so the ones before are in place
+            tested.insert(index, _per_row(partial(test_pair, each), *blocks, stream))
+    return tested if several else tested[0]
 
 
 def _per_row(row_plan, blocks, universes, rng: SeedLike = None) -> tuple:
@@ -786,31 +811,22 @@ def _chunk_back_to_back_envelope(
         _joint_masses(profile, population_a, population_b, perfect_a, perfect_b).sum()
     )
 
-    mode_sums = {}
-    for mode in (OPTIMISTIC, PESSIMISTIC, SHARED_FAULT):
-        comparator = BackToBackComparator(FailureOutputModel(mode))
-        after_a, after_b = back_to_back_batch(
-            faults_a,
-            faults_b,
-            sequences,
-            universe_a,
-            universe_b,
-            comparator,
-            fixing,
-            rng=spawn_many(streams[3], 1)[0],
-        )
-        mode_sums[mode] = sums(after_a, after_b)
-    sums = (
-        untested_system,
-        perfect_system,
-        mode_sums[OPTIMISTIC][0],
-        mode_sums[PESSIMISTIC][0],
-        mode_sums[SHARED_FAULT][0],
-        untested_version,
-        mode_sums[OPTIMISTIC][1],
-        mode_sums[PESSIMISTIC][1],
-        mode_sums[SHARED_FAULT][1],
+    comparators = [
+        BackToBackComparator(FailureOutputModel(mode))
+        for mode in (OPTIMISTIC, PESSIMISTIC, SHARED_FAULT)
+    ]
+    tested = back_to_back_batch(
+        faults_a,
+        faults_b,
+        sequences,
+        universe_a,
+        universe_b,
+        comparators,
+        fixing,
+        rng=streams[3],
     )
+    systems, versions = zip(*(sums(after_a, after_b) for after_a, after_b in tested))
+    sums = (untested_system, perfect_system, *systems, untested_version, *versions)
     return count, sums
 
 

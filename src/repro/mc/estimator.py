@@ -98,16 +98,6 @@ class ProportionEstimator(object):
         low, high = self.wilson_interval(confidence)
         return (high - low) / 2.0
 
-    @property
-    def counts(self) -> Tuple[int, int]:
-        """The sufficient statistics ``(successes, count)``.
-
-        Integer totals merge exactly, so shipping these between processes
-        (or into :class:`repro.adaptive.ProportionAccumulator` chunks)
-        loses nothing.
-        """
-        return self._successes, self._count
-
     def contains(self, value: float, confidence: float = 0.99) -> bool:
         """True iff ``value`` lies in the Wilson interval."""
         low, high = self.wilson_interval(confidence)
@@ -217,25 +207,6 @@ class MeanEstimator:
         z = _z_value(confidence)
         half = z * self.std_error()
         return self.mean - half, self.mean + half
-
-    def half_width(self, confidence: float = 0.99) -> float:
-        """Normal-interval half-width — the adaptive stopping quantity.
-
-        A *degenerate* sample — every observation identical, ``m2 = 0``,
-        e.g. a stratum of versions that never fail — reports a zero
-        half-width even at ``n = 1`` (the spread genuinely observed is
-        zero, and NaN/inf would poison stratified combinations); any
-        nonzero spread at ``n = 1`` is unreachable, and ``n = 1`` via
-        :meth:`std_error` still reports ``inf`` for callers that want the
-        conservative reading.  Samplers that need a minimum sample before
-        trusting a zero width enforce it at the controller level
-        (``PrecisionTarget.initial``).
-        """
-        if self._count == 0:
-            raise ModelError("no observations recorded")
-        if self._m2 <= 0.0:
-            return 0.0
-        return _z_value(confidence) * self.std_error()
 
     def contains(self, value: float, confidence: float = 0.99) -> bool:
         """True iff ``value`` lies in the normal interval."""

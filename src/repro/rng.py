@@ -9,6 +9,7 @@ independent child streams for parallel or multi-component simulations.
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 import numpy as np
@@ -91,16 +92,81 @@ def _guided_search(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarra
     """
     buckets = 4 * len(cdf)
     if u.size >= buckets:
-        edges = (np.arange(buckets + 3) - 1.0) / buckets
-        start = np.searchsorted(cdf, edges, side="right")
-        steps = int((start[2:] - start[:-2]).max())
+        start, steps, padded = _guide_table(cdf)
         if steps <= _MAX_GUIDE_STEPS:
-            padded = np.append(cdf, np.inf)
             indices = start[(u * buckets).astype(np.intp)]
             for _ in range(steps):
                 indices += padded[indices] <= u
             return np.minimum(indices, len(cdf) - 1, out=out)
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1, out=out)
+
+
+# guide tables by cdf identity, for every slab and draw of one cdf; an
+# entry holds its cdf, so the id is that cdf's while it is cached
+_GUIDES: dict = {}
+_MAX_GUIDES = 16
+
+
+def _guide_table(cdf: np.ndarray) -> tuple:
+    """``(start, steps, padded)``: each bucket's first index, the widest
+    bucket's span and ``cdf`` with a trailing ``inf``."""
+    entry = _GUIDES.get(id(cdf))
+    if entry is None or entry[0] is not cdf:
+        buckets = 4 * len(cdf)
+        edges = (np.arange(buckets + 3) - 1.0) / buckets
+        start = np.searchsorted(cdf, edges, side="right")
+        if len(_GUIDES) >= _MAX_GUIDES:
+            _GUIDES.clear()
+        steps = int((start[2:] - start[:-2]).max())
+        entry = _GUIDES[id(cdf)] = (cdf, start, steps, np.append(cdf, np.inf))
+    return entry[1:]
+
+
+def _inversion_binomial(
+    generator: np.random.Generator, counts: np.ndarray, p: float
+) -> np.ndarray:
+    """``generator.binomial(counts, p)`` bit for bit, from one uniform block.
+
+    ``counts`` is 1-D and positive.  Where ``n·min(p, 1 − p) <= 30`` numpy's
+    sampler (``random_binomial`` in ``random/src/distributions/
+    distributions.c``) inverts one uniform per element, so this replays it
+    for all elements in lockstep, with its masses tabulated per ``(n, X)``
+    by the C code's operations (``math.exp``/``math.log1p``, not
+    ``np.exp``).  A count past that regime, or an element numpy would
+    redraw, returns numpy's own draw from the restored stream.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if p == 0.0 or not counts.size:
+        return np.zeros(counts.shape, dtype=np.int64)
+    p_inv = min(p, 1.0 - p)  # numpy's p, or 1 − p for p > 0.5
+    q = 1.0 - p_inv
+    top = int(counts.max())
+    if not p_inv * top <= 30.0:
+        return generator.binomial(counts, p)
+    trials = np.arange(top + 1)
+    mean = trials * p_inv
+    bound = np.minimum(trials, mean + 10.0 * np.sqrt(mean * q + 1)).astype(np.int64)
+    log_q = math.log1p(-p_inv)
+    masses = [np.array([math.exp(n * log_q) for n in range(top + 1)])]
+    for x in range(1, int(bound.max()) + 1):
+        masses.append((trials - x + 1) * p_inv * masses[-1] / (x * q))
+    state = generator.bit_generator.state
+    u = generator.random(counts.size)
+    draws = np.zeros(counts.size, dtype=np.int64)
+    live = np.flatnonzero(u > masses[0].take(counts))
+    u, n = u.take(live), counts.take(live)
+    x = 0
+    while live.size:
+        x += 1
+        # the bound grows with n, so the smallest live count passes it first
+        if x > bound[n.min()]:
+            generator.bit_generator.state = state
+            return generator.binomial(counts, p)
+        u -= masses[x - 1].take(n)
+        draws[live] = x
+        kept = np.flatnonzero(u > masses[x].take(n))
+        live, u, n = live.take(kept), u.take(kept), n.take(kept)
+    return counts - draws if p > 0.5 else draws
 
 
 def spawn(rng: np.random.Generator) -> np.random.Generator:

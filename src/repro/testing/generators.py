@@ -97,6 +97,12 @@ def _suite_runs(sequences: np.ndarray, n_demands: int) -> _SuiteRuns:
     return _SuiteRuns((seqs.shape[0], n_demands), keys[starts], counts)
 
 
+def _scatter_rows(masks: np.ndarray, demands: np.ndarray) -> None:
+    """``masks[r, demands[r]] = True`` for every row: one flat scatter."""
+    offsets = np.arange(0, masks.size, masks.shape[1])
+    masks.reshape(-1)[demands + offsets[:, None]] = True
+
+
 class SuiteGenerator(abc.ABC):
     """Abstract test-suite generation procedure over a demand space."""
 
@@ -214,7 +220,7 @@ class OperationalSuiteGenerator(SuiteGenerator):
             demands = self._profile.sample(
                 as_generator(rng), size=(count, self._size)
             )
-            np.put_along_axis(masks, demands, True, axis=1)
+            _scatter_rows(masks, demands)
         return masks
 
     def sample_demand_sequences(self, count: int, rng: SeedLike = None) -> np.ndarray:

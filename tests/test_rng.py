@@ -115,6 +115,31 @@ class TestGuidedSearch:
         expected = _binary_search(cdf, np.random.default_rng(5).random(size))
         np.testing.assert_array_equal(inverse_cdf_indices(cdf, 5, size), expected)
 
+    def test_cached_table_equals_a_fresh_one(self):
+        cdf = np.cumsum(np.full(50, 0.02))
+        other = np.cumsum(np.linspace(1.0, 3.0, 50) / np.linspace(1.0, 3.0, 50).sum())
+        uniforms = np.random.default_rng(3).random(4000)
+        repro.rng._GUIDES.clear()
+        fresh = repro.rng._guide_table(cdf)
+        for table in (cdf, other, cdf, other):
+            expected = _binary_search(table, uniforms)
+            indices = inverse_cdf_indices(table, None, uniforms=uniforms)
+            np.testing.assert_array_equal(indices, expected)
+        # one entry per cdf of equal length, and the first one is reused
+        cached = repro.rng._guide_table(cdf)
+        assert len(repro.rng._GUIDES) == 2
+        assert cached[0] is fresh[0]
+        assert cached[1] == fresh[1]
+        np.testing.assert_array_equal(cached[2], np.append(cdf, np.inf))
+
+    def test_cache_is_bounded(self):
+        uniforms = np.random.default_rng(4).random(400)
+        for index in range(3 * repro.rng._MAX_GUIDES):
+            cdf = np.cumsum(np.full(10 + index % 3, 1.0 / (10 + index % 3)))
+            indices = inverse_cdf_indices(cdf, None, uniforms=uniforms)
+            np.testing.assert_array_equal(indices, _binary_search(cdf, uniforms))
+            assert len(repro.rng._GUIDES) <= repro.rng._MAX_GUIDES
+
     def test_antithetic_one_maps_to_last_demand(self):
         cdf = np.cumsum(np.full(10, 0.1))
         uniforms = np.ones(100)

@@ -47,6 +47,25 @@ class TestOperational:
         suites = operational_generator.sample_many(10, np.random.default_rng(1))
         assert len({tuple(s.demands.tolist()) for s in suites}) > 1
 
+    @pytest.mark.parametrize("count, size", [(0, 5), (3, 0), (1, 1), (4096, 30)])
+    def test_mask_scatter_equals_put_along_axis(self, count, size):
+        from repro.testing.generators import _scatter_rows
+
+        demands = np.random.default_rng(2).integers(0, 80, size=(count, size))
+        want = np.zeros((count, 80), dtype=bool)
+        np.put_along_axis(want, demands, True, axis=1)
+        got = np.zeros((count, 80), dtype=bool)
+        _scatter_rows(got, demands)
+        np.testing.assert_array_equal(got, want)
+
+    def test_masks_are_the_sequences_scattered(self):
+        generator = OperationalSuiteGenerator(uniform_profile(DemandSpace(80)), 30)
+        sequences = generator.sample_demand_sequences(500, np.random.default_rng(6))
+        want = np.zeros((500, 80), dtype=bool)
+        np.put_along_axis(want, sequences, True, axis=1)
+        masks = generator.sample_demand_masks(500, np.random.default_rng(6))
+        np.testing.assert_array_equal(masks, want)
+
 
 class TestWithoutReplacement:
     def test_distinct_demands(self, profile, rng):
