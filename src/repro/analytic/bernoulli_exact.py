@@ -27,9 +27,10 @@ Three choices of ``c_f`` give every moment the paper's results need:
 (the last two via ``(1 − a Z)(1 − b Z) = 1 − (a + b − ab) Z`` for binary
 ``Z``).  Demands sharing a cover share every term, so the engine groups
 them by ``G_x`` and builds each distinct cover's ``2^k`` union masses
-``Q(R_H)`` once, with a ``k``-step subset-sum transform: ``O(k·2^k)`` per
-distinct cover of ``k`` faults, then ``O(2^k)`` per moment — exponential
-only in the number of faults covering a single demand.
+``Q(R_H)`` once, with a ``k``-step subset-sum transform, in one array pass
+over all covers of one size ``k``: ``O(k·2^k)`` per distinct cover, then
+``O(2^k)`` per moment — exponential only in the number of faults covering
+a single demand.
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ class BernoulliExactEngine(object):
     Notes
     -----
     The engine groups demands by cover and caches each distinct cover's
-    ``1 − Q(R_H)`` for every ``H`` (see the module docstring).  Demands
-    covered by more than ``max_cover`` faults with non-zero coefficients
-    raise :class:`ModelError` — reformulate the model (fewer overlapping
-    faults) or use Monte Carlo for such structures.
+    ``1 − Q(R_H)`` for every ``H``, one pass per cover size (see the module
+    docstring).  Demands covered by more than ``max_cover`` faults with
+    non-zero coefficients raise :class:`ModelError` — reformulate the model
+    (fewer overlapping faults) or use Monte Carlo for such structures.
     """
 
     def __init__(
@@ -90,8 +91,8 @@ class BernoulliExactEngine(object):
         self._universe = universe
         self._profile = profile
         self._max_cover = max_cover
-        # non-zero pattern -> [(demands, cover, 1 − Q(R_H) for every H ⊆ cover)],
-        # which depends on neither the coefficients' values nor on ``n``
+        # non-zero pattern -> one (demands, owner, covers, miss_base) per cover
+        # size, which depends on neither the coefficients' values nor on ``n``
         self._groups: dict = {}
 
     def _expected_product(
@@ -100,57 +101,70 @@ class BernoulliExactEngine(object):
         """``E_T[Π_{f∈G_x}(1 − c_f Z_f)]`` per demand, for coefficients ``c``.
 
         Faults with zero coefficient are skipped (their factor is 1).  Per
-        distinct cover: the signed products ``Π_{f∈H}(−c_f)``, built by
-        doubling, dotted with ``(1 − Q(R_H))ⁿ``.
+        cover size, for all its covers at once: the signed products
+        ``Π_{f∈H}(−c_f)``, built by doubling, dotted with ``(1 − Q(R_H))ⁿ``
+        by a stacked matmul, which rounds as a 1-D ``@`` does (einsum does not).
         """
         if n_tests < 0:
             raise ModelError(f"n_tests must be >= 0, got {n_tests}")
         out = np.ones(self._universe.space.size, dtype=np.float64)
-        for demands, cover, miss_base in self._cover_groups(coefficients != 0.0):
-            signed = np.ones(1 << len(cover), dtype=np.float64)
-            for i, fault in enumerate(cover):
-                signed[1 << i : 2 << i] = signed[: 1 << i] * -coefficients[fault]
-            out[demands] = signed @ miss_base**n_tests
+        for demands, owner, covers, miss_base in self._cover_groups(coefficients != 0):
+            signed = np.ones_like(miss_base)
+            for i, negated in enumerate(-coefficients[covers].T):
+                signed[:, 1 << i : 2 << i] = signed[:, : 1 << i] * negated[:, None]
+            values = np.matmul(signed[:, None, :], (miss_base**n_tests)[:, :, None])
+            out[demands] = values.ravel()[owner]
         return out
 
     def _cover_groups(self, nonzero: np.ndarray) -> list:
-        """Demands grouped by their cover among the ``nonzero`` faults."""
+        """Demands grouped by their cover among the ``nonzero`` faults, one
+        ``(demands, owner, covers, miss_base)`` per cover size ``k``: each
+        demand's group, the ``(G, k)`` ascending covers and their ``(G, 2^k)``
+        ``1 − Q(R_H)`` for every ``H ⊆ cover`` (bit ``i`` ↔ ``covers[:, i]``)."""
         key = nonzero.tobytes()
         if key not in self._groups:
-            cover_matrix = self._universe.coverage & nonzero[:, None]
-            sizes = cover_matrix.sum(axis=0)
-            if sizes.size and sizes.max() > self._max_cover:
+            coverage = self._universe.coverage
+            faults, regions = np.nonzero(coverage)  # every region, fault by fault
+            lengths = np.bincount(faults, minlength=nonzero.size)
+            kept = nonzero[faults]
+            sizes = np.bincount(regions[kept], minlength=coverage.shape[1])
+            if sizes.max(initial=0) > self._max_cover:
                 x = int(np.argmax(sizes > self._max_cover))
                 raise ModelError(
                     f"demand {x} is covered by {sizes[x]} faults with non-zero "
                     f"coefficients; exceeds max_cover={self._max_cover}"
                 )
-            demands_of: dict = {}
-            for x in np.flatnonzero(sizes):
-                cover = tuple(np.flatnonzero(cover_matrix[:, x]))
-                demands_of.setdefault(cover, []).append(x)
-            self._groups[key] = [
-                (np.array(demands), cover, self._miss_base(cover))
-                for cover, demands in demands_of.items()
-            ]
+            # each demand's cover, ascending, demand after demand
+            cover_of = faults[kept][np.argsort(regions[kept], kind="stable")]
+            self._groups[key] = []
+            for k in np.unique(sizes[sizes > 0]).tolist():
+                demands = np.flatnonzero(sizes == k)
+                rows = np.cumsum(sizes)[demands, None] - k + np.arange(k)
+                covers, owner = np.unique(cover_of[rows], axis=0, return_inverse=True)
+                # the covers' regions, fault by fault, as (group, demand), each
+                # demand kept at its lowest covering fault: every bin below then
+                # adds one region's demands in ascending order, which fixes the
+                # masses' rounding
+                span = lengths[covers.ravel()]
+                ends = np.cumsum(span)
+                shift = np.repeat(np.cumsum(lengths)[covers.ravel()] - ends, span)
+                demand = regions[shift + np.arange(ends[-1])]
+                group, bit = np.divmod(np.repeat(np.arange(covers.size), span), k)
+                code = np.zeros(demand.size, dtype=np.int64)
+                for i in range(k):
+                    code[coverage[covers[group, i], demand]] |= 1 << i
+                lowest = (code & ((1 << bit) - 1)) == 0
+                # mass[g, s]: the mass of group g's demands covered by exactly s
+                bins = (group[lowest] << k) + code[lowest]
+                weights = self._profile.probabilities[demand[lowest]]
+                mass = np.bincount(bins, weights, len(covers) << k).reshape(-1, 1 << k)
+                for i in range(k):  # subset-sum (zeta) transform: Σ_{s ⊆ t} mass[s]
+                    view = mass.reshape(len(covers), -1, 2, 1 << i)
+                    view[:, :, 1] += view[:, :, 0]
+                # H misses exactly the support demands whose faults lie in ~H
+                miss_base = 1.0 - (mass[:, -1:] - mass[:, ::-1])
+                self._groups[key].append((demands, owner.ravel(), covers, miss_base))
         return self._groups[key]
-
-    def _miss_base(self, cover: tuple) -> np.ndarray:
-        """``1 − Q(R_H)`` for every ``H ⊆ cover`` (bit ``i`` ↔ ``cover[i]``)."""
-        k = len(cover)
-        rows = self._universe.coverage[list(cover)]
-        support = rows.any(axis=0)
-        # mass[s]: the mass of the demands covered by exactly the faults in s
-        mass = np.bincount(
-            (1 << np.arange(k)) @ rows[:, support],
-            weights=self._profile.probabilities[support],
-            minlength=1 << k,
-        )
-        for i in range(k):  # subset-sum (zeta) transform: Σ_{s ⊆ t} mass[s]
-            view = mass.reshape(-1, 2, 1 << i)
-            view[:, 1, :] += view[:, 0, :]
-        # H misses exactly the support demands whose faults lie in ~H
-        return 1.0 - (mass[-1] - mass[::-1])
 
     # ------------------------------------------------------------------
     # per-demand moments

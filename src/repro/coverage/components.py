@@ -146,40 +146,3 @@ class ComponentModel:
     @property
     def n_components(self) -> int:
         return self._n_components
-
-    def faults_in(self, component: int) -> np.ndarray:
-        """Fault ids assigned to ``component``, ascending."""
-        if not 0 <= component < self._n_components:
-            raise ModelError(
-                f"component {component} outside [0, {self._n_components})"
-            )
-        return np.flatnonzero(self._assignment == component)
-
-    def component_sizes(self) -> np.ndarray:
-        """Number of faults per component, length ``n_components``."""
-        return np.bincount(self._assignment, minlength=self._n_components)
-
-    # -- demand-space footprint ------------------------------------------
-
-    def component_masses(self, probabilities: np.ndarray) -> np.ndarray:
-        """Summed per-fault region masses per component.
-
-        The additive (multiplicity-counting) footprint: a demand covered
-        by two of a component's faults contributes twice.  This is the
-        natural size-bias a localization policy exploits — components
-        holding large faults accumulate failing evidence fastest.
-        """
-        masses = self._universe.region_masses(np.asarray(probabilities))
-        return np.bincount(
-            self._assignment, weights=masses, minlength=self._n_components
-        )
-
-    def union_masses(self, probabilities: np.ndarray) -> np.ndarray:
-        """Usage mass of each component's union failure region."""
-        probabilities = np.asarray(probabilities, dtype=np.float64)
-        out = np.zeros(self._n_components, dtype=np.float64)
-        for component in range(self._n_components):
-            mask = self._universe.union_mask(self.faults_in(component))
-            out[component] = float(probabilities[mask].sum())
-        return out
-

@@ -25,7 +25,7 @@ def test_round_robin_assignment(universe):
 def test_blocked_assignment_is_contiguous_and_balanced(universe):
     model = ComponentModel.blocked(universe, 3)
     np.testing.assert_array_equal(model.assignment, np.repeat([0, 1, 2], 3))
-    assert model.component_sizes().tolist() == [3, 3, 3]
+    assert np.bincount(model.assignment, minlength=3).tolist() == [3, 3, 3]
 
 
 def test_from_lines_buckets_nearby_lines_together(universe):
@@ -40,18 +40,7 @@ def test_from_lines_buckets_nearby_lines_together(universe):
 def test_explicit_n_components_allows_trailing_empty(universe):
     model = ComponentModel(universe, np.zeros(9, dtype=np.int64), 5)
     assert model.n_components == 5
-    assert model.component_sizes().tolist() == [9, 0, 0, 0, 0]
-    assert model.faults_in(4).size == 0
-
-
-def test_faults_in_partitions_the_universe(universe):
-    model = ComponentModel.round_robin(universe, 4)
-    seen = np.concatenate([model.faults_in(k) for k in range(4)])
-    assert sorted(seen.tolist()) == list(range(9))
-    with pytest.raises(ModelError):
-        model.faults_in(4)
-    with pytest.raises(ModelError):
-        model.faults_in(-1)
+    assert np.bincount(model.assignment, minlength=5).tolist() == [9, 0, 0, 0, 0]
 
 
 def test_validation_rejects_bad_assignments(universe):
@@ -71,21 +60,3 @@ def test_assignment_is_read_only(universe):
     model = ComponentModel.round_robin(universe, 4)
     with pytest.raises(ValueError):
         model.assignment[0] = 3
-
-
-def test_component_masses_sum_to_total_region_mass(universe):
-    profile = uniform_profile(universe.space)
-    model = ComponentModel.round_robin(universe, 4)
-    masses = model.component_masses(profile.probabilities)
-    total = universe.region_masses(profile.probabilities).sum()
-    assert masses.shape == (4,)
-    assert masses.sum() == pytest.approx(total)
-
-
-def test_union_masses_bounded_by_additive_masses(universe):
-    profile = uniform_profile(universe.space)
-    model = ComponentModel.blocked(universe, 3)
-    union = model.union_masses(profile.probabilities)
-    additive = model.component_masses(profile.probabilities)
-    assert np.all(union <= additive + 1e-12)
-    assert np.all(union >= 0.0)
