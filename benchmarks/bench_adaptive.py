@@ -4,7 +4,7 @@ Two quantities matter here and both are *replication counts*, not wall
 times: how many replications a precision target costs under plain
 sampling, and how much variance reduction shaves off it.  Each estimand
 in :data:`ESTIMANDS` is adaptively estimated to a fixed relative
-half-width under ``vr="none"`` and under ``vr="stratified+control"``, and
+half-width under ``vr="none"`` and under ``vr="control"``, and
 the **VR speedup ratio** (plain replications / VR replications) must be
 at least 1 — variance reduction must never cost replications on the
 estimands it targets.
@@ -96,7 +96,7 @@ def measure(
     """
     run = ESTIMANDS[label]
     results = {}
-    for mode, vr in (("plain", "none"), ("vr", "stratified+control")):
+    for mode, vr in (("plain", "none"), ("vr", "control")):
         report = run(
             PrecisionTarget(rel_hw=rel_hw, budget=budget, initial=256, vr=vr)
         )

@@ -37,7 +37,6 @@ from .errors import (
 from .demand import (
     DemandSpace,
     UsageProfile,
-    mixture_profile,
     uniform_profile,
     zipf_profile,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "UsageProfile",
     "uniform_profile",
     "zipf_profile",
-    "mixture_profile",
     # faults
     "Fault",
     "FaultUniverse",

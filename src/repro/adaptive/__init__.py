@@ -5,9 +5,8 @@ oversampling tight points and undersampling noisy tails — this subsystem
 runs *sequential escalating rounds* until each tracked metric's
 confidence-interval half-width meets a declarative
 :class:`~repro.adaptive.targets.PrecisionTarget` (or a hard budget runs
-out), with variance-reduction kernels (control variates anchored on the
-analytic layer's exact means, post-stratification on exact fault-count
-pmfs) cutting the replications-to-target further.
+out), with control variates anchored on the analytic layer's exact means
+cutting the replications-to-target further.
 
 Layers, bottom up:
 
@@ -29,7 +28,6 @@ from .accumulators import (
     Estimate,
     MeanAccumulator,
     ProportionAccumulator,
-    StratifiedAccumulator,
     moments_of,
 )
 from .controller import (
@@ -48,7 +46,7 @@ from .controller import (
     set_round_observer,
 )
 from .targets import VR_MODES, PrecisionTarget
-from .variance import fault_count_pmf, pair_fault_count_pmf, resolve_vr
+from .variance import resolve_vr
 
 __all__ = [
     "AdaptiveReport",
@@ -59,7 +57,6 @@ __all__ = [
     "MetricSpec",
     "PrecisionTarget",
     "ProportionAccumulator",
-    "StratifiedAccumulator",
     "VR_MODES",
     "adaptive_campaign_pfd",
     "adaptive_joint_on_demand",
@@ -67,10 +64,8 @@ __all__ = [
     "adaptive_untested_joint_on_demand",
     "adaptive_untested_joint_pfd",
     "adaptive_version_pfd",
-    "fault_count_pmf",
     "iter_adaptive_runs",
     "moments_of",
-    "pair_fault_count_pmf",
     "resolve_vr",
     "round_observer",
     "run_adaptive",

@@ -12,26 +12,22 @@ commutative and arrival-order invariant — bit-for-bit, not just up to
 floating-point reordering — and therefore invariant in ``n_procs`` and in
 the order rounds complete.
 
-Three accumulator flavours cover the engine's estimators:
+Two accumulator flavours cover the engine's estimators:
 
 * :class:`ProportionAccumulator` — integer successes/trials per chunk
   (Bernoulli metrics, Wilson intervals);
 * :class:`MeanAccumulator` — per-chunk bivariate Welford moments of the
   primary value ``y`` and an optional control value ``c``, reduced by Chan
-  et al.'s pairwise merge;
-* :class:`StratifiedAccumulator` — a :class:`MeanAccumulator` per stratum,
-  reduced by post-stratification against exact stratum weights (with
-  deterministic collapsing of undersampled strata).
+  et al.'s pairwise merge.
 
 Reduction produces an :class:`Estimate` — mean, standard error and
 half-width at a requested confidence — which is also where the
 variance-reduction arithmetic lives: control-variate adjustment against an
-exactly-known anchor mean, and the stratified variance formula
-``Σ w_h² s_h² / n_h``.
+exactly-known anchor mean.
 
 Degenerate data is handled explicitly: a zero-spread sample (every
-observation identical — e.g. a stratum of versions that never fail) has a
-zero half-width, never ``NaN``, and merged moments are clamped at the
+observation identical — e.g. versions that never fail) has a zero
+half-width, never ``NaN``, and merged moments are clamped at the
 floating-point floor so rounding can never produce a negative variance.
 """
 
@@ -39,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +47,6 @@ __all__ = [
     "Estimate",
     "MeanAccumulator",
     "ProportionAccumulator",
-    "StratifiedAccumulator",
     "moments_of",
 ]
 
@@ -318,133 +313,3 @@ class MeanAccumulator:
         variance_of_mean = residual_m2 / (n - 1) / n
         return _estimate(mean, variance_of_mean, n, confidence)
 
-
-class StratifiedAccumulator:
-    """Per-stratum mean accumulators reduced by post-stratification.
-
-    Replications are drawn from the population unconditionally and routed
-    to the accumulator of their realised stratum (e.g. the version pair's
-    initial fault count); the estimate recombines the per-stratum sample
-    means with *exact* stratum weights (a Poisson-binomial pmf from
-    :func:`repro.adaptive.variance.fault_count_pmf`), removing the
-    between-strata component of the variance.  Post-stratification rather
-    than true stratified sampling keeps the chunk kernels unconditional —
-    and therefore exactly mergeable — at the cost of requiring every
-    positive-weight stratum to be represented; undersampled strata are
-    collapsed into their nearest sampled neighbour (by stratum key order)
-    before reduction, a deterministic rule shared by every worker.
-    """
-
-    #: strata with fewer pooled observations than this are collapsed
-    MIN_STRATUM = 2
-
-    def __init__(self) -> None:
-        self._strata: Dict[int, MeanAccumulator] = {}
-
-    def add_chunk(
-        self, index: int, payload: Mapping[int, BivariateMoments]
-    ) -> None:
-        """Record one chunk's per-stratum moments under its index."""
-        for stratum, moments in payload.items():
-            accumulator = self._strata.setdefault(
-                int(stratum), MeanAccumulator()
-            )
-            accumulator.add_chunk(index, moments)
-
-    def _collapsed(
-        self, weights: Mapping[int, float]
-    ) -> Dict[int, Tuple[float, BivariateMoments]]:
-        """Reduce to ``{group: (weight, moments)}`` with sparse strata
-        folded into their nearest sampled neighbour.
-
-        Every stratum named by ``weights`` participates (weight mass is
-        never dropped); strata observed fewer than :data:`MIN_STRATUM`
-        times donate their weight and observations to the closest key
-        that meets the minimum.  If no stratum meets it, everything
-        collapses into a single pooled group.
-        """
-        reduced = {
-            stratum: acc.reduced() for stratum, acc in self._strata.items()
-        }
-        keys = sorted(set(weights) | set(reduced))
-        anchors = [
-            key
-            for key in keys
-            if reduced.get(key, _EMPTY).count >= self.MIN_STRATUM
-        ]
-        groups: Dict[int, Tuple[float, BivariateMoments]] = {}
-        if not anchors:
-            weight = float(sum(weights.values()))
-            moments = _EMPTY
-            for key in keys:
-                moments = moments.merge(reduced.get(key, _EMPTY))
-            return {keys[0] if keys else 0: (weight, moments)}
-        for key in keys:
-            nearest = min(anchors, key=lambda a: (abs(a - key), a))
-            weight, moments = groups.get(nearest, (0.0, _EMPTY))
-            groups[nearest] = (
-                weight + float(weights.get(key, 0.0)),
-                moments.merge(reduced.get(key, _EMPTY)),
-            )
-        return groups
-
-    def estimate(
-        self,
-        weights: Mapping[int, float],
-        confidence: float = 0.99,
-        anchor: Optional[float] = None,
-    ) -> Estimate:
-        """Post-stratified estimate ``Σ w_h ȳ_h`` with exact weights.
-
-        Variance is the standard ``Σ w_h² s_h² / n_h``; a degenerate
-        stratum (zero spread — e.g. the zero-fault stratum, whose
-        versions never fail) contributes exactly zero, and a single pooled
-        group reproduces the plain estimator.  With ``anchor`` set, a
-        common control-variate coefficient β — chosen to minimise the
-        stratified variance — is applied within every group before
-        recombination (the ``vr="stratified+control"`` path).
-        """
-        groups = self._collapsed(weights)
-        count = sum(moments.count for _w, moments in groups.values())
-        if count == 0 or any(
-            moments.count == 0 for _w, moments in groups.values()
-        ):
-            return Estimate(math.nan, math.inf, math.inf, count, confidence)
-        beta = 0.0
-        if anchor is not None:
-            # β* = Σ (w_h²/n_h) cov_h / Σ (w_h²/n_h) var_h(c), the
-            # minimiser of the stratified variance of y − βc; groups whose
-            # control is (numerically) constant carry no β information —
-            # with fault-count strata and disjoint equal-mass regions the
-            # control is *exactly* constant per stratum, so this guard is
-            # load-bearing, not defensive
-            numerator = 0.0
-            denominator = 0.0
-            for weight, moments in groups.values():
-                if not _control_usable(moments):
-                    continue
-                factor = weight * weight / moments.count / (moments.count - 1)
-                numerator += factor * moments.cross
-                denominator += factor * moments.m2_c
-            beta = numerator / denominator if denominator > 0.0 else 0.0
-        mean = 0.0
-        variance_of_mean = 0.0
-        control_mean = 0.0
-        for weight, moments in groups.values():
-            mean += weight * moments.mean_y
-            control_mean += weight * moments.mean_c
-            if moments.count >= 2:
-                m2 = moments.m2_y
-                if beta != 0.0:
-                    m2 = m2 - 2.0 * beta * moments.cross + beta * beta * moments.m2_c
-                sample_var = max(m2, 0.0) / (moments.count - 1)
-                variance_of_mean += (
-                    weight * weight * sample_var / moments.count
-                )
-            # count == 1: zero observed spread contributes zero variance —
-            # the degenerate-stratum rule; the collapse step keeps such
-            # groups rare (only when *no* stratum reached MIN_STRATUM
-            # twice over)
-        if anchor is not None and beta != 0.0:
-            mean -= beta * (control_mean - float(anchor))
-        return _estimate(mean, variance_of_mean, count, confidence)

@@ -6,12 +6,12 @@ fan-out (:func:`repro.mc.batch.run_tasks`):
 
 1. run every still-unconverged metric for the current round's replication
    allotment, chunked and (optionally) sharded across workers;
-2. merge each chunk into the metric's accumulator
-   (:mod:`repro.adaptive.accumulators` — exactly order- and worker-count
-   invariant);
-3. reduce to an :class:`~repro.adaptive.accumulators.Estimate` (applying
-   the metric's variance-reduction arithmetic) and check it against the
-   :class:`~repro.adaptive.targets.PrecisionTarget`;
+2. merge each chunk into the metric's accumulator — a
+   :class:`~repro.adaptive.accumulators.MeanAccumulator` or a
+   ``ProportionAccumulator``, exactly order- and worker-count invariant;
+3. reduce to an :class:`~repro.adaptive.accumulators.Estimate` (the
+   control-variate estimator when the metric has an anchor) and check it
+   against the :class:`~repro.adaptive.targets.PrecisionTarget`;
 4. size the next round from the *projected* requirement
    (:func:`repro.extensions.stopping.replications_for_half_width` on the
    observed spread), clamped by the target's ``growth`` factor and hard
@@ -48,18 +48,11 @@ from ..mc.batch import (
 )
 from ..rng import as_generator, spawn_many
 from ..types import SeedLike
-from .accumulators import (
-    Estimate,
-    ProportionAccumulator,
-    StratifiedAccumulator,
-)
+from .accumulators import Estimate, MeanAccumulator, ProportionAccumulator
 from .targets import PrecisionTarget
 from .variance import (
-    POOLED,
     campaign_pfd_chunk,
-    fault_count_pmf,
     marginal_system_pfd_chunk,
-    pair_fault_count_pmf,
     proportion_chunk,
     resolve_vr,
     untested_joint_pfd_chunk,
@@ -127,14 +120,12 @@ class MetricSpec:
         Metric key in the report.
     kernel:
         Picklable chunk callable ``(index, count, seed) -> (index,
-        replications, payload)``; payload is a per-stratum moments mapping
-        for ``kind="mean"`` or a ``(successes, count)`` pair for
+        replications, payload)``; payload is one
+        :class:`~repro.adaptive.accumulators.BivariateMoments` for
+        ``kind="mean"`` or a ``(successes, count)`` pair for
         ``kind="proportion"``.
     kind:
         ``"mean"`` or ``"proportion"``.
-    weights:
-        Exact stratum weights for post-stratified reduction (``None`` for
-        pooled estimation).
     anchor:
         Exactly-known control mean for the control-variate estimator.
     scale:
@@ -148,7 +139,6 @@ class MetricSpec:
     name: str
     kernel: Callable
     kind: str = "mean"
-    weights: Optional[Dict[int, float]] = None
     anchor: Optional[float] = None
     scale: Optional[float] = None
     vr: str = "none"
@@ -297,7 +287,7 @@ class _MetricState:
         self.accumulator = (
             ProportionAccumulator()
             if spec.kind == "proportion"
-            else StratifiedAccumulator()
+            else MeanAccumulator()
         )
         self.replications = 0
         self.rounds = 0
@@ -305,13 +295,9 @@ class _MetricState:
         self.done = False
 
     def estimate(self, confidence: float) -> Estimate:
-        spec = self.spec
-        if spec.kind == "proportion":
+        if self.spec.kind == "proportion":
             return self.accumulator.estimate(confidence)
-        weights = spec.weights if spec.weights is not None else {POOLED: 1.0}
-        return self.accumulator.estimate(
-            weights, confidence, anchor=spec.anchor
-        )
+        return self.accumulator.estimate(confidence, anchor=self.spec.anchor)
 
     def absorb(self, index: int, replications: int, payload) -> None:
         if self.spec.kind == "proportion":
@@ -540,25 +526,18 @@ def adaptive_version_pfd(
 
     The precision-targeted counterpart of
     :func:`repro.mc.simulate_version_pfd`: control variate anchored on the
-    exact untested mean ``E_Q[θ]``, post-stratified on the version's fault
-    count when the population's pmf is exact.
+    exact untested mean ``E_Q[θ]``.
     """
     plan = _testing_plan(oracle, fixing)
     population.space.require_same(profile.space)
     target = target.with_defaults(budget=default_budget)
-    weights = fault_count_pmf(population)
-    vr = resolve_vr(target.vr, has_strata=weights is not None, has_anchor=True)
+    vr = resolve_vr(target.vr)
     spec = MetricSpec(
         name=name,
         kernel=partial(
             version_pfd_chunk, population, generator, profile, plan, vr
         ),
-        weights=weights if vr in ("stratified", "stratified+control") else None,
-        anchor=(
-            population.pfd(profile)
-            if vr in ("control", "stratified+control")
-            else None
-        ),
+        anchor=population.pfd(profile) if vr == "control" else None,
         vr=vr,
     )
     return run_adaptive(
@@ -580,24 +559,20 @@ def adaptive_untested_joint_pfd(
     """Adaptive untested joint pfd ``E[Θ_A(X) Θ_B(X)]`` — eqs. (4)/(6).
 
     Control variate: the pair's average marginal pfd, whose exact mean is
-    ``(E[Θ_A] + E[Θ_B]) / 2``; strata: the pair's total fault count.
+    ``(E[Θ_A] + E[Θ_B]) / 2``.
     """
     population_b = population_b if population_b is not None else population_a
     population_a.space.require_same(profile.space)
     target = target.with_defaults(budget=default_budget)
-    weights = pair_fault_count_pmf(population_a, population_b)
-    vr = resolve_vr(
-        target.vr, has_strata=weights is not None, has_anchor=True
-    )
+    vr = resolve_vr(target.vr)
     spec = MetricSpec(
         name=name,
         kernel=partial(
             untested_joint_pfd_chunk, population_a, population_b, profile, vr
         ),
-        weights=weights if vr in ("stratified", "stratified+control") else None,
         anchor=(
             0.5 * (population_a.pfd(profile) + population_b.pfd(profile))
-            if vr in ("control", "stratified+control")
+            if vr == "control"
             else None
         ),
         vr=vr,
@@ -624,18 +599,15 @@ def adaptive_marginal_system_pfd(
     """Adaptive tested 1-out-of-2 system pfd — eqs. (22)–(25).
 
     Control variate: the *untested* joint pfd of the same drawn pair,
-    whose exact mean is ``E_Q[θ_A θ_B]``; strata: pair fault count.
+    whose exact mean is ``E_Q[θ_A θ_B]``.
     """
     plan = _testing_plan(oracle, fixing)
     population_b = population_b if population_b is not None else population_a
     population_a.space.require_same(profile.space)
     target = target.with_defaults(budget=default_budget)
-    weights = pair_fault_count_pmf(population_a, population_b)
-    vr = resolve_vr(
-        target.vr, has_strata=weights is not None, has_anchor=True
-    )
+    vr = resolve_vr(target.vr)
     anchor = None
-    if vr in ("control", "stratified+control"):
+    if vr == "control":
         anchor = float(
             profile.expectation(
                 population_a.difficulty() * population_b.difficulty()
@@ -652,7 +624,6 @@ def adaptive_marginal_system_pfd(
             plan,
             vr,
         ),
-        weights=weights if vr in ("stratified", "stratified+control") else None,
         anchor=anchor,
         vr=vr,
     )
@@ -686,12 +657,9 @@ def adaptive_campaign_pfd(
     population_b = population_b if population_b is not None else population_a
     population_a.space.require_same(profile.space)
     target = target.with_defaults(budget=default_budget)
-    weights = pair_fault_count_pmf(population_a, population_b)
-    vr = resolve_vr(
-        target.vr, has_strata=weights is not None, has_anchor=True
-    )
+    vr = resolve_vr(target.vr)
     anchor = None
-    if vr in ("control", "stratified+control"):
+    if vr == "control":
         anchor = float(
             profile.expectation(
                 population_a.difficulty() * population_b.difficulty()
@@ -702,7 +670,6 @@ def adaptive_campaign_pfd(
         kernel=partial(
             campaign_pfd_chunk, campaign, population_a, population_b, profile, vr
         ),
-        weights=weights if vr in ("stratified", "stratified+control") else None,
         anchor=anchor,
         scale=scale,
         vr=vr,

@@ -36,15 +36,9 @@ from ..errors import ModelError
 
 __all__ = ["PrecisionTarget", "VR_MODES"]
 
-#: Recognised variance-reduction knob values (resolved per sampler by
-#: :func:`repro.adaptive.variance.resolve_vr`).
-VR_MODES = (
-    "auto",
-    "none",
-    "stratified",
-    "control",
-    "stratified+control",
-)
+#: Recognised variance-reduction knob values (resolved for mean metrics
+#: by :func:`repro.adaptive.variance.resolve_vr`).
+VR_MODES = ("auto", "none", "control")
 
 _KNOWN_KEYS = (
     "rel_hw",
@@ -85,8 +79,9 @@ class PrecisionTarget:
         (:func:`repro.extensions.stopping.replications_for_half_width`)
         but never grow the cumulative count by more than this factor.
     vr:
-        Variance-reduction knob — one of :data:`VR_MODES`.  ``"auto"``
-        picks the strongest technique each sampler supports.
+        Variance-reduction knob — one of :data:`VR_MODES`.  ``"auto"``:
+        the control variate for mean metrics, plain sampling for
+        proportions.
     """
 
     rel_hw: Optional[float] = None

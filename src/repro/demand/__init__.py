@@ -3,7 +3,7 @@
 The paper's demand space ``F = {x1, x2, ...}`` is realised as a finite set of
 integer-indexed demands (:class:`DemandSpace`).  The usage measure ``Q(·)``
 over demands is a :class:`UsageProfile`; several standard shapes (uniform,
-Zipf, custom, mixtures) are provided because the variability of
+Zipf, custom) are provided because the variability of
 ``Q`` interacts with the variability of the difficulty function in every
 marginal result of the paper.
 """
@@ -11,7 +11,6 @@ marginal result of the paper.
 from .space import DemandSpace
 from .profile import (
     UsageProfile,
-    mixture_profile,
     uniform_profile,
     zipf_profile,
 )
@@ -21,5 +20,4 @@ __all__ = [
     "UsageProfile",
     "uniform_profile",
     "zipf_profile",
-    "mixture_profile",
 ]

@@ -23,7 +23,6 @@ __all__ = [
     "UsageProfile",
     "uniform_profile",
     "zipf_profile",
-    "mixture_profile",
 ]
 
 _SUM_TOLERANCE = 1e-9
@@ -150,16 +149,6 @@ class UsageProfile:
         """Demand indices with strictly positive usage probability."""
         return np.flatnonzero(self.probabilities > 0.0).astype(np.int64)
 
-    def restrict(self, demands: Sequence[int] | np.ndarray) -> "UsageProfile":
-        """Return ``Q`` conditioned on a subset of demands (renormalised).
-
-        Useful for debug-style test generation where the tester believes
-        faults live in a region of the demand space and concentrates there.
-        """
-        mask = self.space.indicator(demands)
-        weights = np.where(mask, self.probabilities, 0.0)
-        return UsageProfile.normalised(self.space, weights)
-
 
 def uniform_profile(space: DemandSpace) -> UsageProfile:
     """Uniform usage: every demand equally likely."""
@@ -179,31 +168,3 @@ def zipf_profile(space: DemandSpace, exponent: float = 1.0) -> UsageProfile:
     ranks = np.arange(1, space.size + 1, dtype=np.float64)
     return UsageProfile.normalised(space, ranks**-exponent)
 
-
-def mixture_profile(
-    components: Sequence[UsageProfile], weights: Sequence[float]
-) -> UsageProfile:
-    """Convex mixture of usage profiles over the same demand space.
-
-    Models a user base made of sub-populations with different usage
-    patterns; the paper notes ``Q`` "might vary from one user environment
-    to another".
-    """
-    if not components:
-        raise ProbabilityError("mixture needs at least one component")
-    space = components[0].space
-    for component in components[1:]:
-        space.require_same(component.space)
-    weight_array = np.asarray(weights, dtype=np.float64)
-    if weight_array.shape != (len(components),):
-        raise ProbabilityError(
-            f"got {len(components)} components but {weight_array.shape} weights"
-        )
-    if np.any(weight_array < 0):
-        raise ProbabilityError("mixture weights must be non-negative")
-    total = float(weight_array.sum())
-    if total <= 0:
-        raise ProbabilityError("mixture weights must have positive sum")
-    stacked = np.stack([c.probabilities for c in components])
-    mixed = (weight_array / total) @ stacked
-    return UsageProfile(space, mixed)

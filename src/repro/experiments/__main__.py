@@ -158,7 +158,7 @@ def _add_precision_arguments(parser: argparse.ArgumentParser) -> None:
         choices=VR_MODES,
         default="auto",
         help="variance-reduction technique for adaptive runs (default "
-        "'auto': the strongest the model supports)",
+        "'auto': the control variate for mean metrics)",
     )
 
 

@@ -426,12 +426,6 @@ class FaultUniverse:
         mask[self.validate_fault_ids(fault_ids)] = True
         return mask
 
-    def restrict(self, fault_ids: Sequence[int] | np.ndarray) -> "FaultUniverse":
-        """A new universe containing only the given faults (re-identified)."""
-        ids = self.validate_fault_ids(fault_ids)
-        regions = [self.faults[int(i)].region for i in ids]
-        return FaultUniverse.from_regions(self.space, regions)
-
     def describe(self) -> str:
         """One-line human summary used by example scripts."""
         sizes = [fault.size for fault in self.faults] or [0]

@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from ..demand import UsageProfile
-from ..errors import IncompatibleSpaceError
 from ..faults import FaultUniverse
 
 __all__ = ["Version"]
@@ -135,11 +134,3 @@ class Version:
         added = self.universe.validate_fault_ids(fault_ids)
         merged = np.union1d(self.fault_ids, added)
         return Version(self.universe, merged)
-
-    def shares_fault_with(self, other: "Version") -> bool:
-        """True iff the two versions contain at least one common fault."""
-        if self.universe is not other.universe:
-            raise IncompatibleSpaceError(
-                "versions belong to different fault universes"
-            )
-        return bool(np.intersect1d(self.fault_ids, other.fault_ids).size)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.adaptive import (
     MeanAccumulator,
     ProportionAccumulator,
-    StratifiedAccumulator,
     moments_of,
 )
 from repro.errors import ModelError
@@ -166,7 +165,7 @@ class TestControlVariate:
         # a control that is *mathematically* constant accumulates a few
         # ulps of m2_c through chunk merges; β = cross/m2_c on that noise
         # once produced estimates off by 12 orders of magnitude
-        # (regression: e01's disjoint shape under stratified+control)
+        # (regression: e01's disjoint shape)
         rng = np.random.default_rng(5)
         accumulator = MeanAccumulator()
         for index in range(40):
@@ -180,27 +179,6 @@ class TestControlVariate:
         assert estimate.mean == plain.mean
         assert estimate.half_width == plain.half_width
 
-    def test_stratified_constant_control_per_stratum_is_safe(self):
-        # disjoint equal-mass regions make the control *exactly* constant
-        # within each fault-count stratum; β must ignore such strata
-        from repro.adaptive import StratifiedAccumulator
-
-        rng = np.random.default_rng(6)
-        stratified = StratifiedAccumulator()
-        for index in range(10):
-            payload = {}
-            for stratum in (2, 3, 4):
-                values = rng.random(32) * stratum
-                controls = np.full(32, stratum / 8.0)
-                controls[::7] += 2e-17  # merge-noise scale
-                payload[stratum] = moments_of(values, controls)
-            stratified.add_chunk(index, payload)
-        weights = {2: 0.3, 3: 0.4, 4: 0.3}
-        anchored = stratified.estimate(weights, 0.99, anchor=3.0 / 8.0)
-        plain = stratified.estimate(weights, 0.99)
-        assert anchored.mean == pytest.approx(plain.mean, rel=1e-9)
-        assert 0.0 < anchored.half_width < 1.0
-
     def test_control_reduces_variance_on_correlated_data(self):
         rng = np.random.default_rng(1)
         controls = rng.random(2000)
@@ -211,73 +189,3 @@ class TestControlVariate:
         adjusted = accumulator.estimate(0.99, anchor=0.5)
         assert adjusted.half_width < plain.half_width / 3
 
-
-class TestStratifiedAccumulator:
-    def test_single_stratum_matches_plain(self):
-        rng = np.random.default_rng(2)
-        values = rng.random(300)
-        stratified = StratifiedAccumulator()
-        stratified.add_chunk(0, {0: moments_of(values)})
-        plain = MeanAccumulator()
-        plain.add_chunk(0, values)
-        assert stratified.estimate({0: 1.0}, 0.99) == plain.estimate(0.99)
-
-    def test_post_stratification_removes_between_strata_variance(self):
-        rng = np.random.default_rng(3)
-        # two strata with very different means, equal weights
-        low = 0.1 + 0.01 * rng.random(400)
-        high = 0.9 + 0.01 * rng.random(400)
-        stratified = StratifiedAccumulator()
-        stratified.add_chunk(0, {0: moments_of(low), 1: moments_of(high)})
-        plain = MeanAccumulator()
-        plain.add_chunk(0, np.concatenate([low, high]))
-        weights = {0: 0.5, 1: 0.5}
-        strat_estimate = stratified.estimate(weights, 0.99)
-        plain_estimate = plain.estimate(0.99)
-        assert strat_estimate.mean == pytest.approx(plain_estimate.mean, abs=1e-3)
-        assert strat_estimate.half_width < plain_estimate.half_width / 5
-
-    def test_merge_order_invariant(self):
-        rng = np.random.default_rng(4)
-        payloads = [
-            {int(k): moments_of(rng.random(5)) for k in range(3)}
-            for _ in range(4)
-        ]
-        forward = StratifiedAccumulator()
-        for index, payload in enumerate(payloads):
-            forward.add_chunk(index, payload)
-        backward = StratifiedAccumulator()
-        for index in reversed(range(len(payloads))):
-            backward.add_chunk(index, payloads[index])
-        weights = {0: 0.2, 1: 0.3, 2: 0.5}
-        assert forward.estimate(weights, 0.99) == backward.estimate(weights, 0.99)
-
-    def test_unobserved_stratum_weight_collapses_to_neighbour(self):
-        stratified = StratifiedAccumulator()
-        values = np.array([0.5, 0.6, 0.7])
-        stratified.add_chunk(0, {1: moments_of(values)})
-        # stratum 2 has weight but no observations: folded into stratum 1
-        estimate = stratified.estimate({1: 0.6, 2: 0.4}, 0.99)
-        assert estimate.mean == pytest.approx(values.mean())
-        assert math.isfinite(estimate.half_width)
-
-    def test_degenerate_stratum_contributes_zero_variance(self):
-        stratified = StratifiedAccumulator()
-        stratified.add_chunk(
-            0,
-            {
-                0: moments_of(np.zeros(50)),  # zero-fault stratum: never fails
-                1: moments_of(np.array([0.2, 0.3, 0.25, 0.22])),
-            },
-        )
-        estimate = stratified.estimate({0: 0.9, 1: 0.1}, 0.99)
-        assert not math.isnan(estimate.half_width)
-        only_noisy = StratifiedAccumulator()
-        only_noisy.add_chunk(
-            0, {1: moments_of(np.array([0.2, 0.3, 0.25, 0.22]))}
-        )
-        noisy_alone = only_noisy.estimate({1: 1.0}, 0.99)
-        # the noisy stratum's contribution is scaled by its 0.1 weight
-        assert estimate.half_width == pytest.approx(
-            0.1 * noisy_alone.half_width
-        )

@@ -49,7 +49,7 @@ def _noise_kernel(task):
     """Deterministic pseudo-noise chunk kernel for driver-level tests."""
     index, count, seed = task
     values = np.random.default_rng(seed).normal(2.0, 0.5, size=count)
-    return index, count, {0: moments_of(values)}
+    return index, count, moments_of(values)
 
 
 def _spec(name="metric", **kwargs):
@@ -101,7 +101,7 @@ class TestDriver:
         def tight_kernel(task):
             index, count, seed = task
             values = np.random.default_rng(seed).normal(5.0, 0.01, size=count)
-            return index, count, {0: moments_of(values)}
+            return index, count, moments_of(values)
 
         report = run_adaptive(
             [
@@ -157,9 +157,7 @@ class TestAdaptersAgainstFixedN:
         tolerance = metric.estimate.half_width + 2.6 * fixed.std_error()
         assert abs(metric.estimate.mean - fixed.mean) <= tolerance
 
-    @pytest.mark.parametrize(
-        "vr", ["none", "control", "stratified", "stratified+control"]
-    )
+    @pytest.mark.parametrize("vr", ["none", "control"])
     def test_version_pfd_all_vr_modes_agree(self, vr):
         scenario = standard_scenario(0)
         target = PrecisionTarget(rel_hw=0.04, budget=60_000, initial=512, vr=vr)
@@ -288,7 +286,7 @@ class TestAdaptersAgainstFixedN:
         leaves the report bit for bit as it was, with and without VR."""
         scenario = standard_scenario(0)
         plan = [SharedTestingActivity(scenario.generator)]
-        for vr in ("none", "stratified+control"):
+        for vr in ("none", "control"):
             target = PrecisionTarget(rel_hw=0.1, budget=2000, initial=256, vr=vr)
             runs = [
                 adaptive_campaign_pfd(
@@ -350,7 +348,7 @@ class TestSimulatePrecisionKwarg:
                 scenario.population,
                 0,
                 rng=0,
-                precision={"rel_hw": 0.2, "vr": "stratified"},
+                precision={"rel_hw": 0.2, "vr": "control"},
             )
 
     def test_x3_n_replications_knob_is_the_adaptive_budget(self):

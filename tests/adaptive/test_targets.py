@@ -30,6 +30,8 @@ class TestValidation:
     def test_rejects_unknown_vr(self):
         with pytest.raises(ModelError):
             PrecisionTarget(rel_hw=0.1, vr="magic")
+        with pytest.raises(ModelError, match="vr must be one of"):
+            PrecisionTarget(rel_hw=0.1, vr="stratified")  # retired
 
     def test_rejects_growth_at_or_below_one(self):
         with pytest.raises(ModelError):

@@ -1,106 +1,35 @@
-"""Tests for the variance-reduction layer: exact pmfs, vr resolution,
-and the effectiveness gate (VR must not cost replications on the
-estimands it claims to help)."""
+"""Tests for the variance-reduction layer: vr resolution, the
+effectiveness gate (VR must not cost replications on the estimands it
+claims to help) and the chunk kernels' stream identity."""
 
-import math
-
-import numpy as np
 import pytest
-from scipy import stats
 
-from repro.adaptive import (
-    PrecisionTarget,
-    adaptive_version_pfd,
-    fault_count_pmf,
-    pair_fault_count_pmf,
-    resolve_vr,
-)
-from repro.demand import DemandSpace, uniform_profile
+from repro.adaptive import PrecisionTarget, adaptive_version_pfd, resolve_vr
+from repro.demand import DemandSpace
 from repro.errors import ModelError
-from repro.experiments.models import standard_scenario, tiny_enumerable_scenario
+from repro.experiments.models import standard_scenario
 from repro.extensions import Activity
-from repro.faults import uniform_random_universe
 from repro.populations import BernoulliFaultPopulation
 from repro.testing import ImperfectFixing, ImperfectOracle
 
 
-class TestFaultCountPmf:
-    def test_uniform_bernoulli_matches_binomial(self):
-        space = DemandSpace(20)
-        universe = uniform_random_universe(
-            space, n_faults=9, region_size=3, rng=0
-        )
-        population = BernoulliFaultPopulation.uniform(universe, 0.3)
-        pmf = fault_count_pmf(population)
-        assert pmf is not None
-        assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-12)
-        for k, mass in pmf.items():
-            assert mass == pytest.approx(
-                float(stats.binom.pmf(k, 9, 0.3)), abs=1e-12
-            )
-
-    def test_heterogeneous_probabilities_poisson_binomial(self):
-        space = DemandSpace(10)
-        universe = uniform_random_universe(
-            space, n_faults=3, region_size=2, rng=1
-        )
-        probs = [0.1, 0.5, 0.9]
-        population = BernoulliFaultPopulation(universe, probs)
-        pmf = fault_count_pmf(population)
-        # brute force over the 2^3 presence patterns
-        expected = {k: 0.0 for k in range(4)}
-        for bits in range(8):
-            mass = 1.0
-            k = 0
-            for fault, p in enumerate(probs):
-                if bits >> fault & 1:
-                    mass *= p
-                    k += 1
-                else:
-                    mass *= 1.0 - p
-            expected[k] += mass
-        for k, mass in expected.items():
-            assert pmf[k] == pytest.approx(mass, abs=1e-12)
-
-    def test_enumerable_population_supported(self):
-        scenario = tiny_enumerable_scenario()
-        pmf = fault_count_pmf(scenario.population)
-        assert pmf is not None
-        assert sum(pmf.values()) == pytest.approx(1.0, abs=1e-9)
-
-    def test_pair_pmf_is_convolution(self):
-        space = DemandSpace(10)
-        universe = uniform_random_universe(
-            space, n_faults=4, region_size=2, rng=2
-        )
-        population = BernoulliFaultPopulation.uniform(universe, 0.5)
-        single = fault_count_pmf(population)
-        pair = pair_fault_count_pmf(population, population)
-        for k, mass in pair.items():
-            expected = sum(
-                single[i] * single.get(k - i, 0.0) for i in single
-            )
-            assert mass == pytest.approx(expected, abs=1e-12)
-
-
 class TestResolveVr:
-    def test_auto_prefers_strongest(self):
-        assert resolve_vr("auto", True, True) == "stratified+control"
-        assert resolve_vr("auto", False, True) == "control"
-        assert resolve_vr("auto", True, False) == "stratified"
-        assert resolve_vr("auto", False, False) == "none"
+    def test_auto_is_control(self):
+        assert resolve_vr("auto") == "control"
+        assert resolve_vr("control") == "control"
+        assert resolve_vr("none") == "none"
 
     def test_explicit_unsupported_raises(self):
-        with pytest.raises(ModelError):
-            resolve_vr("stratified", has_strata=False, has_anchor=True)
-        with pytest.raises(ModelError):
-            resolve_vr("control", has_strata=True, has_anchor=False)
+        # post-stratification is retired: an explicit request fails loudly
+        for vr in ("stratified", "stratified+control"):
+            with pytest.raises(ModelError, match="vr must be one of"):
+                resolve_vr(vr)
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ModelError):
-            resolve_vr("quantum", True, True)
+            resolve_vr("quantum")
         with pytest.raises(ModelError):
-            resolve_vr("antithetic", True, True)  # retired
+            resolve_vr("antithetic")  # retired
 
 
 class TestVrEffectiveness:
@@ -109,7 +38,7 @@ class TestVrEffectiveness:
     benchmarks/bench_adaptive.py records and CI gates on)."""
 
     @pytest.mark.slow
-    def test_stratified_control_beats_plain_on_e11_style_point(self):
+    def test_control_beats_plain_on_e11_style_point(self):
         scenario = standard_scenario(0)
         kwargs = dict(
             oracle=ImperfectOracle(0.25),
@@ -132,7 +61,7 @@ class TestVrEffectiveness:
             return report.only.replications
 
         plain = replications("none")
-        reduced = replications("stratified+control")
+        reduced = replications("control")
         assert reduced <= plain
 
 
@@ -289,8 +218,7 @@ def test_vr_none_chunk_draws_the_batch_block(chunks, args):
     bit, so only the reducer tells the two layers apart."""
     count, seed = 257, 12345
     batch, adaptive = chunks(*args, count, seed)
-    index, replications, payload = adaptive
+    index, replications, moments = adaptive
     assert (index, replications) == (0, count)
-    (moments,) = payload.values()
     assert (moments.count, moments.mean_y, moments.m2_y) == batch
     assert batch[0] == count and batch[1] > 0.0

@@ -6,7 +6,6 @@ import pytest
 from repro.demand import (
     DemandSpace,
     UsageProfile,
-    mixture_profile,
     uniform_profile,
     zipf_profile,
 )
@@ -117,20 +116,6 @@ class TestSampling:
         assert frequency == pytest.approx(0.8, abs=0.02)
 
 
-class TestRestrict:
-    def test_restrict_renormalises(self, profile):
-        restricted = profile.restrict([0, 1])
-        assert restricted.probability(0) == pytest.approx(0.5)
-        assert restricted.probability(5) == 0.0
-
-    def test_restrict_empty_mass_rejected(self, space):
-        probs = np.zeros(10)
-        probs[0] = 1.0
-        profile = UsageProfile(space, probs)
-        with pytest.raises(ProbabilityError):
-            profile.restrict([5])
-
-
 class TestFactories:
     def test_uniform(self):
         profile = uniform_profile(DemandSpace(4))
@@ -151,27 +136,3 @@ class TestFactories:
     def test_custom(self):
         profile = UsageProfile.normalised(DemandSpace(3), [1, 1, 2])
         assert profile.probability(2) == pytest.approx(0.5)
-
-    def test_mixture(self):
-        space = DemandSpace(4)
-        a = UsageProfile.normalised(space, [1, 0, 0, 0])
-        b = UsageProfile.normalised(space, [0, 0, 0, 1])
-        mixed = mixture_profile([a, b], [0.25, 0.75])
-        assert mixed.probability(0) == pytest.approx(0.25)
-        assert mixed.probability(3) == pytest.approx(0.75)
-
-    def test_mixture_weight_validation(self):
-        space = DemandSpace(2)
-        a = uniform_profile(space)
-        with pytest.raises(ProbabilityError):
-            mixture_profile([a], [1.0, 2.0])
-        with pytest.raises(ProbabilityError):
-            mixture_profile([a], [-1.0])
-        with pytest.raises(ProbabilityError):
-            mixture_profile([], [])
-
-    def test_mixture_space_mismatch(self):
-        a = uniform_profile(DemandSpace(2))
-        b = uniform_profile(DemandSpace(3))
-        with pytest.raises(IncompatibleSpaceError):
-            mixture_profile([a, b], [0.5, 0.5])

@@ -77,6 +77,12 @@ class TestCliPrecisionFlags:
         assert main(["e01", "--vr", "control"]) == 2
         assert "--vr needs" in capsys.readouterr().err
 
+    def test_retired_stratified_vr_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["e01", "--target-rel-hw", "0.2", "--vr", "stratified"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_vr_and_budget_flags_flow_through(self, capsys):
         code = main(
             [

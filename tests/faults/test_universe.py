@@ -95,11 +95,6 @@ class TestMasksAndIds:
         mask = universe.presence_mask([1])
         np.testing.assert_array_equal(mask, [False, True, False])
 
-    def test_restrict(self, universe):
-        sub = universe.restrict([1, 2])
-        assert len(sub) == 2
-        np.testing.assert_array_equal(sub.faults[0].region, [2, 3, 4])
-
     def test_describe_mentions_counts(self, universe):
         text = universe.describe()
         assert "n_faults=3" in text

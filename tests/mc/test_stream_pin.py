@@ -334,7 +334,7 @@ def test_slabbed_envelope_equals_the_whole_block_reduction(monkeypatch):
 def test_slabbed_adaptive_run_equals_the_whole_block_reduction(monkeypatch):
     # an unreachable target runs whole growth rounds to the budget:
     # 256, then 768, then 3072 replications
-    target = PrecisionTarget(rel_hw=1e-6, budget=4096, vr="stratified+control")
+    target = PrecisionTarget(rel_hw=1e-6, budget=4096, vr="control")
 
     def run():
         estimate = simulate_version_pfd(

@@ -129,6 +129,15 @@ class TestPrecisionSpec:
         assert spec.precision.target.vr == "none"
         assert spec.precision.budget_total == 4000
 
+    def test_load_grid_rejects_retired_stratified_vr(self, tmp_path):
+        grid = tmp_path / "grid.toml"
+        grid.write_text(
+            '[sweep]\nexperiments = ["e01"]\n\n[precision]\n'
+            'rel_hw = 0.1\nvr = "stratified"\n'
+        )
+        with pytest.raises(ModelError, match="vr must be one of"):
+            load_grid(grid)
+
     def test_load_grid_rejects_unknown_precision_key(self, tmp_path):
         grid = tmp_path / "grid.toml"
         grid.write_text(

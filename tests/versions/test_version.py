@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import IncompatibleSpaceError, ModelError
-from repro.faults import FaultUniverse
+from repro.errors import ModelError
 from repro.versions import Version
 
 
@@ -110,17 +109,3 @@ class TestFaultSurgery:
         version = Version(universe, np.array([0]))
         grown = version.with_faults([2])
         np.testing.assert_array_equal(grown.fault_ids, [0, 2])
-
-    def test_shares_fault_with(self, universe):
-        a = Version(universe, np.array([0, 1]))
-        b = Version(universe, np.array([1]))
-        c = Version(universe, np.array([2]))
-        assert a.shares_fault_with(b)
-        assert not a.shares_fault_with(c)
-
-    def test_shares_fault_different_universe_rejected(self, universe, space):
-        other_universe = FaultUniverse.from_regions(space, [[0]])
-        a = Version(universe, np.array([0]))
-        b = Version(other_universe, np.array([0]))
-        with pytest.raises(IncompatibleSpaceError):
-            a.shares_fault_with(b)
